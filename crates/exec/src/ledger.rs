@@ -6,6 +6,7 @@
 //! how much raw data it saw, so experiments can verify the spread.
 
 use edgelet_util::ids::DeviceId;
+use edgelet_util::{Error, Result};
 use edgelet_wire::{Decode, Encode, Reader, Writer};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -21,10 +22,72 @@ pub struct LiabilityEntry {
     pub aggregates_seen: u64,
 }
 
+impl LiabilityEntry {
+    /// Adds `other`'s counters to this entry, the one place ledger
+    /// balances grow. Saturating: a counter pinned at its maximum
+    /// still reads as "too much", where a wrapped one would read as
+    /// almost nothing, and a CRC-valid record carrying `u64::MAX` must
+    /// not panic recovery.
+    fn accumulate(&mut self, other: &LiabilityEntry) {
+        self.operators_hosted = self.operators_hosted.saturating_add(other.operators_hosted);
+        self.raw_tuples_seen = self.raw_tuples_seen.saturating_add(other.raw_tuples_seen);
+        self.aggregates_seen = self.aggregates_seen.saturating_add(other.aggregates_seen);
+    }
+}
+
 /// The crowd-liability ledger for one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
     entries: BTreeMap<DeviceId, LiabilityEntry>,
+}
+
+/// A ledger as the wire carries it: `(device, entry)` pairs in strictly
+/// ascending device order, held flat instead of in a tree.
+///
+/// [`FlatLedger::decode_from`] is the only decoder of the ledger wire
+/// form — [`Ledger::decode`] builds its map from one — and the buffer
+/// is reusable, so WAL replay decodes every completion record into the
+/// same allocation and folds it in with [`Ledger::merge_flat`].
+#[derive(Debug, Default)]
+pub struct FlatLedger {
+    entries: Vec<(DeviceId, LiabilityEntry)>,
+}
+
+/// Fewest bytes one encoded entry occupies: the key and three counters,
+/// one varint byte each.
+const MIN_ENTRY_BYTES: usize = 4;
+
+impl FlatLedger {
+    /// Replaces the contents with the ledger encoded at `r`, keeping
+    /// the buffer's capacity. The canonical encoder writes a
+    /// `BTreeMap`, so keys arrive strictly ascending; anything else is
+    /// a decode error, which is what lets [`Ledger::merge_flat`] walk
+    /// both sides in lockstep. On error the buffer is left empty.
+    pub fn decode_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        self.entries.clear();
+        let filled = self.fill(r);
+        if filled.is_err() {
+            self.entries.clear();
+        }
+        filled
+    }
+
+    fn fill(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        let len = r.seq_len_for(MIN_ENTRY_BYTES)?;
+        self.entries.reserve(len);
+        for _ in 0..len {
+            let device = DeviceId::decode(r)?;
+            if let Some((prev, _)) = self.entries.last() {
+                if *prev >= device {
+                    return Err(Error::Decode(format!(
+                        "ledger keys not strictly ascending: {device} after {prev}"
+                    )));
+                }
+            }
+            self.entries.push((device, LiabilityEntry::decode(r)?));
+        }
+        Ok(())
+    }
 }
 
 /// Shared handle actors use to record liability while the simulation runs.
@@ -40,17 +103,39 @@ pub fn shared() -> SharedLedger {
 impl Ledger {
     /// Records an operator hosted on a device.
     pub fn host_operator(&mut self, device: DeviceId) {
-        self.entries.entry(device).or_default().operators_hosted += 1;
+        self.charge(
+            device,
+            &LiabilityEntry {
+                operators_hosted: 1,
+                ..LiabilityEntry::default()
+            },
+        );
     }
 
     /// Records raw tuples processed on a device.
     pub fn raw_tuples(&mut self, device: DeviceId, tuples: u64) {
-        self.entries.entry(device).or_default().raw_tuples_seen += tuples;
+        self.charge(
+            device,
+            &LiabilityEntry {
+                raw_tuples_seen: tuples,
+                ..LiabilityEntry::default()
+            },
+        );
     }
 
     /// Records aggregated records processed on a device.
     pub fn aggregates(&mut self, device: DeviceId, records: u64) {
-        self.entries.entry(device).or_default().aggregates_seen += records;
+        self.charge(
+            device,
+            &LiabilityEntry {
+                aggregates_seen: records,
+                ..LiabilityEntry::default()
+            },
+        );
+    }
+
+    fn charge(&mut self, device: DeviceId, delta: &LiabilityEntry) {
+        self.entries.entry(device).or_default().accumulate(delta);
     }
 
     /// All entries.
@@ -62,11 +147,36 @@ impl Ledger {
     /// service accumulates per-query ledgers into a crowd-lifetime
     /// ledger this way; see `docs/STORAGE.md`).
     pub fn merge(&mut self, other: &Ledger) {
-        for (device, e) in &other.entries {
-            let mine = self.entries.entry(*device).or_default();
-            mine.operators_hosted += e.operators_hosted;
-            mine.raw_tuples_seen += e.raw_tuples_seen;
-            mine.aggregates_seen += e.aggregates_seen;
+        self.merge_ascending(other.entries.iter().map(|(d, e)| (*d, e)));
+    }
+
+    /// [`Ledger::merge`] for a ledger still in its decoded wire form.
+    pub fn merge_flat(&mut self, other: &FlatLedger) {
+        self.merge_ascending(other.entries.iter().map(|(d, e)| (*d, e)));
+    }
+
+    /// Folds `incoming` — entries in strictly ascending device order —
+    /// into this ledger by a sorted merge-join: one `iter_mut`
+    /// walk over the resident entries in lockstep with the incoming
+    /// ones, instead of a tree descent per entry. Devices not yet
+    /// resident cannot be inserted under the walk's borrow; they are
+    /// set aside and inserted after it (none in the steady state, where
+    /// the same crowd answers query after query).
+    fn merge_ascending<'a>(
+        &mut self,
+        incoming: impl Iterator<Item = (DeviceId, &'a LiabilityEntry)>,
+    ) {
+        let mut absent: Vec<(DeviceId, &LiabilityEntry)> = Vec::new();
+        let mut resident = self.entries.iter_mut().peekable();
+        for (device, e) in incoming {
+            while resident.next_if(|(d, _)| **d < device).is_some() {}
+            match resident.peek_mut() {
+                Some((d, mine)) if **d == device => mine.accumulate(e),
+                _ => absent.push((device, e)),
+            }
+        }
+        for (device, e) in absent {
+            self.charge(device, e);
         }
     }
 
@@ -141,7 +251,8 @@ impl Encode for LiabilityEntry {
 }
 
 impl Decode for LiabilityEntry {
-    fn decode(r: &mut Reader<'_>) -> edgelet_util::Result<Self> {
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(Self {
             operators_hosted: u32::decode(r)?,
             raw_tuples_seen: u64::decode(r)?,
@@ -157,9 +268,12 @@ impl Encode for Ledger {
 }
 
 impl Decode for Ledger {
-    fn decode(r: &mut Reader<'_>) -> edgelet_util::Result<Self> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let mut flat = FlatLedger::default();
+        flat.decode_from(r)?;
+        // Ascending and duplicate-free, so this is a linear bulk build.
         Ok(Self {
-            entries: BTreeMap::decode(r)?,
+            entries: flat.entries.into_iter().collect(),
         })
     }
 }
@@ -247,6 +361,194 @@ mod tests {
         let before = a.clone();
         a.merge(&Ledger::default());
         assert_eq!(a.entries(), before.entries());
+    }
+
+    fn entry(operators_hosted: u32, raw_tuples_seen: u64, aggregates_seen: u64) -> LiabilityEntry {
+        LiabilityEntry {
+            operators_hosted,
+            raw_tuples_seen,
+            aggregates_seen,
+        }
+    }
+
+    fn ledger_of(pairs: &[(u64, LiabilityEntry)]) -> Ledger {
+        Ledger {
+            entries: pairs
+                .iter()
+                .map(|(d, e)| (DeviceId::new(*d), e.clone()))
+                .collect(),
+        }
+    }
+
+    /// The reference the merge-join is held to: one tree descent per
+    /// incoming entry.
+    fn merge_by_descent(into: &mut Ledger, other: &Ledger) {
+        for (device, e) in &other.entries {
+            into.charge(*device, e);
+        }
+    }
+
+    fn flat_of(ledger: &Ledger) -> FlatLedger {
+        let bytes = edgelet_wire::to_bytes(ledger);
+        let mut flat = FlatLedger::default();
+        flat.decode_from(&mut Reader::new(&bytes)).unwrap();
+        flat
+    }
+
+    #[test]
+    fn counters_saturate_instead_of_overflowing() {
+        // A CRC-valid hostile record can carry any counter value; adding
+        // it must neither panic (debug) nor wrap to a small number
+        // (release).
+        let d = DeviceId::new(1);
+        let mut l = ledger_of(&[(1, entry(u32::MAX, u64::MAX - 1, u64::MAX))]);
+        l.host_operator(d);
+        l.raw_tuples(d, 5);
+        l.aggregates(d, 1);
+        assert_eq!(l.entries()[&d], entry(u32::MAX, u64::MAX, u64::MAX));
+
+        let hostile = ledger_of(&[(1, entry(7, u64::MAX, 3)), (2, entry(1, u64::MAX, 0))]);
+        let mut via_map = ledger_of(&[(1, entry(u32::MAX - 2, 9, u64::MAX - 1))]);
+        let mut via_flat = via_map.clone();
+        via_map.merge(&hostile);
+        via_flat.merge_flat(&flat_of(&hostile));
+        assert_eq!(via_map.entries()[&d], entry(u32::MAX, u64::MAX, u64::MAX));
+        assert_eq!(via_map.entries()[&DeviceId::new(2)], entry(1, u64::MAX, 0));
+        assert_eq!(via_flat, via_map);
+    }
+
+    #[test]
+    fn merge_join_inserts_absent_devices_on_both_sides_of_the_walk() {
+        // Incoming devices before, between and after the resident ones.
+        let mut a = ledger_of(&[(10, entry(1, 1, 1)), (20, entry(2, 2, 2))]);
+        let b = ledger_of(&[
+            (5, entry(0, 5, 0)),
+            (10, entry(1, 0, 0)),
+            (15, entry(0, 0, 15)),
+            (20, entry(0, 1, 0)),
+            (25, entry(3, 0, 0)),
+        ]);
+        a.merge(&b);
+        let expected = ledger_of(&[
+            (5, entry(0, 5, 0)),
+            (10, entry(2, 1, 1)),
+            (15, entry(0, 0, 15)),
+            (20, entry(2, 3, 2)),
+            (25, entry(3, 0, 0)),
+        ]);
+        assert_eq!(a, expected);
+        // Into an empty ledger: everything is absent.
+        let mut empty = Ledger::default();
+        empty.merge(&b);
+        assert_eq!(empty, b);
+    }
+
+    fn encode_pairs(pairs: &[(u64, u64, u64, u64)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(pairs.len() as u64);
+        for (device, ops, raw, agg) in pairs {
+            for v in [device, ops, raw, agg] {
+                w.put_varint(*v);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Both decoders of the ledger wire form on the same bytes.
+    fn decode_both(bytes: &[u8]) -> (Result<Ledger>, Result<usize>) {
+        let owned = edgelet_wire::from_bytes::<Ledger>(bytes);
+        let mut flat = FlatLedger::default();
+        let mut r = Reader::new(bytes);
+        let decoded = flat.decode_from(&mut r);
+        if decoded.is_err() {
+            assert!(
+                flat.entries.is_empty(),
+                "a failed decode leaves no entries behind"
+            );
+        }
+        let streamed = decoded
+            .and_then(|()| r.expect_end())
+            .map(|()| flat.entries.len());
+        (owned, streamed)
+    }
+
+    #[test]
+    fn hostile_ledger_encodings_are_typed_errors_in_both_decoders() {
+        let ok = encode_pairs(&[(1, 1, 2, 3), (4, 0, 0, 0)]);
+        let (owned, streamed) = decode_both(&ok);
+        assert_eq!(owned.unwrap().entries.len(), 2);
+        assert_eq!(streamed.unwrap(), 2);
+
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "descending keys",
+                encode_pairs(&[(4, 0, 0, 0), (1, 0, 0, 0)]),
+                "not strictly ascending",
+            ),
+            (
+                "duplicate key",
+                encode_pairs(&[(4, 0, 0, 0), (4, 1, 1, 1)]),
+                "not strictly ascending",
+            ),
+            (
+                "operators_hosted beyond u32",
+                encode_pairs(&[(1, u64::from(u32::MAX) + 1, 0, 0)]),
+                "out of range for u32",
+            ),
+            ("truncated entry", ok[..ok.len() - 1].to_vec(), "needs >="),
+            (
+                "length the input cannot hold",
+                {
+                    let mut w = Writer::new();
+                    w.put_varint(1 << 20);
+                    w.put_raw(&[1, 1, 1, 1]);
+                    w.into_bytes()
+                },
+                "needs >=",
+            ),
+            (
+                "trailing bytes",
+                [ok.clone(), vec![0]].concat(),
+                "trailing bytes",
+            ),
+        ];
+        for (what, bytes, needle) in cases {
+            let (owned, streamed) = decode_both(&bytes);
+            for err in [owned.unwrap_err(), streamed.unwrap_err()] {
+                assert!(matches!(err, Error::Decode(_)), "{what}: {err:?}");
+                assert!(err.to_string().contains(needle), "{what}: {err}");
+            }
+        }
+        // Every truncation point errors in both, never panics.
+        for cut in 0..ok.len() {
+            let (owned, streamed) = decode_both(&ok[..cut]);
+            assert!(owned.is_err() && streamed.is_err(), "cut at {cut}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_merge_join_matches_per_entry_descent(
+            resident in proptest::collection::vec((0u64..96, 0u32..5, 0u64..1000), 0..80),
+            incoming in proptest::collection::vec((0u64..96, 0u32..5, 0u64..1000), 0..80)
+        ) {
+            let build = |rows: &[(u64, u32, u64)]| {
+                let mut l = Ledger::default();
+                for (d, ops, raw) in rows {
+                    l.charge(DeviceId::new(*d), &entry(*ops, *raw, raw / 3));
+                }
+                l
+            };
+            let (base, delta) = (build(&resident), build(&incoming));
+            let mut expected = base.clone();
+            merge_by_descent(&mut expected, &delta);
+            let mut via_map = base.clone();
+            via_map.merge(&delta);
+            let mut via_flat = base;
+            via_flat.merge_flat(&flat_of(&delta));
+            proptest::prop_assert_eq!(&via_map, &expected);
+            proptest::prop_assert_eq!(&via_flat, &expected);
+        }
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub use config::ExecConfig;
 pub use driver::{
     assemble_plan, execute_plan, finish_report, ExecutionReport, PlanAssembly, QueryOutcome,
 };
-pub use ledger::Ledger;
+pub use ledger::{FlatLedger, Ledger};

@@ -11,21 +11,27 @@
 //! the re-run is byte-identical to the run the crash interrupted
 //! (proved by `tests/durability_restart.rs`).
 //!
-//! Replay is **idempotent**: [`DurableState::apply`] keys applications
-//! by epoch in an `applied` set, so replaying a WAL segment twice —
-//! which happens when a crash lands between a completion append and the
+//! Replay is **idempotent**: [`DurableState`] keys applications by
+//! epoch in an `applied` set, so replaying a WAL segment twice — which
+//! happens when a crash lands between a completion append and the
 //! checkpoint that would subsume it — never double-charges the
 //! cumulative ledger. This generalizes the combiner's `seen_partials`
 //! dedup guard (PR 3) from message delivery to storage replay.
 //!
+//! Replay is also **streaming**: [`DurableState::replay`] reads each
+//! record in place from the recovered segment bytes — the result
+//! payload is walked, never copied; the ledger lands in one reused
+//! [`FlatLedger`] — validates the whole record, and only then folds it
+//! in, so a record is applied entirely or not at all.
+//!
 //! See `docs/STORAGE.md` for the full recovery model.
 
 use crate::harness::LiveRun;
-use edgelet_exec::Ledger;
+use edgelet_exec::{FlatLedger, Ledger};
 use edgelet_query::QuerySpec;
 use edgelet_util::{Error, Result};
 use edgelet_wire::crc::crc32;
-use edgelet_wire::{from_bytes, to_bytes, Decode, Encode, Reader, Writer};
+use edgelet_wire::{to_bytes, Decode, Encode, Reader, Writer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -100,15 +106,27 @@ impl Encode for WalRecord {
                 result_payload,
                 ledger,
                 trace_digest,
-            } => {
-                TAG_COMPLETION.encode(w);
-                epoch.encode(w);
-                result_payload.encode(w);
-                ledger.encode(w);
-                trace_digest.encode(w);
-            }
+            } => encode_completion(w, *epoch, result_payload, ledger, *trace_digest),
         }
     }
+}
+
+/// Writes a [`WalRecord::Completion`] from borrowed parts — the one
+/// encoder of that record, so the submit path can journal a finished
+/// run without first cloning its payload and ledger into an owned
+/// record.
+pub(crate) fn encode_completion(
+    w: &mut Writer,
+    epoch: u64,
+    result_payload: &Option<Vec<u8>>,
+    ledger: &Ledger,
+    trace_digest: Option<u64>,
+) {
+    TAG_COMPLETION.encode(w);
+    epoch.encode(w);
+    result_payload.encode(w);
+    ledger.encode(w);
+    trace_digest.encode(w);
 }
 
 impl Decode for WalRecord {
@@ -124,8 +142,58 @@ impl Decode for WalRecord {
                 ledger: Ledger::decode(r)?,
                 trace_digest: Option::<u64>::decode(r)?,
             }),
-            tag => Err(Error::Protocol(format!("unknown WAL record tag {tag}"))),
+            tag => Err(unknown_tag(tag)),
         }
+    }
+}
+
+fn unknown_tag(tag: u8) -> Error {
+    Error::Protocol(format!("unknown WAL record tag {tag}"))
+}
+
+/// An encoded `Vec<u8>` read past rather than into memory: the same
+/// length bound and per-byte range check as the owned decoder, no
+/// allocation. Replay never looks at a completion's result payload.
+struct SkippedBytes;
+
+impl Decode for SkippedBytes {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        for _ in 0..r.seq_len_for(1)? {
+            u8::decode(r)?;
+        }
+        Ok(SkippedBytes)
+    }
+}
+
+/// What replay needs of one record once all of it has been validated;
+/// a completion's ledger is left in the caller's scratch buffer.
+enum RecordView {
+    Intent { epoch: u64, spec_digest: u32 },
+    Completion { epoch: u64 },
+}
+
+impl RecordView {
+    /// Reads one whole record in place, accepting exactly the byte
+    /// strings `from_bytes::<WalRecord>` accepts. Nothing is applied
+    /// here: the caller folds the view in only after this returns `Ok`.
+    fn parse(bytes: &[u8], ledger: &mut FlatLedger) -> Result<Self> {
+        let mut r = Reader::new(bytes);
+        let view = match u8::decode(&mut r)? {
+            TAG_INTENT => RecordView::Intent {
+                epoch: u64::decode(&mut r)?,
+                spec_digest: u32::decode(&mut r)?,
+            },
+            TAG_COMPLETION => {
+                let epoch = u64::decode(&mut r)?;
+                Option::<SkippedBytes>::decode(&mut r)?;
+                ledger.decode_from(&mut r)?;
+                Option::<u64>::decode(&mut r)?;
+                RecordView::Completion { epoch }
+            }
+            tag => return Err(unknown_tag(tag)),
+        };
+        r.expect_end()?;
+        Ok(view)
     }
 }
 
@@ -147,35 +215,67 @@ pub struct DurableState {
 }
 
 impl DurableState {
-    /// Applies one record, idempotently: re-applying a record for an
-    /// epoch already in `applied` is a no-op, so a WAL segment can be
-    /// replayed any number of times without double-charging the ledger.
+    /// Applies one owned record, idempotently: re-applying a record for
+    /// an epoch already in `applied` is a no-op, so a WAL segment can
+    /// be replayed any number of times without double-charging the
+    /// ledger.
     pub fn apply(&mut self, record: &WalRecord) {
-        self.next_epoch = self.next_epoch.max(record.epoch() + 1);
         match record {
-            WalRecord::Intent { epoch, spec_digest } => {
-                if !self.applied.contains(epoch) {
-                    self.pending.insert(*epoch, *spec_digest);
-                }
-            }
-            WalRecord::Completion { epoch, ledger, .. } => {
-                if self.applied.insert(*epoch) {
-                    self.ledger.merge(ledger);
-                    self.pending.remove(epoch);
-                }
-            }
+            WalRecord::Intent { epoch, spec_digest } => self.apply_intent(*epoch, *spec_digest),
+            WalRecord::Completion { epoch, ledger, .. } => self.apply_completion(*epoch, ledger),
         }
     }
 
-    /// Decodes and applies a slice of raw WAL payloads in order.
-    /// Accepts anything byte-slice-like — recovery hands zero-copy
-    /// [`edgelet_util::Payload`] slices over the segment buffers
-    /// straight in, with no per-record materialization. Returns the
+    fn apply_intent(&mut self, epoch: u64, spec_digest: u32) {
+        self.see_epoch(epoch);
+        if !self.applied.contains(&epoch) {
+            self.pending.insert(epoch, spec_digest);
+        }
+    }
+
+    /// Records `epoch` as completed. `true` the first time: the caller
+    /// then charges the epoch's ledger, in whichever form it holds it.
+    fn begin_completion(&mut self, epoch: u64) -> bool {
+        self.see_epoch(epoch);
+        let first = self.applied.insert(epoch);
+        if first {
+            self.pending.remove(&epoch);
+        }
+        first
+    }
+
+    fn see_epoch(&mut self, epoch: u64) {
+        self.next_epoch = self.next_epoch.max(epoch.saturating_add(1));
+    }
+
+    /// Applies the completion of a run that just finished, straight
+    /// from the run's own ledger (what the submit path calls once the
+    /// record is durable).
+    pub(crate) fn apply_completion(&mut self, epoch: u64, ledger: &Ledger) {
+        if self.begin_completion(epoch) {
+            self.ledger.merge(ledger);
+        }
+    }
+
+    /// Applies a slice of raw WAL payloads in order, streaming: each
+    /// record is read in place, validated to its last byte, and only
+    /// then folded in, so a malformed record leaves the state exactly
+    /// as its predecessor left it. Accepts anything byte-slice-like —
+    /// recovery hands zero-copy [`edgelet_util::Payload`] slices over
+    /// the segment buffers straight in. One ledger buffer is reused for
+    /// every record; nothing else is allocated per record. Returns the
     /// number of records applied.
     pub fn replay<B: AsRef<[u8]>>(&mut self, payloads: &[B]) -> Result<usize> {
+        let mut ledger = FlatLedger::default();
         for payload in payloads {
-            let record: WalRecord = from_bytes(payload.as_ref())?;
-            self.apply(&record);
+            match RecordView::parse(payload.as_ref(), &mut ledger)? {
+                RecordView::Intent { epoch, spec_digest } => self.apply_intent(epoch, spec_digest),
+                RecordView::Completion { epoch } => {
+                    if self.begin_completion(epoch) {
+                        self.ledger.merge_flat(&ledger);
+                    }
+                }
+            }
         }
         Ok(payloads.len())
     }
@@ -356,6 +456,7 @@ impl RecoveryReport {
 mod tests {
     use super::*;
     use edgelet_util::ids::DeviceId;
+    use edgelet_wire::from_bytes;
 
     fn completion(epoch: u64, tuples: u64) -> WalRecord {
         let mut ledger = Ledger::default();
@@ -388,6 +489,252 @@ mod tests {
             assert_eq!(&back, rec);
         }
         assert!(from_bytes::<WalRecord>(&[9u8]).is_err(), "unknown tag");
+    }
+
+    #[test]
+    fn borrowed_completion_encoder_matches_the_owned_record() {
+        let mut ledger = Ledger::default();
+        ledger.host_operator(DeviceId::new(3));
+        ledger.raw_tuples(DeviceId::new(900), 1 << 40);
+        for (result_payload, trace_digest) in [
+            (Some(vec![0u8, 127, 128, 255]), Some(u64::MAX)),
+            (Some(Vec::new()), None),
+            (None, Some(0)),
+            (None, None),
+        ] {
+            let mut w = Writer::new();
+            encode_completion(&mut w, 41, &result_payload, &ledger, trace_digest);
+            let owned = WalRecord::Completion {
+                epoch: 41,
+                result_payload,
+                ledger: ledger.clone(),
+                trace_digest,
+            };
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, to_bytes(&owned));
+            assert_eq!(from_bytes::<WalRecord>(&bytes).unwrap(), owned);
+        }
+    }
+
+    /// A completion record assembled from raw, possibly malformed parts.
+    fn raw_completion(epoch: u64, payload: &[u8], ledger: &[u8], digest: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        TAG_COMPLETION.encode(&mut w);
+        epoch.encode(&mut w);
+        w.put_raw(payload);
+        w.put_raw(ledger);
+        w.put_raw(digest);
+        w.into_bytes()
+    }
+
+    fn raw_ledger(entries: &[[u64; 4]]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(entries.len() as u64);
+        for v in entries.iter().flatten() {
+            w.put_varint(*v);
+        }
+        w.into_bytes()
+    }
+
+    /// Record-level damage. Malformed ledgers are tabled once, in
+    /// `edgelet_exec::ledger`; `tests/wal_replay.rs` drills one through
+    /// a recovering service.
+    #[test]
+    fn hostile_records_are_typed_errors_and_apply_nothing() {
+        const NONE: &[u8] = &[0];
+        let good_ledger = raw_ledger(&[[1, 1, 10, 0], [2, 0, 0, 5], [9, 1, 1, 1]]);
+        let some_payload: &[u8] = &[1, 3, 7, 0x80, 0x01, 9];
+        let sane = raw_completion(5, some_payload, &good_ledger, &[1, 42]);
+        assert!(
+            from_bytes::<WalRecord>(&sane).is_ok(),
+            "the template is valid"
+        );
+
+        let huge_len = {
+            let mut w = Writer::new();
+            w.put_varint(u64::MAX / 2);
+            w.into_bytes()
+        };
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "unknown record tag",
+                vec![9, 1, 1],
+                "unknown WAL record tag 9",
+            ),
+            (
+                "payload option tag",
+                raw_completion(5, &[2], &good_ledger, NONE),
+                "invalid option tag 2",
+            ),
+            (
+                "payload byte beyond u8",
+                raw_completion(5, &[1, 2, 7, 0x80, 0x02], &good_ledger, NONE),
+                "out of range for u8",
+            ),
+            (
+                "payload length the record cannot hold",
+                raw_completion(5, &[1, 100, 7], &[], &[]),
+                "needs >=",
+            ),
+            (
+                "payload length beyond the sequence cap",
+                raw_completion(5, &[&[1u8][..], &huge_len].concat(), &good_ledger, NONE),
+                "too large",
+            ),
+            (
+                "digest option tag",
+                raw_completion(5, NONE, &good_ledger, &[3, 1]),
+                "invalid option tag 3",
+            ),
+            (
+                "digest missing",
+                raw_completion(5, NONE, &good_ledger, &[]),
+                "truncated varint",
+            ),
+            (
+                "trailing bytes after the digest",
+                [sane.clone(), vec![0]].concat(),
+                "trailing bytes",
+            ),
+            (
+                "trailing bytes after an intent",
+                [
+                    to_bytes(&WalRecord::Intent {
+                        epoch: 5,
+                        spec_digest: 1,
+                    }),
+                    vec![0],
+                ]
+                .concat(),
+                "trailing bytes",
+            ),
+            (
+                "intent digest beyond u32",
+                vec![TAG_INTENT, 5, 0xff, 0xff, 0xff, 0xff, 0x1f],
+                "out of range for u32",
+            ),
+        ];
+
+        let prefix = vec![
+            to_bytes(&WalRecord::Intent {
+                epoch: 4,
+                spec_digest: 0xaa,
+            }),
+            to_bytes(&completion(4, 100)),
+            to_bytes(&WalRecord::Intent {
+                epoch: 5,
+                spec_digest: 0xbb,
+            }),
+        ];
+        let mut before = DurableState::default();
+        before.replay(&prefix).unwrap();
+        let before = to_bytes(&before);
+
+        for (what, bad, needle) in cases {
+            // The owned decoder refuses the same record the same way.
+            let oracle_err = from_bytes::<WalRecord>(&bad).unwrap_err();
+            let mut log = prefix.clone();
+            log.push(bad);
+            // A good record after the bad one must not be reached.
+            log.push(to_bytes(&completion(6, 1)));
+
+            let mut streamed = DurableState::default();
+            let err = streamed.replay(&log).unwrap_err();
+            assert!(
+                matches!(err, Error::Decode(_) | Error::Protocol(_)),
+                "{what}: {err:?}"
+            );
+            assert!(err.to_string().contains(needle), "{what}: {err}");
+            assert_eq!(err.to_string(), oracle_err.to_string(), "{what}");
+            assert_eq!(to_bytes(&streamed), before, "{what}: state moved");
+        }
+
+        // Every truncation of a valid completion is refused by both.
+        for cut in 0..sane.len() {
+            let mut st = DurableState::default();
+            assert!(st.replay(&[&sane[..cut]]).is_err(), "cut at {cut}");
+            assert!(
+                from_bytes::<WalRecord>(&sane[..cut]).is_err(),
+                "cut at {cut}"
+            );
+            assert_eq!(to_bytes(&st), to_bytes(&DurableState::default()));
+        }
+    }
+
+    #[test]
+    fn hostile_counters_and_epochs_do_not_overflow_replay() {
+        let max = raw_completion(
+            u64::MAX,
+            &[0],
+            &raw_ledger(&[[1, u64::from(u32::MAX), u64::MAX, u64::MAX]]),
+            &[0],
+        );
+        let again = raw_completion(7, &[0], &raw_ledger(&[[1, 1, 1, 1]]), &[0]);
+        let mut st = DurableState::default();
+        assert_eq!(st.replay(&[max, again]).unwrap(), 2);
+        assert_eq!(st.next_epoch, u64::MAX);
+        let e = &st.ledger.entries()[&DeviceId::new(1)];
+        assert_eq!(
+            (e.operators_hosted, e.raw_tuples_seen, e.aggregates_seen),
+            (u32::MAX, u64::MAX, u64::MAX)
+        );
+    }
+
+    #[test]
+    fn bytes_written_by_the_previous_release_replay_to_the_same_state() {
+        // Records and checkpoint blob as the commit before streaming
+        // replay wrote them (hex dumped from that build): the encoders
+        // still produce these bytes, and replay reaches that checkpoint.
+        fn unhex(s: &str) -> Vec<u8> {
+            (0..s.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+                .collect()
+        }
+        let mut ledger = Ledger::default();
+        ledger.host_operator(DeviceId::new(3));
+        ledger.raw_tuples(DeviceId::new(3), 300);
+        ledger.aggregates(DeviceId::new(200), 7);
+        ledger.host_operator(DeviceId::new(70_000));
+        let records = [
+            WalRecord::Intent {
+                epoch: 1,
+                spec_digest: 0xdead_beef,
+            },
+            WalRecord::Completion {
+                epoch: 1,
+                result_payload: Some(vec![0, 1, 127, 128, 255]),
+                ledger,
+                trace_digest: Some(0xfeed_f00d_cafe),
+            },
+            WalRecord::Intent {
+                epoch: 2,
+                spec_digest: 7,
+            },
+            WalRecord::Completion {
+                epoch: 300,
+                result_payload: None,
+                ledger: Ledger::default(),
+                trace_digest: None,
+            },
+        ];
+        let golden = [
+            "0001effdb6f50d",
+            "0101010500017f8001ff01030301ac0200c801000007f0a20401000001fe95b780dfdd3f",
+            "000207",
+            "01ac02000000",
+        ]
+        .map(unhex);
+        for (record, bytes) in records.iter().zip(&golden) {
+            assert_eq!(&to_bytes(record), bytes);
+        }
+        let mut st = DurableState::default();
+        st.replay(&golden).unwrap();
+        let checkpoint = unhex("ad02030301ac0200c801000007f0a2040100000201ac02010207");
+        assert_eq!(to_bytes(&st), checkpoint);
+        let loaded: DurableState = from_bytes(&checkpoint).unwrap();
+        assert_eq!(to_bytes(&loaded), checkpoint);
+        assert_eq!(loaded.pending_for(7), Some(2));
     }
 
     #[test]

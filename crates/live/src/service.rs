@@ -19,7 +19,8 @@
 //! queries run to completion.
 
 use crate::durable::{
-    spec_digest, CrashPoint, DurabilityConfig, DurableState, RecoveryReport, WalRecord,
+    encode_completion, spec_digest, CrashPoint, DurabilityConfig, DurableState, RecoveryReport,
+    WalRecord,
 };
 use crate::engine::ExitReason;
 use crate::harness::{run_live_query, LiveRun, LiveRunOptions};
@@ -423,18 +424,20 @@ impl QueryService {
             }
         };
         d.config.trip(CrashPoint::MidQuery);
-        let completion = WalRecord::Completion {
+        let mut completion = edgelet_wire::Writer::new();
+        encode_completion(
+            &mut completion,
             epoch,
-            result_payload: run.report.result_payload.clone(),
-            ledger: run.report.ledger.clone(),
-            trace_digest: run.trace_digest,
-        };
+            &run.report.result_payload,
+            &run.report.ledger,
+            run.trace_digest,
+        );
         // Raise the unapplied-completion fence *before* the append: a
         // checkpoint racing with this submit must see that a completion
         // may be durable in the WAL without being in its blob, and keep
         // the sealed segments that could hold it.
         lock(&d.inner).unapplied_completions += 1;
-        if let Err(err) = d.log.commit(&edgelet_wire::to_bytes(&completion)) {
+        if let Err(err) = d.log.commit(&completion.into_bytes()) {
             // The result exists but is not durable; refusing the submit
             // keeps "Ok means persisted" true.
             lock(&d.inner).unapplied_completions -= 1;
@@ -445,7 +448,7 @@ impl QueryService {
         d.config.trip(CrashPoint::BeforeCheckpoint);
         {
             let mut inner = lock(&d.inner);
-            inner.state.apply(&completion);
+            inner.state.apply_completion(epoch, &run.report.ledger);
             inner.unapplied_completions -= 1;
             inner.since_checkpoint += 1;
             if d.config.checkpoint_every > 0 && inner.since_checkpoint >= d.config.checkpoint_every

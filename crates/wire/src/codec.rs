@@ -422,14 +422,12 @@ impl<K: Encode + Ord, V: Encode> Encode for BTreeMap<K, V> {
 
 impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let len = r.seq_len()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..len {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        // Decode flat, then bulk-build: `BTreeMap::from_iter` sorts
+        // stably (linear on the ascending order the encoder emits),
+        // keeps the last value of a duplicate key, and fills nodes
+        // left to right instead of descending the tree once per entry.
+        let entries = Vec::<(K, V)>::decode(r)?;
+        Ok(entries.into_iter().collect())
     }
 }
 
@@ -458,6 +456,7 @@ macro_rules! impl_id {
             }
         }
         impl Decode for $ty {
+            #[inline]
             fn decode(r: &mut Reader<'_>) -> Result<Self> {
                 Ok(<$ty>::new(r.varint()?))
             }
@@ -560,6 +559,27 @@ mod tests {
     }
 
     #[test]
+    fn map_decode_keeps_last_duplicate_and_bounds_its_length() {
+        // Non-canonical input: unsorted, key 5 twice. The bulk build
+        // must agree with one-by-one insertion — last value wins.
+        let mut w = Writer::new();
+        w.put_varint(4);
+        for (k, v) in [(5u64, 1u64), (2, 7), (5, 9), (1, 3)] {
+            w.put_varint(k);
+            w.put_varint(v);
+        }
+        let got = from_bytes::<BTreeMap<u64, u64>>(&w.into_bytes()).unwrap();
+        assert_eq!(got, BTreeMap::from([(1, 3), (2, 7), (5, 9)]));
+        // A length the input cannot hold fails at the length check,
+        // before anything proportional to it is reserved.
+        let mut w = Writer::new();
+        w.put_varint(MAX_SEQUENCE_LEN);
+        w.put_raw(&[1, 2, 3, 4]);
+        let err = from_bytes::<BTreeMap<u64, u64>>(&w.into_bytes()).unwrap_err();
+        assert!(err.to_string().contains("needs >="), "{err}");
+    }
+
+    #[test]
     fn ids_roundtrip() {
         let d = DeviceId::new(17);
         assert_eq!(from_bytes::<DeviceId>(&to_bytes(&d)).unwrap(), d);
@@ -599,6 +619,20 @@ mod tests {
             for (a, b) in v.iter().zip(&back) {
                 prop_assert!(a.to_bits() == b.to_bits());
             }
+        }
+
+        #[test]
+        fn prop_map_decode_matches_one_by_one_insertion(
+            pairs in prop::collection::vec((0u64..16, any::<u64>()), 0..48)
+        ) {
+            // A `Vec<(K, V)>` shares the map's wire form, so this feeds
+            // the decoder unsorted keys with duplicates.
+            let decoded = from_bytes::<BTreeMap<u64, u64>>(&to_bytes(&pairs)).unwrap();
+            let mut expected = BTreeMap::new();
+            for (k, v) in pairs {
+                expected.insert(k, v);
+            }
+            prop_assert_eq!(decoded, expected);
         }
 
         #[test]
