@@ -614,32 +614,115 @@ pub fn scale_grouping(shards: usize, name: &'static str) -> SuiteResult {
     }
 }
 
+/// The 1 000-contributor lossy crowd of the `e2e` suite and of the
+/// isolated per-layer suites below.
+fn crowd_1k(seed: u64) -> PlatformConfig {
+    PlatformConfig {
+        seed,
+        contributors: 1_000,
+        processors: 80,
+        network: NetworkProfile::Lossy {
+            drop_probability: 0.05,
+        },
+        ..PlatformConfig::default()
+    }
+}
+
+/// The privacy and resiliency knobs every query on [`crowd_1k`] runs under.
+fn crowd_1k_knobs() -> (PrivacyConfig, ResilienceConfig) {
+    (
+        PrivacyConfig::none().with_max_tuples(50),
+        ResilienceConfig {
+            strategy: Strategy::Overcollection,
+            failure_probability: 0.1,
+            ..ResilienceConfig::default()
+        },
+    )
+}
+
+/// The `e2e` query's cold start in isolation: enrolling the crowd and
+/// generating its stores, plus tearing it down again.
+pub fn core_platform_build() -> SuiteResult {
+    let world = crowd_1k(1);
+    let devices = (world.contributors + world.processors) as f64;
+    let ns = median_ns(|| Platform::build(world.clone()));
+    SuiteResult {
+        name: "core/platform_build/1k_contributors",
+        median_ns: ns,
+        shards: 1,
+        workers: 1,
+        transport: "in-process",
+        throughput: ("devices_per_sec", devices / (ns * 1e-9)),
+    }
+}
+
+/// Admission's planning step in isolation: `plan_query` on a platform
+/// that has planned before, so the directory's key hashes are memoised
+/// (what every query after a service's first pays).
+pub fn query_plan_warm() -> SuiteResult {
+    let mut p = Platform::build(crowd_1k(1));
+    let spec = crate::census_spec(&mut p, 200);
+    let (privacy, resilience) = crowd_1k_knobs();
+    // 20 plans per sample keep one sample above timer resolution.
+    const PLANS: usize = 20;
+    let ns = median_ns(|| {
+        for _ in 0..PLANS {
+            black_box(p.plan_query(&spec, &privacy, &resilience).expect("plan"));
+        }
+    }) / PLANS as f64;
+    SuiteResult {
+        name: "query/plan/1k_contributors_warm",
+        median_ns: ns,
+        shards: 1,
+        workers: 1,
+        transport: "in-process",
+        throughput: ("plans_per_sec", 1.0 / (ns * 1e-9)),
+    }
+}
+
+/// Wiring one planned query's actors onto the crowd and dropping them
+/// again — the per-query cost of handing every contributor actor its
+/// store, which every host (sim, live, net) pays before the first event.
+pub fn exec_assemble_and_drop() -> SuiteResult {
+    let mut p = Platform::build(crowd_1k(1));
+    let spec = crate::census_spec(&mut p, 200);
+    let (privacy, resilience) = crowd_1k_knobs();
+    let plan = p.plan_query(&spec, &privacy, &resilience).expect("plan");
+    let root_secret = p.root_secret(&spec);
+    let ns = median_ns(|| {
+        let assembly = edgelet_core::exec::assemble_plan(
+            &plan,
+            p.schema(),
+            p.stores(),
+            p.device_classes(),
+            &p.config().exec,
+            root_secret,
+            0.0,
+        )
+        .expect("assemble");
+        assembly.installs.len()
+    });
+    SuiteResult {
+        name: "exec/assemble_and_drop/1k_contributors",
+        median_ns: ns,
+        shards: 1,
+        workers: 1,
+        transport: "in-process",
+        throughput: ("assemblies_per_sec", 1.0 / (ns * 1e-9)),
+    }
+}
+
 /// End-to-end: one full grouping query over 1k contributors on a lossy
 /// network (mirrors `e2e/grouping_query_1k_contributors`).
 pub fn e2e_query() -> SuiteResult {
     let mut seed = 0u64;
     let ns = median_ns(|| {
         seed += 1;
-        let mut p = Platform::build(PlatformConfig {
-            seed,
-            contributors: 1_000,
-            processors: 80,
-            network: NetworkProfile::Lossy {
-                drop_probability: 0.05,
-            },
-            ..PlatformConfig::default()
-        });
+        let mut p = Platform::build(crowd_1k(seed));
         let spec = crate::census_spec(&mut p, 200);
+        let (privacy, resilience) = crowd_1k_knobs();
         let run = p
-            .run_query(
-                &spec,
-                &PrivacyConfig::none().with_max_tuples(50),
-                &ResilienceConfig {
-                    strategy: Strategy::Overcollection,
-                    failure_probability: 0.1,
-                    ..ResilienceConfig::default()
-                },
-            )
+            .run_query(&spec, &privacy, &resilience)
             .expect("e2e query");
         run.report.completed
     });
@@ -914,6 +997,12 @@ pub fn suites() -> Vec<Suite> {
         suite!(
             "sim/scale/grouping_query_100k_contributors@shards4",
             grouping_par
+        ),
+        suite!("core/platform_build/1k_contributors", core_platform_build),
+        suite!("query/plan/1k_contributors_warm", query_plan_warm),
+        suite!(
+            "exec/assemble_and_drop/1k_contributors",
+            exec_assemble_and_drop
         ),
         suite!("e2e/grouping_query_1k_contributors", e2e_query),
         suite!(
@@ -1277,7 +1366,7 @@ mod tests {
     #[test]
     fn registry_filters_by_prefix() {
         let names: Vec<&str> = suites().iter().map(|s| s.name).collect();
-        assert_eq!(names.len(), 17, "{names:?}");
+        assert_eq!(names.len(), 20, "{names:?}");
         // Prefix selection is what `edgelet bench --suite` exposes; pure
         // name filtering here so the test does not run the heavy suites.
         let broadcast: Vec<&&str> = names

@@ -19,10 +19,16 @@ impl ChaCha20Poly1305 {
     /// Encrypts `plaintext`, returning `ciphertext || 16-byte tag`.
     pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = plaintext.to_vec();
-        chacha20_xor(&self.key, 1, nonce, &mut out);
-        let tag = self.compute_tag(nonce, aad, &out);
-        out.extend_from_slice(&tag);
+        self.seal_in_place(nonce, aad, &mut out, 0);
         out
+    }
+
+    /// Encrypts `buf[from..]` where it lies and appends the 16-byte tag;
+    /// `buf[..from]` (a marker, the nonce) is left as is.
+    pub fn seal_in_place(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut Vec<u8>, from: usize) {
+        chacha20_xor(&self.key, 1, nonce, &mut buf[from..]);
+        let tag = self.compute_tag(nonce, aad, &buf[from..]);
+        buf.extend_from_slice(&tag);
     }
 
     /// Verifies and decrypts `ciphertext || tag`.

@@ -21,6 +21,7 @@ use edgelet_util::ids::DeviceId;
 use edgelet_util::{Error, Result};
 use edgelet_wire::from_bytes;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The decoded final result of a query.
 #[derive(Debug, Clone)]
@@ -191,8 +192,9 @@ pub fn assemble_plan(
     };
 
     // ---- contributors ----
-    let all_contributors: BTreeSet<DeviceId> =
-        plan.contributors.iter().flatten().copied().collect();
+    let mut all_contributors: Vec<DeviceId> = plan.contributors.iter().flatten().copied().collect();
+    all_contributors.sort_unstable();
+    all_contributors.dedup();
     for &dev in &all_contributors {
         let store = stores
             .get(&dev)
@@ -276,7 +278,7 @@ pub fn assemble_plan(
                         targets: computer_targets[&(partition.raw(), g as u32)].clone(),
                     })
                     .collect();
-                let wiring = BuilderWiring {
+                let wiring = Arc::new(BuilderWiring {
                     query,
                     partition,
                     quota: plan.partition_quota,
@@ -284,20 +286,18 @@ pub fn assemble_plan(
                     columns: snapshot_columns.clone(),
                     contributors: plan.contributors[partition.index()].clone(),
                     slices,
-                    profile: class_of(op.device),
-                };
+                });
                 let replica_chain: Vec<DeviceId> = std::iter::once(op.device)
                     .chain(op.backups.iter().copied())
                     .collect();
                 for (rank, &dev) in replica_chain.iter().enumerate() {
                     claim(dev, "snapshot-builder")?;
                     let gate = RankGate::new(rank as u32, replica_chain[..rank].to_vec(), now_secs);
-                    let mut wiring = wiring.clone();
-                    wiring.profile = class_of(dev);
                     installs.push((
                         dev,
                         Box::new(BuilderActor::new(
-                            wiring,
+                            Arc::clone(&wiring),
+                            class_of(dev),
                             config.clone(),
                             sealer_for(dev),
                             ledger.clone(),
@@ -312,14 +312,13 @@ pub fn assemble_plan(
                 attr_group,
             } => match &plan.spec.kind {
                 edgelet_query::QueryKind::GroupingSets(_) => {
-                    let wiring = ComputerWiring {
+                    let wiring = Arc::new(ComputerWiring {
                         query,
                         partition,
                         attr_group,
                         sliced_query: sliced_queries[attr_group as usize].clone(),
                         combiners: combiner_devices.clone(),
-                        profile: class_of(op.device),
-                    };
+                    });
                     let replica_chain: Vec<DeviceId> = std::iter::once(op.device)
                         .chain(op.backups.iter().copied())
                         .collect();
@@ -327,12 +326,11 @@ pub fn assemble_plan(
                         claim(dev, "computer")?;
                         let gate =
                             RankGate::new(rank as u32, replica_chain[..rank].to_vec(), now_secs);
-                        let mut wiring = wiring.clone();
-                        wiring.profile = class_of(dev);
                         installs.push((
                             dev,
                             Box::new(GroupingComputerActor::new(
-                                wiring,
+                                Arc::clone(&wiring),
+                                class_of(dev),
                                 config.clone(),
                                 sealer_for(dev),
                                 ledger.clone(),

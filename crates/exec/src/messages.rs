@@ -10,7 +10,7 @@ use edgelet_ml::grouping::GroupedPartial;
 use edgelet_store::{Predicate, Row};
 use edgelet_util::ids::{PartitionId, QueryId};
 use edgelet_util::{Error, Result};
-use edgelet_wire::{Decode, Encode, Frame, Reader, Writer};
+use edgelet_wire::{Decode, Encode, Frame, FrameView, Reader, Writer};
 
 /// Frame kind tags.
 pub mod kind {
@@ -159,13 +159,15 @@ impl Msg {
         }
     }
 
-    /// Encodes into a frame (optionally sealed by the caller afterwards).
+    /// Encodes into an owned frame. The network path
+    /// ([`crate::roles::Sealer::wrap`]) writes the same bytes into one
+    /// buffer instead; this layered form is what its tests pin it to.
     pub fn to_frame(&self) -> Frame {
         Frame::new(self.kind(), self)
     }
 
-    /// Decodes from a frame.
-    pub fn from_frame(frame: &Frame) -> Result<Msg> {
+    /// Decodes from a frame, straight out of the bytes it was parsed from.
+    pub fn from_frame(frame: FrameView<'_>) -> Result<Msg> {
         let msg: Msg = frame.open()?;
         if msg.kind() != frame.kind {
             return Err(Error::Decode(format!(
@@ -190,7 +192,7 @@ impl Msg {
 /// ([`edgelet_sim::Simulation::set_classifier`]).
 pub fn classify_payload(bytes: &[u8]) -> Option<u16> {
     match bytes.split_first() {
-        Some((0x00, frame)) => Frame::from_wire(frame).ok().map(|f| f.kind),
+        Some((0x00, frame)) => FrameView::parse(frame).ok().map(|f| f.kind),
         _ => None,
     }
 }
@@ -406,13 +408,14 @@ impl Decode for OutcomePayload {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use edgelet_ml::Matrix;
     use edgelet_store::{CmpOp, Value};
     use edgelet_wire::{from_bytes, to_bytes};
 
-    fn sample_messages() -> Vec<Msg> {
+    /// One message of every variant.
+    pub(crate) fn sample_messages() -> Vec<Msg> {
         vec![
             Msg::ContributeRequest {
                 query: QueryId::new(1),
@@ -490,7 +493,7 @@ mod tests {
             assert_eq!(frame.kind, msg.kind());
             let wire = frame.to_wire();
             let parsed = Frame::from_wire(&wire).unwrap();
-            assert_eq!(Msg::from_frame(&parsed).unwrap(), msg);
+            assert_eq!(Msg::from_frame(parsed.view()).unwrap(), msg);
         }
     }
 
@@ -501,7 +504,7 @@ mod tests {
             from_rank: 0,
         };
         let bogus = Frame::new(kind::PONG, &msg);
-        assert!(Msg::from_frame(&bogus).is_err());
+        assert!(Msg::from_frame(bogus.view()).is_err());
     }
 
     #[test]

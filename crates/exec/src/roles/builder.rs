@@ -11,6 +11,7 @@ use edgelet_tee::DeviceProfile;
 use edgelet_util::ids::{DeviceId, PartitionId, QueryId};
 use edgelet_util::Payload;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One vertical slice this builder must produce.
 #[derive(Debug, Clone)]
@@ -23,8 +24,8 @@ pub struct SliceWiring {
     pub targets: Vec<DeviceId>,
 }
 
-/// Static wiring of one builder replica.
-#[derive(Debug, Clone)]
+/// Static wiring of one Snapshot Builder, shared by all its replicas.
+#[derive(Debug)]
 pub struct BuilderWiring {
     /// Query id.
     pub query: QueryId,
@@ -40,8 +41,6 @@ pub struct BuilderWiring {
     pub contributors: Vec<DeviceId>,
     /// Slices to produce.
     pub slices: Vec<SliceWiring>,
-    /// Host device performance profile.
-    pub profile: DeviceProfile,
 }
 
 enum Phase {
@@ -52,7 +51,8 @@ enum Phase {
 
 /// The Snapshot Builder actor.
 pub struct BuilderActor {
-    wiring: BuilderWiring,
+    wiring: Arc<BuilderWiring>,
+    profile: DeviceProfile,
     config: ExecConfig,
     sealer: Sealer,
     ledger: SharedLedger,
@@ -70,10 +70,12 @@ pub struct BuilderActor {
 }
 
 impl BuilderActor {
-    /// Creates a builder replica. `schema` is the shared database schema;
-    /// `gate` carries the replica rank (rank 0 for the primary).
+    /// Creates a builder replica on a host with `profile`. `schema` is
+    /// the shared database schema; `gate` carries the replica rank (rank
+    /// 0 for the primary).
     pub fn new(
-        wiring: BuilderWiring,
+        wiring: Arc<BuilderWiring>,
+        profile: DeviceProfile,
         config: ExecConfig,
         sealer: Sealer,
         ledger: SharedLedger,
@@ -83,6 +85,7 @@ impl BuilderActor {
         let config_retries = config.collection_retries;
         Self {
             wiring,
+            profile,
             config,
             sealer,
             ledger,
@@ -122,7 +125,7 @@ impl BuilderActor {
             .unwrap_or_else(|e| e.into_inner())
             .raw_tuples(ctx.device(), self.collected.len() as u64);
         if self.config.charge_compute_time {
-            let secs = self.wiring.profile.compute_seconds(self.collected.len());
+            let secs = self.profile.compute_seconds(self.collected.len());
             self.compute_timer = Some(ctx.set_timer(Duration::from_secs_f64(secs)));
         } else {
             self.ship(ctx);

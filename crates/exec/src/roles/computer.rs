@@ -12,9 +12,10 @@ use edgelet_store::{Row, Schema};
 use edgelet_tee::DeviceProfile;
 use edgelet_util::ids::{DeviceId, PartitionId, QueryId};
 use edgelet_util::Payload;
+use std::sync::Arc;
 
-/// Static wiring of one grouping-computer replica.
-#[derive(Debug, Clone)]
+/// Static wiring of one grouping Computer, shared by all its replicas.
+#[derive(Debug)]
 pub struct ComputerWiring {
     /// Query id.
     pub query: QueryId,
@@ -27,13 +28,12 @@ pub struct ComputerWiring {
     pub sliced_query: GroupingQuery,
     /// Devices hosting the Combiner replicas.
     pub combiners: Vec<DeviceId>,
-    /// Host performance profile.
-    pub profile: DeviceProfile,
 }
 
 /// The grouping Computer actor.
 pub struct GroupingComputerActor {
-    wiring: ComputerWiring,
+    wiring: Arc<ComputerWiring>,
+    profile: DeviceProfile,
     config: ExecConfig,
     sealer: Sealer,
     ledger: SharedLedger,
@@ -47,9 +47,10 @@ pub struct GroupingComputerActor {
 }
 
 impl GroupingComputerActor {
-    /// Creates a computer replica.
+    /// Creates a computer replica on a host with `profile`.
     pub fn new(
-        wiring: ComputerWiring,
+        wiring: Arc<ComputerWiring>,
+        profile: DeviceProfile,
         config: ExecConfig,
         sealer: Sealer,
         ledger: SharedLedger,
@@ -58,6 +59,7 @@ impl GroupingComputerActor {
     ) -> Self {
         Self {
             wiring,
+            profile,
             config,
             sealer,
             ledger,
@@ -152,7 +154,7 @@ impl Actor for GroupingComputerActor {
                 let tuple_count = rows.len();
                 self.staged = Some((columns, rows, complete));
                 if self.config.charge_compute_time {
-                    let secs = self.wiring.profile.compute_seconds(tuple_count);
+                    let secs = self.profile.compute_seconds(tuple_count);
                     self.compute_timer = Some(ctx.set_timer(Duration::from_secs_f64(secs)));
                 } else {
                     self.compute_and_forward(ctx);

@@ -12,7 +12,7 @@ use edgelet_crypto::aead::ChaCha20Poly1305;
 use edgelet_crypto::hmac::hkdf;
 use edgelet_util::ids::{DeviceId, QueryId};
 use edgelet_util::{Error, Payload, Result};
-use edgelet_wire::Frame;
+use edgelet_wire::{encode_framed, FrameView};
 
 /// Wraps/unwraps protocol messages for the network, optionally sealing
 /// them with a query-scoped AEAD key.
@@ -51,24 +51,19 @@ impl Sealer {
     /// [`Payload`]: sending it to every replica of an operator reuses one
     /// buffer instead of copying the bytes per recipient.
     pub fn wrap(&mut self, msg: &Msg) -> Payload {
-        let frame = msg.to_frame().to_wire();
+        // Marker, nonce, frame and tag share one buffer: the message is
+        // encoded once and never copied again.
         let out = match &self.cipher {
-            None => {
-                let mut out = Vec::with_capacity(frame.len() + 1);
-                out.push(0x00);
-                out.extend_from_slice(&frame);
-                out
-            }
+            None => encode_framed(&[0x00], msg.kind(), msg),
             Some(cipher) => {
                 let mut nonce = [0u8; 12];
                 nonce[..4].copy_from_slice(&(self.device.raw() as u32).to_le_bytes());
                 nonce[4..].copy_from_slice(&self.counter.to_le_bytes());
                 self.counter += 1;
-                let sealed = cipher.seal(&nonce, &[], &frame);
-                let mut out = Vec::with_capacity(sealed.len() + 13);
-                out.push(0x01);
-                out.extend_from_slice(&nonce);
-                out.extend_from_slice(&sealed);
+                let mut prefix = [0x01; 13];
+                prefix[1..].copy_from_slice(&nonce);
+                let mut out = encode_framed(&prefix, msg.kind(), msg);
+                cipher.seal_in_place(&nonce, &[], &mut out, prefix.len());
                 out
             }
         };
@@ -82,7 +77,7 @@ impl Sealer {
             .split_first()
             .ok_or_else(|| Error::Decode("empty network payload".into()))?;
         match (marker, &self.cipher) {
-            (0x00, None) => Msg::from_frame(&Frame::from_wire(rest)?),
+            (0x00, None) => Msg::from_frame(FrameView::parse(rest)?),
             (0x01, Some(cipher)) => {
                 if rest.len() < 12 {
                     return Err(Error::Decode("sealed payload shorter than nonce".into()));
@@ -90,7 +85,7 @@ impl Sealer {
                 let mut nonce = [0u8; 12];
                 nonce.copy_from_slice(&rest[..12]);
                 let frame = cipher.open(&nonce, &[], &rest[12..])?;
-                Msg::from_frame(&Frame::from_wire(&frame)?)
+                Msg::from_frame(FrameView::parse(&frame)?)
             }
             (m, _) => Err(Error::Decode(format!(
                 "encryption-mode mismatch (marker {m:#04x})"
@@ -212,6 +207,207 @@ mod tests {
         let bytes = plain.wrap(&msg());
         assert!(sealed.unwrap(&bytes).is_err());
         assert!(plain.unwrap(&[]).is_err());
+    }
+
+    fn nonce(device: DeviceId, counter: u64) -> [u8; 12] {
+        let mut nonce = [0u8; 12];
+        nonce[..4].copy_from_slice(&(device.raw() as u32).to_le_bytes());
+        nonce[4..].copy_from_slice(&counter.to_le_bytes());
+        nonce
+    }
+
+    /// `wrap` builds marker, nonce, frame and tag in one buffer; the
+    /// bytes must stay those of the layer-by-layer chain it replaced
+    /// (`to_frame` → `to_wire` → `seal` → marker ++ nonce ++ sealed).
+    #[test]
+    fn wrap_bytes_equal_the_layered_encoding() {
+        let mut messages = crate::messages::tests::sample_messages();
+        // Bodies whose length prefix takes two and three varint bytes.
+        for len in [200, 20_000] {
+            messages.push(Msg::FinalResult {
+                query: QueryId::new(3),
+                payload: vec![0xAB; len],
+                partitions_merged: 4,
+                partitions_complete: 3,
+                replica: 1,
+            });
+        }
+        let root = [7u8; 32];
+        let device = DeviceId::new(5);
+        let mut plain = Sealer::new(false, &root, QueryId::new(3), device);
+        let mut sealed = Sealer::new(true, &root, QueryId::new(3), device);
+        let receiver = Sealer::new(true, &root, QueryId::new(3), DeviceId::new(6));
+        let cipher = sealed.cipher.clone().expect("sealing sealer has a cipher");
+        for (counter, msg) in messages.iter().enumerate() {
+            let frame = msg.to_frame().to_wire();
+
+            let mut want = vec![0x00];
+            want.extend_from_slice(&frame);
+            assert_eq!(plain.wrap(msg).as_slice(), want, "plaintext {msg:?}");
+            assert_eq!(&plain.unwrap(&want).unwrap(), msg);
+
+            let nonce = nonce(device, counter as u64);
+            let mut want = vec![0x01];
+            want.extend_from_slice(&nonce);
+            want.extend_from_slice(&cipher.seal(&nonce, &[], &frame));
+            assert_eq!(sealed.wrap(msg).as_slice(), want, "sealed {msg:?}");
+            assert_eq!(&receiver.unwrap(&want).unwrap(), msg);
+        }
+    }
+
+    /// A frame with a valid CRC around arbitrary header fields.
+    fn forged_frame(magic: &[u8; 2], version: u64, kind: u64, body: &[u8]) -> Vec<u8> {
+        let mut w = edgelet_wire::Writer::new();
+        w.put_raw(magic);
+        w.put_varint(version);
+        w.put_varint(kind);
+        w.put_raw(body);
+        let mut bytes = w.into_bytes();
+        let crc = edgelet_wire::crc::crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// Decoding from a borrowed frame keeps every check of the copying
+    /// path, with the same typed errors (messages dumped from it).
+    #[test]
+    fn hostile_inputs_keep_their_typed_errors() {
+        let decode = |m: &str| Error::Decode(m.into());
+        let root = [7u8; 32];
+        let plain = Sealer::new(false, &root, QueryId::new(3), DeviceId::new(1));
+        let mut sender = Sealer::new(true, &root, QueryId::new(3), DeviceId::new(1));
+        let sealed = Sealer::new(true, &root, QueryId::new(3), DeviceId::new(2));
+        let cipher = sealed.cipher.clone().expect("sealing sealer has a cipher");
+
+        let body = edgelet_wire::to_bytes(&msg());
+        let mut prefixed = vec![body.len() as u8];
+        prefixed.extend_from_slice(&body);
+        // What each sealer sees on the network for a given frame.
+        let in_clear = |frame: &[u8]| [&[0x00], frame].concat();
+        let nonce = nonce(DeviceId::new(1), 9);
+        let in_seal =
+            |frame: &[u8]| [&[0x01], &nonce[..], &cipher.seal(&nonce, &[], frame)].concat();
+        let frame = |magic: &[u8; 2], version, kind, body: &[u8]| {
+            in_clear(&forged_frame(magic, version, kind, body))
+        };
+        let good_frame = forged_frame(b"EL", 1, 8, &prefixed);
+        let good = in_clear(&good_frame);
+        assert_eq!(plain.unwrap(&good).unwrap(), msg());
+        assert_eq!(good, plain.clone().wrap(&msg()).to_vec());
+
+        let mut flipped = good.clone();
+        flipped[6] ^= 0x10;
+        let mut trailing = prefixed.clone();
+        trailing.push(0);
+        let mut overlong = prefixed.clone();
+        overlong[0] += 1;
+        let mut padded_body = vec![body.len() as u8 + 1];
+        padded_body.extend_from_slice(&body);
+        padded_body.push(0);
+        let plaintext_cases: Vec<(&str, Vec<u8>, Error)> = vec![
+            ("empty", vec![], decode("empty network payload")),
+            (
+                "marker only",
+                vec![0x00],
+                decode("frame shorter than CRC trailer"),
+            ),
+            (
+                "truncated",
+                good[..good.len() - 1].to_vec(),
+                decode("frame checksum mismatch: expected 0x54098a01, got 0x58872b03"),
+            ),
+            (
+                "flipped bit",
+                flipped,
+                decode("frame checksum mismatch: expected 0x3c54098a, got 0x2072aafa"),
+            ),
+            (
+                "magic",
+                frame(b"XX", 1, 8, &prefixed),
+                decode("bad frame magic"),
+            ),
+            (
+                "version",
+                frame(b"EL", 2, 8, &prefixed),
+                decode("unsupported frame version 2"),
+            ),
+            (
+                "kind range",
+                frame(b"EL", 1, 70_000, &prefixed),
+                decode("frame kind out of range"),
+            ),
+            (
+                "kind mismatch",
+                frame(b"EL", 1, 9, &prefixed),
+                decode("frame kind 9 does not match payload kind 8"),
+            ),
+            (
+                "length prefix past the end",
+                frame(b"EL", 1, 8, &overlong),
+                decode("need 4 bytes, have 3"),
+            ),
+            (
+                "trailing bytes after the payload",
+                frame(b"EL", 1, 8, &trailing),
+                decode("1 trailing bytes after value"),
+            ),
+            (
+                "trailing bytes inside the payload",
+                frame(b"EL", 1, 8, &padded_body),
+                decode("1 trailing bytes after value"),
+            ),
+            (
+                "sealed marker",
+                sender.wrap(&msg()).to_vec(),
+                decode("encryption-mode mismatch (marker 0x01)"),
+            ),
+        ];
+        for (name, bytes, want) in plaintext_cases {
+            assert_eq!(plain.unwrap(&bytes).unwrap_err(), want, "{name}");
+        }
+
+        let mut tampered = in_seal(&good_frame);
+        tampered[20] ^= 1;
+        let sealed_cases: Vec<(&str, Vec<u8>, Error)> = vec![
+            (
+                "plaintext marker",
+                good.clone(),
+                decode("encryption-mode mismatch (marker 0x00)"),
+            ),
+            (
+                "shorter than the nonce",
+                vec![0x01; 12],
+                decode("sealed payload shorter than nonce"),
+            ),
+            (
+                "shorter than the tag",
+                in_seal(&good_frame)[..20].to_vec(),
+                Error::Crypto("sealed message shorter than tag".into()),
+            ),
+            (
+                "tampered",
+                tampered,
+                Error::Crypto("AEAD tag mismatch".into()),
+            ),
+            (
+                "authentic, bad magic",
+                in_seal(&forged_frame(b"XX", 1, 8, &prefixed)),
+                decode("bad frame magic"),
+            ),
+            (
+                "authentic, kind mismatch",
+                in_seal(&forged_frame(b"EL", 1, 9, &prefixed)),
+                decode("frame kind 9 does not match payload kind 8"),
+            ),
+            (
+                "authentic, trailing bytes",
+                in_seal(&forged_frame(b"EL", 1, 8, &trailing)),
+                decode("1 trailing bytes after value"),
+            ),
+        ];
+        for (name, bytes, want) in sealed_cases {
+            assert_eq!(sealed.unwrap(&bytes).unwrap_err(), want, "{name}");
+        }
     }
 
     #[test]

@@ -370,6 +370,18 @@ impl Daemon {
             None => None,
         };
 
+        // Prepare every worker first, so the workers build their copies
+        // of the world while the daemon builds its own.
+        for (i, stream) in workers.iter_mut().enumerate() {
+            stream.send(&NetMsg::Prepare {
+                epoch,
+                spec: self.config.world_spec.clone(),
+                worker_count: worker_count as u32,
+                worker_index: i as u32,
+                fault_mode,
+            })?;
+        }
+
         // Build the daemon's own copy of the world: it keeps the plan
         // and the report-side assembly handles; the worker slices are
         // dropped (remote processes hold the real ones).
@@ -391,16 +403,7 @@ impl Daemon {
         let width = parts.lookahead_us.max(1);
         let max_events = parts.config.max_events;
 
-        // Prepare every worker, then await all Ready acks.
-        for (i, stream) in workers.iter_mut().enumerate() {
-            stream.send(&NetMsg::Prepare {
-                epoch,
-                spec: self.config.world_spec.clone(),
-                worker_count: worker_count as u32,
-                worker_index: i as u32,
-                fault_mode,
-            })?;
-        }
+        // Await all Ready acks.
         for stream in workers.iter_mut() {
             match stream.recv(Some(self.config.prepare_timeout))? {
                 NetMsg::Ready { epoch: e } if e == epoch => {}

@@ -3,6 +3,7 @@
 use crate::value::{ColumnType, Value};
 use edgelet_util::{Error, Result};
 use edgelet_wire::{Decode, Encode, Reader, Writer};
+use std::sync::Arc;
 
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,9 +15,13 @@ pub struct Column {
 }
 
 /// An ordered set of columns.
+///
+/// A schema is immutable once built, so it is a handle over shared
+/// columns: `clone` is a reference-count bump, and every store of a
+/// crowd can carry the same one. Equality is by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
@@ -71,7 +76,7 @@ impl Schema {
                 self.arity()
             )));
         }
-        for (v, c) in values.iter().zip(&self.columns) {
+        for (v, c) in values.iter().zip(self.columns.iter()) {
             if let Some(ty) = v.column_type() {
                 if ty != c.ty {
                     return Err(Error::Schema(format!(
@@ -90,7 +95,9 @@ impl Schema {
         for n in names {
             cols.push(self.column(n)?.clone());
         }
-        Ok(Schema { columns: cols })
+        Ok(Schema {
+            columns: cols.into(),
+        })
     }
 
     /// Column names, in order.
@@ -135,7 +142,7 @@ impl Encode for Schema {
 impl Decode for Schema {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(Schema {
-            columns: Vec::<Column>::decode(r)?,
+            columns: Vec::<Column>::decode(r)?.into(),
         })
     }
 }
@@ -203,5 +210,24 @@ mod tests {
         let s = health_schema();
         let back: Schema = from_bytes(&to_bytes(&s)).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn equality_is_by_value_not_by_handle() {
+        let a = health_schema();
+        let b = health_schema();
+        assert!(!Arc::ptr_eq(&a.columns, &b.columns));
+        assert_eq!(a, b);
+        assert_eq!(a.clone(), a);
+        assert_ne!(a, a.project(&["age", "bmi", "sex"]).unwrap());
+        // Same names, one type changed.
+        let c = Schema::new(vec![
+            ("age", ColumnType::Float),
+            ("bmi", ColumnType::Float),
+            ("sex", ColumnType::Text),
+            ("diabetic", ColumnType::Bool),
+        ])
+        .unwrap();
+        assert_ne!(a, c);
     }
 }

@@ -6,6 +6,7 @@ use crate::schema::Schema;
 use edgelet_util::rng::DetRng;
 use edgelet_util::Result;
 use edgelet_wire::{Decode, Encode, Reader, Writer};
+use std::sync::Arc;
 
 /// An in-memory row store conforming to a schema.
 ///
@@ -17,10 +18,14 @@ use edgelet_wire::{Decode, Encode, Reader, Writer};
 /// checksummed write-ahead log plus periodic checkpoints, and replayed
 /// idempotently on restart — see [`crate::wal`] and `docs/STORAGE.md`
 /// for the recovery model.
+///
+/// Cloning is two reference-count bumps: the schema is a shared handle
+/// and the rows sit behind an `Arc` that [`DataStore::insert`] copies on
+/// write, so a later insert into either copy never shows in the other.
 #[derive(Debug, Clone)]
 pub struct DataStore {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
 }
 
 impl DataStore {
@@ -28,7 +33,7 @@ impl DataStore {
     pub fn new(schema: Schema) -> Self {
         Self {
             schema,
-            rows: Vec::new(),
+            rows: Arc::default(),
         }
     }
 
@@ -50,7 +55,7 @@ impl DataStore {
     /// Inserts one row after validating it against the schema.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.schema.check_row(row.values())?;
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
         Ok(())
     }
 
@@ -73,7 +78,7 @@ impl DataStore {
     pub fn scan(&self, predicate: &Predicate) -> Result<Vec<Row>> {
         predicate.validate(&self.schema)?;
         let mut out = Vec::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             if predicate.eval(&self.schema, row)? {
                 out.push(row.clone());
             }
@@ -85,7 +90,7 @@ impl DataStore {
     pub fn count(&self, predicate: &Predicate) -> Result<usize> {
         predicate.validate(&self.schema)?;
         let mut n = 0;
-        for row in &self.rows {
+        for row in self.rows.iter() {
             if predicate.eval(&self.schema, row)? {
                 n += 1;
             }
@@ -101,7 +106,7 @@ impl DataStore {
             .map(|c| self.schema.index_of(c))
             .collect::<Result<_>>()?;
         let mut out = Vec::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             if predicate.eval(&self.schema, row)? {
                 out.push(Row::new(
                     idx.iter().map(|&i| row.values()[i].clone()).collect(),
@@ -120,7 +125,7 @@ impl DataStore {
         }
         let mut reservoir: Vec<Row> = Vec::with_capacity(k);
         let mut seen = 0usize;
-        for row in &self.rows {
+        for row in self.rows.iter() {
             if !predicate.eval(&self.schema, row)? {
                 continue;
             }
@@ -263,6 +268,57 @@ mod tests {
         let back: DataStore = edgelet_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back.rows(), store.rows());
         assert_eq!(back.schema(), store.schema());
+    }
+
+    #[test]
+    fn decode_rejects_a_row_that_violates_the_schema() {
+        let schema =
+            Schema::new(vec![("age", ColumnType::Int), ("bmi", ColumnType::Float)]).unwrap();
+        let encode = |rows: Vec<Row>| {
+            let mut w = Writer::new();
+            schema.encode(&mut w);
+            rows.encode(&mut w);
+            w.into_bytes()
+        };
+        let good = Row::new(vec![Value::Int(1), Value::Float(2.0)]);
+        let back: DataStore = edgelet_wire::from_bytes(&encode(vec![good.clone()])).unwrap();
+        assert_eq!(back.rows(), std::slice::from_ref(&good));
+        for bad in [
+            Row::new(vec![Value::Float(1.0), Value::Float(2.0)]),
+            Row::new(vec![Value::Int(1)]),
+        ] {
+            let err = edgelet_wire::from_bytes::<DataStore>(&encode(vec![good.clone(), bad]))
+                .unwrap_err();
+            assert_eq!(err.kind(), "schema", "{err}");
+        }
+    }
+
+    #[test]
+    fn clone_then_insert_never_shows_in_the_other_copy() {
+        let row = |i: i64| Row::new(vec![Value::Int(i), Value::Null]);
+        let original = store_with(3);
+        let before = original.rows().to_vec();
+
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.rows, &copy.rows), "clone shares rows");
+        copy.insert(row(100)).unwrap();
+        assert_eq!(original.rows(), before);
+        assert_eq!(original.len(), 3);
+        assert_eq!(copy.len(), 4);
+        assert_eq!(copy.rows()[..3], before[..]);
+
+        // The other direction: inserting into the original after a clone.
+        let mut original = original;
+        let snapshot = original.clone();
+        original.insert(row(200)).unwrap();
+        assert_eq!(snapshot.rows(), before);
+        assert_eq!(snapshot.len(), 3);
+        assert_eq!(original.rows()[3], row(200));
+        assert_eq!(copy.rows()[3], row(100));
+        // A rejected insert leaves both untouched.
+        assert!(original.insert(Row::new(vec![Value::Null])).is_err());
+        assert_eq!(original.len(), 4);
+        assert_eq!(snapshot.len(), 3);
     }
 
     proptest! {

@@ -20,19 +20,26 @@ use crate::schema::Schema;
 use crate::store::DataStore;
 use crate::value::{ColumnType, Value};
 use edgelet_util::rng::DetRng;
+use std::sync::OnceLock;
 
-/// Returns the shared health-survey schema.
+/// Returns the shared health-survey schema: every call hands out a
+/// handle to the same columns.
 pub fn health_schema() -> Schema {
-    Schema::new(vec![
-        ("age", ColumnType::Int),
-        ("sex", ColumnType::Text),
-        ("bmi", ColumnType::Float),
-        ("systolic_bp", ColumnType::Int),
-        ("gir", ColumnType::Int),
-        ("region", ColumnType::Int),
-        ("diabetic", ColumnType::Bool),
-    ])
-    .unwrap()
+    static SCHEMA: OnceLock<Schema> = OnceLock::new();
+    SCHEMA
+        .get_or_init(|| {
+            Schema::new(vec![
+                ("age", ColumnType::Int),
+                ("sex", ColumnType::Text),
+                ("bmi", ColumnType::Float),
+                ("systolic_bp", ColumnType::Int),
+                ("gir", ColumnType::Int),
+                ("region", ColumnType::Int),
+                ("diabetic", ColumnType::Bool),
+            ])
+            .expect("column names are distinct")
+        })
+        .clone()
 }
 
 /// Generates one individual's record.
@@ -106,6 +113,36 @@ mod tests {
         let s = health_store(500, &mut rng);
         assert_eq!(s.len(), 500);
         assert_eq!(s.schema(), &health_schema());
+    }
+
+    /// Encoded bytes dumped from the build before `Schema`/`DataStore`
+    /// became shared handles: the representation changed, the wire form
+    /// did not.
+    #[test]
+    fn encoded_schema_and_store_match_the_golden_bytes() {
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        const SCHEMA: &str = "070361676500037365780203626d69010b737973746f6c69635f6270\
+            00036769720006726567696f6e0008646961626574696303";
+        const ROWS: &str = "0207016c03014d02f4d3664237d4414001fc01010c0114040107016a\
+            0301460271e001271f01404001fe01010c01000400";
+        assert_eq!(hex(&edgelet_wire::to_bytes(&health_schema())), SCHEMA);
+        let store = health_store(2, &mut DetRng::new(5));
+        let bytes = edgelet_wire::to_bytes(&store);
+        assert_eq!(hex(&bytes), format!("{SCHEMA}{ROWS}"));
+        let back: DataStore = edgelet_wire::from_bytes(&bytes).unwrap();
+        assert_eq!(back.rows(), store.rows());
+        assert_eq!(back.schema(), store.schema());
+    }
+
+    #[test]
+    fn every_store_shares_the_one_schema() {
+        let a = health_store(1, &mut DetRng::new(1));
+        let b = health_store(1, &mut DetRng::new(2));
+        assert_eq!(a.schema().columns().as_ptr(), b.schema().columns().as_ptr());
+        assert_eq!(
+            a.schema().columns().as_ptr(),
+            health_schema().columns().as_ptr()
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@ use edgelet_crypto::sha256::sha256;
 use edgelet_util::ids::DeviceId;
 use edgelet_util::rng::DetRng;
 use edgelet_util::{Error, Result};
+use std::sync::OnceLock;
 
 /// A directory record for one enrolled device.
 #[derive(Debug, Clone)]
@@ -18,8 +19,10 @@ pub struct DirectoryEntry {
     pub device: DeviceId,
     /// Hardware class.
     pub class: DeviceClass,
-    /// Long-term identity public key (32 bytes).
-    pub identity_key: [u8; 32],
+    /// Long-term identity public key; fixed at enrolment, so the hash
+    /// memoised from it cannot go stale.
+    identity_key: [u8; 32],
+    key_hash: OnceLock<u64>,
     /// Volunteers its data.
     pub contributes_data: bool,
     /// Volunteers compute (can host Data Processor operators).
@@ -27,10 +30,18 @@ pub struct DirectoryEntry {
 }
 
 impl DirectoryEntry {
-    /// Stable 64-bit hash of the identity key, used for assignments.
+    /// Long-term identity public key (32 bytes).
+    pub fn identity_key(&self) -> &[u8; 32] {
+        &self.identity_key
+    }
+
+    /// Stable 64-bit hash of the identity key, used for assignments:
+    /// the first 8 bytes of its SHA-256, computed on first use.
     pub fn key_hash(&self) -> u64 {
-        let digest = sha256(&self.identity_key);
-        u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"))
+        *self.key_hash.get_or_init(|| {
+            let digest = sha256(&self.identity_key);
+            u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"))
+        })
     }
 
     /// The device's performance profile.
@@ -68,6 +79,7 @@ impl Directory {
             device,
             class,
             identity_key,
+            key_hash: OnceLock::new(),
             contributes_data,
             processes_queries,
         });
@@ -171,7 +183,7 @@ mod tests {
     #[test]
     fn identity_keys_are_distinct() {
         let dir = build(50);
-        let mut keys: Vec<_> = dir.entries().iter().map(|e| e.identity_key).collect();
+        let mut keys: Vec<_> = dir.entries().iter().map(|e| *e.identity_key()).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 50);
@@ -220,6 +232,47 @@ mod tests {
         // Deterministic: same directory, same assignment.
         let again = dir.assign_contributors(10);
         assert_eq!(buckets, again);
+    }
+
+    #[test]
+    fn memoised_key_hash_is_the_sha256_prefix() {
+        let dir = build(20);
+        for e in dir.entries() {
+            let digest = sha256(e.identity_key());
+            let direct = u64::from_le_bytes(digest[..8].try_into().unwrap());
+            assert_eq!(e.key_hash(), direct);
+            assert_eq!(e.key_hash(), direct, "second read comes from the memo");
+            assert_eq!(e.clone().key_hash(), direct);
+        }
+    }
+
+    /// Assignment vector dumped from the build that hashed every key on
+    /// every call.
+    #[test]
+    fn assignment_matches_the_golden_vector() {
+        let mut dir = Directory::new();
+        let mut rng = DetRng::new(42);
+        for i in 0..64u64 {
+            let class = DeviceClass::ALL[i as usize % 3];
+            dir.enroll(DeviceId::new(i), class, i % 4 != 3, i % 2 == 0, &mut rng);
+        }
+        let golden: [&[u64]; 5] = [
+            &[0, 6, 13, 17, 18, 28, 29, 32, 33, 38, 50, 57],
+            &[5, 10, 12, 20, 25, 42, 52, 56, 62],
+            &[1, 4, 8, 14, 16, 30, 34, 37, 40, 41, 48, 49, 54, 61],
+            &[9, 22, 46, 58, 60],
+            &[2, 21, 24, 26, 36, 44, 45, 53],
+        ];
+        let golden: Vec<Vec<DeviceId>> = golden
+            .iter()
+            .map(|b| b.iter().map(|&d| DeviceId::new(d)).collect())
+            .collect();
+        let cold = dir.clone();
+        assert_eq!(dir.assign_contributors(5), golden);
+        assert_eq!(dir.assign_contributors(5), golden, "from the memo");
+        assert_eq!(dir.clone().assign_contributors(5), golden, "warm clone");
+        assert_eq!(cold.assign_contributors(5), golden, "clone taken cold");
+        assert_eq!(dir.entries()[0].key_hash(), 0x866b_4586_9653_c538);
     }
 
     #[test]

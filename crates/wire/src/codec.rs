@@ -337,12 +337,18 @@ impl Encode for &str {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.len() as u64);
         for item in self {
             item.encode(w);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_slice().encode(w);
     }
 }
 

@@ -15,6 +15,7 @@
 
 use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::crc::crc32;
+use crate::varint;
 use edgelet_util::{Error, Result};
 
 /// Two magic bytes opening every frame ("EL" for EdgeLet).
@@ -41,9 +42,17 @@ impl Frame {
         }
     }
 
+    /// This frame as a borrowed view.
+    pub fn view(&self) -> FrameView<'_> {
+        FrameView {
+            kind: self.kind,
+            payload: &self.payload,
+        }
+    }
+
     /// Decodes the payload as `T`.
     pub fn open<T: Decode>(&self) -> Result<T> {
-        crate::from_bytes(&self.payload)
+        self.view().open()
     }
 
     /// Serializes the frame, appending the CRC trailer.
@@ -61,6 +70,80 @@ impl Frame {
 
     /// Parses a frame, verifying magic, version and checksum.
     pub fn from_wire(bytes: &[u8]) -> Result<Self> {
+        let view = FrameView::parse(bytes)?;
+        Ok(Self {
+            kind: view.kind,
+            payload: view.payload.to_vec(),
+        })
+    }
+
+    /// Total wire size of this frame once serialized.
+    pub fn wire_len(&self) -> usize {
+        self.to_wire().len()
+    }
+}
+
+/// A verified frame whose payload still sits in the wire bytes it was
+/// parsed from: the receive path decodes a message without first copying
+/// its body out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    /// Application-level message kind tag.
+    pub kind: u16,
+    /// Serialized message payload.
+    pub payload: &'a [u8],
+}
+
+/// Longest possible `magic, version, kind, payload len` header.
+const MAX_HEADER_LEN: usize = FRAME_MAGIC.len() + 1 + 3 + varint::MAX_VARINT_LEN;
+
+/// Writes the frame header for a payload of `payload_len` bytes into
+/// `out`, returning its length.
+fn write_header(out: &mut [u8; MAX_HEADER_LEN], kind: u16, payload_len: usize) -> usize {
+    out[..2].copy_from_slice(&FRAME_MAGIC);
+    let mut n = 2;
+    for v in [
+        u64::from(FRAME_VERSION),
+        u64::from(kind),
+        payload_len as u64,
+    ] {
+        let mut tmp = [0u8; varint::MAX_VARINT_LEN];
+        let len = varint::write_u64_into(&mut tmp, v);
+        out[n..n + len].copy_from_slice(&tmp[..len]);
+        n += len;
+    }
+    n
+}
+
+/// Encodes `message`, frames it under `kind` and returns `prefix`
+/// followed by the frame — the bytes of
+/// `prefix ++ Frame::new(kind, message).to_wire()` — built in one buffer:
+/// the body is encoded in place behind room for the longest header, the
+/// header (whose length prefix is only known afterwards) is written up
+/// against it, and the gap is closed by one in-buffer move.
+pub fn encode_framed<T: Encode>(prefix: &[u8], kind: u16, message: &T) -> Vec<u8> {
+    let body_start = prefix.len() + MAX_HEADER_LEN;
+    let mut w = Writer::with_capacity(body_start + 128);
+    w.put_raw(prefix);
+    w.put_raw(&[0u8; MAX_HEADER_LEN]);
+    message.encode(&mut w);
+    let mut bytes = w.into_bytes();
+
+    let mut header = [0u8; MAX_HEADER_LEN];
+    let header_len = write_header(&mut header, kind, bytes.len() - body_start);
+    let frame_start = body_start - header_len;
+    bytes[frame_start..body_start].copy_from_slice(&header[..header_len]);
+    bytes.drain(prefix.len()..frame_start);
+
+    let crc = crc32(&bytes[prefix.len()..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+impl<'a> FrameView<'a> {
+    /// Parses a frame, verifying checksum, magic, version, kind range,
+    /// the payload length prefix and the absence of trailing bytes.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < 4 {
             return Err(Error::Decode("frame shorter than CRC trailer".into()));
         }
@@ -87,14 +170,14 @@ impl Frame {
         }
         let kind = u16::try_from(r.varint()?)
             .map_err(|_| Error::Decode("frame kind out of range".into()))?;
-        let payload = r.bytes()?.to_vec();
+        let payload = r.bytes()?;
         r.expect_end()?;
         Ok(Self { kind, payload })
     }
 
-    /// Total wire size of this frame once serialized.
-    pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
+    /// Decodes the payload as `T`.
+    pub fn open<T: Decode>(&self) -> Result<T> {
+        crate::from_bytes(self.payload)
     }
 }
 
