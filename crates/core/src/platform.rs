@@ -273,10 +273,38 @@ impl Platform {
         })
     }
 
-    /// Builds the simulated world for one query: every enrolled device
-    /// plus the querier, with the configured churn and crash draws.
+    /// The devices one query's world enrols, in device-id order: every
+    /// directory entry with its role's availability model and crash
+    /// draw, then the querier (always up, never crashes). The one
+    /// enrolment walk: every host — simulated, live, socket — registers
+    /// exactly this sequence.
+    pub fn device_configs(&self, spec: &QuerySpec) -> impl Iterator<Item = DeviceConfig> + '_ {
+        let cfg = &self.config;
+        let window = if cfg.crash_at_start {
+            Duration::ZERO
+        } else {
+            Duration::from_secs_f64(spec.deadline_secs)
+        };
+        debug_assert_eq!(self.querier.index(), self.directory.entries().len());
+        let enrolled = self.directory.entries().iter().map(move |entry| {
+            let (availability, p) = if entry.contributes_data {
+                (
+                    &cfg.contributor_availability,
+                    cfg.contributor_crash_probability,
+                )
+            } else {
+                (&cfg.processor_availability, cfg.processor_crash_probability)
+            };
+            DeviceConfig {
+                availability: availability.clone(),
+                crash: CrashPlan::Bernoulli { p, window },
+            }
+        });
+        enrolled.chain(std::iter::once(DeviceConfig::default()))
+    }
+
+    /// Builds the simulated world for one query.
     fn build_simulation(&self, spec: &QuerySpec) -> Simulation {
-        let sim_seed = self.sim_seed(spec);
         let mut sim = Simulation::new(
             SimConfig {
                 network: self.config.network.to_model(),
@@ -284,33 +312,11 @@ impl Platform {
                 shards: self.config.shards.max(1),
                 ..SimConfig::default()
             },
-            sim_seed,
+            self.sim_seed(spec),
         );
-        let window = if self.config.crash_at_start {
-            Duration::ZERO
-        } else {
-            Duration::from_secs_f64(spec.deadline_secs)
-        };
-        for entry in self.directory.entries() {
-            let (availability, crash_p) = if entry.contributes_data {
-                (
-                    self.config.contributor_availability.clone(),
-                    self.config.contributor_crash_probability,
-                )
-            } else {
-                (
-                    self.config.processor_availability.clone(),
-                    self.config.processor_crash_probability,
-                )
-            };
-            let dev = sim.add_device(DeviceConfig {
-                availability,
-                crash: CrashPlan::Bernoulli { p: crash_p, window },
-            });
-            debug_assert_eq!(dev, entry.device, "device ids must match enrollment");
+        for cfg in self.device_configs(spec) {
+            sim.add_device(cfg);
         }
-        let q = sim.add_device(DeviceConfig::default());
-        debug_assert_eq!(q, self.querier);
         if let Some(plan) = &self.config.fault_plan {
             // Protocol-position targeting needs the exec classifier;
             // organic (fault-plan-less) runs skip both, keeping their

@@ -1,70 +1,43 @@
-//! The live engine: a conservative-window parallel event executor that
-//! hosts [`edgelet_sim::Actor`]s on std threads, with every message
-//! crossing a [`Transport`] as real wire bytes.
+//! The live engine: the shared executor core
+//! ([`edgelet_sim::exec`]) hosting [`edgelet_sim::Actor`]s on std
+//! threads, with every message crossing a [`Transport`] as real wire
+//! bytes.
 //!
-//! # Bit-equivalence to the simulator
+//! A live world is an [`edgelet_sim::exec::World`] whose slices are the
+//! workers. [`LiveEngine::run_until`] hands it, on a thread spawned for
+//! the run, to the same decision loop and the same barriers the
+//! simulator uses (inline for one worker, scoped threads otherwise);
+//! the only live-specific code on the path is the transport hook in
+//! [`crate::round`]. The argument for byte-identical outcomes is
+//! DESIGN.md §"One executor, three barriers"; the proof-by-test is
+//! `tests/live_parity.rs`.
 //!
-//! The engine re-implements the simulator's windowed executor
-//! (`edgelet_sim::engine::run_windowed_*`) over live worker threads and
-//! an external message fabric, preserving the invariants that make the
-//! simulator deterministic:
+//! What a live world cannot express, relative to the simulator:
+//! churning devices (no store-and-forward layer), a zero lookahead (no
+//! sequential fallback) and fault-injection plans. Those are refused at
+//! construction; the executor branches behind them are simply never
+//! reached. Everything the query protocols use — timers, broadcasts,
+//! crashes, tracing, observations — is the same code.
 //!
-//! * **Intrinsic event keys.** Every event carries `(at, origin, seq)`
-//!   where `seq` comes from the *spawning* device's private counter.
-//!   Workers process events in key order inside each window, and ordered
-//!   side effects (trace records, metric observations) are journaled and
-//!   replayed at the barrier in the canonical `(at, origin, seq, intra)`
-//!   order — exactly the simulator's merge.
-//! * **Per-sender RNG streams.** Network fate and latency draw from the
-//!   sender's own RNG fork, so draws are independent of thread
-//!   interleaving.
-//! * **Conservative lookahead.** Each window spans `[m, m + L)` where
-//!   `m` is the global minimum pending time and `L` the network's
-//!   minimum latency — the same dynamic geometry as the simulator. A
-//!   message sent at `now ≥ m` is delivered at `now + latency ≥ m + L`,
-//!   never inside the window that sent it. Routing **all** deliveries
-//!   through the transport and draining them at the next window start
-//!   therefore cannot reorder processing relative to the simulator,
-//!   which short-circuits same-shard deliveries. Only timers can fire
-//!   inside their spawning window, and timers never leave their
-//!   worker-local heap.
-//! * **Barrier-mediated backpressure.** A full transport lane parks the
-//!   envelope in the window report; the coordinator re-submits parked
-//!   envelopes at the barrier (spilling to worker mailboxes if the lane
-//!   is still full), *before* choosing the next window from the global
-//!   minimum pending time. Every envelope is thus visible to its
-//!   destination before the window that must process it opens, so
-//!   backpressure changes pacing, never outcomes.
-//!
-//! The round machinery itself — per-worker heaps, event dispatch,
-//! journaling, delta accumulation — lives in [`crate::round`]; this
-//! module owns world construction and the in-process threaded driver.
-//! The socket runtime (`edgelet-net`) drives the same rounds across
+//! The socket runtime (`edgelet-net`) drives the same slices across
 //! processes via [`LiveEngine::into_parts`].
-//!
-//! The restrictions relative to the simulator: always-up devices (no
-//! churn), non-zero lookahead, and no fault-injection plans. Everything
-//! the query protocols use — timers, broadcasts, crashes, tracing,
-//! observations — behaves identically.
 
-use crate::round::{fold_min, lock, LiveEnv, LiveKind, LiveWorker, RoundReport};
-use edgelet_sim::{
-    Availability, CrashCause, DeviceConfig, NetworkModel, SimMetrics, SimTime, Trace,
-};
+use crate::round::Fabric;
+use edgelet_sim::exec::{ClassifierRef, RunEnv, World};
+use edgelet_sim::{Availability, DeviceConfig, NetworkModel, SimMetrics, SimTime, Trace};
 use edgelet_util::ids::DeviceId;
-use edgelet_util::rng::DetRng;
-use edgelet_util::sync::EpochGate;
 use edgelet_util::Result;
-use edgelet_wire::{Envelope, Transport};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use edgelet_wire::Transport;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
+pub use edgelet_sim::exec::ExitReason;
 
 /// Maps payload bytes to a protocol message kind for `MsgKind` trace
-/// records (the live mirror of `edgelet_sim::Classifier`).
+/// records.
 pub type PayloadClassifier = fn(&[u8]) -> Option<u16>;
 
-/// Global live-engine parameters (the live mirror of
-/// [`edgelet_sim::SimConfig`]).
+/// Global live-engine parameters.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// The link model applied to every message.
@@ -88,166 +61,62 @@ impl Default for LiveConfig {
     }
 }
 
-/// Why a [`LiveEngine::run_until`] call returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitReason {
-    /// No runnable work remains (the simulator's `run_until == false`).
-    Quiescent,
-    /// The virtual deadline passed with events still pending (the
-    /// simulator's `run_until == true`).
-    Deadline,
-    /// The event budget (`max_events`) was exhausted.
-    Budget,
-    /// The external abort flag was raised (wall-clock deadline or
-    /// service shutdown); virtual state stops at the last barrier.
-    Aborted,
-}
-
-/// Shared coordination block; one generation = one window. Both
-/// barrier directions park instead of spinning ([`EpochGate`]), so an
-/// oversubscribed host degrades to blocking rather than a scheduler
-/// fight.
-#[derive(Default)]
-struct Ctl {
-    /// Window generation; bumped by the coordinator to open a window.
-    generation: EpochGate,
-    /// Cumulative count of worker window completions.
-    done: EpochGate,
-    stop: AtomicBool,
-    window_end: AtomicU64,
-    clip: AtomicU64,
-    budget: AtomicU64,
-}
-
-/// Cooperative lane-decode staging shared by one run's workers. At the
-/// start of each window every transport lane must be drained and its
-/// wire bytes decoded; instead of each worker decoding only its own
-/// lane (serializing the window on the busiest lane), workers claim
-/// lanes round-robin and decode whichever is next, publishing the
-/// envelopes to the owning worker's staging buffer.
-struct StealCtx {
-    /// Monotone lane-claim ticket; window `g` owns tickets
-    /// `[(g-1)·W, g·W)` for `W` lanes, claimed by bounded CAS so a
-    /// window can never consume the next window's tickets.
-    claim: AtomicU64,
-    /// Cumulative count of decoded lanes; window `g` is fully staged
-    /// once this reaches `g·W`.
-    decoded: EpochGate,
-    /// Decoded envelopes awaiting ingestion by the owning worker.
-    staging: Vec<Mutex<Vec<Envelope>>>,
-}
-
-/// Worker thread body: parks for each window generation, joins the
-/// cooperative lane-decode phase, runs its round with a recycled
-/// report, and publishes the result.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    worker: &mut LiveWorker,
-    env: &LiveEnv<'_>,
-    ctl: &Ctl,
-    steal: &StealCtx,
-    mailboxes: &[Mutex<Vec<Envelope>>],
-    slots: &[Mutex<Option<RoundReport>>],
-) {
-    let me = worker.idx();
-    let lanes = steal.staging.len() as u64;
-    let mut seen = 0u64;
-    loop {
-        ctl.generation.wait_min(seen + 1);
-        if ctl.stop.load(Ordering::Acquire) {
-            return;
-        }
-        seen += 1;
-        // Phase 1 — work-stealing lane decode: claim any lane not yet
-        // drained this window, decode its wire bytes, and stage the
-        // envelopes for the owning worker. A lane carrying most of the
-        // window's traffic is no longer a serialization point.
-        loop {
-            let ticket = steal.claim.load(Ordering::Acquire);
-            if ticket >= seen * lanes {
-                break;
-            }
-            if steal
-                .claim
-                .compare_exchange(ticket, ticket + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            let lane = (ticket % lanes) as usize;
-            let mut decoded = env.transport.drain(env.epoch, lane);
-            if !decoded.is_empty() {
-                lock(&steal.staging[lane]).append(&mut decoded);
-            }
-            steal.decoded.add(1);
-        }
-        steal.decoded.wait_min(seen * lanes);
-        // Phase 2 — execute the window against this worker's staged
-        // deliveries, reusing the report the barrier handed back.
-        let reuse = {
-            let mut slot = lock(&slots[me]);
-            slot.take()
-        };
-        let window_end = ctl.window_end.load(Ordering::Acquire);
-        let clip = ctl.clip.load(Ordering::Acquire);
-        let budget = ctl.budget.load(Ordering::Acquire);
-        let report = worker.run_round(
-            env,
-            &mailboxes[me],
-            &steal.staging[me],
-            window_end,
-            clip,
-            budget,
-            reuse,
-        );
-        *lock(&slots[me]) = Some(report);
-        ctl.done.add(1);
-    }
-}
-
 /// A fully built live world detached from the in-process driver, for
-/// hosts that run the rounds themselves — the multi-process socket
-/// runtime's daemon and worker processes.
+/// hosts that cross the window barrier themselves — the multi-process
+/// socket runtime's daemon and worker processes.
 ///
-/// Produced by [`LiveEngine::into_parts`] *before* any window has run:
-/// the engine spawns threads only inside `run_until`, so everything here
-/// is plain owned state. A worker process keeps `workers[its index]`
-/// and discards the rest; the daemon discards all workers but keeps the
-/// initial `min_at` / `real_pending` bookkeeping for its coordinator
-/// loop.
+/// Produced by [`LiveEngine::into_parts`] *before* any window has run.
+/// A worker process keeps `world.slices[its index]` and discards the
+/// rest; the daemon discards every slice and drives `world.state`.
 pub struct EngineParts {
     /// The engine configuration (network model, budgets, worker count).
     pub config: LiveConfig,
-    /// One built worker slice per configured worker, in index order.
-    pub workers: Vec<LiveWorker>,
-    /// Number of registered devices.
-    pub device_count: usize,
-    /// Count of events currently pending across all heaps.
-    pub real_pending: u64,
+    /// The built world: one slice per configured worker.
+    pub world: World,
     /// Payload classifier feeding `MsgKind` trace records.
     pub classifier: Option<PayloadClassifier>,
-    /// Conservative lookahead in µs (minimum network latency; > 0).
-    pub lookahead_us: u64,
     /// The epoch stamped on every envelope.
     pub epoch: u64,
+}
+
+impl EngineParts {
+    /// The run context of this world's slices: no fault plan, no TTL.
+    /// `deliveries_leave` is the host's choice of whether same-slice
+    /// deliveries cross its fabric too.
+    pub fn env(&self, deliveries_leave: bool) -> RunEnv<'_> {
+        live_env(
+            &self.config,
+            &self.classifier,
+            self.world.device_count(),
+            deliveries_leave,
+        )
+    }
+}
+
+fn live_env<'a>(
+    config: &'a LiveConfig,
+    classifier: &'a Option<PayloadClassifier>,
+    device_count: usize,
+    deliveries_leave: bool,
+) -> RunEnv<'a> {
+    let trace_enabled = config.trace_capacity > 0;
+    RunEnv {
+        network: &config.network,
+        ttl: None,
+        classifier: classifier.as_ref().map(|c| c as ClassifierRef<'a>),
+        plan: None,
+        trace_enabled,
+        need_kind: classifier.is_some() && trace_enabled,
+        device_count,
+        shard_count: config.workers.max(1),
+        deliveries_leave,
+    }
 }
 
 /// A deterministic live world of devices and actors, executing over a
 /// [`Transport`] on `workers` std threads.
 pub struct LiveEngine {
-    config: LiveConfig,
-    workers: Vec<LiveWorker>,
-    device_count: usize,
-    real_pending: u64,
-    now: SimTime,
-    root_rng: DetRng,
-    metrics: SimMetrics,
-    trace: Trace,
-    classifier: Option<PayloadClassifier>,
-    /// Conservative lookahead in µs (minimum network latency; > 0).
-    lookahead_us: u64,
-    cell_open_until: u64,
-    epoch: u64,
+    parts: EngineParts,
     transport: Arc<dyn Transport>,
 }
 
@@ -272,38 +141,31 @@ impl LiveEngine {
                     .into(),
             ));
         }
-        let worker_count = config.workers.max(1);
-        let workers = (0..worker_count)
-            .map(|idx| LiveWorker::new(idx, worker_count))
-            .collect();
-        let trace_capacity = config.trace_capacity;
-        Ok(LiveEngine {
-            config,
-            workers,
-            device_count: 0,
-            real_pending: 0,
-            now: SimTime::ZERO,
-            root_rng: DetRng::new(seed),
-            metrics: SimMetrics::default(),
-            trace: Trace::new(trace_capacity),
-            classifier: None,
+        let world = World::new(
+            config.workers,
             lookahead_us,
-            cell_open_until: 0,
-            epoch,
+            config.max_events,
+            config.trace_capacity,
+            seed,
+        );
+        Ok(LiveEngine {
+            parts: EngineParts {
+                config,
+                world,
+                classifier: None,
+                epoch,
+            },
             transport,
         })
     }
 
     /// Installs the payload classifier feeding `MsgKind` trace records.
     pub fn set_classifier(&mut self, classifier: PayloadClassifier) {
-        self.classifier = Some(classifier);
+        self.parts.classifier = Some(classifier);
     }
 
-    /// Registers a device; returns its id. The RNG fork order ("churn",
-    /// "device", "netdev", then "crash", indexed by the device id)
-    /// mirrors [`edgelet_sim::Simulation::add_device`] exactly, so a
-    /// live world and a simulated world built from the same seed draw
-    /// identical streams.
+    /// Registers a device; returns its id
+    /// ([`World::add_device`] — the registration the simulator uses).
     ///
     /// Fails for non-[`Availability::AlwaysUp`] devices: the live
     /// runtime has no store-and-forward layer (a real deployment's
@@ -316,317 +178,90 @@ impl LiveEngine {
                     .into(),
             ));
         }
-        let id = DeviceId::new(self.device_count as u64);
-        self.device_count += 1;
-        let mut churn_rng = self.root_rng.fork_indexed("churn", id.raw());
-        let up = cfg.availability.starts_up();
-        let device_rng = self.root_rng.fork_indexed("device", id.raw());
-        let net_rng = self.root_rng.fork_indexed("netdev", id.raw());
-        let w = id.index() % self.workers.len();
-        self.workers[w]
-            .devices
-            .push(crate::round::LiveDevice::new(device_rng, net_rng));
-        debug_assert!(cfg.availability.next_period(up, &mut churn_rng).is_none());
-        let mut crash_rng = self.root_rng.fork_indexed("crash", id.raw());
-        if let Some(t) = cfg.crash.resolve(&mut crash_rng) {
-            self.push_external(
-                id,
-                t.max(self.now),
-                LiveKind::Crash(id, CrashCause::Organic),
-            );
-        }
-        Ok(id)
+        Ok(self.parts.world.add_device(cfg))
     }
 
     /// Installs an actor on a device; its `on_start` runs at the current
-    /// virtual time once the engine is stepped. Install order is part of
-    /// the deterministic contract (it consumes per-device sequence
-    /// numbers), matching [`edgelet_sim::Simulation::install_actor`].
+    /// virtual time once the engine is stepped.
     pub fn install_actor(&mut self, device: DeviceId, actor: Box<dyn edgelet_sim::Actor>) {
-        let w = device.index() % self.workers.len();
-        let state = self.workers[w].device_mut(device);
-        assert!(
-            state.actor.is_none(),
-            "device {device} already has an actor"
-        );
-        state.actor = Some(actor);
-        self.push_external(device, self.now, LiveKind::Start(device));
+        self.parts.world.install_actor(device, actor);
     }
 
     /// Schedules a scripted crash ("power off a device at will").
     pub fn crash_at(&mut self, device: DeviceId, at: SimTime) {
-        self.push_external(
-            device,
-            at.max(self.now),
-            LiveKind::Crash(device, CrashCause::Organic),
-        );
-    }
-
-    fn push_external(&mut self, origin: DeviceId, at: SimTime, kind: LiveKind) {
-        let w_origin = origin.index() % self.workers.len();
-        let seq = self.workers[w_origin].next_seq(origin);
-        self.real_pending += 1;
-        let target = kind.target();
-        let w = target.index() % self.workers.len();
-        self.workers[w].push_event(at, origin.raw(), seq, kind);
+        self.parts.world.crash_at(device, at);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.parts.world.state.now
     }
 
     /// Number of registered devices.
     pub fn device_count(&self) -> usize {
-        self.device_count
+        self.parts.world.device_count()
     }
 
     /// Metric counters accumulated so far.
     pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
+        &self.parts.world.state.metrics
     }
 
     /// The event trace (empty unless `trace_capacity > 0`).
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.parts.world.state.trace
     }
 
     /// The epoch this engine stamps on every envelope.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.parts.epoch
     }
 
-    /// Dismantles a *built but not yet run* world into its parts, for
-    /// hosts that drive the rounds themselves (the socket runtime).
-    ///
-    /// Must be called before any `run`/`run_until`: the split makes no
-    /// attempt to carry mid-run bookkeeping (`now`, accumulated metrics,
-    /// the open-cell watermark) because round hosts start those from
-    /// zero, exactly as a fresh `run_until` would.
+    /// Detaches a *built but not yet run* world from the in-process
+    /// driver, for hosts that cross the barrier themselves (the socket
+    /// runtime).
     pub fn into_parts(self) -> EngineParts {
-        debug_assert_eq!(self.now, SimTime::ZERO, "into_parts on a stepped engine");
-        EngineParts {
-            config: self.config,
-            workers: self.workers,
-            device_count: self.device_count,
-            real_pending: self.real_pending,
-            classifier: self.classifier,
-            lookahead_us: self.lookahead_us,
-            epoch: self.epoch,
-        }
+        debug_assert_eq!(self.now(), SimTime::ZERO, "into_parts on a stepped engine");
+        self.parts
     }
 
     /// Runs until quiescent or `max_events` is hit. Returns the final
     /// virtual time.
     pub fn run(&mut self) -> SimTime {
         self.run_until(SimTime::MAX, None);
-        self.now
+        self.now()
     }
 
     /// Runs until the world drains, virtual time would pass `deadline`,
     /// the event budget is exhausted, or `abort` is raised (checked at
     /// window barriers — the wall-clock hook for live deadlines).
-    ///
-    /// Window-by-window this follows the simulator's
-    /// `run_windowed_parallel` decision loop; see the module docs for
-    /// why the outcomes are bit-identical.
     pub fn run_until(&mut self, deadline: SimTime, abort: Option<&AtomicBool>) -> ExitReason {
-        let width = self.lookahead_us.max(1);
-        let deadline_us = deadline.as_micros();
-        let worker_count = self.workers.len();
-        let max_events = self.config.max_events;
-        let need_kind = self.classifier.is_some() && self.trace.enabled();
-        let env = LiveEnv {
-            network: &self.config.network,
-            classifier: self.classifier,
-            need_kind,
-            trace_enabled: self.trace.enabled(),
-            device_count: self.device_count,
-            epoch: self.epoch,
-            transport: self.transport.as_ref(),
-        };
-        let transport = self.transport.as_ref();
-        let epoch = self.epoch;
-        let metrics = &mut self.metrics;
-        let trace = &mut self.trace;
-        let real_pending = &mut self.real_pending;
-        let now = &mut self.now;
-        let cell_open_until = &mut self.cell_open_until;
-
-        let mut min_at: Option<u64> = None;
-        for w in self.workers.iter() {
-            min_at = fold_min(min_at, w.heap_min());
-        }
-        for lane in 0..worker_count {
-            min_at = fold_min(min_at, transport.pending(epoch, lane).map(|(_, m)| m));
-        }
-
-        let ctl = Ctl::default();
-        let steal = StealCtx {
-            claim: AtomicU64::new(0),
-            decoded: EpochGate::new(),
-            staging: (0..worker_count).map(|_| Mutex::new(Vec::new())).collect(),
-        };
-        let mailboxes: Vec<Mutex<Vec<Envelope>>> =
-            (0..worker_count).map(|_| Mutex::new(Vec::new())).collect();
-        let slots: Vec<Mutex<Option<RoundReport>>> =
-            (0..worker_count).map(|_| Mutex::new(None)).collect();
-
+        let EngineParts {
+            config,
+            world,
+            classifier,
+            epoch,
+        } = &mut self.parts;
+        // Every delivery crosses the transport, same-slice ones too.
+        let env = live_env(config, classifier, world.device_count(), true);
+        let fabric = Fabric::new(self.transport.as_ref(), *epoch, env.shard_count);
+        // The run gets a thread of its own; the caller (a query service
+        // between two WAL commits, a serve loop) only blocks until it is
+        // done. A fresh thread meets the scheduler in the same state on
+        // every run: executed on the caller's long-lived thread, the
+        // same durable query took 4 ms or 8 ms from one call to the next
+        // on the benchmark's pinned, never-idle CPU (docs/PERF.md, "A
+        // run thread per live run").
         let exit = std::thread::scope(|scope| {
-            for worker in self.workers.iter_mut() {
-                let env = &env;
-                let ctl = &ctl;
-                let steal = &steal;
-                let mailboxes = &mailboxes[..];
-                let slots = &slots[..];
-                scope.spawn(move || worker_loop(worker, env, ctl, steal, mailboxes, slots));
-            }
-            let mut expected_done = 0u64;
-            let mut reports: Vec<RoundReport> = Vec::with_capacity(worker_count);
-            let mut parked: Vec<Envelope> = Vec::new();
-            let result = loop {
-                if abort.is_some_and(|a| a.load(Ordering::Acquire)) {
-                    break ExitReason::Aborted;
-                }
-                let Some(m) = min_at else {
-                    break ExitReason::Quiescent;
-                };
-                if m >= *cell_open_until && *real_pending == 0 {
-                    break ExitReason::Quiescent;
-                }
-                if m > deadline_us {
-                    *now = deadline;
-                    break ExitReason::Deadline;
-                }
-                if metrics.events_processed >= max_events {
-                    break ExitReason::Budget;
-                }
-                // Same window geometry as the simulator: one lookahead
-                // starting at the global minimum pending time.
-                let window_end = m.saturating_add(width);
-                *cell_open_until = window_end;
-                ctl.window_end.store(window_end, Ordering::Relaxed);
-                ctl.clip.store(deadline_us, Ordering::Relaxed);
-                ctl.budget
-                    .store(max_events - metrics.events_processed, Ordering::Relaxed);
-                // The gate's internal lock publishes the Relaxed stores
-                // above to workers woken by this bump.
-                ctl.generation.add(1);
-                expected_done += worker_count as u64;
-                ctl.done.wait_min(expected_done);
-                reports.clear();
-                let mut missing = false;
-                for slot in &slots {
-                    match lock(slot).take() {
-                        Some(r) => reports.push(r),
-                        None => missing = true,
-                    }
-                }
-                if missing {
-                    // A worker died (actor panic); leaving the scope
-                    // joins the workers and propagates the panic.
-                    break ExitReason::Aborted;
-                }
-                // ---- barrier merge (the simulator's merge_reports) ----
-                let mut next_min: Option<u64> = None;
-                for report in reports.iter_mut() {
-                    let d = &report.out.deltas;
-                    metrics.messages_sent += d.sent;
-                    metrics.messages_delivered += d.delivered;
-                    metrics.messages_dropped += d.dropped;
-                    metrics.messages_corrupted += d.corrupted;
-                    metrics.messages_to_crashed += d.to_crashed;
-                    metrics.bytes_sent += d.bytes_sent;
-                    metrics.delivery_delay.merge(&d.delay);
-                    metrics.crashes += d.crashes;
-                    metrics.events_processed += d.events;
-                    *real_pending = ((*real_pending as i64) + d.real_pending).max(0) as u64;
-                    *now = (*now).max(d.last_at);
-                    next_min = fold_min(next_min, report.heap_min);
-                    let _ = report.hit_budget;
-                    parked.append(&mut report.out.parked);
-                }
-                // Streaming k-way merge of the workers' pre-sorted
-                // journals: repeatedly take the smallest head by the
-                // canonical `(at, origin, seq, intra)` key. No
-                // concatenation, no re-sort; journal buffers keep their
-                // capacity for recycling.
-                {
-                    let mut heads: Vec<_> = reports
-                        .iter_mut()
-                        .map(|r| r.out.journal.drain(..).peekable())
-                        .collect();
-                    loop {
-                        let mut best: Option<usize> = None;
-                        let mut best_key = (SimTime::ZERO, 0u64, 0u64, 0u32);
-                        for (i, head) in heads.iter_mut().enumerate() {
-                            if let Some(e) = head.peek() {
-                                let key = e.key();
-                                if best.is_none() || key < best_key {
-                                    best = Some(i);
-                                    best_key = key;
-                                }
-                            }
-                        }
-                        let Some(i) = best else { break };
-                        let Some(entry) = heads[i].next() else { break };
-                        match entry.item {
-                            crate::round::JItem::Trace(ev) => trace.record(entry.at, ev),
-                            crate::round::JItem::Observe(name, value) => {
-                                metrics.observe(name, value)
-                            }
-                        }
-                    }
-                }
-                // Re-submit backpressured envelopes while every worker is
-                // idle; a still-full lane spills into the destination's
-                // mailbox so no envelope is ever invisible to the next
-                // window decision.
-                for e in parked.drain(..) {
-                    match transport.submit(e.clone()) {
-                        Ok(()) => {}
-                        Err(_) => {
-                            let dest = e.to.index() % worker_count;
-                            lock(&mailboxes[dest]).push(e);
-                        }
-                    }
-                }
-                for (lane, mailbox) in mailboxes.iter().enumerate().take(worker_count) {
-                    next_min = fold_min(next_min, transport.pending(epoch, lane).map(|(_, m)| m));
-                    let mb_min = lock(mailbox).iter().map(|e| e.deliver_at_us).min();
-                    next_min = fold_min(next_min, mb_min);
-                }
-                min_at = next_min;
-                // Hand the emptied reports back through the slots so the
-                // next window reuses their buffers.
-                for (slot, mut report) in slots.iter().zip(reports.drain(..)) {
-                    report.out.reset();
-                    *lock(slot) = Some(report);
-                }
-            };
-            ctl.stop.store(true, Ordering::Release);
-            // Wake parked workers so they observe `stop` and exit.
-            ctl.generation.add(1);
-            result
+            let run = scope.spawn(|| world.run(&env, &fabric, deadline, abort));
+            run.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
-        // Workers are joined; flush mailbox spills and staged deliveries
-        // left by an early exit back into the owning heaps so state
-        // stays consistent.
-        for (dest, mb) in mailboxes.into_iter().enumerate() {
-            let envelopes = mb.into_inner().unwrap_or_else(|e| e.into_inner());
-            for e in envelopes {
-                self.workers[dest].ingest(e);
-            }
-        }
-        for (dest, st) in steal.staging.into_iter().enumerate() {
-            let envelopes = st.into_inner().unwrap_or_else(|e| e.into_inner());
-            for e in envelopes {
-                self.workers[dest].ingest(e);
-            }
-        }
-        if exit == ExitReason::Quiescent && deadline != SimTime::MAX {
-            self.now = deadline;
-        }
-        exit
+        // An early exit can leave staged deliveries and barrier spills
+        // uncollected; they go back to the owning queues.
+        fabric.mail.flush_into(&mut world.slices);
+        // The only barrier error in-process is a dead worker, whose
+        // panic the thread scope has already propagated.
+        exit.unwrap_or(ExitReason::Aborted)
     }
 }

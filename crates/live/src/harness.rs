@@ -1,12 +1,11 @@
 //! Building a live world from an enrolled [`Platform`] and running one
 //! query on it — the cross-engine parity entry point.
 //!
-//! [`run_live_query`] mirrors [`Platform::run_query`] step for step:
-//! same plan (`plan_query`), same world seed (`Platform::sim_seed`),
-//! same device registration order and RNG fork schedule as
-//! `Platform::build_simulation`, same actor wiring
-//! ([`edgelet_exec::assemble_plan`]) installed in the same order, same
-//! deadline, same report construction
+//! [`run_live_query`] takes the steps of [`Platform::run_query`]: same
+//! plan (`plan_query`), same world seed (`Platform::sim_seed`), the
+//! same enrolment sequence ([`Platform::device_configs`]), same actor
+//! wiring ([`edgelet_exec::assemble_plan`]) installed in the same
+//! order, same deadline, same report construction
 //! ([`edgelet_exec::finish_report`]). The only difference is the host:
 //! a [`LiveEngine`] over worker threads and a [`Transport`] instead of
 //! the inline simulator — which is exactly the difference the parity
@@ -16,7 +15,7 @@ use crate::engine::{ExitReason, LiveConfig, LiveEngine};
 use edgelet_core::{Platform, PlatformConfig};
 use edgelet_exec::{assemble_plan, finish_report, ExecutionReport};
 use edgelet_query::{PrivacyConfig, QueryPlan, QuerySpec, ResilienceConfig};
-use edgelet_sim::{CrashPlan, DeviceConfig, Duration, SimTime, TraceRecord};
+use edgelet_sim::{Duration, SimTime, TraceRecord};
 use edgelet_util::ids::DeviceId;
 use edgelet_util::Result;
 use edgelet_wire::Transport;
@@ -64,9 +63,9 @@ pub struct LiveRun {
     pub exit: ExitReason,
 }
 
-/// Builds a [`LiveEngine`] world equivalent to the simulated world
-/// `Platform::build_simulation` would create for `spec`: same seed,
-/// same device order, same RNG fork schedule, same crash draws.
+/// Builds the [`LiveEngine`] world for `spec`: the simulated world's
+/// seed and the simulated world's enrolment sequence, hence the same
+/// RNG fork schedule and the same crash draws.
 ///
 /// Fails if the platform configuration needs simulator-only features
 /// (churn models, zero-lookahead networks, or a non-empty fault plan).
@@ -97,31 +96,9 @@ pub fn build_live_world(
         transport,
         opts.epoch,
     )?;
-    let window = if cfg.crash_at_start {
-        Duration::ZERO
-    } else {
-        Duration::from_secs_f64(spec.deadline_secs)
-    };
-    for entry in platform.directory().entries() {
-        let (availability, crash_p) = if entry.contributes_data {
-            (
-                cfg.contributor_availability.clone(),
-                cfg.contributor_crash_probability,
-            )
-        } else {
-            (
-                cfg.processor_availability.clone(),
-                cfg.processor_crash_probability,
-            )
-        };
-        let dev = engine.add_device(DeviceConfig {
-            availability,
-            crash: CrashPlan::Bernoulli { p: crash_p, window },
-        })?;
-        debug_assert_eq!(dev, entry.device, "device ids must match enrollment");
+    for device in platform.device_configs(spec) {
+        engine.add_device(device)?;
     }
-    let q = engine.add_device(DeviceConfig::default())?;
-    debug_assert_eq!(q, platform.querier());
     if cfg.fault_plan.is_some() {
         // An installed (empty) fault plan means the platform wants
         // protocol-kind classification in traces, same as the simulator.
@@ -135,7 +112,7 @@ pub fn build_live_world(
 ///
 /// Hosts that drive the rounds themselves (the multi-process socket
 /// runtime in `edgelet-net`) take this apart: the worker processes
-/// dismantle `engine` via [`LiveEngine::into_parts`] and keep their
+/// detach `engine` via [`LiveEngine::into_parts`] and keep their
 /// slice, the daemon keeps `plan` and the assembly handles for
 /// [`edgelet_exec::finish_report`]. `assembly.installs` comes back
 /// empty — every actor is already installed on `engine`.
@@ -186,8 +163,8 @@ pub fn prepare_live_query(
     })
 }
 
-/// Plans and executes one query on a live world, mirroring
-/// [`Platform::run_query`]. `abort` (when given) is polled at window
+/// Plans and executes one query on a live world, as
+/// [`Platform::run_query`] does on a simulated one. `abort` (when given) is polled at window
 /// barriers; raising it stops the run with [`ExitReason::Aborted`].
 pub fn run_live_query(
     platform: &Platform,

@@ -8,17 +8,19 @@
 //! [`Transport`](edgelet_wire::Transport) — no async runtime, no
 //! scheduler shims.
 //!
-//! * [`engine`] — the conservative-window parallel executor, built to
-//!   be **bit-equivalent** to the simulator: identical event keys,
-//!   per-sender RNG streams, journaled side effects replayed in
-//!   canonical order (the parity argument is in the module docs and
-//!   `docs/RUNTIME.md`; the proof-by-test is `tests/live_parity.rs`);
+//! * [`engine`] — the live host of the shared executor core
+//!   (`edgelet_sim::exec`): the simulator's slices, decision loop and
+//!   barriers, so outcomes are **bit-equivalent** by construction (the
+//!   argument is DESIGN.md §"One executor, three barriers"; the
+//!   proof-by-test is `tests/live_parity.rs`);
+//! * [`round`] — the transport hook, the only live-specific code on a
+//!   window's path;
 //! * [`transport`] — [`transport::StripedTransport`], the in-process
 //!   sharded fabric: per-epoch bounded mailbox lanes of serialized
 //!   envelopes;
 //! * [`harness`] — building a live world from an enrolled
-//!   [`Platform`](edgelet_core::Platform) and running one query,
-//!   mirroring `Platform::run_query` step for step;
+//!   [`Platform`](edgelet_core::Platform) and running one query, step
+//!   for step as `Platform::run_query` does;
 //! * [`service`] — [`service::QueryService`]: admission control,
 //!   concurrent multi-query serving with per-query epochs, wall-clock
 //!   deadline watchdogs, graceful shutdown;
@@ -43,7 +45,7 @@ pub mod durable;
 pub mod engine;
 pub mod harness;
 pub mod model;
-pub mod round;
+pub(crate) mod round;
 pub mod service;
 pub mod transport;
 

@@ -1,664 +1,132 @@
-//! The live engine's window-round machinery, factored out of the
-//! in-process executor so other hosts can drive it.
+//! The transport hook: the one piece of a window round that is the
+//! live runtime's own.
 //!
-//! A "round" is one conservative window executed by one worker: ingest
-//! staged deliveries, pop events with `at < window_end`, journal every
-//! ordered side effect, flush sends lane-by-lane through a
-//! [`Transport`]. The in-process [`LiveEngine`](crate::engine::LiveEngine)
-//! runs rounds on scoped threads behind a barrier; the socket runtime
-//! (`edgelet-net`) runs exactly the same rounds in separate worker
-//! *processes*, shipping [`RoundReport`]s back to a coordinating daemon
-//! over framed sockets. Because every type here carries intrinsic keys
-//! (`(at, origin, seq)` events, `(at, origin, seq, intra)` journal
-//! entries) and commutative deltas, the merge is host-agnostic: threads
-//! behind a barrier and processes behind a socket produce byte-identical
-//! traces, metrics, and results.
+//! A live worker is an [`edgelet_sim::exec::Shard`] run by the shared
+//! barriers ([`edgelet_sim::exec::World::run`]); this module only says
+//! how its events cross a [`Transport`]. Every `Deliver` event of a
+//! window leaves the slice (same-slice ones included — the host asks
+//! for that in its `RunEnv`), becomes an [`Envelope`], and is flushed
+//! lane by lane in one batched submission; a full lane parks the
+//! remainder for the barrier. At the start of the next window the lanes
+//! are drained, decoded and staged as events for their owners. Why this
+//! cannot change an outcome: DESIGN.md §"One executor, three barriers".
 
-use crate::engine::PayloadClassifier;
-use edgelet_sim::network::Fate;
-use edgelet_sim::{
-    Actor, Command, Context, CrashCause, NetworkModel, SimTime, TimerToken, TraceEvent,
-};
-use edgelet_util::ids::DeviceId;
-use edgelet_util::rng::DetRng;
-use edgelet_util::Payload;
+use edgelet_sim::exec::{fold_min, Event, Exchange, Mailboxes, Shard, WindowReport};
+use edgelet_util::sync::EpochGate;
 use edgelet_wire::{Envelope, Transport, TransportError};
-use std::collections::{BTreeSet, BinaryHeap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// One device hosted by the live runtime. Mirrors the simulator's
-/// per-device state minus churn (live devices are always up).
-pub struct LiveDevice {
-    pub(crate) crashed: bool,
-    pub(crate) halted: bool,
-    pub(crate) actor: Option<Box<dyn Actor>>,
-    /// Actor-visible randomness (forked per device).
-    pub(crate) rng: DetRng,
-    /// Network fate/latency draws for messages this device sends.
-    pub(crate) net_rng: DetRng,
-    pub(crate) next_timer: u64,
-    /// Private spawn counter: the `seq` of every event this device spawns.
-    pub(crate) spawn_seq: u64,
-    pub(crate) cancelled: BTreeSet<TimerToken>,
-}
-
-impl LiveDevice {
-    pub(crate) fn new(rng: DetRng, net_rng: DetRng) -> Self {
-        LiveDevice {
-            crashed: false,
-            halted: false,
-            actor: None,
-            rng,
-            net_rng,
-            next_timer: 0,
-            spawn_seq: 0,
-            cancelled: BTreeSet::new(),
-        }
-    }
-}
-
-/// Event kinds the live runtime processes (the simulator's set minus
-/// churn toggles).
-pub(crate) enum LiveKind {
-    Start(DeviceId),
-    Deliver {
-        to: DeviceId,
-        from: DeviceId,
-        payload: Payload,
-        sent_at: SimTime,
-    },
-    Timer {
-        device: DeviceId,
-        token: TimerToken,
-    },
-    Crash(DeviceId, CrashCause),
-}
-
-impl LiveKind {
-    pub(crate) fn target(&self) -> DeviceId {
-        match *self {
-            LiveKind::Start(d) => d,
-            LiveKind::Deliver { to, .. } => to,
-            LiveKind::Timer { device, .. } => device,
-            LiveKind::Crash(d, _) => d,
-        }
-    }
-}
-
-/// One scheduled event with its intrinsic key.
-pub(crate) struct LiveEvent {
-    pub(crate) at: SimTime,
-    pub(crate) origin: u64,
-    pub(crate) seq: u64,
-    pub(crate) kind: LiveKind,
-}
-
-impl LiveEvent {
-    fn key(&self) -> (SimTime, u64, u64) {
-        (self.at, self.origin, self.seq)
-    }
-}
-
-impl PartialEq for LiveEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for LiveEvent {}
-impl PartialOrd for LiveEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LiveEvent {
-    /// Reversed: `BinaryHeap` is a max-heap, we need the minimal key.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-/// A journal item: a side effect whose global ordering matters.
-pub enum JItem {
-    /// A trace event to replay into the trace ring.
-    Trace(TraceEvent),
-    /// A metric observation to replay into `SimMetrics::observe`.
-    Observe(&'static str, f64),
-}
-
-/// One journal entry tagged with the producing event's key plus an
-/// intra-event counter; sorting by `(at, origin, seq, intra)` rebuilds
-/// one canonical order from any per-worker interleaving — or, in the
-/// socket runtime, from any per-process interleaving.
-pub struct JEntry {
-    /// Virtual time of the producing event.
-    pub at: SimTime,
-    /// Raw id of the device that spawned the producing event.
-    pub origin: u64,
-    /// The producing event's spawn sequence number.
-    pub seq: u64,
-    /// Ordinal of this side effect within the producing event.
-    pub intra: u32,
-    /// The side effect itself.
-    pub item: JItem,
-}
-
-impl JEntry {
-    /// The canonical merge key.
-    pub fn key(&self) -> (SimTime, u64, u64, u32) {
-        (self.at, self.origin, self.seq, self.intra)
-    }
-}
-
-/// Commutative metric deltas accumulated by one worker over one window.
-#[derive(Default)]
-pub struct Deltas {
-    /// Messages submitted by actors.
-    pub sent: u64,
-    /// Messages handed to receiving actors.
-    pub delivered: u64,
-    /// Messages dropped (network fate or dead transport).
-    pub dropped: u64,
-    /// Messages corrupted in transit.
-    pub corrupted: u64,
-    /// Messages discarded at a crashed receiver.
-    pub to_crashed: u64,
-    /// Payload bytes submitted.
-    pub bytes_sent: u64,
-    /// Delivery-delay samples.
-    pub delay: edgelet_sim::DelayStats,
-    /// Crash events applied.
-    pub crashes: u64,
-    /// Events processed.
-    pub events: u64,
-    /// Net change in pending events (+spawned, -processed).
-    pub real_pending: i64,
-    /// Latest event time processed.
-    pub last_at: SimTime,
-}
-
-/// Buffered side effects of one worker's window.
-pub struct RoundOut {
-    /// Ordered side effects, pre-sorted by the canonical key after the
-    /// round.
-    pub journal: Vec<JEntry>,
-    /// Commutative counter deltas.
-    pub deltas: Deltas,
-    /// Envelopes refused with backpressure, for barrier re-submission.
-    pub parked: Vec<Envelope>,
-    /// Sends buffered per destination lane, flushed in one batched
-    /// transport submission per lane at the end of the window (the
-    /// lookahead guarantees none of them can be due inside it).
-    pub outgoing: Vec<Vec<Envelope>>,
-    trace_on: bool,
-    cur: (SimTime, u64, u64),
-    intra: u32,
-}
-
-impl RoundOut {
-    pub(crate) fn new(trace_on: bool, lane_count: usize) -> Self {
-        RoundOut {
-            journal: Vec::new(),
-            deltas: Deltas::default(),
-            parked: Vec::new(),
-            outgoing: (0..lane_count).map(|_| Vec::new()).collect(),
-            trace_on,
-            cur: (SimTime::ZERO, 0, 0),
-            intra: 0,
-        }
-    }
-
-    /// Clears buffered effects while keeping capacity, so a recycled
-    /// report's window allocates nothing.
-    pub fn reset(&mut self) {
-        self.journal.clear();
-        self.deltas = Deltas::default();
-        self.parked.clear();
-        for lane in &mut self.outgoing {
-            lane.clear();
-        }
-        self.intra = 0;
-    }
-
-    fn begin_event(&mut self, key: (SimTime, u64, u64)) {
-        self.cur = key;
-        self.intra = 0;
-    }
-
-    fn push_item(&mut self, item: JItem) {
-        self.journal.push(JEntry {
-            at: self.cur.0,
-            origin: self.cur.1,
-            seq: self.cur.2,
-            intra: self.intra,
-            item,
-        });
-        self.intra += 1;
-    }
-
-    fn trace(&mut self, ev: TraceEvent) {
-        if self.trace_on {
-            self.push_item(JItem::Trace(ev));
-        }
-    }
-
-    fn observe(&mut self, name: &'static str, value: f64) {
-        self.push_item(JItem::Observe(name, value));
-    }
-}
-
-/// Result of one worker's window.
-pub struct RoundReport {
-    /// The window's buffered side effects.
-    pub out: RoundOut,
-    /// Earliest event still in this worker's heap after the window.
-    pub heap_min: Option<u64>,
-    /// Whether the window stopped on the event budget.
-    pub hit_budget: bool,
-}
-
-/// Immutable per-run context shared by all workers of one host.
-pub struct LiveEnv<'a> {
-    /// The link model applied to every message.
-    pub network: &'a NetworkModel,
-    /// Payload classifier feeding `MsgKind` trace records.
-    pub classifier: Option<PayloadClassifier>,
-    /// Whether classification runs at all.
-    pub need_kind: bool,
-    /// Whether trace events are journaled.
-    pub trace_enabled: bool,
-    /// Total registered devices (send bound).
-    pub device_count: usize,
-    /// Epoch stamped on every envelope.
-    pub epoch: u64,
-    /// The message fabric sends flush through.
-    pub transport: &'a dyn Transport,
-}
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One worker: a slice of the device population (ids with
-/// `index % worker_count == idx`, stored at `index / worker_count`)
-/// plus its event heap.
-///
-/// Built through [`LiveEngine`](crate::engine::LiveEngine) world
-/// construction (`add_device` / `install_actor`), then either driven on
-/// an in-process thread by `run_until` or detached via
-/// [`LiveEngine::into_parts`](crate::engine::LiveEngine::into_parts)
-/// and driven by a remote round loop.
-pub struct LiveWorker {
-    pub(crate) idx: usize,
-    pub(crate) worker_count: usize,
-    pub(crate) devices: Vec<LiveDevice>,
-    pub(crate) heap: BinaryHeap<LiveEvent>,
-    /// Scratch buffer mailbox/staging contents are swapped into, so
-    /// ingestion holds neither lock while pushing onto the heap.
-    pub(crate) ingest_buf: Vec<Envelope>,
+/// One run's view of the transport: `lanes` mailbox lanes of one epoch
+/// (lane `i` feeds slice `i`), plus the staging that turns drained
+/// envelopes back into events.
+pub(crate) struct Fabric<'a> {
+    transport: &'a dyn Transport,
+    epoch: u64,
+    lanes: usize,
+    /// Decoded deliveries and barrier spills awaiting their slice.
+    pub(crate) mail: Mailboxes,
+    /// Monotone lane-claim ticket; window `g` owns tickets
+    /// `[(g-1)·W, g·W)` for `W` lanes, claimed by bounded CAS so a
+    /// window can never consume the next window's tickets.
+    claim: AtomicU64,
+    /// Cumulative count of decoded lanes; window `g` is fully staged
+    /// once this reaches `g·W`.
+    decoded: EpochGate,
+    /// Envelopes refused with backpressure, for barrier re-submission.
+    parked: Mutex<Vec<Envelope>>,
 }
 
-impl LiveWorker {
-    pub(crate) fn new(idx: usize, worker_count: usize) -> Self {
-        LiveWorker {
-            idx,
-            worker_count,
-            devices: Vec::new(),
-            heap: BinaryHeap::new(),
-            ingest_buf: Vec::new(),
+impl<'a> Fabric<'a> {
+    pub(crate) fn new(transport: &'a dyn Transport, epoch: u64, lanes: usize) -> Self {
+        Fabric {
+            transport,
+            epoch,
+            lanes,
+            mail: Mailboxes::new(lanes),
+            claim: AtomicU64::new(0),
+            decoded: EpochGate::new(),
+            parked: Mutex::new(Vec::new()),
         }
-    }
-
-    /// This worker's index in `0..worker_count`.
-    pub fn idx(&self) -> usize {
-        self.idx
-    }
-
-    /// The population-wide worker count this slice was built for.
-    pub fn worker_count(&self) -> usize {
-        self.worker_count
-    }
-
-    /// Earliest pending event time in this worker's heap, µs.
-    pub fn heap_min(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.at.as_micros())
-    }
-
-    pub(crate) fn device_mut(&mut self, id: DeviceId) -> &mut LiveDevice {
-        debug_assert_eq!(id.index() % self.worker_count, self.idx);
-        &mut self.devices[id.index() / self.worker_count]
-    }
-
-    /// Runs one window: ingest mailbox spills and the pre-decoded
-    /// transport deliveries staged for this worker, execute every event
-    /// with `at < window_end && at <= clip`, then flush buffered sends
-    /// lane-by-lane. `reuse` recycles the previous window's report
-    /// (emptied by the barrier) so steady-state windows allocate
-    /// nothing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_round(
-        &mut self,
-        env: &LiveEnv<'_>,
-        mailbox: &Mutex<Vec<Envelope>>,
-        staging: &Mutex<Vec<Envelope>>,
-        window_end_us: u64,
-        clip_us: u64,
-        budget: u64,
-        reuse: Option<RoundReport>,
-    ) -> RoundReport {
-        let mut buf = std::mem::take(&mut self.ingest_buf);
-        std::mem::swap(&mut *lock(mailbox), &mut buf);
-        for e in buf.drain(..) {
-            self.ingest(e);
-        }
-        std::mem::swap(&mut *lock(staging), &mut buf);
-        for e in buf.drain(..) {
-            self.ingest(e);
-        }
-        self.ingest_buf = buf;
-        let mut out = match reuse {
-            Some(r) => {
-                debug_assert!(r.out.journal.is_empty());
-                r.out
-            }
-            None => RoundOut::new(env.trace_enabled, self.worker_count),
-        };
-        let mut processed = 0u64;
-        let mut hit_budget = false;
-        while let Some(top) = self.heap.peek() {
-            let at_us = top.at.as_micros();
-            if at_us >= window_end_us || at_us > clip_us {
-                break;
-            }
-            if processed >= budget {
-                hit_budget = true;
-                break;
-            }
-            let Some(ev) = self.heap.pop() else { break };
-            processed += 1;
-            self.process_event(ev, env, &mut out);
-        }
-        // Flush the window's sends: one batched submission per
-        // destination lane, each taking the lane lock once. The
-        // lookahead guarantees nothing flushed here was due inside the
-        // window just executed.
-        for lane in 0..out.outgoing.len() {
-            let mut batch = std::mem::take(&mut out.outgoing[lane]);
-            if !batch.is_empty() {
-                match env.transport.submit_batch(&mut batch) {
-                    Ok(()) => {}
-                    Err(TransportError::Backpressure) => out.parked.append(&mut batch),
-                    Err(_) => {
-                        // Closed/unknown-epoch mid-run only happens if the
-                        // hosting service tore the epoch down; account the
-                        // remaining messages as lost.
-                        out.deltas.real_pending -= batch.len() as i64;
-                        out.deltas.dropped += batch.len() as u64;
-                        batch.clear();
-                    }
-                }
-            }
-            out.outgoing[lane] = batch;
-        }
-        // Pre-sort so the barrier can k-way-merge worker journals
-        // instead of concatenating and re-sorting under the barrier.
-        out.journal
-            .sort_unstable_by_key(|e| (e.at, e.origin, e.seq, e.intra));
-        let heap_min = self.heap.peek().map(|e| e.at.as_micros());
-        RoundReport {
-            out,
-            heap_min,
-            hit_budget,
-        }
-    }
-
-    pub(crate) fn push_event(&mut self, at: SimTime, origin: u64, seq: u64, kind: LiveKind) {
-        self.heap.push(LiveEvent {
-            at,
-            origin,
-            seq,
-            kind,
-        });
-    }
-
-    /// Queues an inbound envelope onto this worker's heap.
-    pub fn ingest(&mut self, e: Envelope) {
-        debug_assert_eq!(e.to.index() % self.worker_count, self.idx);
-        self.heap.push(LiveEvent {
-            at: SimTime::from_micros(e.deliver_at_us),
-            origin: e.from.raw(),
-            seq: e.seq,
-            kind: LiveKind::Deliver {
-                to: e.to,
-                from: e.from,
-                payload: e.payload,
-                sent_at: SimTime::from_micros(e.sent_at_us),
-            },
-        });
-    }
-
-    /// Executes one event — the live mirror of the simulator shard's
-    /// `process_event`/`dispatch`.
-    fn process_event(&mut self, ev: LiveEvent, env: &LiveEnv<'_>, out: &mut RoundOut) {
-        out.begin_event(ev.key());
-        out.deltas.events += 1;
-        out.deltas.last_at = out.deltas.last_at.max(ev.at);
-        out.deltas.real_pending -= 1;
-        let now = ev.at;
-        match ev.kind {
-            LiveKind::Start(device) => {
-                self.with_actor(device, now, env, out, |actor, ctx| actor.on_start(ctx));
-            }
-            LiveKind::Deliver {
-                to,
-                from,
-                payload,
-                sent_at,
-            } => {
-                let state = self.device_mut(to);
-                if state.crashed {
-                    out.deltas.to_crashed += 1;
-                    return;
-                }
-                if state.halted || state.actor.is_none() {
-                    return;
-                }
-                out.deltas.delivered += 1;
-                out.deltas.delay.push_micros(now.since(sent_at).as_micros());
-                out.trace(TraceEvent::Delivered { from, to });
-                self.with_actor(to, now, env, out, |actor, ctx| {
-                    actor.on_message(ctx, from, &payload)
-                });
-            }
-            LiveKind::Timer { device, token } => {
-                let state = self.device_mut(device);
-                if state.crashed || state.halted {
-                    return;
-                }
-                if state.cancelled.remove(&token) {
-                    return;
-                }
-                out.trace(TraceEvent::TimerFired {
-                    device,
-                    token: token.0,
-                });
-                self.with_actor(device, now, env, out, |actor, ctx| {
-                    actor.on_timer(ctx, token)
-                });
-            }
-            LiveKind::Crash(device, cause) => {
-                let state = self.device_mut(device);
-                if state.crashed {
-                    return;
-                }
-                state.crashed = true;
-                state.actor = None;
-                out.deltas.crashes += 1;
-                out.trace(TraceEvent::Crashed { device, cause });
-            }
-        }
-    }
-
-    /// Runs a callback on a device's actor, then applies its commands.
-    fn with_actor<F>(
-        &mut self,
-        device: DeviceId,
-        now: SimTime,
-        env: &LiveEnv<'_>,
-        out: &mut RoundOut,
-        f: F,
-    ) where
-        F: FnOnce(&mut Box<dyn Actor>, &mut Context<'_>),
-    {
-        let state = self.device_mut(device);
-        if state.crashed || state.halted {
-            return;
-        }
-        let Some(mut actor) = state.actor.take() else {
-            return;
-        };
-        let mut ctx = Context::new(device, now, &mut state.rng, &mut state.next_timer);
-        f(&mut actor, &mut ctx);
-        let commands = ctx.take_commands();
-        drop(ctx);
-        self.device_mut(device).actor = Some(actor);
-        self.apply_commands(device, now, commands, env, out);
-    }
-
-    fn apply_commands(
-        &mut self,
-        device: DeviceId,
-        now: SimTime,
-        commands: Vec<Command>,
-        env: &LiveEnv<'_>,
-        out: &mut RoundOut,
-    ) {
-        for cmd in commands {
-            match cmd {
-                Command::Send { to, payload } => {
-                    self.submit_send(device, to, payload, now, env, out)
-                }
-                Command::Broadcast { to, payload } => {
-                    // Fan-out shares one buffer, a refcount bump per target.
-                    for target in to {
-                        self.submit_send(device, target, payload.share(), now, env, out);
-                    }
-                }
-                Command::SetTimer { token, fire_at } => {
-                    let seq = self.next_seq(device);
-                    out.deltas.real_pending += 1;
-                    self.heap.push(LiveEvent {
-                        at: fire_at,
-                        origin: device.raw(),
-                        seq,
-                        kind: LiveKind::Timer { device, token },
-                    });
-                }
-                Command::CancelTimer { token } => {
-                    self.device_mut(device).cancelled.insert(token);
-                }
-                Command::Observe { name, value } => out.observe(name, value),
-                Command::Halt => self.device_mut(device).halted = true,
-            }
-        }
-    }
-
-    pub(crate) fn next_seq(&mut self, device: DeviceId) -> u64 {
-        let d = self.device_mut(device);
-        let s = d.spawn_seq;
-        d.spawn_seq += 1;
-        s
-    }
-
-    fn submit_send(
-        &mut self,
-        from: DeviceId,
-        to: DeviceId,
-        payload: Payload,
-        now: SimTime,
-        env: &LiveEnv<'_>,
-        out: &mut RoundOut,
-    ) {
-        out.deltas.sent += 1;
-        out.deltas.bytes_sent += payload.len() as u64;
-        if to.index() >= env.device_count {
-            out.deltas.dropped += 1;
-            return;
-        }
-        let kind = if env.need_kind {
-            env.classifier.and_then(|c| c(payload.as_slice()))
-        } else {
-            None
-        };
-        if let Some(k) = kind {
-            out.trace(TraceEvent::MsgKind { from, to, kind: k });
-        }
-        self.transmit(from, to, payload, now, env, out);
-    }
-
-    /// Applies the network model and hands the message to the transport —
-    /// the live mirror of the simulator shard's `transmit`. Order of RNG
-    /// draws (fate, then latency; nothing on drop) is load-bearing.
-    fn transmit(
-        &mut self,
-        from: DeviceId,
-        to: DeviceId,
-        mut payload: Payload,
-        now: SimTime,
-        env: &LiveEnv<'_>,
-        out: &mut RoundOut,
-    ) {
-        let fate = {
-            let sender = self.device_mut(from);
-            env.network.fate(&mut sender.net_rng)
-        };
-        match fate {
-            Fate::Dropped => {
-                out.deltas.dropped += 1;
-                out.trace(TraceEvent::Dropped { from, to });
-                return;
-            }
-            Fate::Corrupted(offset) => {
-                // Detach this recipient's copy before flipping a bit so
-                // other recipients of a shared broadcast stay intact.
-                if !payload.is_empty() {
-                    let idx = offset % payload.len();
-                    let mut bytes = std::mem::take(&mut payload).into_vec();
-                    bytes[idx] ^= 0x01;
-                    payload = Payload::new(bytes);
-                }
-                out.deltas.corrupted += 1;
-            }
-            Fate::Delivered => {}
-        }
-        let bytes = payload.len();
-        out.trace(TraceEvent::Sent { from, to, bytes });
-        let latency = {
-            let sender = self.device_mut(from);
-            env.network.sample_latency(&mut sender.net_rng)
-        };
-        let at = now + latency;
-        let seq = self.next_seq(from);
-        out.deltas.real_pending += 1;
-        let env_msg = Envelope {
-            epoch: env.epoch,
-            from,
-            to,
-            seq,
-            sent_at_us: now.as_micros(),
-            deliver_at_us: at.as_micros(),
-            payload,
-        };
-        // Buffered, not submitted: the whole window's sends for one lane
-        // flush in a single batched submission at the end of the round.
-        let lane = to.index() % self.worker_count;
-        out.outgoing[lane].push(env_msg);
     }
 }
 
-/// `min` over optional values, treating `None` as absent.
-pub fn fold_min(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+impl Exchange for Fabric<'_> {
+    /// Cooperative lane decode, then ingestion. Every transport lane
+    /// must be drained and its wire bytes decoded before the window
+    /// runs; instead of each worker decoding only its own lane
+    /// (serializing the window on the busiest lane), workers claim lanes
+    /// round-robin and decode whichever is next, staging the events for
+    /// the owning worker.
+    fn ingest(&self, me: usize, generation: u64, shard: &mut Shard) {
+        let lanes = self.lanes as u64;
+        loop {
+            let ticket = self.claim.load(Ordering::Acquire);
+            if ticket >= generation * lanes {
+                break;
+            }
+            if self
+                .claim
+                .compare_exchange(ticket, ticket + 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_err()
+            {
+                continue;
+            }
+            let lane = (ticket % lanes) as usize;
+            let decoded = self.transport.drain(self.epoch, lane);
+            if !decoded.is_empty() {
+                self.mail.post(lane, decoded.into_iter().map(Event::from));
+            }
+            self.decoded.add(1);
+        }
+        self.decoded.wait_min(generation * lanes);
+        self.mail.collect(me, shard);
+    }
+
+    /// Flushes the window's sends: one batched submission per
+    /// destination lane, each taking the lane lock once. The lookahead
+    /// guarantees nothing flushed here was due inside the window just
+    /// executed.
+    fn publish(&self, _me: usize, report: &mut WindowReport) {
+        let out = &mut report.out;
+        for lane in out.outbound.iter_mut().filter(|l| !l.is_empty()) {
+            let mut batch: Vec<Envelope> = lane
+                .drain(..)
+                .filter_map(|ev| ev.into_envelope(self.epoch))
+                .collect();
+            match self.transport.submit_batch(&mut batch) {
+                Ok(()) => {}
+                Err(TransportError::Backpressure) => lock(&self.parked).append(&mut batch),
+                Err(_) => {
+                    // Closed/unknown-epoch mid-run only happens if the
+                    // hosting service tore the epoch down; account the
+                    // remaining messages as lost.
+                    out.deltas.real_pending -= batch.len() as i64;
+                    out.deltas.dropped += batch.len() as u64;
+                }
+            }
+        }
+    }
+
+    /// Re-submits backpressured envelopes while every worker is idle; a
+    /// still-full lane spills into the destination's mail, so no
+    /// envelope is ever invisible to the next window decision.
+    fn settle(&self) -> Option<u64> {
+        let parked = {
+            let mut guard = lock(&self.parked);
+            std::mem::take(&mut *guard)
+        };
+        for e in parked {
+            if self.transport.submit(e.clone()).is_err() {
+                self.mail.post(e.to.index() % self.lanes, [Event::from(e)]);
+            }
+        }
+        (0..self.lanes)
+            .map(|lane| self.transport.pending(self.epoch, lane).map(|(_, m)| m))
+            .fold(self.mail.min_at(), fold_min)
     }
 }

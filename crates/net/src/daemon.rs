@@ -19,13 +19,12 @@
 //!
 //! # The coordinator
 //!
-//! [`Daemon::try_run`] is a faithful mirror of
-//! `LiveEngine::run_until`'s window decision loop — same quiescence /
-//! deadline / budget tests in the same order, same barrier merge in
-//! worker order, same canonical journal replay — with the thread
-//! barrier replaced by `OpenWindow`/`RoundDone` messages and envelope
-//! relay (through the optional [`NetFaultProxy`]) replacing the shared
-//! transport. The parity argument is in `docs/NET.md`; the
+//! [`Daemon::try_run`] runs the shared window decision loop
+//! ([`edgelet_sim::exec::drive`]) and the shared barrier merge over a
+//! third [`Barrier`]: one `OpenWindow`/`RoundDone` round-trip per
+//! worker, with envelope relay (through the optional
+//! [`NetFaultProxy`]) in place of a shared transport. The parity
+//! argument is DESIGN.md §"One executor, three barriers"; the
 //! proof-by-test is `tests/net_parity.rs`.
 //!
 //! # Failure = fallback
@@ -38,11 +37,11 @@
 
 use crate::conn::{Addr, Listener, MsgStream, Stream, TimerHeap};
 use crate::fault::{FaultVerdict, NetFaultProxy};
-use crate::proto::{NetMsg, Role, WireJEntry, WireRecord, PROTO_VERSION};
-use edgelet_live::round::fold_min;
-use edgelet_live::{ExitReason, LiveRun, PreparedQuery, RemoteExecutor};
+use crate::proto::{NetMsg, Role, WireRecord, PROTO_VERSION};
+use edgelet_live::{ExitReason, LiveRun, PayloadClassifier, PreparedQuery, RemoteExecutor};
 use edgelet_query::{PrivacyConfig, QuerySpec, ResilienceConfig};
-use edgelet_sim::{FaultPlan, SimMetrics, SimTime, Trace};
+use edgelet_sim::exec::{drive, fold_min, Barrier, Window, WindowReport};
+use edgelet_sim::{FaultPlan, SimTime};
 use edgelet_util::{Error, Result};
 use edgelet_wire::{from_bytes, Envelope};
 use std::collections::VecDeque;
@@ -365,7 +364,7 @@ impl Daemon {
     ) -> Result<LiveRun> {
         let worker_count = workers.len();
         let fault_mode = self.config.fault_plan.is_some();
-        let mut proxy = match &self.config.fault_plan {
+        let proxy = match &self.config.fault_plan {
             Some(plan) => Some(NetFaultProxy::new(plan.clone())?),
             None => None,
         };
@@ -392,16 +391,14 @@ impl Daemon {
         } = self
             .builder
             .build(&self.config.world_spec, epoch, worker_count)?;
-        let deadline_us = edgelet_sim::Duration::from_secs_f64(plan.spec.deadline_secs).as_micros();
+        let deadline =
+            SimTime::ZERO + edgelet_sim::Duration::from_secs_f64(plan.spec.deadline_secs);
         let parts = engine.into_parts();
-        let mut min_at: Option<u64> = None;
-        for w in &parts.workers {
-            min_at = fold_min(min_at, w.heap_min());
-        }
-        drop(parts.workers);
         let classifier = parts.classifier;
-        let width = parts.lookahead_us.max(1);
-        let max_events = parts.config.max_events;
+        let mut world = parts.world;
+        world.state.min_at = world.pending_min();
+        let mut state = world.state;
+        drop(world.slices);
 
         // Await all Ready acks.
         for stream in workers.iter_mut() {
@@ -416,117 +413,18 @@ impl Daemon {
             }
         }
 
-        // ---- the window decision loop (run_until's mirror) ----
-        let mut metrics = SimMetrics::default();
-        let mut trace = Trace::new(parts.config.trace_capacity);
-        let mut real_pending = parts.real_pending;
-        let mut cell_open_until = 0u64;
-        let mut pending_relay: Vec<Vec<Envelope>> = vec![Vec::new(); worker_count];
-        let mut journal_scratch: Vec<WireJEntry> = Vec::new();
-        let mut final_record: Option<WireRecord> = None;
-
-        let exit = loop {
-            if abort.load(Ordering::Acquire) {
-                break ExitReason::Aborted;
-            }
-            let Some(m) = min_at else {
-                break ExitReason::Quiescent;
-            };
-            if m >= cell_open_until && real_pending == 0 {
-                break ExitReason::Quiescent;
-            }
-            if m > deadline_us {
-                break ExitReason::Deadline;
-            }
-            if metrics.events_processed >= max_events {
-                break ExitReason::Budget;
-            }
-            let window_end = m.saturating_add(width);
-            cell_open_until = window_end;
-            let budget = max_events - metrics.events_processed;
-            for (i, stream) in workers.iter_mut().enumerate() {
-                if !pending_relay[i].is_empty() {
-                    stream.send(&NetMsg::Envelopes {
-                        epoch,
-                        batch: std::mem::take(&mut pending_relay[i]),
-                    })?;
-                }
-                stream.send(&NetMsg::OpenWindow {
-                    epoch,
-                    window_end_us: window_end,
-                    clip_us: deadline_us,
-                    budget,
-                })?;
-            }
-            // Collect every worker's round, in worker order — the same
-            // order the in-process barrier merges report slots.
-            let mut next_min: Option<u64> = None;
-            journal_scratch.clear();
-            for stream in workers.iter_mut() {
-                let round = match stream.recv(Some(self.config.io_timeout))? {
-                    NetMsg::RoundDone { epoch: e, round } if e == epoch => round,
-                    other => {
-                        return Err(Error::Protocol(format!(
-                            "expected RoundDone, got {other:?}"
-                        )))
-                    }
-                };
-                let d = &round.deltas;
-                metrics.messages_sent += d.sent;
-                metrics.messages_delivered += d.delivered;
-                metrics.messages_dropped += d.dropped;
-                metrics.messages_corrupted += d.corrupted;
-                metrics.messages_to_crashed += d.to_crashed;
-                metrics.bytes_sent += d.bytes_sent;
-                metrics.delivery_delay.merge(&d.delay_stats());
-                metrics.crashes += d.crashes;
-                metrics.events_processed += d.events;
-                real_pending = ((real_pending as i64) + d.real_pending).max(0) as u64;
-                next_min = fold_min(next_min, round.pending_min);
-                journal_scratch.extend(round.journal);
-                // Relay the worker's outgoing envelopes, applying the
-                // fault proxy en route. Event keys are globally unique,
-                // so arrival order across workers cannot affect the
-                // destination heap's ordering.
-                for env in round.outgoing {
-                    let verdicts = match proxy.as_mut() {
-                        None => vec![env],
-                        Some(p) => match p.apply(env, classifier) {
-                            FaultVerdict::Pass(e) => vec![e],
-                            FaultVerdict::Delayed { env: e, .. } => vec![e],
-                            FaultVerdict::Duplicated { envs, .. } => {
-                                real_pending += 1;
-                                envs.into()
-                            }
-                            FaultVerdict::Drop { .. } => {
-                                real_pending = real_pending.saturating_sub(1);
-                                metrics.messages_dropped += 1;
-                                Vec::new()
-                            }
-                        },
-                    };
-                    for e in verdicts {
-                        next_min = fold_min(next_min, Some(e.deliver_at_us));
-                        let dest = e.to.index() % worker_count;
-                        pending_relay[dest].push(e);
-                    }
-                }
-            }
-            // Canonical journal replay: worker journals are pre-sorted
-            // and event keys are globally unique, so one sort of the
-            // concatenation equals the in-process k-way merge.
-            journal_scratch.sort_unstable_by_key(|e| e.key());
-            for entry in journal_scratch.drain(..) {
-                let (at, item) = entry.into_item();
-                match item {
-                    edgelet_live::round::JItem::Trace(ev) => trace.record(at, ev),
-                    edgelet_live::round::JItem::Observe(name, value) => {
-                        metrics.observe(name, value)
-                    }
-                }
-            }
-            min_at = next_min;
+        let mut barrier = SocketBarrier {
+            epoch,
+            io_timeout: self.config.io_timeout,
+            pending_relay: vec![Vec::new(); workers.len()],
+            reports: Vec::with_capacity(workers.len()),
+            workers: &mut *workers,
+            proxy,
+            classifier,
         };
+        let exit = drive(&mut state, &mut barrier, deadline, Some(abort))?;
+        let (metrics, trace) = (state.metrics, state.trace);
+        let mut final_record: Option<WireRecord> = None;
 
         // Teardown: collect every worker's final partials.
         let bye = if exit == ExitReason::Aborted {
@@ -589,6 +487,88 @@ impl Daemon {
             trace: trace_records,
             exit,
         })
+    }
+}
+
+/// The socket barrier: one `OpenWindow`/`RoundDone` round-trip per
+/// worker, with the daemon relaying (and optionally faulting) every
+/// envelope that leaves a worker.
+struct SocketBarrier<'a> {
+    epoch: u64,
+    io_timeout: Duration,
+    workers: &'a mut [MsgStream],
+    proxy: Option<NetFaultProxy>,
+    classifier: Option<PayloadClassifier>,
+    /// Relayed envelopes awaiting each worker's next `OpenWindow`.
+    pending_relay: Vec<Vec<Envelope>>,
+    reports: Vec<WindowReport>,
+}
+
+impl Barrier for SocketBarrier<'_> {
+    fn cross(&mut self, window: &Window) -> Result<(&mut [WindowReport], Option<u64>)> {
+        let epoch = self.epoch;
+        for (stream, relay) in self.workers.iter_mut().zip(&mut self.pending_relay) {
+            if !relay.is_empty() {
+                stream.send(&NetMsg::Envelopes {
+                    epoch,
+                    batch: std::mem::take(relay),
+                })?;
+            }
+            stream.send(&NetMsg::OpenWindow {
+                epoch,
+                window_end_us: window.end_us,
+                clip_us: window.clip_us,
+                budget: window.budget,
+            })?;
+        }
+        // Collect every worker's round, in worker order.
+        self.reports.clear();
+        let mut relay_min: Option<u64> = None;
+        for stream in self.workers.iter_mut() {
+            let mut round = match stream.recv(Some(self.io_timeout))? {
+                NetMsg::RoundDone { epoch: e, round } if e == epoch => round,
+                other => {
+                    return Err(Error::Protocol(format!(
+                        "expected RoundDone, got {other:?}"
+                    )))
+                }
+            };
+            // Relay the worker's outgoing envelopes, applying the fault
+            // proxy en route; a verdict that adds or removes an envelope
+            // lands in the round's deltas like any other effect. Event
+            // keys are globally unique, so arrival order across workers
+            // cannot affect the destination queue's ordering.
+            let pending_relay = &mut self.pending_relay;
+            let mut relay = |e: Envelope| {
+                relay_min = fold_min(relay_min, Some(e.deliver_at_us));
+                let dest = e.to.index() % pending_relay.len();
+                pending_relay[dest].push(e);
+            };
+            for env in round.outgoing {
+                let Some(proxy) = self.proxy.as_mut() else {
+                    relay(env);
+                    continue;
+                };
+                match proxy.apply(env, self.classifier) {
+                    FaultVerdict::Pass(e) | FaultVerdict::Delayed { env: e, .. } => relay(e),
+                    FaultVerdict::Duplicated { envs, .. } => {
+                        round.deltas.real_pending += 1;
+                        envs.into_iter().for_each(&mut relay);
+                    }
+                    FaultVerdict::Drop { .. } => {
+                        round.deltas.real_pending -= 1;
+                        round.deltas.dropped += 1;
+                    }
+                }
+            }
+            self.reports.push(WindowReport::from_remote(
+                round.deltas,
+                round.journal,
+                round.pending_min,
+                round.hit_budget,
+            ));
+        }
+        Ok((&mut self.reports, relay_min))
     }
 }
 

@@ -21,15 +21,14 @@
 //!   pacing;
 //! * [`transport`] — [`transport::SocketTransport`], the
 //!   [`edgelet_wire::Transport`] impl over a connected socket, plus the
-//!   worker-side [`transport::CollectorTransport`] and the
-//!   world-construction [`transport::SinkTransport`];
+//!   [`transport::CollectorTransport`] detached worlds are built over;
 //! * [`daemon`] — the `edgelet serve` side: accept loop, worker
-//!   registry with half-open detection, and the window coordinator
-//!   that plugs into [`edgelet_live::QueryService`] as its
+//!   registry with half-open detection, and the socket barrier under
+//!   the shared window decision loop, which plugs into [`edgelet_live::QueryService`] as its
 //!   [`edgelet_live::RemoteExecutor`] (socket failure → deterministic
 //!   in-process fallback);
 //! * [`worker`] — the `edgelet worker` side: backoff reconnect loop,
-//!   versioned handshake, and the per-window round server;
+//!   versioned handshake, and the per-window slice server;
 //! * [`fault`] — [`fault::NetFaultProxy`]: the simulator's fault DSL
 //!   evaluated on the daemon's relay path, restricted to the
 //!   order-independent subset so verdicts stay deterministic.
@@ -53,5 +52,5 @@ pub use daemon::{Daemon, NetConfig, Submission, WorldBuilder};
 pub use fault::{FaultVerdict, NetFaultProxy};
 pub use framing::{encode_frame, FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_LEN, NET_MAGIC};
 pub use proto::{NetMsg, Role, WireRecord, WireRound, PROTO_VERSION};
-pub use transport::{CollectorTransport, SinkTransport, SocketTransport};
+pub use transport::{CollectorTransport, SocketTransport};
 pub use worker::{run_worker, SessionEnd, WorkerConfig};

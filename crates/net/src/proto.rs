@@ -18,10 +18,11 @@
 //!
 //! Everything the coordination plane ships — metric deltas, journal
 //! entries, the querier record — is an exact integer encoding of the
-//! live runtime's round state ([`edgelet_live::round`]), so merging
-//! remote partials is bit-identical to the in-process barrier merge.
+//! executor's own window report types ([`edgelet_sim::exec`]): this
+//! module defines their wire image, never a second copy of the types,
+//! so merging remote partials is the one barrier merge.
 
-use edgelet_live::round::{Deltas, JEntry, JItem};
+use edgelet_sim::exec::{Deltas, JEntry, JItem};
 use edgelet_sim::{CrashCause, DelayStats, FaultKind, SimTime, TraceEvent};
 use edgelet_util::ids::DeviceId;
 use edgelet_util::{Error, Result};
@@ -46,139 +47,50 @@ pub enum Role {
 /// One window's worth of a worker's round output, on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireRound {
-    /// Commutative metric deltas (exact integers).
-    pub deltas: WireDeltas,
-    /// Earliest event still pending on this worker (heap plus locally
-    /// stashed own-lane sends), µs.
+    /// Commutative metric deltas (exact integers). A live slice never
+    /// parks or churns, so those three counters are not on the wire.
+    pub deltas: Deltas,
+    /// Earliest event still pending on this worker, µs.
     pub pending_min: Option<u64>,
     /// The window stopped on the event budget.
     pub hit_budget: bool,
     /// Ordered side effects, pre-sorted by `(at, origin, seq, intra)`.
-    pub journal: Vec<WireJEntry>,
+    pub journal: Vec<JEntry>,
     /// Envelopes for other workers, flattened in lane-then-FIFO order.
     pub outgoing: Vec<Envelope>,
 }
 
-/// Exact wire image of [`edgelet_live::round::Deltas`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireDeltas {
-    /// Messages submitted by actors.
-    pub sent: u64,
-    /// Messages handed to receiving actors.
-    pub delivered: u64,
-    /// Messages dropped.
-    pub dropped: u64,
-    /// Messages corrupted in transit.
-    pub corrupted: u64,
-    /// Messages discarded at a crashed receiver.
-    pub to_crashed: u64,
-    /// Payload bytes submitted.
-    pub bytes_sent: u64,
-    /// Delivery-delay partial statistic as `(count, sum, min, max)` µs.
-    pub delay: (u64, u64, u64, u64),
-    /// Crash events applied.
-    pub crashes: u64,
-    /// Events processed.
-    pub events: u64,
-    /// Net change in pending events.
-    pub real_pending: i64,
-    /// Latest event time processed, µs.
-    pub last_at_us: u64,
-}
+/// How many distinct observation names a process will intern. The real
+/// vocabulary is the dozen names `edgelet-exec` observes; the cap only
+/// exists so a buggy or hostile peer cannot grow the daemon without
+/// bound through `RoundDone` journals.
+pub const MAX_INTERNED_NAMES: usize = 64;
 
-impl WireDeltas {
-    /// Captures a round's deltas losslessly.
-    pub fn from_deltas(d: &Deltas) -> Self {
-        WireDeltas {
-            sent: d.sent,
-            delivered: d.delivered,
-            dropped: d.dropped,
-            corrupted: d.corrupted,
-            to_crashed: d.to_crashed,
-            bytes_sent: d.bytes_sent,
-            delay: d.delay.raw_parts(),
-            crashes: d.crashes,
-            events: d.events,
-            real_pending: d.real_pending,
-            last_at_us: d.last_at.as_micros(),
-        }
-    }
-
-    /// The delay partial as a mergeable [`DelayStats`].
-    pub fn delay_stats(&self) -> DelayStats {
-        DelayStats::from_raw_parts(self.delay.0, self.delay.1, self.delay.2, self.delay.3)
-    }
-}
-
-/// Wire image of one journal entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireJEntry {
-    /// Virtual time of the producing event, µs.
-    pub at_us: u64,
-    /// Raw id of the spawning device.
-    pub origin: u64,
-    /// The producing event's spawn sequence number.
-    pub seq: u64,
-    /// Ordinal within the producing event.
-    pub intra: u32,
-    /// The side effect.
-    pub item: WireJItem,
-}
-
-impl WireJEntry {
-    /// Captures a journal entry.
-    pub fn from_entry(e: &JEntry) -> Self {
-        WireJEntry {
-            at_us: e.at.as_micros(),
-            origin: e.origin,
-            seq: e.seq,
-            intra: e.intra,
-            item: match &e.item {
-                JItem::Trace(ev) => WireJItem::Trace(ev.clone()),
-                JItem::Observe(name, value) => WireJItem::Observe(name.to_string(), *value),
-            },
-        }
-    }
-
-    /// The canonical merge key.
-    pub fn key(&self) -> (u64, u64, u64, u32) {
-        (self.at_us, self.origin, self.seq, self.intra)
-    }
-
-    /// Rebuilds the runtime-side journal item; observation names are
-    /// interned (the runtime requires `&'static str`).
-    pub fn into_item(self) -> (SimTime, JItem) {
-        let at = SimTime::from_micros(self.at_us);
-        let item = match self.item {
-            WireJItem::Trace(ev) => JItem::Trace(ev),
-            WireJItem::Observe(name, value) => JItem::Observe(intern_name(&name), value),
-        };
-        (at, item)
-    }
-}
-
-/// Wire image of a journal item.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireJItem {
-    /// A trace event.
-    Trace(TraceEvent),
-    /// A metric observation.
-    Observe(String, f64),
-}
+static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
 /// Interns an observation name to the `&'static str` the metrics API
-/// requires. The set of names is the small fixed vocabulary the role
-/// actors observe, so the leak is bounded by the protocol, not by
-/// traffic.
-pub fn intern_name(name: &str) -> &'static str {
-    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+/// requires. Past [`MAX_INTERNED_NAMES`] distinct names every new one is
+/// refused with a typed decode error (already interned names keep
+/// resolving), which the daemon answers like any other undecodable
+/// round: drop the fleet, rerun the epoch in process.
+pub fn intern_name(name: &str) -> Result<&'static str> {
     let mut set = NAMES.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(existing) = set.get(name) {
-        return existing;
+        return Ok(existing);
+    }
+    if set.len() >= MAX_INTERNED_NAMES {
+        return Err(Error::Decode(format!(
+            "observation name table is full ({MAX_INTERNED_NAMES} names); refusing a new one"
+        )));
     }
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
     set.insert(leaked);
-    leaked
+    Ok(leaked)
+}
+
+/// How many observation names this process has interned so far.
+pub fn interned_names() -> usize {
+    NAMES.lock().unwrap_or_else(|e| e.into_inner()).len()
 }
 
 /// Wire image of the querier's outcome record
@@ -343,46 +255,50 @@ impl Decode for Role {
     }
 }
 
-impl Encode for WireDeltas {
-    fn encode(&self, w: &mut Writer) {
-        self.sent.encode(w);
-        self.delivered.encode(w);
-        self.dropped.encode(w);
-        self.corrupted.encode(w);
-        self.to_crashed.encode(w);
-        self.bytes_sent.encode(w);
-        self.delay.0.encode(w);
-        self.delay.1.encode(w);
-        self.delay.2.encode(w);
-        self.delay.3.encode(w);
-        self.crashes.encode(w);
-        self.events.encode(w);
-        self.real_pending.encode(w);
-        self.last_at_us.encode(w);
+fn encode_deltas(w: &mut Writer, d: &Deltas) {
+    debug_assert_eq!((d.deferred, d.disconnections, d.parked), (0, 0, 0));
+    let (count, sum_us, min_us, max_us) = d.delay.raw_parts();
+    for v in [
+        d.sent,
+        d.delivered,
+        d.dropped,
+        d.corrupted,
+        d.to_crashed,
+        d.bytes_sent,
+        count,
+        sum_us,
+        min_us,
+        max_us,
+        d.crashes,
+        d.events,
+    ] {
+        v.encode(w);
     }
+    d.real_pending.encode(w);
+    d.last_at.as_micros().encode(w);
 }
 
-impl Decode for WireDeltas {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(WireDeltas {
-            sent: u64::decode(r)?,
-            delivered: u64::decode(r)?,
-            dropped: u64::decode(r)?,
-            corrupted: u64::decode(r)?,
-            to_crashed: u64::decode(r)?,
-            bytes_sent: u64::decode(r)?,
-            delay: (
-                u64::decode(r)?,
-                u64::decode(r)?,
-                u64::decode(r)?,
-                u64::decode(r)?,
-            ),
-            crashes: u64::decode(r)?,
-            events: u64::decode(r)?,
-            real_pending: i64::decode(r)?,
-            last_at_us: u64::decode(r)?,
-        })
-    }
+fn decode_deltas(r: &mut Reader<'_>) -> Result<Deltas> {
+    // Field expressions run in the order written: the wire order.
+    Ok(Deltas {
+        sent: u64::decode(r)?,
+        delivered: u64::decode(r)?,
+        dropped: u64::decode(r)?,
+        corrupted: u64::decode(r)?,
+        to_crashed: u64::decode(r)?,
+        bytes_sent: u64::decode(r)?,
+        delay: DelayStats::from_raw_parts(
+            u64::decode(r)?,
+            u64::decode(r)?,
+            u64::decode(r)?,
+            u64::decode(r)?,
+        ),
+        crashes: u64::decode(r)?,
+        events: u64::decode(r)?,
+        real_pending: i64::decode(r)?,
+        last_at: SimTime::from_micros(u64::decode(r)?),
+        ..Deltas::default()
+    })
 }
 
 fn encode_device(w: &mut Writer, d: DeviceId) {
@@ -515,71 +431,67 @@ fn decode_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
     })
 }
 
-impl Encode for WireJItem {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            WireJItem::Trace(ev) => {
-                w.put_varint(0);
-                encode_trace_event(w, ev);
-            }
-            WireJItem::Observe(name, value) => {
-                w.put_varint(1);
-                name.encode(w);
-                value.encode(w);
-            }
+fn encode_jentry(w: &mut Writer, e: &JEntry) {
+    e.at.as_micros().encode(w);
+    e.origin.encode(w);
+    e.seq.encode(w);
+    e.intra.encode(w);
+    match &e.item {
+        JItem::Trace(ev) => {
+            w.put_varint(0);
+            encode_trace_event(w, ev);
+        }
+        JItem::Observe(name, value) => {
+            w.put_varint(1);
+            name.encode(w);
+            value.encode(w);
         }
     }
 }
 
-impl Decode for WireJItem {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.varint()? {
-            0 => WireJItem::Trace(decode_trace_event(r)?),
-            1 => WireJItem::Observe(String::decode(r)?, f64::decode(r)?),
+fn decode_jentry(r: &mut Reader<'_>) -> Result<JEntry> {
+    Ok(JEntry {
+        at: SimTime::from_micros(u64::decode(r)?),
+        origin: u64::decode(r)?,
+        seq: u64::decode(r)?,
+        intra: u32::decode(r)?,
+        item: match r.varint()? {
+            0 => JItem::Trace(decode_trace_event(r)?),
+            1 => JItem::Observe(intern_name(&String::decode(r)?)?, f64::decode(r)?),
             other => return Err(Error::Decode(format!("invalid journal item tag {other}"))),
-        })
-    }
-}
-
-impl Encode for WireJEntry {
-    fn encode(&self, w: &mut Writer) {
-        self.at_us.encode(w);
-        self.origin.encode(w);
-        self.seq.encode(w);
-        self.intra.encode(w);
-        self.item.encode(w);
-    }
-}
-
-impl Decode for WireJEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(WireJEntry {
-            at_us: u64::decode(r)?,
-            origin: u64::decode(r)?,
-            seq: u64::decode(r)?,
-            intra: u32::decode(r)?,
-            item: WireJItem::decode(r)?,
-        })
-    }
+        },
+    })
 }
 
 impl Encode for WireRound {
     fn encode(&self, w: &mut Writer) {
-        self.deltas.encode(w);
+        encode_deltas(w, &self.deltas);
         self.pending_min.encode(w);
         self.hit_budget.encode(w);
-        self.journal.encode(w);
+        w.put_varint(self.journal.len() as u64);
+        for entry in &self.journal {
+            encode_jentry(w, entry);
+        }
         self.outgoing.encode(w);
     }
 }
 
 impl Decode for WireRound {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let deltas = decode_deltas(r)?;
+        let pending_min = Option::<u64>::decode(r)?;
+        let hit_budget = bool::decode(r)?;
+        // Key, item tag: an entry is at least five bytes.
+        let entries = r.seq_len_for(5)?;
+        let mut journal = Vec::with_capacity(entries);
+        for _ in 0..entries {
+            journal.push(decode_jentry(r)?);
+        }
         Ok(WireRound {
-            deltas: WireDeltas::decode(r)?,
-            pending_min: Option::<u64>::decode(r)?,
-            hit_budget: bool::decode(r)?,
-            journal: Vec::<WireJEntry>::decode(r)?,
+            deltas,
+            pending_min,
+            hit_budget,
+            journal,
             outgoing: Vec::<Envelope>::decode(r)?,
         })
     }
@@ -795,6 +707,68 @@ mod tests {
         }
     }
 
+    const GOLDEN_ROUND_DONE: &[u8] = &[
+        12, 11, 4, 3, 0, 0, 0, 172, 2, 3, 148, 35, 232, 7, 208, 15, 0, 7, 3, 176, 34, 1, 240, 46,
+        0, 2, 208, 15, 1, 0, 0, 0, 1, 1, 2, 208, 15, 1, 0, 1, 1, 14, 107, 109, 101, 97, 110, 115,
+        47, 105, 110, 101, 114, 116, 105, 97, 0, 0, 0, 0, 0, 0, 224, 63, 1, 1, 7, 1, 2, 2, 232, 7,
+        208, 15, 3, 9, 8, 7,
+    ];
+
+    fn journal_entry(intra: u32, item: JItem) -> JEntry {
+        JEntry {
+            at: SimTime::from_micros(2_000),
+            origin: 1,
+            seq: 0,
+            intra,
+            item,
+        }
+    }
+
+    /// The message [`GOLDEN_ROUND_DONE`] encodes.
+    fn sample_round_done() -> NetMsg {
+        NetMsg::RoundDone {
+            epoch: 11,
+            round: WireRound {
+                deltas: Deltas {
+                    sent: 4,
+                    delivered: 3,
+                    bytes_sent: 300,
+                    delay: DelayStats::from_raw_parts(3, 4_500, 1_000, 2_000),
+                    events: 7,
+                    real_pending: -2,
+                    last_at: SimTime::from_micros(4_400),
+                    ..Deltas::default()
+                },
+                pending_min: Some(6_000),
+                hit_budget: false,
+                journal: vec![
+                    journal_entry(
+                        0,
+                        JItem::Trace(TraceEvent::Delivered {
+                            from: DeviceId::new(1),
+                            to: DeviceId::new(2),
+                        }),
+                    ),
+                    journal_entry(1, JItem::Observe("kmeans/inertia", 0.5)),
+                ],
+                outgoing: vec![env(2)],
+            },
+        }
+    }
+
+    fn round_of(journal: Vec<JEntry>) -> NetMsg {
+        NetMsg::RoundDone {
+            epoch: 11,
+            round: WireRound {
+                deltas: Deltas::default(),
+                pending_min: None,
+                hit_budget: false,
+                journal,
+                outgoing: Vec::new(),
+            },
+        }
+    }
+
     #[test]
     fn all_messages_roundtrip() {
         let msgs = vec![
@@ -830,41 +804,7 @@ mod tests {
                 epoch: 11,
                 batch: vec![env(0), env(1)],
             },
-            NetMsg::RoundDone {
-                epoch: 11,
-                round: WireRound {
-                    deltas: WireDeltas {
-                        sent: 4,
-                        delivered: 3,
-                        delay: (3, 4_500, 1_000, 2_000),
-                        real_pending: -2,
-                        last_at_us: 4_400,
-                        ..WireDeltas::default()
-                    },
-                    pending_min: Some(6_000),
-                    hit_budget: false,
-                    journal: vec![
-                        WireJEntry {
-                            at_us: 2_000,
-                            origin: 1,
-                            seq: 0,
-                            intra: 0,
-                            item: WireJItem::Trace(TraceEvent::Delivered {
-                                from: DeviceId::new(1),
-                                to: DeviceId::new(2),
-                            }),
-                        },
-                        WireJEntry {
-                            at_us: 2_000,
-                            origin: 1,
-                            seq: 0,
-                            intra: 1,
-                            item: WireJItem::Observe("kmeans/inertia".into(), 0.5),
-                        },
-                    ],
-                    outgoing: vec![env(2)],
-                },
-            },
+            sample_round_done(),
             NetMsg::Finish { epoch: 11 },
             NetMsg::Abort { epoch: 11 },
             NetMsg::QueryDone {
@@ -930,17 +870,27 @@ mod tests {
                 kind: 9,
             },
         ];
-        for ev in events {
-            let item = WireJItem::Trace(ev.clone());
-            let back: WireJItem = from_bytes(&to_bytes(&item)).unwrap();
-            assert_eq!(back, item);
-        }
+        let journal = events
+            .into_iter()
+            .zip(0..)
+            .map(|(ev, intra)| journal_entry(intra, JItem::Trace(ev)))
+            .collect();
+        let msg = round_of(journal);
+        let back: NetMsg = from_bytes(&to_bytes(&msg)).unwrap();
+        assert_eq!(back, msg);
+    }
+
+    /// The `RoundDone` layout is `PROTO_VERSION` 1's: these bytes were
+    /// produced by the build that still had separate wire structs.
+    #[test]
+    fn round_done_bytes_are_unchanged() {
+        assert_eq!(to_bytes(&sample_round_done()), GOLDEN_ROUND_DONE);
     }
 
     #[test]
     fn intern_name_is_stable() {
-        let a = intern_name("net/test-observation");
-        let b = intern_name("net/test-observation");
+        let a = intern_name("net/test-observation").unwrap();
+        let b = intern_name("net/test-observation").unwrap();
         assert!(std::ptr::eq(a, b));
     }
 
@@ -948,6 +898,12 @@ mod tests {
     fn unknown_tags_fail_cleanly() {
         let bytes = to_bytes(&200u64);
         assert!(from_bytes::<NetMsg>(&bytes).is_err());
-        assert!(from_bytes::<WireJItem>(&bytes).is_err());
+        // A journal item with an unknown tag inside a well-formed round.
+        let mut round = to_bytes(&round_of(vec![journal_entry(0, JItem::Observe("x", 0.0))]));
+        // From the end: empty `outgoing` (1), the f64 (8), "x" (1 + 1).
+        let tag = round.len() - 12;
+        assert_eq!(round[tag], 1, "the Observe tag");
+        round[tag] = 9;
+        assert!(from_bytes::<NetMsg>(&round).is_err());
     }
 }

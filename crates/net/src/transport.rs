@@ -1,23 +1,19 @@
 //! [`Transport`] implementations for the socket deployment.
 //!
-//! Three transports cover the three seats at the table:
+//! Two transports:
 //!
-//! * [`SocketTransport`] — the tentpole trait-over-sockets impl: an
+//! * [`SocketTransport`] — the trait-over-sockets impl: an
 //!   [`edgelet_wire::Transport`] whose `submit` pushes envelopes through
 //!   a framed socket and whose `drain`/`pending` read from per-`(epoch,
 //!   lane)` queues filled by a background reader thread. Two of these
 //!   back-to-back form a full-duplex envelope fabric over UDS or TCP —
 //!   the `net/roundtrip` bench suite and the loopback tests run on it.
-//! * [`CollectorTransport`] — what a remote worker's round loop submits
-//!   into: an unbounded per-lane collector that never backpressures
-//!   (socket relay replaces mailbox bounds; pacing moves to the window
-//!   protocol, and "backpressure changes pacing, never outcomes" keeps
-//!   that sound). The worker drains it after each round and ships the
-//!   contents in `RoundDone`.
-//! * [`SinkTransport`] — a null transport for world construction on
-//!   detached hosts: `prepare_live_query` needs *a* transport, but a
-//!   daemon/worker immediately converts the engine
-//!   [`edgelet_live::EngineParts`] and never runs the in-process path.
+//! * [`CollectorTransport`] — what a detached world is built over:
+//!   `prepare_live_query` needs *a* transport, but a daemon or worker
+//!   takes the engine apart ([`edgelet_live::EngineParts`]) before
+//!   stepping it, and its window reports carry the outgoing deliveries
+//!   themselves. An unbounded per-lane collector that never
+//!   backpressures, should anything submit to it.
 
 use crate::conn::{MsgStream, Stream};
 use crate::proto::NetMsg;
@@ -217,14 +213,9 @@ impl Transport for SocketTransport {
     }
 }
 
-/// The transport a remote worker's round loop submits into: an
-/// unbounded per-lane collector.
-///
-/// `submit` never rejects, so `run_round` never parks an envelope —
-/// every send of the window surfaces in [`CollectorTransport::take_lanes`]
-/// for the worker to stash (own lane) or relay (other lanes). Flow
-/// control lives in the window protocol, which only opens the next
-/// window once the previous round's output is shipped.
+/// An unbounded per-lane collector: `submit` never rejects, and every
+/// accepted envelope surfaces in [`CollectorTransport::take_lanes`].
+/// Detached worlds are built over one (see the module docs).
 #[derive(Default)]
 pub struct CollectorTransport {
     lanes: Mutex<BTreeMap<usize, Vec<Envelope>>>,
@@ -254,30 +245,8 @@ impl Transport for CollectorTransport {
     }
 
     fn drain(&self, _epoch: u64, _lane: usize) -> Vec<Envelope> {
-        // The worker loop drains via take_lanes between rounds; the
-        // engine-side drain path is never exercised on a collector.
-        Vec::new()
-    }
-
-    fn pending(&self, _epoch: u64, _lane: usize) -> Option<(usize, u64)> {
-        None
-    }
-}
-
-/// A null transport for world construction on detached hosts.
-///
-/// Rejects every submit with [`TransportError::Closed`]; nothing in the
-/// detached path ever submits through it (the engine is converted to
-/// parts before stepping).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SinkTransport;
-
-impl Transport for SinkTransport {
-    fn submit(&self, _env: Envelope) -> Result<(), TransportError> {
-        Err(TransportError::Closed)
-    }
-
-    fn drain(&self, _epoch: u64, _lane: usize) -> Vec<Envelope> {
+        // Contents leave through take_lanes; the engine-side drain path
+        // is never exercised on a collector.
         Vec::new()
     }
 
@@ -378,13 +347,5 @@ mod tests {
             assert!(envs.windows(2).all(|w| w[0].seq < w[1].seq));
         }
         assert!(c.take_lanes().is_empty(), "take_lanes drains");
-    }
-
-    #[test]
-    fn sink_rejects_everything() {
-        let s = SinkTransport;
-        assert_eq!(s.submit(env(1, 0, 0, 0)), Err(TransportError::Closed));
-        assert!(s.drain(1, 0).is_empty());
-        assert_eq!(s.pending(1, 0), None);
     }
 }

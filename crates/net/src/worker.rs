@@ -8,15 +8,15 @@
 //! spec bytes (bit-identical to the daemon's and every sibling's copy)
 //! and keeps only its assigned slice; each `OpenWindow` runs one
 //! conservative window through the very same
-//! [`edgelet_live::round::LiveWorker::run_round`] the in-process
-//! engine's threads call; `Finish`/`Abort` reports the ledger partial
-//! (and the querier record when this slice owns the querier).
+//! [`edgelet_sim::exec::Shard::run_window`] every in-process barrier
+//! calls; `Finish`/`Abort` reports the ledger partial (and the querier
+//! record when this slice owns the querier).
 //!
-//! Sends within the window go into a [`CollectorTransport`]; after the
-//! round the worker keeps its own lane locally (staged for the next
-//! window) and ships every other lane to the daemon for relay — unless
-//! the epoch runs in fault mode, in which case *all* lanes route
-//! through the daemon so the fault proxy observes every envelope.
+//! Deliveries to the worker's own devices stay in its queue; every
+//! other lane's leave in the window report's `outbound` and ship to the
+//! daemon for relay — unless the epoch runs in fault mode, in which
+//! case *all* deliveries leave, so the fault proxy observes every
+//! envelope.
 //!
 //! Daemon death (EOF or any protocol error) drops all epoch state and
 //! re-enters the reconnect loop — a fresh `Prepare` rebuilds the world
@@ -25,12 +25,10 @@
 
 use crate::conn::{Addr, Backoff, MsgStream, Stream, TimerHeap};
 use crate::daemon::WorldBuilder;
-use crate::proto::{NetMsg, Role, WireDeltas, WireJEntry, WireRecord, WireRound};
-use crate::transport::CollectorTransport;
-use edgelet_live::round::{fold_min, LiveEnv, LiveWorker, RoundReport};
-use edgelet_live::PreparedQuery;
+use crate::proto::{NetMsg, Role, WireRecord, WireRound};
+use edgelet_live::{EngineParts, PreparedQuery};
+use edgelet_sim::exec::{Event, Shard, Window, WindowReport};
 use edgelet_util::{Error, Result};
-use edgelet_wire::Envelope;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -77,24 +75,16 @@ pub enum SessionEnd {
 /// The state a worker holds for one prepared epoch.
 struct EpochState {
     epoch: u64,
-    slice: LiveWorker,
+    /// This worker's slice of the world.
+    slice: Shard,
+    /// The rest of the built world, slices removed.
+    parts: EngineParts,
     assembly: edgelet_exec::PlanAssembly,
-    collector: Arc<CollectorTransport>,
-    network: edgelet_sim::NetworkModel,
-    classifier: Option<edgelet_live::PayloadClassifier>,
-    trace_enabled: bool,
-    device_count: usize,
     worker_index: usize,
     worker_count: usize,
     fault_mode: bool,
-    /// Envelopes staged for the next window (daemon relays + own-lane
-    /// stash-backs).
-    staging: Mutex<Vec<Envelope>>,
-    /// Always empty — `run_round` requires a mailbox; the socket path
-    /// has no barrier spills.
-    mailbox: Mutex<Vec<Envelope>>,
-    /// Recycled round report, same as the in-process barrier slots.
-    reuse: Option<RoundReport>,
+    /// Recycled window report, same as the in-process barriers keep.
+    reuse: Option<WindowReport>,
 }
 
 impl EpochState {
@@ -117,93 +107,51 @@ impl EpochState {
             engine,
             assembly,
         } = builder.build(spec, epoch, worker_count)?;
-        let parts = engine.into_parts();
-        if parts.workers.len() != worker_count {
+        let mut parts = engine.into_parts();
+        if parts.world.slices.len() != worker_count {
             return Err(Error::InvalidConfig(format!(
                 "world built {} slices, daemon expects {worker_count}",
-                parts.workers.len()
+                parts.world.slices.len()
             )));
         }
-        let slice = parts
-            .workers
-            .into_iter()
-            .nth(worker_index)
-            .expect("index checked above");
+        let slice = parts.world.slices.swap_remove(worker_index);
+        parts.world.slices.clear();
         Ok(EpochState {
             epoch,
             slice,
+            parts,
             assembly,
-            collector: Arc::new(CollectorTransport::new(worker_count)),
-            network: parts.config.network.clone(),
-            classifier: parts.classifier,
-            trace_enabled: parts.config.trace_capacity > 0,
-            device_count: parts.device_count,
             worker_index,
             worker_count,
             fault_mode,
-            staging: Mutex::new(Vec::new()),
-            mailbox: Mutex::new(Vec::new()),
             reuse: None,
         })
     }
 
     /// Runs one window and assembles the wire round.
     fn run_window(&mut self, window_end_us: u64, clip_us: u64, budget: u64) -> WireRound {
-        let env = LiveEnv {
-            network: &self.network,
-            classifier: self.classifier,
-            need_kind: self.classifier.is_some() && self.trace_enabled,
-            trace_enabled: self.trace_enabled,
-            device_count: self.device_count,
-            epoch: self.epoch,
-            transport: self.collector.as_ref(),
-        };
-        let mut report = self.slice.run_round(
-            &env,
-            &self.mailbox,
-            &self.staging,
-            window_end_us,
+        let env = self.parts.env(self.fault_mode);
+        let window = Window {
+            start_us: window_end_us.saturating_sub(self.parts.world.state.lookahead_us),
+            end_us: window_end_us,
             clip_us,
             budget,
-            self.reuse.take(),
-        );
-        debug_assert!(
-            report.out.parked.is_empty(),
-            "collector never backpressures"
-        );
-        // Partition the window's sends: own lane stays local (staged
-        // for the next window — the lookahead guarantees nothing in it
-        // is due before `window_end_us`), other lanes ship to the
-        // daemon. Fault mode ships everything so the relay proxy sees
-        // every envelope.
-        let mut outgoing: Vec<Envelope> = Vec::new();
-        let mut stash_min: Option<u64> = None;
-        for (lane, envs) in self.collector.take_lanes() {
-            if lane == self.worker_index && !self.fault_mode {
-                let mut staging = lock(&self.staging);
-                for e in envs {
-                    stash_min = fold_min(stash_min, Some(e.deliver_at_us));
-                    staging.push(e);
-                }
-            } else {
-                outgoing.extend(envs);
-            }
-        }
-        let pending_min = fold_min(report.heap_min, stash_min);
-        let journal = report
-            .out
-            .journal
-            .iter()
-            .map(WireJEntry::from_entry)
-            .collect();
-        let round = WireRound {
-            deltas: WireDeltas::from_deltas(&report.out.deltas),
-            pending_min,
-            hit_budget: report.hit_budget,
-            journal,
-            outgoing,
         };
-        report.out.reset();
+        let mut report = self.slice.run_window(&env, &window, self.reuse.take());
+        let out = &mut report.out;
+        let round = WireRound {
+            deltas: out.deltas.clone(),
+            pending_min: report.queue_min_at,
+            hit_budget: report.hit_budget,
+            journal: out.journal.drain(..).collect(),
+            outgoing: out
+                .outbound
+                .iter_mut()
+                .flat_map(|lane| lane.drain(..))
+                .filter_map(|ev| ev.into_envelope(self.epoch))
+                .collect(),
+        };
+        report.recycle();
         self.reuse = Some(report);
         round
     }
@@ -211,7 +159,7 @@ impl EpochState {
     /// The final partials for `QueryDone`.
     fn finish(&self) -> (Vec<u8>, Option<WireRecord>) {
         let ledger = edgelet_wire::to_bytes(&*lock(&self.assembly.ledger));
-        let querier_owner = (self.device_count - 1) % self.worker_count;
+        let querier_owner = (self.parts.world.device_count() - 1) % self.worker_count;
         let record = (querier_owner == self.worker_index).then(|| {
             let rec = lock(&self.assembly.record);
             WireRecord {
@@ -341,10 +289,12 @@ fn connect_session(
                 }
             }
             NetMsg::Envelopes { epoch: ep, batch } => {
-                let Some(state) = epoch.as_ref().filter(|s| s.epoch == ep) else {
+                let Some(state) = epoch.as_mut().filter(|s| s.epoch == ep) else {
                     return Err(disc(format!("envelopes for unprepared epoch {ep}")));
                 };
-                lock(&state.staging).extend(batch);
+                for env in batch {
+                    state.slice.push(Event::from(env));
+                }
             }
             NetMsg::OpenWindow {
                 epoch: ep,

@@ -93,8 +93,8 @@ impl<'a> Context<'a> {
 
     /// Removes and returns the commands recorded so far, in issue order.
     ///
-    /// Used by hosts (the simulator shard executor, the live runtime) to
-    /// interpret a callback's effects after it returns.
+    /// Used by whatever hosts the callback (the slice executor, a test
+    /// harness) to interpret its effects after it returns.
     pub fn take_commands(&mut self) -> Vec<Command> {
         std::mem::take(&mut self.commands)
     }

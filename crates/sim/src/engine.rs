@@ -1,50 +1,36 @@
-//! The discrete-event engine: devices, shards, window execution.
+//! The simulator host: a [`World`] plus churn, store-and-forward and a
+//! [`FaultPlan`].
 //!
-//! Since the sharded rewrite the engine has two executors, selected per
-//! run (never per shard count):
+//! A run takes one of two routes, selected per run (never per shard
+//! count):
 //!
-//! * **Windowed** — the normal path. Each window spans `[m, m + L)`
-//!   where `m` is the global minimum pending event time and `L` the
+//! * **Windowed** — the normal path: [`World::run`] drives the shared
+//!   decision loop ([`crate::exec::drive`]) over conservative windows
+//!   `[m, m + L)`, `m` the global minimum pending event time and `L` the
 //!   *lookahead* (the minimum network latency, see
-//!   [`NetworkModel::min_latency`]). All shards execute the same window
-//!   independently — a classic conservative-PDES bound: no message can
-//!   arrive sooner than `L` after it was sent, so nothing a peer shard
-//!   does in the open window can affect this shard's slice of it.
-//!   Anchoring windows at `m` instead of the aligned grid `[k·L,
-//!   (k+1)·L)` means sparse stretches of virtual time cost one barrier
-//!   per window *with work in it*, never one per empty grid cell.
-//!   Cross-shard sends, metrics, fault counters, and trace records are
-//!   buffered and merged at the window barrier in canonical event-key
-//!   order ([`crate::merge`]), making results bit-identical for every
-//!   shard count: window boundaries derive only from the global minimum
-//!   pending time, which is itself identical for every shard count, and
-//!   every cross-shard effect lands at `>= m + L`, i.e. in a later
-//!   window. `shards = 1` runs the same executor inline.
+//!   [`NetworkModel::min_latency`]). `shards = 1` crosses the inline
+//!   barrier, `shards > 1` the thread barrier; results are bit-identical
+//!   for every shard count (DESIGN.md §"One executor, three barriers").
 //! * **Sequential fallback** — used when the lookahead is zero (a
 //!   latency model with no lower bound) or the fault plan carries
 //!   cross-message state (`skip`/`limit` occurrence windows, `Reorder`
 //!   holds). Events pop one at a time in global key order across all
 //!   shard queues.
 //!
-//! Both executors run the exact same per-event code
+//! Both routes run the exact same per-event code
 //! ([`crate::shard::Shard::process_event`]); they differ only in how
 //! much reordering freedom the schedule grants.
 
 use crate::actor::Actor;
-use crate::churn::{Availability, CrashPlan};
-use crate::fault::{Classifier, CrashCause, FaultCounters, FaultPlan, HeldMsg};
-use crate::merge::{self, Ctl, MergeTargets};
+use crate::exec::{apply_deltas, ExitReason, JItem, Mailboxes, RunEnv, WindowOut, World};
+use crate::fault::{Classifier, FaultCounters, FaultPlan, HeldMsg};
 use crate::metrics::SimMetrics;
 use crate::network::NetworkModel;
-use crate::scheduler::{Event, EventKind};
-use crate::shard::{DeviceState, JItem, RunEnv, Shard, WindowOut, WindowReport};
 use crate::time::{Duration, SimTime};
 use crate::trace::Trace;
 use edgelet_util::ids::DeviceId;
-use edgelet_util::rng::DetRng;
-use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
-use std::sync::Mutex;
+
+pub use crate::exec::DeviceConfig;
 
 /// Global simulation parameters.
 #[derive(Debug, Clone)]
@@ -76,88 +62,33 @@ impl Default for SimConfig {
     }
 }
 
-/// Per-device configuration.
-#[derive(Debug, Clone)]
-pub struct DeviceConfig {
-    /// Availability (connection churn) model.
-    pub availability: Availability,
-    /// Crash-stop plan.
-    pub crash: CrashPlan,
-}
-
-impl Default for DeviceConfig {
-    fn default() -> Self {
-        Self {
-            availability: Availability::AlwaysUp,
-            crash: CrashPlan::Never,
-        }
-    }
-}
-
 /// A deterministic simulated world of devices and actors.
 pub struct Simulation {
     config: SimConfig,
-    shards: Vec<Shard>,
-    device_count: usize,
-    /// Pending events other than churn toggles. When this and `parked`
-    /// reach zero the system is quiescent: churn alone cannot create work.
-    real_pending: u64,
-    /// Messages parked in inboxes/outboxes of down devices.
-    parked: u64,
-    now: SimTime,
-    root_rng: DetRng,
-    metrics: SimMetrics,
-    trace: Trace,
+    world: World,
     /// Maps payload bytes to a protocol message kind (installed by the
     /// harness; the simulator itself is protocol-agnostic).
     classifier: Option<Classifier>,
-    /// The installed fault plan and its evaluation state. Kept as
-    /// separate fields so the executors can borrow the plan immutably
-    /// while advancing the counters.
+    /// The installed fault plan; its occurrence counters live in the
+    /// world's [`crate::exec::RunState`].
     fault_plan: Option<FaultPlan>,
-    fault_counters: FaultCounters,
     fault_holds: Vec<Option<HeldMsg>>,
-    /// Conservative lookahead in µs (minimum network latency). Zero
-    /// forces the sequential fallback executor.
-    lookahead_us: u64,
-    /// Exclusive end of the most recently opened window. Windows
-    /// interrupted by a deadline resume and *finish* their span before
-    /// quiescence is re-evaluated, so the set of processed events never
-    /// depends on where `run_until` deadlines happened to fall.
-    cell_open_until: u64,
-    /// Recycled window report for the inline (`shards = 1`) windowed
-    /// executor: journal/outbound/delta buffers keep their capacity
-    /// across windows, so steady-state windows allocate nothing. The
-    /// parallel executor recycles reports through its per-shard slots
-    /// instead.
-    window_scratch: Option<WindowReport>,
 }
 
 impl Simulation {
     /// Creates an empty world.
     pub fn new(config: SimConfig, seed: u64) -> Self {
-        let root = DetRng::new(seed);
-        let shard_count = config.shards.max(1);
-        let lookahead_us = config.network.min_latency().as_micros();
-        let width = lookahead_us.max(1);
         Self {
-            shards: (0..shard_count)
-                .map(|i| Shard::new(i, shard_count, width))
-                .collect(),
-            device_count: 0,
-            real_pending: 0,
-            parked: 0,
-            now: SimTime::ZERO,
-            root_rng: root,
-            metrics: SimMetrics::default(),
-            trace: Trace::new(config.trace_capacity),
+            world: World::new(
+                config.shards,
+                config.network.min_latency().as_micros(),
+                config.max_events,
+                config.trace_capacity,
+                seed,
+            ),
             classifier: None,
             fault_plan: None,
-            fault_counters: FaultCounters::default(),
             fault_holds: Vec::new(),
-            lookahead_us,
-            cell_open_until: 0,
-            window_scratch: None,
             config,
         }
     }
@@ -172,499 +103,179 @@ impl Simulation {
     /// Installs a fault plan. Replaces any previous plan (and its
     /// occurrence counters).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_counters = FaultCounters::for_plan(&plan);
+        self.world.state.fault_counters = FaultCounters::for_plan(&plan);
         self.fault_holds = (0..plan.rules.len()).map(|_| None).collect();
         self.fault_plan = Some(plan);
     }
 
     /// How many fault-rule firings have happened so far.
     pub fn faults_injected(&self) -> u64 {
-        self.fault_counters.total_fired()
-    }
-
-    /// The shard that owns a device.
-    fn shard_of(&self, device: DeviceId) -> usize {
-        device.index() % self.shards.len()
+        self.world.state.fault_counters.total_fired()
     }
 
     /// Registers a device; returns its id.
     pub fn add_device(&mut self, cfg: DeviceConfig) -> DeviceId {
-        let id = DeviceId::new(self.device_count as u64);
-        self.device_count += 1;
-        let mut churn_rng = self.root_rng.fork_indexed("churn", id.raw());
-        let up = cfg.availability.starts_up();
-        let state = DeviceState {
-            up,
-            crashed: false,
-            halted: false,
-            actor: None,
-            rng: self.root_rng.fork_indexed("device", id.raw()),
-            churn_rng: churn_rng.clone(),
-            net_rng: self.root_rng.fork_indexed("netdev", id.raw()),
-            next_timer: 0,
-            spawn_seq: 0,
-            cancelled: BTreeSet::new(),
-            availability: cfg.availability.clone(),
-            outbox: Vec::new(),
-            inbox: Vec::new(),
-        };
-        let s = self.shard_of(id);
-        self.shards[s].devices.push(state);
-
-        // Schedule the first availability transition.
-        if let Some(period) = cfg.availability.next_period(up, &mut churn_rng) {
-            self.shards[s].device_mut(id).churn_rng = churn_rng;
-            self.push_external(id, self.now + period, EventKind::ChurnToggle(id));
-        }
-        // Resolve the crash plan.
-        let mut crash_rng = self.root_rng.fork_indexed("crash", id.raw());
-        if let Some(t) = cfg.crash.resolve(&mut crash_rng) {
-            self.push_external(
-                id,
-                t.max(self.now),
-                EventKind::Crash(id, CrashCause::Organic),
-            );
-        }
-        id
+        self.world.add_device(cfg)
     }
 
     /// Installs an actor on a device; its `on_start` runs at the current
     /// virtual time (once the simulation is stepped).
     pub fn install_actor(&mut self, device: DeviceId, actor: Box<dyn Actor>) {
-        let s = self.shard_of(device);
-        let state = self.shards[s].device_mut(device);
-        assert!(
-            state.actor.is_none(),
-            "device {device} already has an actor"
-        );
-        state.actor = Some(actor);
-        self.push_external(device, self.now, EventKind::Start(device));
+        self.world.install_actor(device, actor);
     }
 
     /// Schedules a scripted crash (the demo's "power off a device").
     pub fn crash_at(&mut self, device: DeviceId, at: SimTime) {
-        self.push_external(
-            device,
-            at.max(self.now),
-            EventKind::Crash(device, CrashCause::Organic),
-        );
-    }
-
-    /// Injects a message delivery from outside the engine — the entry
-    /// point used by [`crate::endpoint::SimEndpoint`] to feed transport
-    /// envelopes into the simulated world.
-    ///
-    /// The caller supplies the envelope's intrinsic key material
-    /// (`from`, `seq`): the event is scheduled exactly as if device
-    /// `from` had spawned it with sequence number `seq`, so its position
-    /// in the canonical `(at, origin, seq)` order is identical to a
-    /// natively transmitted message. The origin device's spawn counter
-    /// is advanced past `seq` to keep future native keys unique. Both
-    /// `from` and `to` must be registered devices.
-    pub fn deliver_external(
-        &mut self,
-        from: DeviceId,
-        to: DeviceId,
-        seq: u64,
-        sent_at: SimTime,
-        deliver_at: SimTime,
-        payload: edgelet_util::Payload,
-    ) {
-        assert!(
-            from.index() < self.device_count && to.index() < self.device_count,
-            "deliver_external endpoints must be registered devices"
-        );
-        self.real_pending += 1;
-        let s = self.shard_of(from);
-        {
-            let d = self.shards[s].device_mut(from);
-            d.spawn_seq = d.spawn_seq.max(seq.saturating_add(1));
-        }
-        let dest = self.shard_of(to);
-        self.shards[dest].queue.push(Event {
-            at: deliver_at.max(self.now),
-            origin: from.raw(),
-            seq,
-            kind: EventKind::Deliver {
-                to,
-                from,
-                payload,
-                sent_at,
-            },
-        });
-    }
-
-    /// Schedules an event from outside any event handler, drawing the
-    /// key from the origin device's spawn counter.
-    fn push_external(&mut self, origin: DeviceId, at: SimTime, kind: EventKind) {
-        if !kind.is_churn() {
-            self.real_pending += 1;
-        }
-        let s = self.shard_of(origin);
-        let seq = {
-            let d = self.shards[s].device_mut(origin);
-            let seq = d.spawn_seq;
-            d.spawn_seq += 1;
-            seq
-        };
-        let dest = kind.target().index() % self.shards.len();
-        self.shards[dest].queue.push(Event {
-            at,
-            origin: origin.raw(),
-            seq,
-            kind,
-        });
+        self.world.crash_at(device, at);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.world.state.now
     }
 
     /// Number of registered devices.
     pub fn device_count(&self) -> usize {
-        self.device_count
+        self.world.device_count()
     }
 
     /// Number of shards the device population is partitioned into.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.world.slices.len()
     }
 
     /// Whether a device is currently connected.
     pub fn is_up(&self, device: DeviceId) -> bool {
-        let d = self.shards[self.shard_of(device)].device(device);
-        d.up && !d.crashed
+        self.world.device(device).is_up()
     }
 
     /// Whether a device has crashed.
     pub fn is_crashed(&self, device: DeviceId) -> bool {
-        self.shards[self.shard_of(device)].device(device).crashed
+        self.world.device(device).is_crashed()
     }
 
     /// Collected metrics.
     pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
+        &self.world.state.metrics
     }
 
     /// The event trace (empty unless `trace_capacity > 0`).
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.world.state.trace
     }
 
     /// Runs until the event queue empties or `max_events` is hit.
     /// Returns the final virtual time.
     pub fn run(&mut self) -> SimTime {
         self.run_until(SimTime::MAX);
-        self.now
-    }
-
-    /// Whether payload classification can influence anything this run.
-    fn need_kind(&self) -> bool {
-        self.classifier.is_some()
-            && (self.trace.enabled()
-                || self
-                    .fault_plan
-                    .as_ref()
-                    .is_some_and(|p| p.rules.iter().any(|r| r.matcher.kinds.is_some())))
+        self.now()
     }
 
     /// Runs until the queue empties or virtual time would exceed
     /// `deadline`. Returns `true` if events remain (deadline hit first).
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
-        let window_safe = self
-            .fault_plan
-            .as_ref()
-            .is_none_or(FaultPlan::is_window_safe);
-        if self.lookahead_us == 0 || !window_safe {
-            self.run_fallback(deadline)
-        } else if self.shards.len() == 1 {
-            self.run_windowed_single(deadline)
-        } else {
-            self.run_windowed_parallel(deadline)
-        }
-    }
-
-    /// Sequential fallback: pops events one at a time in global key
-    /// order across all shard queues. Handles zero-lookahead latency
-    /// models and stateful fault plans (`skip`/`limit`/`Reorder`).
-    fn run_fallback(&mut self, deadline: SimTime) -> bool {
-        let shard_count = self.shards.len();
-        let need_kind = self.need_kind();
-        let mut out = WindowOut::new(shard_count, self.trace.enabled());
-        loop {
-            // Locate the globally minimal key.
-            let mut best: Option<(usize, (SimTime, u64, u64))> = None;
-            for (i, sh) in self.shards.iter_mut().enumerate() {
-                if let Some(key) = sh.queue.peek_min_key() {
-                    if best.is_none_or(|(_, bk)| key < bk) {
-                        best = Some((i, key));
-                    }
-                }
-            }
-            let Some((si, (at, _, _))) = best else { break };
-            // Quiescence: churn toggles alone cannot create new work, so
-            // stop once no protocol events or parked messages remain.
-            if self.real_pending == 0 && self.parked == 0 {
-                break;
-            }
-            if at > deadline {
-                self.now = deadline;
-                return true;
-            }
-            if self.metrics.events_processed >= self.config.max_events {
-                return true;
-            }
-            let Some(ev) = self.shards[si].queue.pop_min() else {
-                break;
-            };
-            self.now = ev.at;
-            out.reset();
-            let env = RunEnv {
-                network: &self.config.network,
-                ttl: self.config.store_and_forward_ttl,
-                classifier: self.classifier.as_deref(),
-                plan: self.fault_plan.as_ref(),
-                trace_enabled: self.trace.enabled(),
-                need_kind,
-                device_count: self.device_count,
-                shard_count,
-            };
-            self.shards[si].process_event(
-                ev,
-                &env,
-                &mut out,
-                0,
-                &mut self.fault_counters,
-                Some(&mut self.fault_holds),
-            );
-            // Apply effects immediately, in execution order.
-            merge::apply_deltas(&mut self.metrics, &out.deltas);
-            self.real_pending =
-                ((self.real_pending as i64) + out.deltas.real_pending).max(0) as u64;
-            self.parked = ((self.parked as i64) + out.deltas.parked).max(0) as u64;
-            for entry in out.journal.drain(..) {
-                match entry.item {
-                    JItem::Trace(ev) => self.trace.record(entry.at, ev),
-                    JItem::Observe(name, value) => self.metrics.observe(name, value),
-                }
-            }
-            for dest in 0..shard_count {
-                if out.outbound[dest].is_empty() {
-                    continue;
-                }
-                self.shards[dest].queue.push_batch(&mut out.outbound[dest]);
-            }
-        }
-        if deadline != SimTime::MAX {
-            self.now = deadline;
-        }
-        false
-    }
-
-    /// Windowed executor, inline (`shards = 1`): the same window/barrier
-    /// schedule as the parallel path, without threads.
-    fn run_windowed_single(&mut self, deadline: SimTime) -> bool {
-        let width = self.lookahead_us.max(1);
-        let need_kind = self.need_kind();
-        let deadline_us = deadline.as_micros();
-        while let Some(min_at) = self.shards[0].queue.peek_min_at().map(SimTime::as_micros) {
-            // Quiescence is only evaluated at fresh window boundaries; a
-            // half-finished window (deadline interruption) is completed
-            // first so progress never depends on the deadline schedule.
-            if min_at >= self.cell_open_until && self.real_pending == 0 && self.parked == 0 {
-                break;
-            }
-            if min_at > deadline_us {
-                self.now = deadline;
-                return true;
-            }
-            if self.metrics.events_processed >= self.config.max_events {
-                return true;
-            }
-            // The window starts at the minimum pending time and spans one
-            // lookahead, touching at most two calendar cells.
-            let window_end = min_at.saturating_add(width);
-            let first_cell = min_at / width;
-            let last_cell = (window_end - 1) / width;
-            self.cell_open_until = window_end;
-            let budget = self.config.max_events - self.metrics.events_processed;
-            let env = RunEnv {
-                network: &self.config.network,
-                ttl: self.config.store_and_forward_ttl,
-                classifier: self.classifier.as_deref(),
-                plan: self.fault_plan.as_ref(),
-                trace_enabled: self.trace.enabled(),
-                need_kind,
-                device_count: self.device_count,
-                shard_count: 1,
-            };
-            let report = self.shards[0].run_window(
-                &env,
-                first_cell,
-                last_cell,
-                window_end,
-                deadline_us,
-                budget,
-                self.window_scratch.take(),
-            );
-            let mut targets = MergeTargets {
-                metrics: &mut self.metrics,
-                trace: &mut self.trace,
-                fault_counters: &mut self.fault_counters,
-                real_pending: &mut self.real_pending,
-                parked: &mut self.parked,
-                now: &mut self.now,
-            };
-            let mut reports = [report];
-            merge::merge_reports(&mut reports, &mut targets);
-            let [mut report] = reports;
-            report.out.reset();
-            report.fc.reset();
-            self.window_scratch = Some(report);
-        }
-        if deadline != SimTime::MAX {
-            self.now = deadline;
-        }
-        false
-    }
-
-    /// Windowed executor across worker threads (`shards > 1`). One
-    /// barrier per window: workers run the open cell concurrently, the
-    /// coordinator merges reports and routes cross-shard events.
-    fn run_windowed_parallel(&mut self, deadline: SimTime) -> bool {
-        let width = self.lookahead_us.max(1);
-        let shard_count = self.shards.len();
-        let need_kind = self.need_kind();
-        let deadline_us = deadline.as_micros();
-        let max_events = self.config.max_events;
-
+        let plan = self.fault_plan.as_ref();
+        let trace_enabled = self.world.state.trace.enabled();
+        let kind_rules = plan.is_some_and(|p| p.rules.iter().any(|r| r.matcher.kinds.is_some()));
         let env = RunEnv {
             network: &self.config.network,
             ttl: self.config.store_and_forward_ttl,
             classifier: self.classifier.as_deref(),
-            plan: self.fault_plan.as_ref(),
-            trace_enabled: self.trace.enabled(),
-            need_kind,
-            device_count: self.device_count,
-            shard_count,
+            plan,
+            trace_enabled,
+            // Classification only runs when something can consume it.
+            need_kind: self.classifier.is_some() && (trace_enabled || kind_rules),
+            device_count: self.world.device_count(),
+            shard_count: self.world.slices.len(),
+            deliveries_leave: false,
         };
-        let shards = &mut self.shards;
-        let cell_open_until = &mut self.cell_open_until;
-        let mut targets = MergeTargets {
-            metrics: &mut self.metrics,
-            trace: &mut self.trace,
-            fault_counters: &mut self.fault_counters,
-            real_pending: &mut self.real_pending,
-            parked: &mut self.parked,
-            now: &mut self.now,
-        };
-
-        let mut min_at: Option<u64> = None;
-        for sh in shards.iter_mut() {
-            min_at = match (min_at, sh.queue.peek_min_at().map(SimTime::as_micros)) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+        if self.world.state.lookahead_us == 0 || !plan.is_none_or(FaultPlan::is_window_safe) {
+            return run_fallback(&mut self.world, &env, &mut self.fault_holds, deadline);
         }
+        let mail = Mailboxes::new(env.shard_count);
+        let exit = self.world.run(&env, &mail, deadline, None);
+        // A deadline or budget stop can leave cross-shard events in
+        // flight; they go back into the owning queues.
+        mail.flush_into(&mut self.world.slices);
+        !matches!(exit, Ok(ExitReason::Quiescent))
+    }
+}
 
-        let ctl = Ctl::default();
-        let mailboxes: Vec<Mutex<Vec<Event>>> =
-            (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-        let slots: Vec<Mutex<Option<WindowReport>>> =
-            (0..shard_count).map(|_| Mutex::new(None)).collect();
-
-        let hit_deadline = std::thread::scope(|scope| {
-            for shard in shards.iter_mut() {
-                let env = &env;
-                let ctl = &ctl;
-                let mailboxes = &mailboxes[..];
-                let slots = &slots[..];
-                scope.spawn(move || merge::worker(shard, env, ctl, mailboxes, slots));
+/// Sequential fallback: pops events one at a time in global key order
+/// across all shard queues. Handles zero-lookahead latency models and
+/// stateful fault plans (`skip`/`limit`/`Reorder`).
+fn run_fallback(
+    world: &mut World,
+    env: &RunEnv<'_>,
+    holds: &mut Vec<Option<HeldMsg>>,
+    deadline: SimTime,
+) -> bool {
+    let World { slices, state, .. } = world;
+    let mut out = WindowOut::new(env.shard_count, env.trace_enabled);
+    loop {
+        // Locate the globally minimal key.
+        let mut best: Option<(usize, (SimTime, u64, u64))> = None;
+        for (i, sh) in slices.iter_mut().enumerate() {
+            if let Some(key) = sh.queue.peek_min_key() {
+                if best.is_none_or(|(_, bk)| key < bk) {
+                    best = Some((i, key));
+                }
             }
-            let mut expected_done = 0u64;
-            let mut reports: Vec<WindowReport> = Vec::with_capacity(shard_count);
-            let result = loop {
-                let Some(m) = min_at else { break false };
-                if m >= *cell_open_until && *targets.real_pending == 0 && *targets.parked == 0 {
-                    break false;
-                }
-                if m > deadline_us {
-                    *targets.now = deadline;
-                    break true;
-                }
-                if targets.metrics.events_processed >= max_events {
-                    break true;
-                }
-                // Same window geometry as the inline executor: one
-                // lookahead starting at the global minimum pending time.
-                let window_end = m.saturating_add(width);
-                let first_cell = m / width;
-                let last_cell = (window_end - 1) / width;
-                *cell_open_until = window_end;
-                ctl.first_cell.store(first_cell, Ordering::Relaxed);
-                ctl.last_cell.store(last_cell, Ordering::Relaxed);
-                ctl.window_end.store(window_end, Ordering::Relaxed);
-                ctl.clip.store(deadline_us, Ordering::Relaxed);
-                ctl.budget.store(
-                    max_events - targets.metrics.events_processed,
-                    Ordering::Relaxed,
-                );
-                // The gate's internal lock publishes the Relaxed stores
-                // above to workers woken by this bump.
-                ctl.generation.add(1);
-                expected_done += shard_count as u64;
-                ctl.done.wait_min(expected_done);
-                reports.clear();
-                let mut missing = false;
-                for slot in &slots {
-                    match merge::lock(slot).take() {
-                        Some(r) => reports.push(r),
-                        None => missing = true,
-                    }
-                }
-                if missing {
-                    // A worker died (actor panic); leaving the scope
-                    // joins the workers and propagates the panic.
-                    break false;
-                }
-                let summary = merge::merge_reports(&mut reports, &mut targets);
-                min_at = summary.next_min_at;
-                // Hand the emptied reports back through the slots so the
-                // next window reuses their buffers.
-                for (slot, mut report) in slots.iter().zip(reports.drain(..)) {
-                    report.out.reset();
-                    report.fc.reset();
-                    *merge::lock(slot) = Some(report);
-                }
-            };
-            ctl.stop.store(true, Ordering::Release);
-            // Wake parked workers so they observe `stop` and exit.
-            ctl.generation.add(1);
-            result
-        });
-        // Workers are joined; flush cross-shard events still sitting in
-        // mailboxes (a deadline or budget stop can leave some in flight)
-        // back into the owning queues.
-        for (dest, mb) in mailboxes.into_iter().enumerate() {
-            let mut evs = mb.into_inner().unwrap_or_else(|e| e.into_inner());
-            self.shards[dest].queue.push_batch(&mut evs);
         }
-        if hit_deadline {
+        let Some((si, (at, _, _))) = best else { break };
+        // Quiescence: churn toggles alone cannot create new work, so
+        // stop once no protocol events or parked messages remain.
+        if state.real_pending == 0 && state.parked == 0 {
+            break;
+        }
+        if at > deadline {
+            state.now = deadline;
             return true;
         }
-        if deadline != SimTime::MAX {
-            self.now = deadline;
+        if state.metrics.events_processed >= state.max_events {
+            return true;
         }
-        false
+        let Some(ev) = slices[si].queue.pop_min() else {
+            break;
+        };
+        state.now = ev.at;
+        out.reset();
+        slices[si].process_event(
+            ev,
+            env,
+            &mut out,
+            0,
+            &mut state.fault_counters,
+            Some(&mut *holds),
+        );
+        // Apply effects immediately, in execution order.
+        apply_deltas(&mut state.metrics, &out.deltas);
+        state.real_pending = ((state.real_pending as i64) + out.deltas.real_pending).max(0) as u64;
+        state.parked = ((state.parked as i64) + out.deltas.parked).max(0) as u64;
+        for entry in out.journal.drain(..) {
+            match entry.item {
+                JItem::Trace(ev) => state.trace.record(entry.at, ev),
+                JItem::Observe(name, value) => state.metrics.observe(name, value),
+            }
+        }
+        for (dest, evs) in out.outbound.iter_mut().enumerate() {
+            if !evs.is_empty() {
+                slices[dest].queue.push_batch(evs);
+            }
+        }
     }
+    if deadline != SimTime::MAX {
+        state.now = deadline;
+    }
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actor::{Context, TimerToken};
-    use crate::fault::{FaultAction, FaultRule};
+    use crate::churn::{Availability, CrashPlan};
+    use crate::fault::{CrashCause, FaultAction, FaultRule};
     use crate::network::LatencyModel;
     use crate::trace::TraceEvent;
     use std::sync::{Arc, Mutex};

@@ -13,7 +13,11 @@
 //!   corruption probabilities;
 //! * [`churn`] — per-device availability (up/down renewal process) and
 //!   crash-stop failure injection;
-//! * [`engine`] — the event loop gluing it all together;
+//! * [`exec`] — the executor core shared with the live and socket
+//!   runtimes: the slice executor, device registration, the window
+//!   decision loop and the barrier merge;
+//! * [`engine`] — the simulator host around that core (churn,
+//!   store-and-forward, fault plans, the sequential fallback);
 //! * [`metrics`] — counters every experiment reports (messages, bytes,
 //!   drops, delays);
 //! * [`trace`] — an optional bounded event log, the textual equivalent of
@@ -33,10 +37,9 @@
 
 pub mod actor;
 pub mod churn;
-pub mod endpoint;
 pub mod engine;
+pub mod exec;
 pub mod fault;
-pub(crate) mod merge;
 pub mod metrics;
 pub mod network;
 pub(crate) mod scheduler;
@@ -46,7 +49,6 @@ pub mod trace;
 
 pub use actor::{Actor, Command, Context, TimerToken};
 pub use churn::{Availability, CrashPlan};
-pub use endpoint::SimEndpoint;
 pub use engine::{DeviceConfig, SimConfig, Simulation};
 pub use fault::{
     evaluate_plan, Classifier, CrashCause, FaultAction, FaultCounters, FaultKind, FaultPlan,

@@ -25,12 +25,13 @@ use crate::fault::CrashCause;
 use crate::time::SimTime;
 use edgelet_util::ids::DeviceId;
 use edgelet_util::Payload;
+use edgelet_wire::Envelope;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// What a scheduled event does when it pops.
 #[derive(Debug)]
-pub(crate) enum EventKind {
+pub enum EventKind {
     /// Run the actor's `on_start` on the device.
     Start(DeviceId),
     /// Hand a message to the receiving device.
@@ -78,7 +79,7 @@ impl EventKind {
 
 /// A scheduled event with its globally unique, shard-independent key.
 #[derive(Debug)]
-pub(crate) struct Event {
+pub struct Event {
     /// Virtual time at which the event executes.
     pub at: SimTime,
     /// Raw id of the device whose processing spawned this event.
@@ -95,6 +96,57 @@ impl Event {
     /// under any shard layout.
     pub fn key(&self) -> (SimTime, u64, u64) {
         (self.at, self.origin, self.seq)
+    }
+
+    /// The transport form of a `Deliver` event leaving its slice, stamped
+    /// with the host's `epoch`; `None` for every other kind (they never
+    /// leave the slice that spawned them). Together with
+    /// [`Event::from`] this is the one bridge between the executor and a
+    /// message fabric, and it is lossless: the envelope carries the whole
+    /// intrinsic key `(deliver_at, from, seq)`, so a delivery that
+    /// crossed a transport schedules exactly where a local one would.
+    pub fn into_envelope(self, epoch: u64) -> Option<Envelope> {
+        let EventKind::Deliver {
+            to,
+            from,
+            payload,
+            sent_at,
+        } = self.kind
+        else {
+            return None;
+        };
+        debug_assert_eq!(
+            self.origin,
+            from.raw(),
+            "deliveries leave under the sender's key"
+        );
+        Some(Envelope {
+            epoch,
+            from,
+            to,
+            seq: self.seq,
+            sent_at_us: sent_at.as_micros(),
+            deliver_at_us: self.at.as_micros(),
+            payload,
+        })
+    }
+}
+
+impl From<Envelope> for Event {
+    /// The inverse of [`Event::into_envelope`] (the epoch is the
+    /// fabric's concern and is dropped).
+    fn from(e: Envelope) -> Event {
+        Event {
+            at: SimTime::from_micros(e.deliver_at_us),
+            origin: e.from.raw(),
+            seq: e.seq,
+            kind: EventKind::Deliver {
+                to: e.to,
+                from: e.from,
+                payload: e.payload,
+                sent_at: SimTime::from_micros(e.sent_at_us),
+            },
+        }
     }
 }
 
@@ -149,6 +201,11 @@ impl CalendarQueue {
             len: 0,
             pool: Vec::new(),
         }
+    }
+
+    /// The cell width, µs.
+    pub fn width_us(&self) -> u64 {
+        self.width_us
     }
 
     /// Number of pending events.
@@ -312,6 +369,29 @@ mod tests {
             seq,
             kind: EventKind::ChurnToggle(DeviceId::new(origin)),
         }
+    }
+
+    /// The property the transport bridge rests on: an envelope re-enters
+    /// the executor under exactly the key it left with, whatever epoch
+    /// the fabric stamped on it, and survives its wire form on the way.
+    #[test]
+    fn deliveries_cross_a_transport_with_their_key_intact() {
+        let env = Envelope {
+            epoch: 9,
+            from: DeviceId::new(4),
+            to: DeviceId::new(7),
+            seq: 41,
+            sent_at_us: 1_000,
+            deliver_at_us: 21_000,
+            payload: Payload::from(b"over-the-wire".as_ref()),
+        };
+        let wire = Envelope::from_wire(&env.to_wire()).map(Event::from);
+        let delivery = wire.expect("a well-formed envelope");
+        assert_eq!(delivery.key(), (SimTime::from_micros(21_000), 4, 41));
+        assert_eq!(delivery.kind.target(), DeviceId::new(7));
+        assert_eq!(delivery.into_envelope(9), Some(env));
+        // Nothing but a delivery ever leaves its slice.
+        assert_eq!(ev(5, 0, 0).into_envelope(9), None);
     }
 
     #[test]

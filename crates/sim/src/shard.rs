@@ -1,5 +1,8 @@
-//! One shard of the sharded simulation: device state and the event
-//! executor.
+//! One slice of a world: device state and the per-event executor —
+//! the only one in the workspace. The simulator's shards, the live
+//! runtime's workers and the socket runtime's worker processes are all
+//! [`Shard`]s; what differs per host is the [`RunEnv`] it passes in
+//! (DESIGN.md §"One executor, three barriers").
 //!
 //! Devices are partitioned across shards deterministically by id
 //! (`device_id % shard_count`), and every event executes on the shard
@@ -30,52 +33,80 @@ use edgelet_util::Payload;
 use std::collections::{BTreeSet, BinaryHeap};
 
 /// Per-device mutable state. Owned by exactly one shard.
-pub(crate) struct DeviceState {
-    pub up: bool,
-    pub crashed: bool,
-    pub halted: bool,
-    pub actor: Option<Box<dyn Actor>>,
+pub struct DeviceState {
+    pub(crate) up: bool,
+    pub(crate) crashed: bool,
+    pub(crate) halted: bool,
+    pub(crate) actor: Option<Box<dyn Actor>>,
     /// Actor-visible randomness (forked per device).
-    pub rng: DetRng,
+    pub(crate) rng: DetRng,
     /// Drives this device's availability renewal process.
-    pub churn_rng: DetRng,
+    pub(crate) churn_rng: DetRng,
     /// Drives network fate/latency draws for messages this device sends.
     /// Keeping the stream per-sender (instead of one global network RNG)
     /// makes every draw independent of event interleaving, which is what
     /// lets shard counts vary without changing outcomes.
-    pub net_rng: DetRng,
-    pub next_timer: u64,
+    pub(crate) net_rng: DetRng,
+    pub(crate) next_timer: u64,
     /// Private spawn counter: the `seq` component of every event this
     /// device spawns.
-    pub spawn_seq: u64,
-    pub cancelled: BTreeSet<TimerToken>,
-    pub availability: Availability,
+    pub(crate) spawn_seq: u64,
+    pub(crate) cancelled: BTreeSet<TimerToken>,
+    pub(crate) availability: Availability,
     /// Messages waiting for this (down) sender to reconnect.
-    pub outbox: Vec<(DeviceId, Payload, SimTime)>,
+    pub(crate) outbox: Vec<(DeviceId, Payload, SimTime)>,
     /// Messages waiting for this (down) receiver to reconnect.
-    pub inbox: Vec<(DeviceId, Payload, SimTime)>,
+    pub(crate) inbox: Vec<(DeviceId, Payload, SimTime)>,
+}
+
+impl DeviceState {
+    /// Whether the device is connected (and has not crashed).
+    pub fn is_up(&self) -> bool {
+        self.up && !self.crashed
+    }
+
+    /// Whether the device has crash-stopped.
+    pub fn is_crashed(&self) -> bool {
+        self.crashed
+    }
 }
 
 /// Borrowed form of [`crate::fault::Classifier`].
-pub(crate) type ClassifierRef<'a> = &'a (dyn Fn(&[u8]) -> Option<u16> + Send + Sync);
+pub type ClassifierRef<'a> = &'a (dyn Fn(&[u8]) -> Option<u16> + Send + Sync);
 
-/// Immutable per-run context shared by all shards.
-pub(crate) struct RunEnv<'a> {
+/// Immutable per-run context shared by all shards. A host's
+/// capabilities are this data, not code paths: a world with no fault
+/// plan, no TTL and always-up devices simply never reaches the fault,
+/// store-and-forward and churn branches of the executor.
+pub struct RunEnv<'a> {
+    /// The link model applied to every message.
     pub network: &'a NetworkModel,
+    /// Store-and-forward TTL for parked messages.
     pub ttl: Option<Duration>,
+    /// Payload → protocol-kind classifier.
     pub classifier: Option<ClassifierRef<'a>>,
+    /// The installed fault plan.
     pub plan: Option<&'a FaultPlan>,
+    /// Whether trace events are journaled.
     pub trace_enabled: bool,
     /// Whether the classifier must run at all: only when a kind-restricted
     /// fault rule or the trace can consume the result.
     pub need_kind: bool,
+    /// Total registered devices (send bound).
     pub device_count: usize,
+    /// Number of slices the population is partitioned into.
     pub shard_count: usize,
+    /// Whether a `Deliver` event addressed to the spawning slice itself
+    /// also leaves through `outbound` (the host carries every message
+    /// over its fabric) instead of short-cutting into the local queue.
+    /// The lookahead puts either route in a later window, so this moves
+    /// bytes, never outcomes.
+    pub deliveries_leave: bool,
 }
 
 /// A journal item: a side effect whose global ordering matters.
-#[derive(Debug)]
-pub(crate) enum JItem {
+#[derive(Debug, Clone, PartialEq)]
+pub enum JItem {
     /// A trace record.
     Trace(TraceEvent),
     /// A named metric observation.
@@ -86,30 +117,53 @@ pub(crate) enum JItem {
 /// plus an intra-event counter. Sorting by `(at, origin, seq, intra)`
 /// reconstructs one canonical global order from any per-shard
 /// interleaving.
-#[derive(Debug)]
-pub(crate) struct JEntry {
+#[derive(Debug, Clone, PartialEq)]
+pub struct JEntry {
+    /// Virtual time of the producing event.
     pub at: SimTime,
+    /// Raw id of the device that spawned the producing event.
     pub origin: u64,
+    /// The producing event's spawn sequence number.
     pub seq: u64,
+    /// Ordinal of this side effect within the producing event.
     pub intra: u32,
+    /// The side effect itself.
     pub item: JItem,
+}
+
+impl JEntry {
+    /// The canonical merge key.
+    pub fn key(&self) -> (SimTime, u64, u64, u32) {
+        (self.at, self.origin, self.seq, self.intra)
+    }
 }
 
 /// Commutative metric deltas accumulated by one shard over one window
 /// (or one event, in the fallback executor). Summing deltas from any
 /// partition of the same event set yields identical totals.
-#[derive(Debug, Default)]
-pub(crate) struct Deltas {
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct Deltas {
+    /// Messages submitted by actors.
     pub sent: u64,
+    /// Messages handed to receiving actors.
     pub delivered: u64,
+    /// Messages dropped (network fate, fault rule, TTL, dead fabric).
     pub dropped: u64,
+    /// Messages corrupted in transit.
     pub corrupted: u64,
+    /// Messages discarded at a crashed receiver.
     pub to_crashed: u64,
+    /// Messages parked in a store-and-forward queue.
     pub deferred: u64,
+    /// Payload bytes submitted.
     pub bytes_sent: u64,
+    /// Delivery-delay samples.
     pub delay: DelayStats,
+    /// Up → down transitions.
     pub disconnections: u64,
+    /// Crash events applied.
     pub crashes: u64,
+    /// Events processed.
     pub events: u64,
     /// Net change in pending non-churn events (+spawned, -processed).
     pub real_pending: i64,
@@ -121,10 +175,13 @@ pub(crate) struct Deltas {
 
 /// Buffered side effects of executing events on one shard.
 #[derive(Debug)]
-pub(crate) struct WindowOut {
+pub struct WindowOut {
+    /// Ordered side effects; sorted by [`JEntry::key`] once the window
+    /// is done.
     pub journal: Vec<JEntry>,
     /// Events destined to other shards, indexed by destination shard.
     pub outbound: Vec<Vec<Event>>,
+    /// Commutative counter deltas.
     pub deltas: Deltas,
     trace_on: bool,
     /// Key of the event currently being processed.
@@ -133,6 +190,7 @@ pub(crate) struct WindowOut {
 }
 
 impl WindowOut {
+    /// Empty buffers for a slice of a `shard_count`-slice world.
     pub fn new(shard_count: usize, trace_on: bool) -> Self {
         WindowOut {
             journal: Vec::new(),
@@ -146,7 +204,7 @@ impl WindowOut {
 
     /// Clears buffered effects while keeping capacity (fallback executor
     /// reuses one `WindowOut` across events).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.journal.clear();
         for v in &mut self.outbound {
             v.clear();
@@ -182,9 +240,25 @@ impl WindowOut {
     }
 }
 
+/// One conservative window `[start_us, end_us)`, as the decision loop
+/// hands it to every slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// The global minimum pending time the window is anchored at, µs.
+    pub start_us: u64,
+    /// Exclusive end: `start_us` plus one lookahead, µs.
+    pub end_us: u64,
+    /// Deadline clamp (inclusive), µs: later events stay queued.
+    pub clip_us: u64,
+    /// Events each slice may still process (`max_events` minus the
+    /// events processed so far).
+    pub budget: u64,
+}
+
 /// Result of running one window on one shard.
 #[derive(Debug)]
-pub(crate) struct WindowReport {
+pub struct WindowReport {
+    /// The window's buffered side effects.
     pub out: WindowOut,
     /// Per-window fault counters (zero-based; merged at the barrier).
     pub fc: FaultCounters,
@@ -194,6 +268,35 @@ pub(crate) struct WindowReport {
     pub outbound_min_at: Option<u64>,
     /// The shard stopped early because it exhausted the event budget.
     pub hit_budget: bool,
+}
+
+impl WindowReport {
+    /// A report assembled from parts that crossed a process boundary
+    /// (the socket barrier): no outbound buffers, no fault counters.
+    pub fn from_remote(
+        deltas: Deltas,
+        journal: Vec<JEntry>,
+        queue_min_at: Option<u64>,
+        hit_budget: bool,
+    ) -> Self {
+        let mut out = WindowOut::new(0, true);
+        out.deltas = deltas;
+        out.journal = journal;
+        WindowReport {
+            out,
+            fc: FaultCounters::default(),
+            queue_min_at,
+            outbound_min_at: None,
+            hit_budget,
+        }
+    }
+
+    /// Empties a merged report, keeping buffer capacity, so the next
+    /// window on the same slice allocates nothing.
+    pub fn recycle(&mut self) {
+        self.out.reset();
+        self.fc.reset();
+    }
 }
 
 /// Mutable references threaded through one event's execution.
@@ -212,21 +315,21 @@ struct Exec<'a, 'b> {
 }
 
 /// One shard: a slice of the device population plus its event queue.
-pub(crate) struct Shard {
-    pub idx: usize,
-    pub shard_count: usize,
+pub struct Shard {
+    pub(crate) idx: usize,
+    pub(crate) shard_count: usize,
     /// Devices with `id % shard_count == idx`, indexed by `id / shard_count`.
-    pub devices: Vec<DeviceState>,
-    pub queue: CalendarQueue,
+    pub(crate) devices: Vec<DeviceState>,
+    pub(crate) queue: CalendarQueue,
     /// Working heap for events inside the currently open window.
     window: BinaryHeap<Event>,
     /// Scratch buffer for returning window remainders to the calendar
     /// queue in one batch (kept across windows to avoid reallocation).
-    spill: Vec<Event>,
+    pub(crate) spill: Vec<Event>,
 }
 
 impl Shard {
-    pub fn new(idx: usize, shard_count: usize, width_us: u64) -> Self {
+    pub(crate) fn new(idx: usize, shard_count: usize, width_us: u64) -> Self {
         Shard {
             idx,
             shard_count,
@@ -237,12 +340,28 @@ impl Shard {
         }
     }
 
-    pub fn device_mut(&mut self, id: DeviceId) -> &mut DeviceState {
+    /// This slice's index in `0..shard_count`.
+    pub fn idx(&self) -> usize {
+        self.idx
+    }
+
+    /// Queues an event that arrived over the host's fabric.
+    pub fn push(&mut self, ev: Event) {
+        debug_assert_eq!(ev.kind.target().index() % self.shard_count, self.idx);
+        self.queue.push(ev);
+    }
+
+    /// Earliest pending event time in this slice's queue, µs.
+    pub fn pending_min(&mut self) -> Option<u64> {
+        self.queue.peek_min_at().map(SimTime::as_micros)
+    }
+
+    pub(crate) fn device_mut(&mut self, id: DeviceId) -> &mut DeviceState {
         debug_assert_eq!(id.index() % self.shard_count, self.idx);
         &mut self.devices[id.index() / self.shard_count]
     }
 
-    pub fn device(&self, id: DeviceId) -> &DeviceState {
+    pub(crate) fn device(&self, id: DeviceId) -> &DeviceState {
         debug_assert_eq!(id.index() % self.shard_count, self.idx);
         &self.devices[id.index() / self.shard_count]
     }
@@ -263,24 +382,32 @@ impl Shard {
             seq,
             kind,
         };
+        self.enqueue(ev, cx);
+    }
+
+    /// Routes a freshly keyed event: the in-window heap or this shard's
+    /// queue when it stays here, the destination's outbound buffer when
+    /// it leaves (another slice's device, or any delivery when the host
+    /// carries them all).
+    fn enqueue(&mut self, ev: Event, cx: &mut Exec<'_, '_>) {
         if !ev.kind.is_churn() {
             cx.out.deltas.real_pending += 1;
         }
         let dest = ev.kind.target().index() % self.shard_count;
-        if dest == self.idx {
-            if at.as_micros() < cx.window_end_us {
-                self.window.push(ev);
-            } else {
-                self.queue.push(ev);
-            }
-        } else {
+        let leaves = dest != self.idx
+            || (cx.env.deliveries_leave && matches!(ev.kind, EventKind::Deliver { .. }));
+        if leaves {
             cx.out.outbound[dest].push(ev);
+        } else if ev.at.as_micros() < cx.window_end_us {
+            self.window.push(ev);
+        } else {
+            self.queue.push(ev);
         }
     }
 
     /// Executes one event. The only mutable state touched is this shard's
     /// (in fact: the target device's); everything else flows into `out`.
-    pub fn process_event(
+    pub(crate) fn process_event(
         &mut self,
         ev: Event,
         env: &RunEnv<'_>,
@@ -775,67 +902,47 @@ impl Shard {
                 sent_at,
             },
         };
-        cx.out.deltas.real_pending += 1;
-        let dest = to.index() % self.shard_count;
-        if dest == self.idx {
-            if at.as_micros() < cx.window_end_us {
-                self.window.push(ev);
-            } else {
-                self.queue.push(ev);
-            }
-        } else {
-            cx.out.outbound[dest].push(ev);
-        }
+        self.enqueue(ev, cx);
         Some(at)
     }
 
-    /// Runs one conservative window `[window_start, window_end_us)` on
-    /// this shard: pulls the covered calendar cells
-    /// (`first_cell..=last_cell`, at most two — the window spans one
-    /// lookahead starting at the global minimum pending time) into the
-    /// working heap, processes events with `at < window_end_us` and
-    /// `at <= clip_us` (the deadline clamp) up to `budget` events, then
-    /// returns unprocessed events to the queue in one batch. All side
-    /// effects land in the returned report, with the journal pre-sorted
-    /// by the intrinsic event key so the barrier can k-way-merge the
-    /// shards' journals without re-sorting.
+    /// Runs one conservative window on this shard: pulls the covered
+    /// calendar cells (at most two — the window spans one lookahead
+    /// starting at the global minimum pending time) into the working
+    /// heap, processes events with `at < end_us` and `at <= clip_us` (the
+    /// deadline clamp) up to `budget` events, then returns unprocessed
+    /// events to the queue in one batch. All side effects land in the
+    /// returned report, with the journal pre-sorted by the intrinsic
+    /// event key so the barrier can k-way-merge the shards' journals
+    /// without re-sorting.
     ///
     /// `reuse` recycles the previous window's report (buffers cleared by
     /// the barrier), so steady-state windows allocate nothing.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_window(
         &mut self,
         env: &RunEnv<'_>,
-        first_cell: u64,
-        last_cell: u64,
-        window_end_us: u64,
-        clip_us: u64,
-        budget: u64,
+        window: &Window,
         reuse: Option<WindowReport>,
     ) -> WindowReport {
+        // Reports are recycled within one run only, so a reused one was
+        // sized for this very plan.
         let (mut out, mut fc) = match reuse {
-            Some(r) => {
-                debug_assert!(r.out.journal.is_empty());
-                let rule_count = env.plan.map_or(0, |p| p.rules.len());
-                let fc = if r.fc.matched.len() == rule_count {
-                    r.fc
-                } else {
-                    // The fault plan changed between runs; rebuild.
-                    match env.plan {
-                        Some(plan) => FaultCounters::for_plan(plan),
-                        None => FaultCounters::default(),
-                    }
-                };
-                (r.out, fc)
-            }
+            Some(r) => (r.out, r.fc),
             None => (
                 WindowOut::new(env.shard_count, env.trace_enabled),
-                match env.plan {
-                    Some(plan) => FaultCounters::for_plan(plan),
-                    None => FaultCounters::default(),
-                },
+                env.plan.map(FaultCounters::for_plan).unwrap_or_default(),
             ),
         };
+        debug_assert!(out.journal.is_empty());
+        let Window {
+            start_us,
+            end_us: window_end_us,
+            clip_us,
+            budget,
+        } = *window;
+        let width = self.queue.width_us();
+        let first_cell = start_us / width;
+        let last_cell = window_end_us.saturating_sub(1) / width;
         if let Some(mut cell) = self.queue.take_cell(first_cell) {
             // The first cell is entirely inside the window: every event
             // is >= the global minimum and < first_cell_end <= window_end.
