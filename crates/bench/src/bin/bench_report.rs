@@ -1,86 +1,79 @@
-//! Emits the committed performance snapshot (`BENCH_baseline.json` /
-//! `BENCH_current.json` at the repository root).
-//!
-//! Usage:
+//! Runs the micro-suites of [`edgelet_bench::report`] and prints each as
+//! `median [q1–q3]`.
 //!
 //! ```text
-//! cargo run --release -p edgelet-bench --bin bench_report -- --baseline
 //! cargo run --release -p edgelet-bench --bin bench_report
+//! cargo run --release -p edgelet-bench --bin bench_report -- --suite store/ --out /tmp/store.json
 //! ```
 //!
-//! `--baseline` writes `BENCH_baseline.json`; the default writes
-//! `BENCH_current.json` and, when a baseline file exists next to it,
-//! prints a per-suite comparison. `--out <path>` overrides the output
-//! path. Run from the repository root so the files land beside the
-//! manifest; see docs/PERF.md for methodology.
+//! `--suite <prefix>` runs only the suites whose name starts with the
+//! prefix; `--out <path>` also writes the results as JSON
+//! (`edgelet-bench-report/v2`). Nothing is compared and nothing gates: a
+//! performance claim is judged on `benchmark/` (docs/PERF.md).
 
-use edgelet_bench::report;
-use std::path::PathBuf;
+use edgelet_bench::report::{self, Suite};
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("usage: bench_report [--suite <prefix>] [--out <path>]");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mut baseline = false;
-    let mut out: Option<PathBuf> = None;
+    let mut prefix = String::new();
+    let mut out: Option<String> = None;
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} requires a value")))
+        };
         match arg.as_str() {
-            "--baseline" => baseline = true,
-            "--out" => {
-                let path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-                out = Some(PathBuf::from(path));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_report [--baseline] [--out <path>]");
-                std::process::exit(2);
-            }
+            "--suite" => prefix = value(),
+            "--out" => out = Some(value()),
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
-    let out = out.unwrap_or_else(|| {
-        PathBuf::from(if baseline {
-            "BENCH_baseline.json"
-        } else {
-            "BENCH_current.json"
-        })
-    });
+    let all = report::suites();
+    let selected: Vec<&Suite> = all.iter().filter(|s| s.name.starts_with(&prefix)).collect();
+    if selected.is_empty() {
+        let known: Vec<&str> = all.iter().map(|s| s.name).collect();
+        usage_error(&format!(
+            "--suite {prefix} matches no suite; known suites: {}",
+            known.join(", ")
+        ));
+    }
 
-    eprintln!(
-        "bench_report: median of {} samples per suite, rev {}",
+    println!(
+        "bench_report: median [q1–q3] of {} samples per suite, rev {}, {} logical cpu(s)",
         report::SAMPLES,
-        report::git_revision()
+        report::git_revision(),
+        report::available_parallelism()
     );
-    let results = report::run_all();
-    for r in &results {
-        println!(
-            "{:<52} median {:>14.1} ns  shards {}  workers {}  {}  {} {:.1}",
-            r.name, r.median_ns, r.shards, r.workers, r.transport, r.throughput.0, r.throughput.1
-        );
-    }
-    let json = report::to_json(&results);
-    std::fs::write(&out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", out.display());
-        std::process::exit(1);
-    });
-    println!("wrote {}", out.display());
-
-    // When emitting the current snapshot, compare against the committed
-    // baseline if one sits next to the output file.
-    if !baseline {
-        let base_path = out.with_file_name("BENCH_baseline.json");
-        if let Ok(base) = std::fs::read_to_string(&base_path) {
-            println!("\nvs {}:", base_path.display());
-            for r in &results {
-                match report::median_from_json(&base, r.name) {
-                    Some(b) if b > 0.0 => {
-                        let speedup = b / r.median_ns;
-                        let delta = (b - r.median_ns) / b * 100.0;
-                        println!("{:<52} {:>6.2}x ({:+.1}% time)", r.name, speedup, -delta);
-                    }
-                    _ => println!("{:<52} (no baseline entry)", r.name),
-                }
-            }
-        }
+    let results: Vec<_> = selected
+        .iter()
+        .map(|suite| {
+            let r = suite.run();
+            println!(
+                "{:<60} {:>13.1} ns [{:.1}–{:.1}]  shards {}  workers {}  {}  {} {:.1}",
+                r.name,
+                r.median_ns,
+                r.q1_ns,
+                r.q3_ns,
+                r.shards,
+                r.workers,
+                r.transport,
+                r.throughput.0,
+                r.throughput.1
+            );
+            r
+        })
+        .collect();
+    if let Some(path) = out {
+        std::fs::write(&path, report::to_json(&results)).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        println!("wrote {path}");
     }
 }

@@ -1,31 +1,42 @@
-//! Shared helpers for the experiment binaries (`src/bin/`) and Criterion
-//! benches (`benches/`).
+//! The reproduction's two measuring instruments, each with one entry
+//! point:
 //!
-//! Every binary regenerates one of the paper's figures or §3.3 claims and
-//! prints the series as a plain table plus CSV; EXPERIMENTS.md records the
-//! outputs. See DESIGN.md §4 for the experiment index.
+//! * [`experiments`] — the paper's figures and §3.3 claims as the E1–E14
+//!   registry behind the `experiments` binary. EXPERIMENTS.md is its
+//!   committed record: it holds each table, and `tests/experiments.rs`
+//!   fails when one moves.
+//! * [`report`] — the wall-clock micro-suites behind `bench_report`.
+//!   They explain a move of `benchmark/`'s numbers; they carry no claim,
+//!   so no record of them is committed.
+//!
+//! This file holds what both share: the standard queries and the
+//! seed-parallel [`sweep`].
 
+pub mod experiments;
 pub mod report;
 
 use edgelet_core::prelude::*;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Standard survey query used across experiments: count + mean BMI by sex
 /// and overall, over the 65+ population.
 pub fn survey_spec(platform: &mut Platform, c: usize) -> QuerySpec {
-    platform.grouping_query(
+    census_like(
+        platform,
         Predicate::cmp("age", CmpOp::Gt, Value::Int(65)),
         c,
-        &[&["sex"], &[]],
-        vec![AggSpec::count_star(), AggSpec::over(AggKind::Avg, "bmi")],
     )
 }
 
 /// Standard unfiltered variant (every contributor eligible) for sweeps
 /// where bucket starvation must not confound the measurement.
 pub fn census_spec(platform: &mut Platform, c: usize) -> QuerySpec {
+    census_like(platform, Predicate::True, c)
+}
+
+fn census_like(platform: &mut Platform, filter: Predicate, c: usize) -> QuerySpec {
     platform.grouping_query(
-        Predicate::True,
+        filter,
         c,
         &[&["sex"], &[]],
         vec![AggSpec::count_star(), AggSpec::over(AggKind::Avg, "bmi")],
@@ -51,90 +62,123 @@ pub struct SweepPoint {
     pub mean_m: f64,
 }
 
-/// Runs `trials` independent seeds of one configuration in parallel and
+/// Runs seeds `0..trials` of one configuration in parallel and
 /// aggregates. `make_run` builds a platform and executes one query.
+///
+/// Each run lands in its seed's slot and the slots are folded in seed
+/// order once every thread has joined, so the result is a function of
+/// the seeds alone — not of the core count or of which thread finished
+/// first (float addition does not commute bit for bit).
 pub fn sweep<F>(trials: usize, make_run: F) -> SweepPoint
 where
-    F: Fn(u64) -> edgelet_core::platform::RunResult + Sync,
+    F: Fn(u64) -> RunResult + Sync,
 {
-    let acc = Mutex::new((SweepPoint::default(), 0usize, 0.0f64));
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(trials.max(1));
+    let mut runs: Vec<Option<RunResult>> = vec![None; trials];
     std::thread::scope(|scope| {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(trials.max(1));
-        for _ in 0..threads {
-            let next = &next;
-            let acc = &acc;
-            let make_run = &make_run;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= trials {
-                    break;
-                }
-                let run = make_run(i as u64);
-                let mut guard = acc.lock().expect("sweep accumulator");
-                let (point, completed_n, completion_sum) = &mut *guard;
-                point.trials += 1;
-                if run.report.completed {
-                    point.completed += 1;
-                    *completed_n += 1;
-                    *completion_sum += run.report.completion_secs.unwrap_or(0.0);
-                }
-                if run.report.valid {
-                    point.valid += 1;
-                }
-                point.mean_messages += run.report.messages_sent as f64;
-                point.mean_bytes += run.report.bytes_sent as f64;
-                point.mean_m += run.plan.m as f64;
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let seed = next.fetch_add(1, Ordering::Relaxed);
+                        if seed >= trials {
+                            break mine;
+                        }
+                        mine.push((seed, make_run(seed as u64)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (seed, run) in worker.join().expect("a sweep trial panicked") {
+                runs[seed] = Some(run);
+            }
         }
     });
-    let (mut point, completed_n, completion_sum) = acc.into_inner().expect("sweep accumulator");
-    if point.trials > 0 {
-        point.mean_messages /= point.trials as f64;
-        point.mean_bytes /= point.trials as f64;
-        point.mean_m /= point.trials as f64;
+
+    let mut point = SweepPoint {
+        trials,
+        ..SweepPoint::default()
+    };
+    let mut completion_sum = 0.0f64;
+    for run in runs.iter().flatten() {
+        if run.report.completed {
+            point.completed += 1;
+            completion_sum += run.report.completion_secs.unwrap_or(0.0);
+        }
+        if run.report.valid {
+            point.valid += 1;
+        }
+        point.mean_messages += run.report.messages_sent as f64;
+        point.mean_bytes += run.report.bytes_sent as f64;
+        point.mean_m += run.plan.m as f64;
     }
-    if completed_n > 0 {
-        point.mean_completion_secs = completion_sum / completed_n as f64;
+    if trials > 0 {
+        point.mean_messages /= trials as f64;
+        point.mean_bytes /= trials as f64;
+        point.mean_m /= trials as f64;
+    }
+    if point.completed > 0 {
+        point.mean_completion_secs = completion_sum / point.completed as f64;
     }
     point
-}
-
-/// Prints a table followed by its CSV form (for plotting).
-pub fn emit(table: &edgelet_core::util::table::Table) {
-    println!("{}", table.render());
-    println!("--- csv ---\n{}", table.render_csv());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn one_run(seed: u64) -> RunResult {
+        let mut p = Platform::build(PlatformConfig {
+            seed,
+            contributors: 600,
+            processors: 40,
+            network: NetworkProfile::Internet,
+            ..PlatformConfig::default()
+        });
+        let spec = census_spec(&mut p, 100);
+        p.run_query(
+            &spec,
+            &PrivacyConfig::none().with_max_tuples(50),
+            &ResilienceConfig::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn sweep_aggregates_across_seeds() {
-        let point = sweep(4, |seed| {
-            let mut p = Platform::build(PlatformConfig {
-                seed,
-                contributors: 600,
-                processors: 40,
-                network: NetworkProfile::Reliable,
-                ..PlatformConfig::default()
-            });
-            let spec = census_spec(&mut p, 100);
-            p.run_query(
-                &spec,
-                &PrivacyConfig::none().with_max_tuples(50),
-                &ResilienceConfig::default(),
-            )
-            .unwrap()
-        });
+        let point = sweep(4, one_run);
         assert_eq!(point.trials, 4);
         assert_eq!(point.completed, 4);
         assert_eq!(point.valid, 4);
         assert!(point.mean_messages > 0.0);
         assert!(point.mean_completion_secs > 0.0);
+    }
+
+    /// The pinned tables print `mean t (s)`, so the parallel sweep must
+    /// equal a plain loop over the same seeds bit for bit.
+    #[test]
+    fn parallel_sweep_equals_a_sequential_fold_in_seed_order() {
+        const TRIALS: usize = 6;
+        let point = sweep(TRIALS, one_run);
+        let (mut secs, mut msgs) = (0.0f64, 0.0f64);
+        for seed in 0..TRIALS as u64 {
+            let report = one_run(seed).report;
+            secs += report.completion_secs.expect("a lossless crowd completes");
+            msgs += report.messages_sent as f64;
+        }
+        assert_eq!(
+            point.mean_completion_secs.to_bits(),
+            (secs / TRIALS as f64).to_bits()
+        );
+        assert_eq!(
+            point.mean_messages.to_bits(),
+            (msgs / TRIALS as f64).to_bits()
+        );
     }
 }

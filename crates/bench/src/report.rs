@@ -1,18 +1,16 @@
-//! Reproducible performance report: the workloads behind `bench_report`.
+//! The wall-clock micro-suites behind `bench_report`.
 //!
-//! The criterion suites under `benches/` are interactive tools; this
-//! module is the *durable* record. `cargo run -p edgelet-bench --bin
-//! bench_report` times four representative workloads — the k-means
-//! kernel, wire encode/decode, a broadcast-heavy simulator scenario, and
-//! a full end-to-end query — and emits a JSON snapshot (`BENCH_*.json`
-//! at the repo root) so performance PRs carry their own evidence and
-//! future PRs have a trajectory to compare against.
-//!
-//! Suite names intentionally mirror the criterion benchmark IDs.
+//! One registry ([`suites`]), one runner: `bench_report [--suite <prefix>]
+//! [--out <path>]` times each suite [`SAMPLES`] times after a warm-up and
+//! reports the median with its quartiles and the machine's core count.
+//! The suites explain a move of `benchmark/`'s end-to-end numbers — which
+//! layer, in isolation, got cheaper or dearer; a claim is judged there,
+//! never here. A kernel lives in exactly one place: what
+//! `benchmark/src/isolated.rs` already times (Lloyd step, grouping,
+//! AEAD, frame codec, socket ping) has no suite in this file.
 
-use edgelet_core::ml::gen::gaussian_mixture;
-use edgelet_core::ml::kmeans::{KMeans, KMeansConfig};
 use edgelet_core::prelude::*;
+use edgelet_core::query::resilience::{plan_overcollection, plan_overcollection_approx};
 use edgelet_core::sim::{
     Actor, Availability, Context, CrashPlan, DeviceConfig, Duration, LatencyModel, NetworkModel,
     SimConfig, SimTime, Simulation, TimerToken,
@@ -20,6 +18,7 @@ use edgelet_core::sim::{
 use edgelet_core::store::{synth, Row};
 use edgelet_core::util::ids::DeviceId;
 use edgelet_core::util::rng::DetRng;
+use edgelet_core::util::stats::percentile;
 use edgelet_core::wire::{from_bytes, to_bytes};
 use std::hint::black_box;
 use std::time::Instant;
@@ -27,10 +26,15 @@ use std::time::Instant;
 /// One measured workload.
 #[derive(Debug, Clone)]
 pub struct SuiteResult {
-    /// Suite identifier (mirrors the criterion benchmark ID).
+    /// Suite identifier.
     pub name: &'static str,
     /// Median wall-clock nanoseconds per iteration.
     pub median_ns: f64,
+    /// First quartile of the same samples: with `q3_ns`, the noise band
+    /// a difference between two reports has to clear.
+    pub q1_ns: f64,
+    /// Third quartile of the same samples.
+    pub q3_ns: f64,
     /// Simulator shard count the suite ran under (1 for non-simulator
     /// workloads).
     pub shards: usize,
@@ -46,8 +50,56 @@ pub struct SuiteResult {
     pub throughput: (&'static str, f64),
 }
 
-/// Samples per suite (median taken over these).
+impl SuiteResult {
+    /// A sequential in-process suite that does `work` `unit`s per timed
+    /// iteration; parallel and socket suites override those fields.
+    fn new(name: &'static str, timing: Timing, unit: &'static str, work: f64) -> Self {
+        SuiteResult {
+            name,
+            median_ns: timing.median,
+            q1_ns: timing.q1,
+            q3_ns: timing.q3,
+            shards: 1,
+            workers: 1,
+            transport: "in-process",
+            throughput: (unit, work / (timing.median * 1e-9)),
+        }
+    }
+}
+
+/// Samples per suite (median and quartiles taken over these).
 pub const SAMPLES: usize = 7;
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// Quartiles of one suite's [`SAMPLES`] timings, nanoseconds.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Timing {
+    fn of(mut samples: Vec<f64>) -> Timing {
+        let mut at = |q| percentile(&mut samples, q).expect("a suite takes SAMPLES timings");
+        Timing {
+            q1: at(25.0),
+            median: at(50.0),
+            q3: at(75.0),
+        }
+    }
+
+    /// Per-item timing of a sample that looped `n` times.
+    fn per(self, n: usize) -> Timing {
+        let n = n as f64;
+        Timing {
+            q1: self.q1 / n,
+            median: self.median / n,
+            q3: self.q3 / n,
+        }
+    }
+}
 
 /// Times `f` once, returning elapsed nanoseconds.
 fn time_once<R>(f: &mut impl FnMut() -> R) -> f64 {
@@ -56,53 +108,10 @@ fn time_once<R>(f: &mut impl FnMut() -> R) -> f64 {
     start.elapsed().as_secs_f64() * 1e9
 }
 
-/// Median of `SAMPLES` timings of `f`, with one discarded warm-up call.
-fn median_ns<R>(mut f: impl FnMut() -> R) -> f64 {
+/// [`SAMPLES`] timings of `f`, after one discarded warm-up call.
+fn time<R>(mut f: impl FnMut() -> R) -> Timing {
     let _ = time_once(&mut f);
-    let mut samples: Vec<f64> = (0..SAMPLES).map(|_| time_once(&mut f)).collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
-/// k-means kernel: one Lloyd step over 10k 2-d points, k=3 (the same
-/// workload as `kernels/kmeans/lloyd_step_10k_points`). Seeding is
-/// excluded from the timing.
-pub fn kmeans_kernel() -> SuiteResult {
-    let mut rng = DetRng::new(2);
-    let (points, _) = gaussian_mixture(
-        &[
-            (vec![0.0, 0.0], 1.0),
-            (vec![10.0, 0.0], 1.0),
-            (vec![0.0, 10.0], 1.0),
-        ],
-        10_000,
-        &mut rng,
-    );
-    let cfg = KMeansConfig {
-        k: 3,
-        max_iterations: 20,
-        tolerance: 1e-6,
-    };
-    let mut seed_rng = DetRng::new(3);
-    let seeded = KMeans::seed(&points, &cfg, &mut seed_rng).expect("seeding 10k points");
-    // 20 steps per iteration so one sample is comfortably above timer
-    // resolution; report per-step time.
-    const STEPS: usize = 20;
-    let ns = median_ns(|| {
-        let mut km = seeded.clone();
-        for _ in 0..STEPS {
-            km.lloyd_step(&points);
-        }
-        km
-    }) / STEPS as f64;
-    SuiteResult {
-        name: "kernels/kmeans/lloyd_step_10k_points",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("elements_per_sec", 10_000.0 / (ns * 1e-9)),
-    }
+    Timing::of((0..SAMPLES).map(|_| time_once(&mut f)).collect())
 }
 
 fn synth_rows(n: usize) -> Vec<Row> {
@@ -110,36 +119,20 @@ fn synth_rows(n: usize) -> Vec<Row> {
     synth::health_store(n, &mut rng).rows().to_vec()
 }
 
-/// Wire encode: 1000 synthetic health rows to bytes (mirrors
-/// `wire/rows/encode_1000_rows`).
-pub fn wire_encode() -> SuiteResult {
+/// Wire encode: 1000 synthetic health rows to bytes.
+pub fn wire_encode(name: &'static str) -> SuiteResult {
     let batch = synth_rows(1_000);
-    let len = to_bytes(&batch).len() as f64;
-    let ns = median_ns(|| to_bytes(black_box(&batch)));
-    SuiteResult {
-        name: "wire/rows/encode_1000_rows",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("mib_per_sec", len / (ns * 1e-9) / (1024.0 * 1024.0)),
-    }
+    let mib = to_bytes(&batch).len() as f64 / MIB;
+    let timing = time(|| to_bytes(black_box(&batch)));
+    SuiteResult::new(name, timing, "mib_per_sec", mib)
 }
 
-/// Wire decode: the matching decode workload (mirrors
-/// `wire/rows/decode_1000_rows`).
-pub fn wire_decode() -> SuiteResult {
+/// Wire decode: the matching decode workload.
+pub fn wire_decode(name: &'static str) -> SuiteResult {
     let encoded = to_bytes(&synth_rows(1_000));
-    let len = encoded.len() as f64;
-    let ns = median_ns(|| from_bytes::<Vec<Row>>(black_box(&encoded)).expect("decode"));
-    SuiteResult {
-        name: "wire/rows/decode_1000_rows",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("mib_per_sec", len / (ns * 1e-9) / (1024.0 * 1024.0)),
-    }
+    let mib = encoded.len() as f64 / MIB;
+    let timing = time(|| from_bytes::<Vec<Row>>(black_box(&encoded)).expect("decode"));
+    SuiteResult::new(name, timing, "mib_per_sec", mib)
 }
 
 /// Records per durable-store suite iteration.
@@ -157,17 +150,18 @@ fn wal_payload(i: usize) -> Vec<u8> {
 /// Durable-store append path: frame + checksum + group-commit of 1000
 /// 1 KiB records through
 /// [`GroupCommitLog`](edgelet_core::store::GroupCommitLog) onto an
-/// in-memory backend (mirrors `store/wal_append`). The batch rides the
-/// group-commit fast path — one contiguous media write and one sync for
-/// the whole batch — so this measures the logging overhead the durable
-/// service pays per completion, isolated from disk hardware.
-pub fn store_wal_append() -> SuiteResult {
+/// in-memory backend. The batch rides the group-commit fast path — one
+/// contiguous media write and one sync for the whole batch (counted, not
+/// timed, by `edgelet-store`'s `bulk_commit_costs_…` unit test) — so this
+/// measures the logging overhead the durable service pays per
+/// completion, isolated from disk hardware.
+pub fn store_wal_append(name: &'static str) -> SuiteResult {
     use edgelet_core::store::{GroupCommitConfig, GroupCommitLog, MemBackend, RetryPolicy};
     use std::sync::Arc;
 
-    let bytes = (WAL_RECORDS * WAL_RECORD_BYTES) as f64;
+    let mib = (WAL_RECORDS * WAL_RECORD_BYTES) as f64 / MIB;
     let payloads: Vec<Vec<u8>> = (0..WAL_RECORDS).map(wal_payload).collect();
-    let ns = median_ns(|| {
+    let timing = time(|| {
         let log = GroupCommitLog::new(
             Arc::new(MemBackend::new()),
             RetryPolicy::default(),
@@ -176,25 +170,18 @@ pub fn store_wal_append() -> SuiteResult {
         log.commit_all(&payloads).expect("in-memory commit");
         log
     });
-    SuiteResult {
-        name: "store/wal_append/1000_records_1kib",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("mib_per_sec", bytes / (ns * 1e-9) / (1024.0 * 1024.0)),
-    }
+    SuiteResult::new(name, timing, "mib_per_sec", mib)
 }
 
 /// Durable-store recovery scan: reading and CRC-verifying a 1000-record
-/// WAL back into memory (mirrors `store/recovery_replay`). Recovery
-/// returns zero-copy `Payload` slices into the segment buffers rather
-/// than one owned `Vec` per record. The payloads are opaque filler and
-/// are never decoded, so this is the scan's share of a restart only;
-/// what a restarting service pays in full — scan plus decoding and
-/// applying every record — is [`store_recovery_apply`]. Log
-/// construction is hoisted out of the timing.
-pub fn store_recovery_replay() -> SuiteResult {
+/// WAL back into memory. Recovery returns zero-copy `Payload` slices
+/// into the segment buffers rather than one owned `Vec` per record. The
+/// payloads are opaque filler and are never decoded, so this is the
+/// scan's share of a restart only; what a restarting service pays in
+/// full — scan plus decoding and applying every record — is
+/// [`store_recovery_apply`]. Log construction is hoisted out of the
+/// timing.
+pub fn store_recovery_replay(name: &'static str) -> SuiteResult {
     use edgelet_core::store::{DurableLog, MemBackend, RetryPolicy};
     use std::sync::Arc;
 
@@ -203,19 +190,12 @@ pub fn store_recovery_replay() -> SuiteResult {
     for i in 0..WAL_RECORDS {
         log.append(&wal_payload(i)).expect("in-memory append");
     }
-    let ns = median_ns(|| {
+    let timing = time(|| {
         let recovered = log.recover().expect("clean log recovers");
         assert_eq!(recovered.records.len(), WAL_RECORDS);
         recovered
     });
-    SuiteResult {
-        name: "store/recovery_replay/1000_records_1kib",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("records_per_sec", WAL_RECORDS as f64 / (ns * 1e-9)),
-    }
+    SuiteResult::new(name, timing, "records_per_sec", WAL_RECORDS as f64)
 }
 
 /// Completed epochs in the [`store_recovery_apply`] WAL (one intent and
@@ -233,7 +213,7 @@ const APPLY_PAYLOAD_BYTES: usize = 512;
 /// ledger and a 512-byte result payload, the shape the end-to-end
 /// benchmark's `durable_grouping` cold start recovers, so this number
 /// and that workload's `store.recovery_records_per_s` are comparable.
-pub fn store_recovery_apply() -> SuiteResult {
+pub fn store_recovery_apply(name: &'static str) -> SuiteResult {
     use edgelet_core::exec::Ledger;
     use edgelet_core::store::{GroupCommitConfig, GroupCommitLog, MemBackend, RetryPolicy};
     use edgelet_live::{DurableState, WalRecord};
@@ -267,7 +247,7 @@ pub fn store_recovery_apply() -> SuiteResult {
         GroupCommitConfig::default(),
     );
     log.commit_all(&records).expect("in-memory commit");
-    let ns = median_ns(|| {
+    let timing = time(|| {
         let recovered = log.recover().expect("clean log recovers");
         let mut state = DurableState::default();
         let replayed = state.replay(&recovered.records).expect("records decode");
@@ -275,14 +255,7 @@ pub fn store_recovery_apply() -> SuiteResult {
         assert_eq!(state.applied.len() as u64, APPLY_EPOCHS);
         state
     });
-    SuiteResult {
-        name: "store/recovery_apply/2048_pairs_1k_device_ledger",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("records_per_sec", records.len() as f64 / (ns * 1e-9)),
-    }
+    SuiteResult::new(name, timing, "records_per_sec", records.len() as f64)
 }
 
 /// Broadcast hub: fans a 1 KiB payload out to every peer, waits for all
@@ -355,11 +328,11 @@ fn build_broadcast_sim(shards: usize) -> Simulation {
 
 /// Times `build()`'s simulation to quiescence (or `deadline`), setup
 /// hoisted out of the timing, first sample a discarded warm-up.
-fn median_sim_ns(
+fn time_sim(
     build: impl Fn() -> Simulation,
     deadline: SimTime,
-    check: impl Fn(&Simulation),
-) -> f64 {
+    mut check: impl FnMut(&Simulation),
+) -> Timing {
     let mut samples: Vec<f64> = Vec::with_capacity(SAMPLES);
     for i in 0..=SAMPLES {
         let mut sim = build();
@@ -371,38 +344,35 @@ fn median_sim_ns(
             samples.push(elapsed);
         }
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
+    Timing::of(samples)
+}
+
+/// A simulator suite under `shards` shards, one thread each.
+fn sharded(shards: usize, result: SuiteResult) -> SuiteResult {
+    SuiteResult {
+        shards,
+        workers: shards,
+        ..result
+    }
 }
 
 /// Simulator broadcast scenario: a hub fans 1 KiB to 200 peers for 50
 /// rounds (20k deliveries), each peer acking. Setup excluded.
-pub fn sim_broadcast() -> SuiteResult {
-    sim_broadcast_with(1, "sim/broadcast/1kib_fanout_200x50")
-}
-
-/// [`sim_broadcast`] under an explicit shard count.
-pub fn sim_broadcast_with(shards: usize, name: &'static str) -> SuiteResult {
-    let deliveries = (BROADCAST_PEERS as u32 * BROADCAST_ROUNDS * 2) as f64;
-    let ns = median_sim_ns(
+pub fn sim_broadcast(shards: usize, name: &'static str) -> SuiteResult {
+    let deliveries = u64::from(BROADCAST_PEERS as u32 * BROADCAST_ROUNDS * 2);
+    let timing = time_sim(
         || build_broadcast_sim(shards),
         SimTime::MAX,
         |sim| {
             assert_eq!(
                 sim.metrics().messages_delivered,
-                deliveries as u64,
+                deliveries,
                 "broadcast scenario must deliver every message"
             );
         },
     );
-    SuiteResult {
-        name,
-        median_ns: ns,
-        shards,
-        workers: shards,
-        transport: "in-process",
-        throughput: ("deliveries_per_sec", deliveries / (ns * 1e-9)),
-    }
+    let result = SuiteResult::new(name, timing, "deliveries_per_sec", deliveries as f64);
+    sharded(shards, result)
 }
 
 /// Devices in the population-scale suites.
@@ -480,34 +450,19 @@ fn build_churn_sim(shards: usize) -> Simulation {
 pub fn scale_churn(shards: usize, name: &'static str) -> SuiteResult {
     let deadline = SimTime::from_micros(SCALE_CHURN_SECS * 1_000_000);
     let mut delivered = 0u64;
-    let ns = {
-        let delivered = &mut delivered;
-        let mut samples: Vec<f64> = Vec::with_capacity(SAMPLES);
-        for i in 0..=SAMPLES {
-            let mut sim = build_churn_sim(shards);
-            let start = Instant::now();
-            sim.run_until(deadline);
-            let elapsed = start.elapsed().as_secs_f64() * 1e9;
+    let timing = time_sim(
+        || build_churn_sim(shards),
+        deadline,
+        |sim| {
+            delivered = sim.metrics().messages_delivered;
             assert!(
-                sim.metrics().messages_delivered > SCALE_DEVICES as u64,
+                delivered > SCALE_DEVICES as u64,
                 "churn scenario must make progress"
             );
-            *delivered = sim.metrics().messages_delivered;
-            if i > 0 {
-                samples.push(elapsed);
-            }
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-        samples[samples.len() / 2]
-    };
-    SuiteResult {
-        name,
-        median_ns: ns,
-        shards,
-        workers: shards,
-        transport: "in-process",
-        throughput: ("deliveries_per_sec", delivered as f64 / (ns * 1e-9)),
-    }
+        },
+    );
+    let result = SuiteResult::new(name, timing, "deliveries_per_sec", delivered as f64);
+    sharded(shards, result)
 }
 
 /// Collectors in the 100k-contributor grouping suite (250 contributors
@@ -593,7 +548,7 @@ fn build_grouping_sim(shards: usize) -> Simulation {
 pub fn scale_grouping(shards: usize, name: &'static str) -> SuiteResult {
     // request + reply per contributor, plus one partial per collector.
     let expected = (2 * SCALE_DEVICES + GROUP_COLLECTORS) as u64;
-    let ns = median_sim_ns(
+    let timing = time_sim(
         || build_grouping_sim(shards),
         SimTime::MAX,
         |sim| {
@@ -604,14 +559,9 @@ pub fn scale_grouping(shards: usize, name: &'static str) -> SuiteResult {
             );
         },
     );
-    SuiteResult {
-        name,
-        median_ns: ns,
-        shards,
-        workers: shards,
-        transport: "in-process",
-        throughput: ("contributions_per_sec", SCALE_DEVICES as f64 / (ns * 1e-9)),
-    }
+    let contributions = SCALE_DEVICES as f64;
+    let result = SuiteResult::new(name, timing, "contributions_per_sec", contributions);
+    sharded(shards, result)
 }
 
 /// The 1 000-contributor lossy crowd of the `e2e` suite and of the
@@ -642,54 +592,60 @@ fn crowd_1k_knobs() -> (PrivacyConfig, ResilienceConfig) {
 
 /// The `e2e` query's cold start in isolation: enrolling the crowd and
 /// generating its stores, plus tearing it down again.
-pub fn core_platform_build() -> SuiteResult {
+pub fn core_platform_build(name: &'static str) -> SuiteResult {
     let world = crowd_1k(1);
     let devices = (world.contributors + world.processors) as f64;
-    let ns = median_ns(|| Platform::build(world.clone()));
-    SuiteResult {
-        name: "core/platform_build/1k_contributors",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("devices_per_sec", devices / (ns * 1e-9)),
-    }
+    let timing = time(|| Platform::build(world.clone()));
+    SuiteResult::new(name, timing, "devices_per_sec", devices)
 }
+
+/// Plans per sample in the planning suites: keeps one sample above timer
+/// resolution.
+const PLANS: usize = 20;
 
 /// Admission's planning step in isolation: `plan_query` on a platform
 /// that has planned before, so the directory's key hashes are memoised
 /// (what every query after a service's first pays).
-pub fn query_plan_warm() -> SuiteResult {
+pub fn query_plan_warm(name: &'static str) -> SuiteResult {
     let mut p = Platform::build(crowd_1k(1));
     let spec = crate::census_spec(&mut p, 200);
     let (privacy, resilience) = crowd_1k_knobs();
-    // 20 plans per sample keep one sample above timer resolution.
-    const PLANS: usize = 20;
-    let ns = median_ns(|| {
+    let timing = time(|| {
         for _ in 0..PLANS {
             black_box(p.plan_query(&spec, &privacy, &resilience).expect("plan"));
         }
-    }) / PLANS as f64;
-    SuiteResult {
-        name: "query/plan/1k_contributors_warm",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("plans_per_sec", 1.0 / (ns * 1e-9)),
-    }
+    })
+    .per(PLANS);
+    SuiteResult::new(name, timing, "plans_per_sec", 1.0)
+}
+
+/// The signature [`plan_overcollection`] and
+/// [`plan_overcollection_approx`] share: `(n, p, target, max_m)` to `m`.
+type OvercollectionPlanner = fn(u64, f64, f64, u64) -> edgelet_core::util::Result<u64>;
+
+/// Choosing the overcollection degree `m` at n = 512 partitions,
+/// p = 0.15, target 0.999 — the ablation of DESIGN.md §5: the exact
+/// binomial tail against the normal approximation.
+pub fn planner_overcollection(plan: OvercollectionPlanner, name: &'static str) -> SuiteResult {
+    let timing = time(|| {
+        for _ in 0..PLANS {
+            black_box(plan(black_box(512), 0.15, 0.999, 4096).expect("satisfiable"));
+        }
+    })
+    .per(PLANS);
+    SuiteResult::new(name, timing, "plans_per_sec", 1.0)
 }
 
 /// Wiring one planned query's actors onto the crowd and dropping them
 /// again — the per-query cost of handing every contributor actor its
 /// store, which every host (sim, live, net) pays before the first event.
-pub fn exec_assemble_and_drop() -> SuiteResult {
+pub fn exec_assemble_and_drop(name: &'static str) -> SuiteResult {
     let mut p = Platform::build(crowd_1k(1));
     let spec = crate::census_spec(&mut p, 200);
     let (privacy, resilience) = crowd_1k_knobs();
     let plan = p.plan_query(&spec, &privacy, &resilience).expect("plan");
     let root_secret = p.root_secret(&spec);
-    let ns = median_ns(|| {
+    let timing = time(|| {
         let assembly = edgelet_core::exec::assemble_plan(
             &plan,
             p.schema(),
@@ -702,21 +658,14 @@ pub fn exec_assemble_and_drop() -> SuiteResult {
         .expect("assemble");
         assembly.installs.len()
     });
-    SuiteResult {
-        name: "exec/assemble_and_drop/1k_contributors",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("assemblies_per_sec", 1.0 / (ns * 1e-9)),
-    }
+    SuiteResult::new(name, timing, "assemblies_per_sec", 1.0)
 }
 
 /// End-to-end: one full grouping query over 1k contributors on a lossy
-/// network (mirrors `e2e/grouping_query_1k_contributors`).
-pub fn e2e_query() -> SuiteResult {
+/// network.
+pub fn e2e_query(name: &'static str) -> SuiteResult {
     let mut seed = 0u64;
-    let ns = median_ns(|| {
+    let timing = time(|| {
         seed += 1;
         let mut p = Platform::build(crowd_1k(seed));
         let spec = crate::census_spec(&mut p, 200);
@@ -726,14 +675,7 @@ pub fn e2e_query() -> SuiteResult {
             .expect("e2e query");
         run.report.completed
     });
-    SuiteResult {
-        name: "e2e/grouping_query_1k_contributors",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "in-process",
-        throughput: ("queries_per_sec", 1.0 / (ns * 1e-9)),
-    }
+    SuiteResult::new(name, timing, "queries_per_sec", 1.0)
 }
 
 /// Live runtime: three concurrent grouping queries through one
@@ -746,24 +688,11 @@ pub fn live_throughput(workers: usize, name: &'static str) -> SuiteResult {
 
     const QUERIES: usize = 3;
     let mut seed = 100u64;
-    let ns = median_ns(|| {
+    let timing = time(|| {
         seed += 1;
-        let mut p = Platform::build(PlatformConfig {
-            seed,
-            contributors: 1_000,
-            processors: 80,
-            network: NetworkProfile::Lossy {
-                drop_probability: 0.05,
-            },
-            ..PlatformConfig::default()
-        });
+        let mut p = Platform::build(crowd_1k(seed));
         let spec = crate::census_spec(&mut p, 200);
-        let privacy = PrivacyConfig::none().with_max_tuples(50);
-        let resilience = ResilienceConfig {
-            strategy: Strategy::Overcollection,
-            failure_probability: 0.1,
-            ..ResilienceConfig::default()
-        };
+        let (privacy, resilience) = crowd_1k_knobs();
         let service = QueryService::new(
             p,
             ServiceConfig {
@@ -793,12 +722,8 @@ pub fn live_throughput(workers: usize, name: &'static str) -> SuiteResult {
         all_completed
     });
     SuiteResult {
-        name,
-        median_ns: ns,
-        shards: 1,
         workers,
-        transport: "in-process",
-        throughput: ("queries_per_sec", QUERIES as f64 / (ns * 1e-9)),
+        ..SuiteResult::new(name, timing, "queries_per_sec", QUERIES as f64)
     }
 }
 
@@ -809,16 +734,13 @@ const NET_SPEC_BYTES: usize = 1024;
 
 /// Binds a UDS listener on a fresh temp path and returns both ends of
 /// one accepted connection as message streams.
-fn uds_pair(
-    tag: &str,
-) -> (
+fn uds_pair() -> (
     edgelet_net::MsgStream,
     edgelet_net::MsgStream,
     std::path::PathBuf,
 ) {
     use edgelet_net::{Addr, Listener, MsgStream, Stream};
-    let path =
-        std::env::temp_dir().join(format!("edgelet-bench-{tag}-{}.sock", std::process::id()));
+    let path = std::env::temp_dir().join(format!("edgelet-bench-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let addr = Addr::Uds(path.clone());
     let listener = Listener::bind(&addr).expect("bind bench socket");
@@ -828,52 +750,14 @@ fn uds_pair(
     (MsgStream::new(client), MsgStream::new(server), path)
 }
 
-/// Socket round-trip: 200 Ping/Pong exchanges over one Unix-domain
-/// connection, an echo peer on its own thread (the `net/roundtrip`
-/// suite). Reports per-round-trip latency — the floor every control
-/// message of the multi-process runtime pays.
-pub fn net_roundtrip() -> SuiteResult {
-    use edgelet_net::NetMsg;
-
-    let (mut client, mut server, path) = uds_pair("rt");
-    let echo = std::thread::spawn(move || {
-        while let Ok(NetMsg::Ping { nonce }) = server.recv(Some(std::time::Duration::from_secs(10)))
-        {
-            if server.send(&NetMsg::Pong { nonce }).is_err() {
-                break;
-            }
-        }
-    });
-    let ns = median_ns(|| {
-        for i in 0..NET_MSGS as u64 {
-            client.send(&NetMsg::Ping { nonce: i }).expect("ping");
-            match client.recv(Some(std::time::Duration::from_secs(10))) {
-                Ok(NetMsg::Pong { nonce }) => assert_eq!(nonce, i),
-                other => panic!("expected pong, got {other:?}"),
-            }
-        }
-    }) / NET_MSGS as f64;
-    client.shutdown();
-    echo.join().expect("echo peer");
-    let _ = std::fs::remove_file(&path);
-    SuiteResult {
-        name: "net/roundtrip/msgstream_ping_uds",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
-        transport: "uds",
-        throughput: ("roundtrips_per_sec", 1.0 / (ns * 1e-9)),
-    }
-}
-
 /// Socket submission throughput: 200 framed 1 KiB `SubmitReq` messages
 /// streamed over one Unix-domain connection, acknowledged once per
-/// batch (the `net/submit_throughput` suite). Measures frame encode,
-/// CRC, socket write, reassembly, and decode end to end.
-pub fn net_submit_throughput() -> SuiteResult {
+/// batch. Measures frame encode, CRC, socket write, reassembly, and
+/// decode end to end.
+pub fn net_submit_throughput(name: &'static str) -> SuiteResult {
     use edgelet_net::NetMsg;
 
-    let (mut client, mut server, path) = uds_pair("st");
+    let (mut client, mut server, path) = uds_pair();
     let sink = std::thread::spawn(move || loop {
         for _ in 0..NET_MSGS {
             match server.recv(Some(std::time::Duration::from_secs(10))) {
@@ -885,9 +769,9 @@ pub fn net_submit_throughput() -> SuiteResult {
             return;
         }
     });
-    let bytes = (NET_MSGS * NET_SPEC_BYTES) as f64;
+    let mib = (NET_MSGS * NET_SPEC_BYTES) as f64 / MIB;
     let spec = vec![0xE1u8; NET_SPEC_BYTES];
-    let ns = median_ns(|| {
+    let timing = time(|| {
         for _ in 0..NET_MSGS {
             client
                 .send(&NetMsg::SubmitReq { spec: spec.clone() })
@@ -902,12 +786,8 @@ pub fn net_submit_throughput() -> SuiteResult {
     sink.join().expect("sink peer");
     let _ = std::fs::remove_file(&path);
     SuiteResult {
-        name: "net/submit_throughput/200x1kib_uds",
-        median_ns: ns,
-        shards: 1,
-        workers: 1,
         transport: "uds",
-        throughput: ("mib_per_sec", bytes / (ns * 1e-9) / (1024.0 * 1024.0)),
+        ..SuiteResult::new(name, timing, "mib_per_sec", mib)
     }
 }
 
@@ -918,121 +798,76 @@ pub const PARALLEL_SHARDS: usize = 4;
 /// One entry in the suite registry: a stable name and the measurement
 /// behind it.
 pub struct Suite {
-    /// Suite identifier (mirrors the criterion benchmark ID).
+    /// Suite identifier, the key of `bench_report --suite`.
     pub name: &'static str,
-    runner: fn() -> SuiteResult,
+    runner: fn(&'static str) -> SuiteResult,
 }
 
 impl Suite {
     /// Measures this suite.
     pub fn run(&self) -> SuiteResult {
-        (self.runner)()
+        (self.runner)(self.name)
     }
 }
 
-fn broadcast_seq() -> SuiteResult {
-    sim_broadcast_with(1, "sim/broadcast/1kib_fanout_200x50")
-}
-fn broadcast_par() -> SuiteResult {
-    sim_broadcast_with(PARALLEL_SHARDS, "sim/broadcast/1kib_fanout_200x50@shards4")
-}
-fn churn_seq() -> SuiteResult {
-    scale_churn(1, "sim/scale/100k_devices_churn")
-}
-fn churn_par() -> SuiteResult {
-    scale_churn(PARALLEL_SHARDS, "sim/scale/100k_devices_churn@shards4")
-}
-fn grouping_seq() -> SuiteResult {
-    scale_grouping(1, "sim/scale/grouping_query_100k_contributors")
-}
-fn grouping_par() -> SuiteResult {
-    scale_grouping(
-        PARALLEL_SHARDS,
-        "sim/scale/grouping_query_100k_contributors@shards4",
-    )
-}
-fn live_seq() -> SuiteResult {
-    live_throughput(
-        1,
-        "live/throughput/grouping_3_queries_1k_contributors@workers1",
-    )
-}
-fn live_par() -> SuiteResult {
-    live_throughput(
-        PARALLEL_SHARDS,
-        "live/throughput/grouping_3_queries_1k_contributors@workers4",
-    )
-}
-
-/// Every suite, in the fixed report order. Simulator suites appear at
-/// `shards = 1` and again at [`PARALLEL_SHARDS`] (the `@shards4`
-/// variants), so one report captures the sequential/parallel speedup.
+/// Every suite, in the fixed report order. Simulator and live suites
+/// appear at one shard / worker and again at [`PARALLEL_SHARDS`] (the
+/// `@shards4` / `@workers4` variants), so one report shows what the
+/// parallel machinery buys on the machine it was taken on.
 pub fn suites() -> Vec<Suite> {
-    macro_rules! suite {
-        ($name:expr, $runner:path) => {
-            Suite {
-                name: $name,
-                runner: $runner,
-            }
-        };
-    }
+    let suite = |name, runner| Suite { name, runner };
     vec![
-        suite!("kernels/kmeans/lloyd_step_10k_points", kmeans_kernel),
-        suite!("wire/rows/encode_1000_rows", wire_encode),
-        suite!("wire/rows/decode_1000_rows", wire_decode),
-        suite!("store/wal_append/1000_records_1kib", store_wal_append),
-        suite!(
+        suite("wire/rows/encode_1000_rows", wire_encode),
+        suite("wire/rows/decode_1000_rows", wire_decode),
+        suite("store/wal_append/1000_records_1kib", store_wal_append),
+        suite(
             "store/recovery_replay/1000_records_1kib",
-            store_recovery_replay
+            store_recovery_replay,
         ),
-        suite!(
+        suite(
             "store/recovery_apply/2048_pairs_1k_device_ledger",
-            store_recovery_apply
+            store_recovery_apply,
         ),
-        suite!("sim/broadcast/1kib_fanout_200x50", broadcast_seq),
-        suite!("sim/broadcast/1kib_fanout_200x50@shards4", broadcast_par),
-        suite!("sim/scale/100k_devices_churn", churn_seq),
-        suite!("sim/scale/100k_devices_churn@shards4", churn_par),
-        suite!("sim/scale/grouping_query_100k_contributors", grouping_seq),
-        suite!(
+        suite("sim/broadcast/1kib_fanout_200x50", |name| {
+            sim_broadcast(1, name)
+        }),
+        suite("sim/broadcast/1kib_fanout_200x50@shards4", |name| {
+            sim_broadcast(PARALLEL_SHARDS, name)
+        }),
+        suite("sim/scale/100k_devices_churn", |name| scale_churn(1, name)),
+        suite("sim/scale/100k_devices_churn@shards4", |name| {
+            scale_churn(PARALLEL_SHARDS, name)
+        }),
+        suite("sim/scale/grouping_query_100k_contributors", |name| {
+            scale_grouping(1, name)
+        }),
+        suite(
             "sim/scale/grouping_query_100k_contributors@shards4",
-            grouping_par
+            |name| scale_grouping(PARALLEL_SHARDS, name),
         ),
-        suite!("core/platform_build/1k_contributors", core_platform_build),
-        suite!("query/plan/1k_contributors_warm", query_plan_warm),
-        suite!(
+        suite("core/platform_build/1k_contributors", core_platform_build),
+        suite("query/plan/1k_contributors_warm", query_plan_warm),
+        suite("planner/overcollection/exact_n512", |name| {
+            planner_overcollection(plan_overcollection, name)
+        }),
+        suite("planner/overcollection/approx_n512", |name| {
+            planner_overcollection(plan_overcollection_approx, name)
+        }),
+        suite(
             "exec/assemble_and_drop/1k_contributors",
-            exec_assemble_and_drop
+            exec_assemble_and_drop,
         ),
-        suite!("e2e/grouping_query_1k_contributors", e2e_query),
-        suite!(
+        suite("e2e/grouping_query_1k_contributors", e2e_query),
+        suite(
             "live/throughput/grouping_3_queries_1k_contributors@workers1",
-            live_seq
+            |name| live_throughput(1, name),
         ),
-        suite!(
+        suite(
             "live/throughput/grouping_3_queries_1k_contributors@workers4",
-            live_par
+            |name| live_throughput(PARALLEL_SHARDS, name),
         ),
-        suite!("net/roundtrip/msgstream_ping_uds", net_roundtrip),
-        suite!("net/submit_throughput/200x1kib_uds", net_submit_throughput),
+        suite("net/submit_throughput/200x1kib_uds", net_submit_throughput),
     ]
-}
-
-/// Runs every suite in the registry order.
-pub fn run_all() -> Vec<SuiteResult> {
-    suites().iter().map(Suite::run).collect()
-}
-
-/// Runs only the suites whose name starts with `prefix` (e.g.
-/// `sim/broadcast` or `live/`). An empty prefix matches everything; an
-/// unmatched prefix returns an empty vector — callers decide whether
-/// that is an error.
-pub fn run_matching(prefix: &str) -> Vec<SuiteResult> {
-    suites()
-        .iter()
-        .filter(|s| s.name.starts_with(prefix))
-        .map(Suite::run)
-        .collect()
 }
 
 /// Logical CPUs available to this process, degrading to 1 when the
@@ -1086,7 +921,7 @@ fn git_revision_in(dir: Option<&std::path::Path>) -> String {
 pub fn to_json(results: &[SuiteResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"edgelet-bench-report/v1\",\n");
+    out.push_str("  \"schema\": \"edgelet-bench-report/v2\",\n");
     out.push_str(&format!("  \"samples_per_suite\": {SAMPLES},\n"));
     out.push_str(&format!("  \"git_revision\": \"{}\",\n", git_revision()));
     out.push_str(&format!(
@@ -1094,109 +929,50 @@ pub fn to_json(results: &[SuiteResult]) -> String {
         available_parallelism()
     ));
     if low_parallelism() {
-        // Self-describing reports: a narrow machine flags itself so a
-        // committed baseline is never mistaken for a 4-wide run.
+        // Self-describing reports: a narrow machine flags itself so its
+        // `@shards4` / `@workers4` rows are never read as a 4-wide run.
         out.push_str("  \"low_parallelism\": true,\n");
     }
     out.push_str("  \"suites\": {\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
         out.push_str(&format!(
-            "    \"{}\": {{\"median_ns\": {:.1}, \"shards\": {}, \"workers\": {}, \"transport\": \"{}\", \"{}\": {:.1}}}{comma}\n",
-            r.name, r.median_ns, r.shards, r.workers, r.transport, r.throughput.0, r.throughput.1
+            "    \"{}\": {{\"median_ns\": {:.1}, \"q1_ns\": {:.1}, \"q3_ns\": {:.1}, \"shards\": {}, \"workers\": {}, \"transport\": \"{}\", \"{}\": {:.1}}}{comma}\n",
+            r.name, r.median_ns, r.q1_ns, r.q3_ns, r.shards, r.workers, r.transport, r.throughput.0, r.throughput.1
         ));
     }
     out.push_str("  }\n}\n");
     out
 }
 
-/// One suite whose median regressed past the comparison threshold.
-#[derive(Debug, Clone)]
-pub struct Regression {
-    /// Suite identifier.
-    pub suite: &'static str,
-    /// Baseline median, nanoseconds.
-    pub baseline_ns: f64,
-    /// Current median, nanoseconds.
-    pub current_ns: f64,
-    /// Slowdown in percent (positive = current is slower).
-    pub delta_pct: f64,
-}
-
-/// Compares `current` against a baseline report previously written by
-/// [`to_json`], returning every suite that slowed down by more than
-/// `fail_over_pct` percent. Suites absent from the baseline are skipped
-/// (new suites never gate).
-pub fn compare(
-    current: &[SuiteResult],
-    baseline_json: &str,
-    fail_over_pct: f64,
-) -> Vec<Regression> {
-    let mut out = Vec::new();
-    for r in current {
-        let Some(base) = median_from_json(baseline_json, r.name) else {
-            continue;
-        };
-        if base <= 0.0 {
-            continue;
-        }
-        let delta_pct = (r.median_ns - base) / base * 100.0;
-        if delta_pct > fail_over_pct {
-            out.push(Regression {
-                suite: r.name,
-                baseline_ns: base,
-                current_ns: r.median_ns,
-                delta_pct,
-            });
-        }
-    }
-    out
-}
-
-/// Extracts `median_ns` for `suite` from a report previously written by
-/// [`to_json`] (line-oriented scan; not a general JSON parser).
-pub fn median_from_json(json: &str, suite: &str) -> Option<f64> {
-    let needle = format!("\"{suite}\"");
-    let line = json.lines().find(|l| l.contains(&needle))?;
-    let rest = line.split("\"median_ns\": ").nth(1)?;
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn result(name: &'static str, median: f64) -> SuiteResult {
+        let timing = Timing {
+            q1: median - 1.0,
+            median,
+            q3: median + 2.0,
+        };
+        SuiteResult::new(name, timing, "x_per_sec", 1.0)
+    }
+
     #[test]
-    fn json_roundtrips_medians() {
-        let results = vec![
-            SuiteResult {
-                name: "kernels/kmeans/lloyd_step_10k_points",
-                median_ns: 12345.5,
-                shards: 1,
-                workers: 1,
-                transport: "in-process",
-                throughput: ("elements_per_sec", 1e9),
-            },
-            SuiteResult {
-                name: "wire/rows/encode_1000_rows",
-                median_ns: 678.0,
-                shards: 1,
-                workers: 1,
-                transport: "in-process",
-                throughput: ("mib_per_sec", 250.0),
-            },
-        ];
-        let json = to_json(&results);
-        assert_eq!(
-            median_from_json(&json, "kernels/kmeans/lloyd_step_10k_points"),
-            Some(12345.5)
+    fn quartiles_come_from_the_seven_samples() {
+        let timing = Timing::of(vec![70.0, 10.0, 60.0, 20.0, 50.0, 30.0, 40.0]).per(10);
+        assert_eq!((timing.q1, timing.median, timing.q3), (2.5, 4.0, 5.5));
+    }
+
+    #[test]
+    fn json_records_median_and_quartiles() {
+        let json = to_json(&[result("a/b", 12345.5), result("c/d", 678.0)]);
+        assert!(json.contains("\"schema\": \"edgelet-bench-report/v2\""));
+        assert!(json
+            .contains("\"a/b\": {\"median_ns\": 12345.5, \"q1_ns\": 12344.5, \"q3_ns\": 12347.5,"));
+        assert!(
+            json.contains("\"c/d\": {\"median_ns\": 678.0, \"q1_ns\": 677.0, \"q3_ns\": 680.0,")
         );
-        assert_eq!(
-            median_from_json(&json, "wire/rows/encode_1000_rows"),
-            Some(678.0)
-        );
-        assert_eq!(median_from_json(&json, "missing/suite"), None);
     }
 
     #[test]
@@ -1233,32 +1009,24 @@ mod tests {
 
     #[test]
     fn store_suites_measure_the_durable_log() {
-        let append = store_wal_append();
-        assert_eq!(append.name, "store/wal_append/1000_records_1kib");
-        assert_eq!(append.throughput.0, "mib_per_sec");
-        assert!(append.throughput.1 > 0.0);
-        let replay = store_recovery_replay();
-        assert_eq!(replay.name, "store/recovery_replay/1000_records_1kib");
-        assert_eq!(replay.throughput.0, "records_per_sec");
-        assert!(replay.throughput.1 > 0.0);
-        let apply = store_recovery_apply();
-        assert_eq!(
-            apply.name,
-            "store/recovery_apply/2048_pairs_1k_device_ledger"
-        );
-        assert_eq!(apply.throughput.0, "records_per_sec");
-        assert!(apply.throughput.1 > 0.0);
+        for (suite, unit) in [
+            (
+                store_wal_append as fn(&'static str) -> SuiteResult,
+                "mib_per_sec",
+            ),
+            (store_recovery_replay, "records_per_sec"),
+            (store_recovery_apply, "records_per_sec"),
+        ] {
+            let r = suite("store/test");
+            assert_eq!(r.throughput.0, unit);
+            assert!(r.throughput.1 > 0.0);
+            assert!(r.q1_ns <= r.median_ns && r.median_ns <= r.q3_ns, "{r:?}");
+        }
     }
 
     #[test]
     fn net_suites_cross_a_real_socket() {
-        let rt = net_roundtrip();
-        assert_eq!(rt.name, "net/roundtrip/msgstream_ping_uds");
-        assert_eq!(rt.transport, "uds");
-        assert_eq!(rt.throughput.0, "roundtrips_per_sec");
-        assert!(rt.throughput.1 > 0.0);
-        let st = net_submit_throughput();
-        assert_eq!(st.name, "net/submit_throughput/200x1kib_uds");
+        let st = net_submit_throughput("net/test");
         assert_eq!(st.transport, "uds");
         assert_eq!(st.throughput.0, "mib_per_sec");
         assert!(st.throughput.1 > 0.0);
@@ -1291,91 +1059,31 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_only_regressions_past_threshold() {
-        let baseline = to_json(&[
-            SuiteResult {
-                name: "a",
-                median_ns: 100.0,
-                shards: 1,
-                workers: 1,
-                transport: "in-process",
-                throughput: ("x_per_sec", 1.0),
-            },
-            SuiteResult {
-                name: "b",
-                median_ns: 100.0,
-                shards: 1,
-                workers: 1,
-                transport: "in-process",
-                throughput: ("x_per_sec", 1.0),
-            },
-        ]);
-        let current = vec![
-            // 5% slower: under the 10% gate.
-            SuiteResult {
-                name: "a",
-                median_ns: 105.0,
-                shards: 1,
-                workers: 1,
-                transport: "in-process",
-                throughput: ("x_per_sec", 1.0),
-            },
-            // 50% slower: gates.
-            SuiteResult {
-                name: "b",
-                median_ns: 150.0,
-                shards: 1,
-                workers: 1,
-                transport: "in-process",
-                throughput: ("x_per_sec", 1.0),
-            },
-            // Not in the baseline: skipped.
-            SuiteResult {
-                name: "c",
-                median_ns: 999.0,
-                shards: 1,
-                workers: 1,
-                transport: "in-process",
-                throughput: ("x_per_sec", 1.0),
-            },
-        ];
-        let regs = compare(&current, &baseline, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].suite, "b");
-        assert!((regs[0].delta_pct - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn json_records_shard_and_worker_counts() {
         let json = to_json(&[SuiteResult {
-            name: "s",
-            median_ns: 1.0,
             shards: 4,
             workers: 2,
-            transport: "in-process",
-            throughput: ("x_per_sec", 1.0),
+            ..result("s", 1.0)
         }]);
         assert!(json.contains("\"shards\": 4"));
         assert!(json.contains("\"workers\": 2"));
         assert!(json.contains("\"transport\": \"in-process\""));
         assert!(json.contains("\"git_revision\""));
         assert!(json.contains("\"available_parallelism\""));
-        assert_eq!(median_from_json(&json, "s"), Some(1.0));
     }
 
     #[test]
     fn registry_filters_by_prefix() {
         let names: Vec<&str> = suites().iter().map(|s| s.name).collect();
         assert_eq!(names.len(), 20, "{names:?}");
-        // Prefix selection is what `edgelet bench --suite` exposes; pure
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
+        // Prefix selection is what `bench_report --suite` exposes; pure
         // name filtering here so the test does not run the heavy suites.
-        let broadcast: Vec<&&str> = names
-            .iter()
-            .filter(|n| n.starts_with("sim/broadcast"))
-            .collect();
-        assert_eq!(broadcast.len(), 2, "{broadcast:?}");
-        // An unmatched prefix runs nothing (and returns immediately).
-        assert!(run_matching("no/such/suite").is_empty());
-        assert!(available_parallelism() >= 1);
+        let with = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        assert_eq!(with("sim/broadcast"), 2);
+        assert_eq!(with("planner/overcollection"), 2);
+        assert_eq!(with(""), names.len());
+        assert_eq!(with("no/such/suite"), 0);
     }
 }

@@ -29,12 +29,8 @@ pub enum Command {
         /// Generator seed.
         seed: u64,
     },
-    /// `edgelet experiments`
-    Experiments,
     /// `edgelet chaos …`
     Chaos(ChaosArgs),
-    /// `edgelet bench …`
-    Bench(BenchArgs),
     /// `edgelet serve …` — live runtime, concurrent self-driving demo
     /// (or, with `--listen`, a socket daemon serving remote workers and
     /// client submissions).
@@ -136,31 +132,6 @@ pub struct WorkerArgs {
     pub backoff_max_ms: Option<u64>,
 }
 
-/// Options for the `bench` regression gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Baseline report to compare against (`None` = measure only).
-    pub compare: Option<String>,
-    /// Regression threshold in percent: exit nonzero when any suite's
-    /// median slows down by more than this versus the baseline.
-    pub fail_over: f64,
-    /// Write the fresh report to this path.
-    pub out: Option<String>,
-    /// Only run suites whose name starts with this prefix (`None` = all).
-    pub suite: Option<String>,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        Self {
-            compare: None,
-            fail_over: 10.0,
-            out: None,
-            suite: None,
-        }
-    }
-}
-
 /// Options for the `chaos` campaign runner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosArgs {
@@ -254,13 +225,11 @@ USAGE:
     edgelet analyze [OPTIONS] statically check the plan; exits nonzero on errors
     edgelet dataset --rows N [--seed S]   print synthetic health data (CSV)
     edgelet chaos   [OPTIONS] deterministic fault-injection campaign
-    edgelet bench   [OPTIONS] measure suites; gate on a committed baseline
     edgelet serve   [OPTIONS] live runtime: N concurrent queries, one device pool
                               (with --listen: socket daemon for remote workers)
     edgelet submit  [OPTIONS] live runtime: one query; exit nonzero on a miss
                               (with --connect: submit to a daemon over a socket)
     edgelet worker --connect ADDR   worker process serving a daemon's epochs
-    edgelet experiments       list the figure-regeneration binaries
     edgelet help              this text
 
 OPTIONS (plan/run/analyze):
@@ -292,13 +261,6 @@ OPTIONS (chaos):
     --replay DIR        replay corpus entries instead of sweeping
     --no-shrink         keep failing plans unshrunk (fastest sweep)
     --shards N          simulator shards for every run   [default: 1]
-
-OPTIONS (bench):
-    --compare PATH      baseline report (e.g. BENCH_baseline.json)
-    --fail-over PCT     regression threshold, percent    [default: 10]
-    --out PATH          also write the fresh report here
-    --suite PREFIX      only run suites whose name starts with PREFIX
-                        (e.g. sim/broadcast, live/)      [default: all]
 
 OPTIONS (serve/submit — plus all plan/run world options):
     --workers N         worker threads per query         [default: 4]
@@ -339,9 +301,9 @@ OPTIONS (multi-process deployment; addresses are uds:<path> | tcp:<host>:<port>)
     --backoff-max-ms N      worker reconnect delay cap   [default: 2000]
 
 Exit status is nonzero when the campaign found failing triples, a
-replayed corpus entry's oracle verdict changed, a bench suite
-regressed past --fail-over, or a live query missed its deadline or was
-refused admission. See docs/FAULTS.md, docs/PERF.md, docs/RUNTIME.md.
+replayed corpus entry's oracle verdict changed, or a live query missed
+its deadline or was refused admission. See docs/FAULTS.md,
+docs/RUNTIME.md.
 ";
 
 /// Parses argv (without the program name).
@@ -351,7 +313,6 @@ pub fn parse(argv: &[String]) -> Result<Command> {
     };
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "experiments" => Ok(Command::Experiments),
         "dataset" => {
             let flags = collect_flags(rest)?;
             let rows = flag_parse(&flags, "rows", 100usize)?;
@@ -382,23 +343,6 @@ pub fn parse(argv: &[String]) -> Result<Command> {
                 c.replay = Some(single(values, "replay")?.clone());
             }
             Ok(Command::Chaos(c))
-        }
-        "bench" => {
-            let flags = collect_flags(rest)?;
-            let mut b = BenchArgs {
-                fail_over: flag_parse(&flags, "fail-over", 10.0f64)?,
-                ..BenchArgs::default()
-            };
-            if let Some(values) = flags.get("compare") {
-                b.compare = Some(single(values, "compare")?.clone());
-            }
-            if let Some(values) = flags.get("out") {
-                b.out = Some(single(values, "out")?.clone());
-            }
-            if let Some(values) = flags.get("suite") {
-                b.suite = Some(single(values, "suite")?.clone());
-            }
-            Ok(Command::Bench(b))
         }
         "serve" | "submit" => {
             let flags = collect_flags(rest)?;
@@ -675,7 +619,12 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("experiments")).unwrap(), Command::Experiments);
+        // Moved to `edgelet-bench`'s `bench_report` and `experiments`
+        // binaries; the CLI no longer knows them.
+        for moved in ["bench", "experiments"] {
+            assert!(parse(&argv(moved)).is_err(), "{moved}");
+            assert!(!USAGE.contains(&format!("edgelet {moved}")), "{moved}");
+        }
     }
 
     #[test]
@@ -720,26 +669,6 @@ mod tests {
         assert_eq!(c.shards, 2);
         assert!(parse(&argv("run --shards 0")).is_err());
         assert!(parse(&argv("chaos --shards 0")).is_err());
-    }
-
-    #[test]
-    fn bench_args() {
-        let cmd = parse(&argv("bench")).unwrap();
-        assert_eq!(cmd, Command::Bench(BenchArgs::default()));
-        let cmd = parse(&argv(
-            "bench --compare BENCH_baseline.json --fail-over 5 --out BENCH_current.json",
-        ))
-        .unwrap();
-        let Command::Bench(b) = cmd else { panic!() };
-        assert_eq!(b.compare.as_deref(), Some("BENCH_baseline.json"));
-        assert_eq!(b.fail_over, 5.0);
-        assert_eq!(b.out.as_deref(), Some("BENCH_current.json"));
-        assert_eq!(b.suite, None);
-        let Command::Bench(b) = parse(&argv("bench --suite sim/broadcast")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(b.suite.as_deref(), Some("sim/broadcast"));
-        assert!(parse(&argv("bench --fail-over lots")).is_err());
     }
 
     #[test]

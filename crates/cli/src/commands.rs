@@ -1,6 +1,6 @@
 //! Command execution for the `edgelet` tool.
 
-use crate::args::{BenchArgs, ChaosArgs, Command, QueryArgs, ServeArgs, USAGE};
+use crate::args::{ChaosArgs, Command, QueryArgs, ServeArgs, USAGE};
 use edgelet_core::prelude::*;
 use edgelet_core::query::{estimate, QueryPlan};
 use edgelet_core::store::{csv, synth};
@@ -29,9 +29,6 @@ pub fn execute_with_status(cmd: Command) -> Result<(String, i32)> {
     if let Command::Chaos(args) = cmd {
         return chaos_command(&args);
     }
-    if let Command::Bench(args) = cmd {
-        return bench_command(&args);
-    }
     if let Command::Serve(args) = cmd {
         // `--listen` switches to daemon mode: same service, plus a
         // socket front-end for remote workers and submissions.
@@ -54,14 +51,12 @@ pub fn execute_with_status(cmd: Command) -> Result<(String, i32)> {
     let text = match cmd {
         Command::Analyze { .. }
         | Command::Chaos(_)
-        | Command::Bench(_)
         | Command::Serve(_)
         | Command::Submit(_)
         | Command::Worker(_) => {
             unreachable!("handled above")
         }
         Command::Help => USAGE.to_string(),
-        Command::Experiments => experiments_text(),
         Command::Dataset { rows, seed } => {
             let mut rng = DetRng::new(seed);
             let store = synth::health_store(rows, &mut rng);
@@ -245,86 +240,6 @@ fn chaos_command(args: &ChaosArgs) -> Result<(String, i32)> {
         );
     }
     Ok((out, i32::from(!report.failures.is_empty())))
-}
-
-/// `edgelet bench`: measures every suite (or the `--suite` prefix
-/// selection) and, with `--compare`, gates on a committed baseline
-/// report.
-fn bench_command(args: &BenchArgs) -> Result<(String, i32)> {
-    use edgelet_bench::report;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench: median of {} samples per suite, rev {}, {} logical cpus",
-        report::SAMPLES,
-        report::git_revision(),
-        report::available_parallelism()
-    );
-    if report::low_parallelism() {
-        eprintln!(
-            "bench: note: only {} logical cpu(s) < {}; parallel suites cannot run at \
-             their nominal width and the report is flagged low_parallelism",
-            report::available_parallelism(),
-            report::LOW_PARALLELISM_CPUS
-        );
-    }
-    let results = match &args.suite {
-        Some(prefix) => {
-            let selected = report::run_matching(prefix);
-            if selected.is_empty() {
-                let known: Vec<&str> = report::suites().iter().map(|s| s.name).collect();
-                return Err(Error::InvalidConfig(format!(
-                    "--suite {prefix} matches no suite; known suites: {}",
-                    known.join(", ")
-                )));
-            }
-            selected
-        }
-        None => report::run_all(),
-    };
-    for r in &results {
-        let _ = writeln!(
-            out,
-            "{:<52} median {:>14.1} ns  shards {}  workers {}  {} {:.1}",
-            r.name, r.median_ns, r.shards, r.workers, r.throughput.0, r.throughput.1
-        );
-    }
-    if let Some(path) = &args.out {
-        std::fs::write(path, report::to_json(&results))
-            .map_err(|e| Error::InvalidConfig(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "wrote {path}");
-    }
-    let mut status = 0;
-    if let Some(path) = &args.compare {
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|e| Error::InvalidConfig(format!("cannot read {path}: {e}")))?;
-        let regressions = report::compare(&results, &baseline, args.fail_over);
-        if baseline.contains("\"low_parallelism\": true") || report::low_parallelism() {
-            let _ = writeln!(
-                out,
-                "bench gate note: low-parallelism run (baseline flagged: {}, this machine: {}) \
-                 -- parallel-suite deltas under-report",
-                baseline.contains("\"low_parallelism\": true"),
-                report::low_parallelism()
-            );
-        }
-        for reg in &regressions {
-            let _ = writeln!(
-                out,
-                "REGRESSION {}: {:.1} ns -> {:.1} ns ({:+.1}% > {:.1}% threshold)",
-                reg.suite, reg.baseline_ns, reg.current_ns, reg.delta_pct, args.fail_over
-            );
-        }
-        let _ = writeln!(
-            out,
-            "bench gate vs {path}: {} suites compared, {} regressing",
-            results.len(),
-            regressions.len()
-        );
-        status = i32::from(!regressions.is_empty());
-    }
-    Ok((out, status))
 }
 
 /// `edgelet serve`: self-driving live-runtime demo. Builds one world,
@@ -784,36 +699,6 @@ fn render_run(plan: &QueryPlan, r: &edgelet_core::exec::ExecutionReport) -> Stri
     out
 }
 
-fn experiments_text() -> String {
-    let rows = [
-        ("fig2_qep", "Figure 2: QEP shape vs privacy knobs"),
-        ("fig3_overcollection", "Figure 3: overcollection degree"),
-        ("exp_resiliency", "E3: completion/validity vs crash rate"),
-        ("exp_heartbeats", "E4: K-Means accuracy vs heartbeats"),
-        ("exp_scalability", "E5: crowd-size scaling"),
-        ("exp_privacy", "E6: sealed-glass compromise trials"),
-        ("exp_validity", "E7: validity edge at m lost partitions"),
-        ("exp_heterogeneity", "E8: PC vs phone vs home-box mixes"),
-        ("exp_active_backup", "E9: combiner Active Backup ablation"),
-        ("exp_strategies", "E10: Backup vs Overcollection"),
-        ("exp_minibatch", "E11: fixed partition vs resampling"),
-        ("exp_retries", "E12: collection retry rounds"),
-        ("exp_liability", "E13: crowd-liability spread"),
-        (
-            "exp_failure_detector",
-            "E14: Backup suspicion-timeout sweep",
-        ),
-    ];
-    let mut out = String::from("figure-regeneration binaries (run with --release):\n");
-    for (name, desc) in rows {
-        let _ = writeln!(
-            out,
-            "  cargo run --release -p edgelet-bench --bin {name:<22} # {desc}"
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,9 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn help_and_experiments_render() {
+    fn help_renders() {
         assert!(run_cli_text("help").contains("USAGE"));
-        assert!(run_cli_text("experiments").contains("fig2_qep"));
     }
 
     #[test]

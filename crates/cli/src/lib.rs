@@ -8,8 +8,7 @@
 //!   completion, validity, accuracy and liability;
 //! * `edgelet analyze …` — run the static plan/config analyzer and report
 //!   diagnostics (text or `--format json`), exiting nonzero on errors;
-//! * `edgelet dataset …` — emit the synthetic health data as CSV;
-//! * `edgelet experiments` — list the figure-regeneration binaries.
+//! * `edgelet dataset …` — emit the synthetic health data as CSV.
 //!
 //! The argument parser is hand-rolled (no external dependency) and unit
 //! tested here; `main.rs` is a thin shell around [`run_cli`].

@@ -314,6 +314,7 @@ mod tests {
     use super::*;
     use crate::durable::{FaultyBackend, MemBackend, StorageFaultAction, StorageFaultPlan};
     use crate::wal::TailState;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn log_over(backend: Arc<MemBackend>, config: GroupCommitConfig) -> GroupCommitLog {
         GroupCommitLog::new(backend, RetryPolicy::immediate(3), config)
@@ -324,6 +325,93 @@ mod tests {
             segment_bytes: 0,
             ..GroupCommitConfig::default()
         }
+    }
+
+    /// Counts the media calls group commit exists to make few of.
+    #[derive(Default)]
+    struct CountingBackend {
+        inner: MemBackend,
+        appends: AtomicUsize,
+        batches: AtomicUsize,
+        syncs: AtomicUsize,
+        rotations: AtomicUsize,
+    }
+
+    impl DurableBackend for CountingBackend {
+        fn append(&self, bytes: &[u8]) -> StorageResult<()> {
+            self.appends.fetch_add(1, Ordering::Relaxed);
+            self.inner.append(bytes)
+        }
+        fn append_batch(&self, frames: &[FrameRef<'_>]) -> StorageResult<()> {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.inner.append_batch(frames)
+        }
+        fn sync(&self) -> StorageResult<()> {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            self.inner.sync()
+        }
+        fn rotate_wal(&self) -> StorageResult<()> {
+            self.rotations.fetch_add(1, Ordering::Relaxed);
+            self.inner.rotate_wal()
+        }
+        fn read_wal_segments(&self) -> StorageResult<Vec<Vec<u8>>> {
+            self.inner.read_wal_segments()
+        }
+        fn truncate_wal(&self, len: u64) -> StorageResult<()> {
+            self.inner.truncate_wal(len)
+        }
+        fn drop_sealed_segments(&self) -> StorageResult<()> {
+            self.inner.drop_sealed_segments()
+        }
+        fn write_checkpoint(&self, bytes: &[u8]) -> StorageResult<()> {
+            self.inner.write_checkpoint(bytes)
+        }
+        fn read_checkpoint(&self) -> StorageResult<Option<Vec<u8>>> {
+            self.inner.read_checkpoint()
+        }
+        fn reset_wal(&self) -> StorageResult<()> {
+            self.inner.reset_wal()
+        }
+    }
+
+    /// The workload of `bench_report`'s `store/wal_append` suite, counted
+    /// instead of timed: 1 000 × 1 KiB records through `commit_all` at
+    /// the default configuration. The fast path is one batch and one
+    /// sync per segment the records touch; rotting back to per-record
+    /// appends or syncs would make these counts 1 000.
+    #[test]
+    fn bulk_commit_costs_one_batch_and_one_sync_per_segment_touched() {
+        let payloads: Vec<Vec<u8>> = (0..1000usize)
+            .map(|i| vec![(i % 251) as u8; 1024])
+            .collect();
+        let counts = |backend: &CountingBackend| {
+            [
+                &backend.appends,
+                &backend.batches,
+                &backend.syncs,
+                &backend.rotations,
+            ]
+            .map(|n| n.load(Ordering::Relaxed))
+        };
+
+        // ~1 MiB into an empty 4 MiB segment: one segment touched.
+        let backend = Arc::new(CountingBackend::default());
+        let log = GroupCommitLog::new(
+            backend.clone(),
+            RetryPolicy::immediate(3),
+            GroupCommitConfig::default(),
+        );
+        log.commit_all(&payloads).unwrap();
+        assert_eq!(counts(&backend), [0, 1, 1, 0]);
+
+        // Four more such batches: the fifth would overflow the segment,
+        // so it pays the one rotation; every batch is still one append
+        // call and one sync.
+        for _ in 0..4 {
+            log.commit_all(&payloads).unwrap();
+        }
+        assert_eq!(counts(&backend), [0, 5, 5, 1]);
+        assert_eq!(log.recover().unwrap().records.len(), 5_000);
     }
 
     #[test]
