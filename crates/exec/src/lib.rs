@@ -30,4 +30,7 @@ pub use config::ExecConfig;
 pub use driver::{
     assemble_plan, execute_plan, finish_report, ExecutionReport, PlanAssembly, QueryOutcome,
 };
+/// The element type of [`PlanAssembly::sliced_queries`], for hosts that
+/// keep those past the assembly.
+pub use edgelet_ml::grouping::GroupingQuery;
 pub use ledger::{FlatLedger, Ledger};

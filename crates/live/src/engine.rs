@@ -67,7 +67,8 @@ impl Default for LiveConfig {
 ///
 /// Produced by [`LiveEngine::into_parts`] *before* any window has run.
 /// A worker process keeps `world.slices[its index]` and discards the
-/// rest; the daemon discards every slice and drives `world.state`.
+/// rest; the daemon keeps a `CoordinatorTemplate` from its one build and
+/// drives a fresh `RunState` each epoch.
 pub struct EngineParts {
     /// The engine configuration (network model, budgets, worker count).
     pub config: LiveConfig,

@@ -249,16 +249,23 @@ impl MsgStream {
     /// forever). Errors on EOF, socket error, frame corruption, or
     /// timeout expiry — all of which mean the connection is done.
     pub fn recv(&mut self, timeout: Option<Duration>) -> Result<NetMsg> {
+        self.recv_or_timeout(timeout)?
+            .ok_or_else(|| Error::Protocol("recv timeout".into()))
+    }
+
+    /// [`MsgStream::recv`] for a poll loop: `Ok(None)` when `timeout`
+    /// expired with no complete message, the connection still good.
+    pub fn recv_or_timeout(&mut self, timeout: Option<Duration>) -> Result<Option<NetMsg>> {
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
             if let Some(body) = self.dec.next_frame()? {
-                return from_bytes::<NetMsg>(&body);
+                return from_bytes::<NetMsg>(&body).map(Some);
             }
             let per_read = match deadline {
                 Some(d) => {
                     let left = d.saturating_duration_since(Instant::now());
                     if left.is_zero() {
-                        return Err(Error::Protocol("recv timeout".into()));
+                        return Ok(None);
                     }
                     Some(left)
                 }
@@ -267,12 +274,9 @@ impl MsgStream {
             self.stream.set_read_timeout(per_read)?;
             match self.stream.read(&mut self.read_buf) {
                 Ok(0) => return Err(Error::Protocol("connection closed".into())),
-                Ok(n) => {
-                    let chunk = self.read_buf[..n].to_vec();
-                    self.dec.push(&chunk);
-                }
+                Ok(n) => self.dec.push(&self.read_buf[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(Error::Protocol("recv timeout".into()));
+                    return Ok(None);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(io_err(e)),
@@ -488,7 +492,10 @@ mod tests {
         let listener = Listener::bind(&Addr::Tcp("127.0.0.1:0".into())).unwrap();
         let addr = listener.local_addr().unwrap();
         let mut c = MsgStream::new(Stream::connect(&addr).unwrap());
+        assert_eq!(c.recv_or_timeout(Some(Duration::from_millis(50))), Ok(None));
+        // `recv` keeps its error text for callers that treat expiry as
+        // the end of the connection.
         let err = c.recv(Some(Duration::from_millis(50))).unwrap_err();
-        assert!(format!("{err:?}").contains("timeout"), "{err:?}");
+        assert_eq!(err, Error::Protocol("recv timeout".into()));
     }
 }

@@ -23,8 +23,9 @@
 //! ([`edgelet_sim::exec::drive`]) and the shared barrier merge over a
 //! third [`Barrier`]: one `OpenWindow`/`RoundDone` round-trip per
 //! worker, with envelope relay (through the optional
-//! [`NetFaultProxy`]) in place of a shared transport. The parity
-//! argument is DESIGN.md §"One executor, three barriers"; the
+//! [`NetFaultProxy`]) in place of a shared transport, every epoch from
+//! the `CoordinatorTemplate` the daemon's one world build left. The
+//! parity argument is DESIGN.md §"One executor, three barriers"; the
 //! proof-by-test is `tests/net_parity.rs`.
 //!
 //! # Failure = fallback
@@ -38,9 +39,10 @@
 use crate::conn::{Addr, Listener, MsgStream, Stream, TimerHeap};
 use crate::fault::{FaultVerdict, NetFaultProxy};
 use crate::proto::{NetMsg, Role, WireRecord, PROTO_VERSION};
+use edgelet_exec::{roles::querier::QuerierRecord, GroupingQuery};
 use edgelet_live::{ExitReason, LiveRun, PayloadClassifier, PreparedQuery, RemoteExecutor};
-use edgelet_query::{PrivacyConfig, QuerySpec, ResilienceConfig};
-use edgelet_sim::exec::{drive, fold_min, Barrier, Window, WindowReport};
+use edgelet_query::{PrivacyConfig, QueryPlan, QuerySpec, ResilienceConfig};
+use edgelet_sim::exec::{drive, fold_min, Barrier, RunState, Window, WindowReport};
 use edgelet_sim::{FaultPlan, SimTime};
 use edgelet_util::{Error, Result};
 use edgelet_wire::{from_bytes, Envelope};
@@ -65,7 +67,45 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// their encoding.
 pub trait WorldBuilder: Send + Sync {
     /// Builds the world for `epoch`, sliced for `workers` processes.
+    ///
+    /// `epoch` may only be stamped on what the world sends; it must never
+    /// shape the world — plan, devices, actors, seeds and pending events
+    /// are a function of `spec` and `workers` alone. The daemon builds
+    /// once and starts every epoch from a `CoordinatorTemplate`.
     fn build(&self, spec: &[u8], epoch: u64, workers: usize) -> Result<PreparedQuery>;
+}
+
+/// The coordinator's share of a built world: the plan, the report's
+/// sliced queries and the decision loop's starting point. None of it
+/// depends on the epoch, so one serves every epoch of a daemon.
+#[derive(Debug)]
+struct CoordinatorTemplate {
+    plan: QueryPlan,
+    sliced_queries: Vec<GroupingQuery>,
+    classifier: Option<PayloadClassifier>,
+    real_pending: u64,
+    min_at: Option<u64>,
+    lookahead_us: u64,
+    max_events: u64,
+    trace_capacity: usize,
+}
+
+impl CoordinatorTemplate {
+    /// Keeps the coordinator's share of `prepared`; slices, actors and that
+    /// build's ledger and record handles go (workers hold the real ones).
+    fn of(prepared: PreparedQuery) -> Self {
+        let mut parts = prepared.engine.into_parts();
+        CoordinatorTemplate {
+            plan: prepared.plan,
+            sliced_queries: prepared.assembly.sliced_queries,
+            classifier: parts.classifier,
+            min_at: parts.world.pending_min(),
+            real_pending: parts.world.state.real_pending,
+            lookahead_us: parts.world.state.lookahead_us,
+            max_events: parts.world.state.max_events,
+            trace_capacity: parts.config.trace_capacity,
+        }
+    }
 }
 
 /// Daemon configuration.
@@ -147,6 +187,7 @@ pub struct Daemon {
     shared: Arc<DaemonShared>,
     config: NetConfig,
     builder: Arc<dyn WorldBuilder>,
+    template: Mutex<Option<Arc<CoordinatorTemplate>>>,
     addr: Addr,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     sweeper_thread: Mutex<Option<JoinHandle<()>>>,
@@ -185,6 +226,7 @@ impl Daemon {
             shared,
             config,
             builder,
+            template: Mutex::new(None),
             addr: bound,
             accept_thread: Mutex::new(Some(accept_thread)),
             sweeper_thread: Mutex::new(Some(sweeper_thread)),
@@ -353,12 +395,39 @@ impl Daemon {
         self.shared.registry_cv.notify_all();
     }
 
+    /// The template, built now if no earlier epoch left one (a failed
+    /// build leaves none either). A `spec` other than the canonical query
+    /// is refused: the template's plan is the only one the workers run.
+    fn template_for(&self, spec: &QuerySpec, epoch: u64) -> Result<Arc<CoordinatorTemplate>> {
+        let kept = { lock(&self.template).clone() };
+        let template = match kept {
+            Some(template) => template,
+            None => {
+                // Built outside the lock; of two first epochs racing here
+                // the earlier template stays, and they are equal.
+                let (world, workers) = (&self.config.world_spec, self.config.expected_workers);
+                let built = Arc::new(CoordinatorTemplate::of(
+                    self.builder.build(world, epoch, workers)?,
+                ));
+                lock(&self.template).get_or_insert(built).clone()
+            }
+        };
+        if *spec != template.plan.spec {
+            return Err(Error::InvalidQuery(format!(
+                "query {} is not the canonical query this daemon serves",
+                spec.id
+            )));
+        }
+        Ok(template)
+    }
+
     /// The distributed run of one epoch; `Err` here means "fall back to
     /// the in-process path" (the caller drops the worker streams
     /// first).
     fn run_distributed(
         &self,
         epoch: u64,
+        template: &CoordinatorTemplate,
         workers: &mut [MsgStream],
         abort: &AtomicBool,
     ) -> Result<LiveRun> {
@@ -369,8 +438,6 @@ impl Daemon {
             None => None,
         };
 
-        // Prepare every worker first, so the workers build their copies
-        // of the world while the daemon builds its own.
         for (i, stream) in workers.iter_mut().enumerate() {
             stream.send(&NetMsg::Prepare {
                 epoch,
@@ -381,24 +448,18 @@ impl Daemon {
             })?;
         }
 
-        // Build the daemon's own copy of the world: it keeps the plan
-        // and the report-side assembly handles; the worker slices are
-        // dropped (remote processes hold the real ones).
-        let PreparedQuery {
-            plan,
-            engine,
-            assembly,
-        } = self
-            .builder
-            .build(&self.config.world_spec, epoch, worker_count)?;
+        // This epoch's state: the template's starting point, no charges.
+        let plan = template.plan.clone();
         let deadline =
             SimTime::ZERO + edgelet_sim::Duration::from_secs_f64(plan.spec.deadline_secs);
-        let parts = engine.into_parts();
-        let classifier = parts.classifier;
-        let mut world = parts.world;
-        world.state.min_at = world.pending_min();
-        let mut state = world.state;
-        drop(world.slices);
+        let mut state = RunState::new(
+            template.lookahead_us,
+            template.max_events,
+            template.trace_capacity,
+        );
+        state.real_pending = template.real_pending;
+        state.min_at = template.min_at;
+        let mut ledger = edgelet_exec::Ledger::default();
 
         // Await all Ready acks.
         for stream in workers.iter_mut() {
@@ -420,7 +481,7 @@ impl Daemon {
             reports: Vec::with_capacity(workers.len()),
             workers: &mut *workers,
             proxy,
-            classifier,
+            classifier: template.classifier,
         };
         let exit = drive(&mut state, &mut barrier, deadline, Some(abort))?;
         let (metrics, trace) = (state.metrics, state.trace);
@@ -439,15 +500,14 @@ impl Daemon {
             match stream.recv(Some(self.config.io_timeout))? {
                 NetMsg::QueryDone {
                     epoch: e,
-                    ledger,
+                    ledger: partial,
                     record,
                 } if e == epoch => {
                     // Ledger charges are per-device and devices are
                     // disjoint across workers, so merging partials in
                     // worker order reconstructs the global ledger
                     // exactly.
-                    let partial: edgelet_exec::Ledger = from_bytes(&ledger)?;
-                    lock(&assembly.ledger).merge(&partial);
+                    ledger.merge(&from_bytes::<edgelet_exec::Ledger>(&partial)?);
                     if let Some(r) = record {
                         final_record = Some(r);
                     }
@@ -459,23 +519,21 @@ impl Daemon {
                 }
             }
         }
-        let record = final_record
+        let wire = final_record
             .ok_or_else(|| Error::Protocol("no worker reported the querier record".into()))?;
-        {
-            let mut rec = lock(&assembly.record);
-            rec.payload = record.payload;
-            rec.completed_at = record.completed_at_us.map(SimTime::from_micros);
-            rec.partitions_merged = record.partitions_merged;
-            rec.partitions_complete = record.partitions_complete;
-            rec.winning_replica = record.winning_replica;
-            rec.results_received = record.results_received;
-        }
-
+        let record = QuerierRecord {
+            payload: wire.payload,
+            completed_at: wire.completed_at_us.map(SimTime::from_micros),
+            partitions_merged: wire.partitions_merged,
+            partitions_complete: wire.partitions_complete,
+            winning_replica: wire.winning_replica,
+            results_received: wire.results_received,
+        };
         let report = edgelet_exec::finish_report(
             &plan,
-            &assembly.sliced_queries,
-            &assembly.record,
-            &assembly.ledger,
+            &template.sliced_queries,
+            &Arc::new(Mutex::new(record)),
+            &Arc::new(Mutex::new(ledger)),
             &metrics,
         )?;
         let trace_digest = trace.enabled().then(|| trace.digest());
@@ -572,20 +630,31 @@ impl Barrier for SocketBarrier<'_> {
     }
 }
 
+/// `privacy` and `resilience` are not checked: a `PreparedQuery` does not
+/// carry the ones its plan was made under, so a submission with the
+/// canonical `QuerySpec` but other configs gets the canonical verdict.
+/// The host must submit what the world spec encodes (`edgelet submit
+/// --connect` does).
 impl RemoteExecutor for Daemon {
     fn try_run(
         &self,
         epoch: u64,
-        _spec: &QuerySpec,
+        spec: &QuerySpec,
         _privacy: &PrivacyConfig,
         _resilience: &ResilienceConfig,
         abort: &AtomicBool,
     ) -> Option<edgelet_util::Result<LiveRun>> {
-        // The daemon runs the canonical world spec it was configured
-        // with; the host (the CLI submit path) guarantees the service's
-        // submitted query matches it before calling submit.
+        // No fleet, no world build. Only the canonical query runs here;
+        // any other goes back to the service before a worker is prepared.
         let mut workers = self.take_live_workers()?;
-        match self.run_distributed(epoch, &mut workers, abort) {
+        let template = match self.template_for(spec, epoch) {
+            Ok(t) => t,
+            Err(e) => {
+                self.return_workers(workers);
+                return Some(Err(e));
+            }
+        };
+        match self.run_distributed(epoch, &template, &mut workers, abort) {
             Ok(run) => {
                 self.return_workers(workers);
                 Some(Ok(run))
@@ -765,5 +834,65 @@ fn handshake(stream: Stream, shared: &Arc<DaemonShared>, timeout: Duration) {
                 ms.shutdown();
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgelet_core::prelude::{
+        AggSpec, CmpOp, Platform, PlatformConfig, Predicate, PrivacyConfig, ResilienceConfig, Value,
+    };
+    use edgelet_live::{prepare_live_query, LiveRunOptions};
+
+    /// The template of a small traced world built for `epoch`.
+    fn template_at(epoch: u64) -> String {
+        let mut platform = Platform::build(PlatformConfig {
+            seed: 11,
+            contributors: 40,
+            processors: 24,
+            network: edgelet_core::NetworkProfile::Reliable,
+            fault_plan: Some(FaultPlan::new()),
+            trace_capacity: 1 << 16,
+            ..PlatformConfig::default()
+        });
+        let spec = platform.grouping_query(
+            Predicate::cmp("age", CmpOp::Gt, Value::Int(65)),
+            20,
+            &[&["sex"], &[]],
+            vec![AggSpec::count_star()],
+        );
+        let built = prepare_live_query(
+            &platform,
+            &spec,
+            &PrivacyConfig::none().with_max_tuples(10),
+            &ResilienceConfig {
+                failure_probability: 0.0,
+                ..ResilienceConfig::default()
+            },
+            Arc::new(crate::CollectorTransport::new(1)),
+            &LiveRunOptions::new(1, epoch),
+        )
+        .expect("world builds");
+        format!("{:#?}", CoordinatorTemplate::of(built))
+    }
+
+    #[test]
+    fn a_template_kept_from_epoch_1_is_what_epoch_7_would_build() {
+        let (first, seventh) = (template_at(1), template_at(7));
+        assert_eq!(first, seventh);
+        // Every field is in that comparison, and none is trivially empty.
+        for field in [
+            "plan",
+            "sliced_queries",
+            "classifier: Some",
+            "real_pending",
+            "min_at: Some",
+            "lookahead_us",
+            "max_events",
+            "trace_capacity: 65536",
+        ] {
+            assert!(first.contains(field), "{field} missing from {first}");
+        }
     }
 }

@@ -244,15 +244,10 @@ fn connect_session(
             return Ok(());
         }
         // Poll-style receive so `stop` is observed between messages.
-        let msg = match ms.recv(Some(Duration::from_millis(500))) {
-            Ok(m) => m,
-            Err(e) => {
-                let s = format!("{e:?}");
-                if s.contains("timeout") {
-                    continue;
-                }
-                return Err(disc(format!("recv: {s}")));
-            }
+        let msg = match ms.recv_or_timeout(Some(Duration::from_millis(500))) {
+            Ok(Some(m)) => m,
+            Ok(None) => continue,
+            Err(e) => return Err(disc(format!("recv: {e:?}"))),
         };
         match msg {
             NetMsg::Ping { nonce } => {

@@ -111,6 +111,27 @@ pub struct RunState {
     pub max_events: u64,
 }
 
+impl RunState {
+    /// The accumulators of a world nothing has been registered on yet:
+    /// virtual time zero, nothing pending, empty metrics and trace.
+    /// [`World::new`] starts from it; so does a coordinator that drives
+    /// slices it does not hold (the socket daemon).
+    pub fn new(lookahead_us: u64, max_events: u64, trace_capacity: usize) -> Self {
+        RunState {
+            metrics: SimMetrics::default(),
+            trace: Trace::new(trace_capacity),
+            fault_counters: FaultCounters::default(),
+            real_pending: 0,
+            parked: 0,
+            now: SimTime::ZERO,
+            min_at: None,
+            cell_open_until: 0,
+            lookahead_us,
+            max_events,
+        }
+    }
+}
+
 /// How one window reaches every slice and how their reports come back.
 pub trait Barrier {
     /// Runs `window` on every slice. Returns the slices' reports
@@ -468,18 +489,7 @@ impl World {
             slices: (0..n)
                 .map(|i| Shard::new(i, n, lookahead_us.max(1)))
                 .collect(),
-            state: RunState {
-                metrics: SimMetrics::default(),
-                trace: Trace::new(trace_capacity),
-                fault_counters: FaultCounters::default(),
-                real_pending: 0,
-                parked: 0,
-                now: SimTime::ZERO,
-                min_at: None,
-                cell_open_until: 0,
-                lookahead_us,
-                max_events,
-            },
+            state: RunState::new(lookahead_us, max_events, trace_capacity),
             device_count: 0,
             root_rng: DetRng::new(seed),
         }
@@ -686,10 +696,10 @@ mod tests {
     }
 
     fn state(min_at: Option<u64>, real_pending: u64) -> RunState {
-        let mut world = World::new(1, L, 100, 0, 1);
-        world.state.min_at = min_at;
-        world.state.real_pending = real_pending;
-        world.state
+        let mut state = RunState::new(L, 100, 0);
+        state.min_at = min_at;
+        state.real_pending = real_pending;
+        state
     }
 
     fn at(us: u64) -> SimTime {
