@@ -11,6 +11,7 @@
 
 use edgelet_core::prelude::*;
 use edgelet_core::query::resilience::{plan_overcollection, plan_overcollection_approx};
+use edgelet_core::sim::exec::{Exchange, Mailboxes, RunEnv, Shard, WindowReport, World};
 use edgelet_core::sim::{
     Actor, Availability, Context, CrashPlan, DeviceConfig, Duration, LatencyModel, NetworkModel,
     SimConfig, SimTime, Simulation, TimerToken,
@@ -21,6 +22,7 @@ use edgelet_core::util::rng::DetRng;
 use edgelet_core::util::stats::percentile;
 use edgelet_core::wire::{from_bytes, to_bytes};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One measured workload.
@@ -465,6 +467,98 @@ pub fn scale_churn(shards: usize, name: &'static str) -> SuiteResult {
     sharded(shards, result)
 }
 
+/// Virtual seconds the sparse-window suite runs (a polling query's
+/// deadline).
+const SPARSE_CHURN_SECS: u64 = 900;
+
+/// Keeps a world with no query installed from being quiescent: one
+/// timer armed past the suite's deadline.
+struct Sentinel;
+
+impl Actor for Sentinel {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(Duration::from_secs(2 * SPARSE_CHURN_SECS));
+    }
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: DeviceId, _payload: &[u8]) {}
+}
+
+/// The simulator's exchange, counting windows on the way: the executor
+/// hands every window's 1-based number to `ingest`.
+struct CountingMail {
+    mail: Mailboxes,
+    windows: AtomicU64,
+}
+
+impl Exchange for CountingMail {
+    fn ingest(&self, me: usize, generation: u64, shard: &mut Shard) {
+        self.windows.store(generation, Ordering::Relaxed);
+        self.mail.ingest(me, generation, shard);
+    }
+    fn publish(&self, me: usize, report: &mut WindowReport) {
+        self.mail.publish(me, report);
+    }
+    fn settle(&self) -> Option<u64> {
+        self.mail.settle()
+    }
+}
+
+/// What a window costs around the actor, in isolation: the benchmark's
+/// polling world (`sim_polling_churn`: 4 151 churning devices, 10 ms
+/// lookahead) with no query installed, so every event is a churn toggle
+/// and every window holds a handful of them. Reports wall time per
+/// window and events per second; world construction excluded.
+pub fn window_sparse_churn(name: &'static str) -> SuiteResult {
+    let mut platform = Platform::build(Scenario::OpportunisticPolling.config(1));
+    let spec = crate::census_spec(&mut platform, 800);
+    let network = platform.config().network.to_model();
+    let deadline = SimTime::from_micros(SPARSE_CHURN_SECS * 1_000_000);
+    let (mut windows, mut events) = (0u64, 0u64);
+    let mut samples: Vec<f64> = Vec::with_capacity(SAMPLES);
+    for i in 0..=SAMPLES {
+        let lookahead_us = network.min_latency().as_micros();
+        let mut world = World::new(1, lookahead_us, u64::MAX, 0, platform.sim_seed(&spec));
+        let devices = platform.device_configs(&spec);
+        world.reserve(devices.size_hint().0);
+        for cfg in devices {
+            world.add_device(cfg);
+        }
+        world.install_actor(platform.querier(), Box::new(Sentinel));
+        let env = RunEnv {
+            network: &network,
+            ttl: None,
+            classifier: None,
+            plan: None,
+            trace_enabled: false,
+            need_kind: false,
+            device_count: world.device_count(),
+            shard_count: 1,
+            deliveries_leave: false,
+        };
+        let mail = CountingMail {
+            mail: Mailboxes::new(1),
+            windows: AtomicU64::new(0),
+        };
+        let start = Instant::now();
+        world
+            .run(&env, &mail, deadline, None)
+            .expect("the inline barrier cannot fail");
+        let elapsed = start.elapsed().as_secs_f64() * 1e9;
+        windows = mail.windows.load(Ordering::Relaxed);
+        events = world.state.metrics.events_processed;
+        assert!(windows > 1_000 && events >= windows, "the crowd must churn");
+        if i > 0 {
+            samples.push(elapsed);
+        }
+    }
+    let per_window = Timing::of(samples).per(windows as usize);
+    SuiteResult::new(
+        name,
+        per_window,
+        "events_per_sec",
+        events as f64 / windows as f64,
+    )
+}
+
 /// Collectors in the 100k-contributor grouping suite (250 contributors
 /// each, mirroring the paper's partitioned Grouping-Sets fan-out).
 const GROUP_COLLECTORS: usize = 400;
@@ -845,6 +939,7 @@ pub fn suites() -> Vec<Suite> {
             "sim/scale/grouping_query_100k_contributors@shards4",
             |name| scale_grouping(PARALLEL_SHARDS, name),
         ),
+        suite("sim/window/sparse_churn_4k", window_sparse_churn),
         suite("core/platform_build/1k_contributors", core_platform_build),
         suite("query/plan/1k_contributors_warm", query_plan_warm),
         suite("planner/overcollection/exact_n512", |name| {
@@ -1075,13 +1170,14 @@ mod tests {
     #[test]
     fn registry_filters_by_prefix() {
         let names: Vec<&str> = suites().iter().map(|s| s.name).collect();
-        assert_eq!(names.len(), 20, "{names:?}");
+        assert_eq!(names.len(), 21, "{names:?}");
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "{names:?}");
         // Prefix selection is what `bench_report --suite` exposes; pure
         // name filtering here so the test does not run the heavy suites.
         let with = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
         assert_eq!(with("sim/broadcast"), 2);
+        assert_eq!(with("sim/window"), 1);
         assert_eq!(with("planner/overcollection"), 2);
         assert_eq!(with(""), names.len());
         assert_eq!(with("no/such/suite"), 0);

@@ -314,7 +314,9 @@ impl Platform {
             },
             self.sim_seed(spec),
         );
-        for cfg in self.device_configs(spec) {
+        let devices = self.device_configs(spec);
+        sim.reserve(devices.size_hint().0);
+        for cfg in devices {
             sim.add_device(cfg);
         }
         if let Some(plan) = &self.config.fault_plan {

@@ -182,6 +182,11 @@ impl LiveEngine {
         Ok(self.parts.world.add_device(cfg))
     }
 
+    /// Makes room for `devices` more [`LiveEngine::add_device`] calls.
+    pub fn reserve(&mut self, devices: usize) {
+        self.parts.world.reserve(devices);
+    }
+
     /// Installs an actor on a device; its `on_start` runs at the current
     /// virtual time once the engine is stepped.
     pub fn install_actor(&mut self, device: DeviceId, actor: Box<dyn edgelet_sim::Actor>) {

@@ -96,7 +96,9 @@ pub fn build_live_world(
         transport,
         opts.epoch,
     )?;
-    for device in platform.device_configs(spec) {
+    let devices = platform.device_configs(spec);
+    engine.reserve(devices.size_hint().0);
+    for device in devices {
         engine.add_device(device)?;
     }
     if cfg.fault_plan.is_some() {

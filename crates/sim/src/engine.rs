@@ -22,7 +22,7 @@
 //! much reordering freedom the schedule grants.
 
 use crate::actor::Actor;
-use crate::exec::{apply_deltas, ExitReason, JItem, Mailboxes, RunEnv, WindowOut, World};
+use crate::exec::{apply_deltas, ExitReason, Mailboxes, RunEnv, WindowOut, World};
 use crate::fault::{Classifier, FaultCounters, FaultPlan, HeldMsg};
 use crate::metrics::SimMetrics;
 use crate::network::NetworkModel;
@@ -116,6 +116,11 @@ impl Simulation {
     /// Registers a device; returns its id.
     pub fn add_device(&mut self, cfg: DeviceConfig) -> DeviceId {
         self.world.add_device(cfg)
+    }
+
+    /// Makes room for `devices` more [`Simulation::add_device`] calls.
+    pub fn reserve(&mut self, devices: usize) {
+        self.world.reserve(devices);
     }
 
     /// Installs an actor on a device; its `on_start` runs at the current
@@ -244,7 +249,6 @@ fn run_fallback(
             ev,
             env,
             &mut out,
-            0,
             &mut state.fault_counters,
             Some(&mut *holds),
         );
@@ -253,14 +257,11 @@ fn run_fallback(
         state.real_pending = ((state.real_pending as i64) + out.deltas.real_pending).max(0) as u64;
         state.parked = ((state.parked as i64) + out.deltas.parked).max(0) as u64;
         for entry in out.journal.drain(..) {
-            match entry.item {
-                JItem::Trace(ev) => state.trace.record(entry.at, ev),
-                JItem::Observe(name, value) => state.metrics.observe(name, value),
-            }
+            state.replay(entry);
         }
         for (dest, evs) in out.outbound.iter_mut().enumerate() {
-            if !evs.is_empty() {
-                slices[dest].queue.push_batch(evs);
+            for ev in evs.drain(..) {
+                slices[dest].queue.push(ev);
             }
         }
     }

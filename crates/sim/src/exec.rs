@@ -130,6 +130,14 @@ impl RunState {
             max_events,
         }
     }
+
+    /// Applies one journal entry, its turn in the global order come.
+    pub(crate) fn replay(&mut self, entry: JEntry) {
+        match entry.item {
+            JItem::Trace(ev) => self.trace.record(entry.at, ev),
+            JItem::Observe(name, value) => self.metrics.observe(name, value),
+        }
+    }
 }
 
 /// How one window reaches every slice and how their reports come back.
@@ -224,7 +232,8 @@ pub fn apply_deltas(metrics: &mut SimMetrics, d: &Deltas) {
 /// canonical replay order falls out of a streaming k-way merge:
 /// repeatedly take the smallest head among the k journals. Journals are
 /// drained in place (capacity kept for recycling); nothing is
-/// concatenated or re-sorted.
+/// concatenated or re-sorted, and a lone report's journal is replayed
+/// as it stands.
 pub fn merge_reports(reports: &mut [WindowReport], state: &mut RunState) -> Option<u64> {
     let mut next_min_at = None;
     for report in reports.iter() {
@@ -236,6 +245,12 @@ pub fn merge_reports(reports: &mut [WindowReport], state: &mut RunState) -> Opti
         state.fault_counters.merge(&report.fc);
         next_min_at = fold_min(next_min_at, report.queue_min_at);
         next_min_at = fold_min(next_min_at, report.outbound_min_at);
+    }
+    if let [report] = reports {
+        for entry in report.out.journal.drain(..) {
+            state.replay(entry);
+        }
+        return next_min_at;
     }
     let mut heads: Vec<_> = reports
         .iter_mut()
@@ -249,10 +264,7 @@ pub fn merge_reports(reports: &mut [WindowReport], state: &mut RunState) -> Opti
         .map(|(_, i)| i)
     {
         let Some(entry) = heads[i].next() else { break };
-        match entry.item {
-            JItem::Trace(ev) => state.trace.record(entry.at, ev),
-            JItem::Observe(name, value) => state.metrics.observe(name, value),
-        }
+        state.replay(entry);
     }
     next_min_at
 }
@@ -275,33 +287,44 @@ pub trait Exchange: Sync {
 }
 
 /// Per-slice mailboxes of events: the simulator's whole exchange, and
-/// the staging area of any fabric that decodes into events.
+/// the staging area of any fabric that decodes into events. Each slice
+/// has two buffers, the one neighbours post into and the one its owner
+/// last took; a collect swaps them, so steady-state mail allocates
+/// nothing.
 #[derive(Debug)]
-pub struct Mailboxes(Vec<Mutex<Vec<Event>>>);
+pub struct Mailboxes(Vec<[Mutex<Vec<Event>>; 2]>);
 
 impl Mailboxes {
     /// One empty mailbox per slice.
     pub fn new(slices: usize) -> Self {
-        Mailboxes((0..slices).map(|_| Mutex::new(Vec::new())).collect())
+        Mailboxes((0..slices).map(|_| Default::default()).collect())
     }
 
     /// Leaves events for slice `dest`'s next [`Mailboxes::collect`].
     pub fn post(&self, dest: usize, events: impl IntoIterator<Item = Event>) {
-        lock(&self.0[dest]).extend(events);
+        lock(&self.0[dest][0]).extend(events);
     }
 
-    /// Moves slice `me`'s mail onto its queue. Safe without further
-    /// synchronisation: posts happen while the destination is idle or
-    /// before it collects, never concurrently with the swap.
+    /// Moves slice `me`'s mail onto its queue. A neighbour that finished
+    /// its window early may already be posting the next one's mail, so
+    /// the posted buffer is only locked for the swap; the taken one is
+    /// `me`'s alone.
     pub fn collect(&self, me: usize, shard: &mut Shard) {
-        std::mem::swap(&mut *lock(&self.0[me]), &mut shard.spill);
-        shard.queue.push_batch(&mut shard.spill);
+        let [posted, taken] = &self.0[me];
+        let mut taken = lock(taken);
+        std::mem::swap(&mut *lock(posted), &mut *taken);
+        for ev in taken.drain(..) {
+            shard.queue.push(ev);
+        }
     }
 
     /// Earliest delivery time of any uncollected event, µs.
     pub fn min_at(&self) -> Option<u64> {
         let min_of = |mb: &Mutex<Vec<Event>>| lock(mb).iter().map(|e| e.at.as_micros()).min();
-        self.0.iter().map(min_of).fold(None, fold_min)
+        self.0
+            .iter()
+            .map(|[posted, _]| min_of(posted))
+            .fold(None, fold_min)
     }
 
     /// After a run: returns mail a deadline, budget or abort stop left
@@ -498,6 +521,16 @@ impl World {
     /// Number of registered devices.
     pub fn device_count(&self) -> usize {
         self.device_count
+    }
+
+    /// Makes room for `devices` more [`World::add_device`] calls, so a
+    /// host that knows its enrolment's length grows nothing while it
+    /// registers.
+    pub fn reserve(&mut self, devices: usize) {
+        let per_slice = devices.div_ceil(self.slices.len());
+        for shard in &mut self.slices {
+            shard.reserve(per_slice);
+        }
     }
 
     /// A registered device's state.

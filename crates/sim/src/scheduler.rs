@@ -1,24 +1,15 @@
-//! Event representation and the bucketed calendar queue.
-//!
-//! The engine used to keep every pending event in one global `BinaryHeap`
-//! keyed by `(time, global_seq)`. That had two scaling problems: the heap
-//! is `O(log n)` per operation with poor locality at million-event
-//! populations, and a *global* sequence number makes event identity depend
-//! on execution order, which rules out sharded execution.
-//!
-//! This module replaces both:
+//! Event representation and the keyed event queue.
 //!
 //! * Every [`Event`] carries an **intrinsic key** `(at, origin, seq)`
 //!   where `origin` is the device that spawned it and `seq` is that
 //!   device's private spawn counter. The key is a pure function of the
 //!   spawning device's history, so it is identical for every shard count
 //!   — the foundation of the sharded engine's bit-exact determinism.
-//! * The [`CalendarQueue`] buckets events into fixed-width time cells
-//!   (cell width = the engine's lookahead). Pushes are amortised `O(1)`;
-//!   only the minimum cell is ever sorted, and in windowed execution it
-//!   isn't sorted at all — the whole cell is handed to the executor as a
-//!   batch. Emptied cell buffers are pooled and reused, so steady-state
-//!   scheduling performs no allocation.
+//! * The [`EventQueue`] pops events in key order for the windowed
+//!   executor and the sequential fallback alike: a binary heap of small
+//!   keys over a slab of event bodies, with calendar cells (cell width =
+//!   the engine's lookahead) only as overflow for populations too large
+//!   to sift.
 
 use crate::actor::TimerToken;
 use crate::fault::CrashCause;
@@ -26,8 +17,8 @@ use crate::time::SimTime;
 use edgelet_util::ids::DeviceId;
 use edgelet_util::Payload;
 use edgelet_wire::Envelope;
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// What a scheduled event does when it pops.
 #[derive(Debug)]
@@ -150,217 +141,157 @@ impl From<Envelope> for Event {
     }
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed so `BinaryHeap<Event>` is a min-heap on the key.
-        other.key().cmp(&self.key())
-    }
+/// A heap entry: the event's intrinsic key and where its [`EventKind`]
+/// waits in the slab. Ordered by the key alone (`(origin, seq)` is
+/// unique, so `slot` never decides).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    origin: u64,
+    seq: u64,
+    slot: usize,
 }
 
-/// A bucketed calendar queue: pending events grouped into fixed-width
-/// time cells.
+/// Pending events the heap takes before far-future pushes overflow into
+/// their calendar cells. It sits between two measurements: the
+/// benchmark's polling world peaks at 8 4xx pending events (every
+/// device's first toggle, its actor's start and the crash draws, all
+/// queued before the first window) and is fastest when none of them
+/// touches the `BTreeMap` (`sim_polling_churn` +30 % `queries_per_s`
+/// over the cell-per-event queue); `bench_report --suite
+/// sim/scale/100k_devices_churn` keeps 125 000 pending (31 000 a slice
+/// at `shards` 4) and reads +27 % wall time when all of them are sifted
+/// through one heap (docs/PERF.md "A window that touches three events").
+const HEAP_MAX: usize = 16 * 1024;
+
+/// The event queue of one slice: a binary min-heap of 32-byte [`Key`]s
+/// over a slab of [`EventKind`]s (an 80-byte [`Event`] is never sifted),
+/// with fixed-width calendar cells kept only as *overflow*.
 ///
-/// Cells other than the minimum are unsorted `Vec`s (push is an amortised
-/// `O(1)` append). For one-at-a-time consumption ([`CalendarQueue::pop_min`],
-/// used by the sequential fallback executor) the minimum cell is sorted
-/// once, descending, and popped from the back. For windowed execution the
-/// minimum cell is taken wholesale with [`CalendarQueue::take_cell`] and
-/// never sorted here. Emptied buffers return to an internal pool.
+/// A push goes to the heap when its cell has already been opened, or
+/// while the heap is small and nothing has overflowed; otherwise to its
+/// cell, whole (an `O(1)` append). [`EventQueue::peek_min_key`] and
+/// [`EventQueue::pop_min`] first promote every cell not later than the
+/// heap's minimum, so the heap's top is always the queue's. A sparse
+/// world therefore never touches the `BTreeMap`; a dense one keeps far
+/// pushes out of the heap, streams them through their cells, and sifts
+/// only the events of the windows at hand.
 #[derive(Debug)]
-pub(crate) struct CalendarQueue {
+pub(crate) struct EventQueue {
     width_us: u64,
-    /// Cell index (`at_us / width_us`) -> pending events. Vecs in the map
-    /// are never empty.
-    cells: BTreeMap<u64, Vec<Event>>,
-    /// The minimum cell, sorted descending by key (pop from the back).
-    /// Invariant: when occupied, its index is <= every key in `cells`.
-    cur: Option<(u64, Vec<Event>)>,
-    len: usize,
-    /// Recycled cell buffers.
-    pool: Vec<Vec<Event>>,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Bodies of the heap's events, indexed by [`Key::slot`]; `free`
+    /// lists the vacant slots (last freed first, so a busy slab stays
+    /// as small as the heap it serves).
+    slab: Vec<Option<EventKind>>,
+    free: Vec<usize>,
+    /// Cell index (`at_us / width_us`) -> events too far ahead for the
+    /// heap, unsorted. Vecs in the map are never empty.
+    overflow: BTreeMap<u64, Vec<Event>>,
+    /// Highest cell promoted so far: pushes at or below it skip the map.
+    opened: u64,
+    /// [`HEAP_MAX`]; a field so the unit tests reach the seam with a
+    /// handful of events.
+    heap_max: usize,
 }
 
-impl CalendarQueue {
+impl EventQueue {
     /// Creates a queue with the given cell width (clamped to >= 1 µs).
     pub fn new(width_us: u64) -> Self {
-        CalendarQueue {
+        EventQueue {
             width_us: width_us.max(1),
-            cells: BTreeMap::new(),
-            cur: None,
-            len: 0,
-            pool: Vec::new(),
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            overflow: BTreeMap::new(),
+            opened: 0,
+            heap_max: HEAP_MAX,
         }
     }
 
-    /// The cell width, µs.
-    pub fn width_us(&self) -> u64 {
-        self.width_us
+    /// Makes room for `events` more pending events.
+    pub fn reserve(&mut self, events: usize) {
+        let events = events.min(self.heap_max);
+        self.slab.reserve(events);
+        self.heap.reserve(events);
     }
 
     /// Number of pending events.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() + self.overflow.values().map(Vec::len).sum::<usize>()
     }
 
     /// Schedules an event.
     pub fn push(&mut self, ev: Event) {
-        self.len += 1;
         let cell = ev.at.as_micros() / self.width_us;
-        match self.cur.as_mut() {
-            Some((ci, vec)) if *ci == cell => {
-                // Keep the minimum cell sorted (descending) so pop_min
-                // stays O(1); in-cell inserts are rare and small.
-                let key = ev.key();
-                let pos = vec.partition_point(|e| e.key() > key);
-                vec.insert(pos, ev);
-                return;
-            }
-            Some((ci, _)) if cell < *ci => {
-                // The minimum moved earlier: demote the current cell
-                // back into the map (it stays sorted; harmless).
-                if let Some((old_ci, old_vec)) = self.cur.take() {
-                    self.cells.insert(old_ci, old_vec);
-                }
-            }
-            _ => {}
-        }
-        self.cells
-            .entry(cell)
-            .or_insert_with(|| self.pool.pop().unwrap_or_default())
-            .push(ev);
-    }
-
-    /// Drains `buf` into the queue, amortising the per-event cell lookup
-    /// by batching consecutive same-cell runs: the destination cell's
-    /// buffer is taken out of the map once per run instead of once per
-    /// event. Barrier mailboxes and window remainders arrive in key
-    /// order, so their runs are long. Leaves `buf` empty (capacity
-    /// kept) for reuse.
-    pub fn push_batch(&mut self, buf: &mut Vec<Event>) {
-        if self.cur.is_some() {
-            // The sorted cursor is live (fallback executor): route
-            // through `push` so in-cursor inserts stay ordered.
-            for ev in buf.drain(..) {
-                self.push(ev);
-            }
-            return;
-        }
-        self.len += buf.len();
-        let mut run: Option<(u64, Vec<Event>)> = None;
-        for ev in buf.drain(..) {
-            let cell = ev.at.as_micros() / self.width_us;
-            match run.as_mut() {
-                Some((ci, vec)) if *ci == cell => vec.push(ev),
-                _ => {
-                    if let Some((ci, vec)) = run.take() {
-                        self.cells.insert(ci, vec);
-                    }
-                    let mut vec = self
-                        .cells
-                        .remove(&cell)
-                        .unwrap_or_else(|| self.pool.pop().unwrap_or_default());
-                    vec.push(ev);
-                    run = Some((cell, vec));
-                }
-            }
-        }
-        if let Some((ci, vec)) = run.take() {
-            self.cells.insert(ci, vec);
+        if cell <= self.opened || (self.overflow.is_empty() && self.heap.len() < self.heap_max) {
+            self.push_heap(ev);
+        } else {
+            self.overflow.entry(cell).or_default().push(ev);
         }
     }
 
-    /// Promotes the minimum map cell to `cur` (sorted) if `cur` is empty.
-    fn refill(&mut self) {
-        if let Some((_, vec)) = self.cur.as_ref() {
-            if !vec.is_empty() {
-                return;
+    fn push_heap(&mut self, ev: Event) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(ev.kind);
+                slot
             }
-        }
-        if let Some((_, vec)) = self.cur.take() {
-            self.pool.push(vec);
-        }
-        if let Some((ci, mut vec)) = self.cells.pop_first() {
-            vec.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-            self.cur = Some((ci, vec));
+            None => {
+                self.slab.push(Some(ev.kind));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Reverse(Key {
+            at: ev.at,
+            origin: ev.origin,
+            seq: ev.seq,
+            slot,
+        }));
+    }
+
+    /// Moves every overflow cell not later than the heap's minimum into
+    /// the heap (the earliest cell, when the heap is empty).
+    fn promote(&mut self) {
+        while let Some(cell) = self.overflow.first_entry() {
+            let top = self.heap.peek().map(|Reverse(k)| k.at.as_micros());
+            if top.is_some_and(|at_us| at_us / self.width_us < *cell.key()) {
+                break;
+            }
+            self.opened = *cell.key();
+            for ev in cell.remove() {
+                self.push_heap(ev);
+            }
         }
     }
 
-    /// Key of the earliest pending event, if any (sorts the minimum cell).
+    /// Key of the earliest pending event, if any.
     pub fn peek_min_key(&mut self) -> Option<(SimTime, u64, u64)> {
-        self.refill();
-        self.cur
-            .as_ref()
-            .and_then(|(_, vec)| vec.last().map(Event::key))
+        self.promote();
+        self.heap.peek().map(|Reverse(k)| (k.at, k.origin, k.seq))
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop_min(&mut self) -> Option<Event> {
-        self.refill();
-        let (_, vec) = self.cur.as_mut()?;
-        let ev = vec.pop()?;
-        self.len -= 1;
-        Some(ev)
-    }
-
-    /// Earliest pending event *time* without sorting anything: scans only
-    /// the minimum cell. Used by the windowed executor to decide which
-    /// cell to open next.
-    pub fn peek_min_at(&mut self) -> Option<SimTime> {
-        if let Some((_, vec)) = self.cur.as_ref() {
-            if let Some(m) = vec.iter().map(|e| e.at).min() {
-                return Some(m);
-            }
-        }
-        self.cells
-            .iter()
-            .next()
-            .and_then(|(_, vec)| vec.iter().map(|e| e.at).min())
-    }
-
-    /// Removes the whole cell at `idx`, unsorted. Returns `None` when the
-    /// cell has no events.
-    pub fn take_cell(&mut self, idx: u64) -> Option<Vec<Event>> {
-        if let Some((ci, _)) = self.cur.as_ref() {
-            if *ci == idx {
-                if let Some((_, vec)) = self.cur.take() {
-                    if vec.is_empty() {
-                        self.pool.push(vec);
-                        return None;
-                    }
-                    self.len -= vec.len();
-                    return Some(vec);
-                }
-            }
-        }
-        if let Some(vec) = self.cells.remove(&idx) {
-            self.len -= vec.len();
-            return Some(vec);
-        }
-        None
-    }
-
-    /// Returns an emptied cell buffer to the allocation pool.
-    pub fn recycle(&mut self, mut vec: Vec<Event>) {
-        vec.clear();
-        self.pool.push(vec);
+        self.promote();
+        let Reverse(key) = self.heap.pop()?;
+        let kind = self.slab[key.slot].take();
+        debug_assert!(kind.is_some(), "a queued key owns its slot");
+        self.free.push(key.slot);
+        Some(Event {
+            at: key.at,
+            origin: key.origin,
+            seq: key.seq,
+            kind: kind?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ev(at_us: u64, origin: u64, seq: u64) -> Event {
         Event {
@@ -394,136 +325,203 @@ mod tests {
         assert_eq!(ev(5, 0, 0).into_envelope(9), None);
     }
 
+    type K = (SimTime, u64, u64);
+
+    fn key(at_us: u64, origin: u64, seq: u64) -> K {
+        (SimTime::from_micros(at_us), origin, seq)
+    }
+
+    /// A queue whose heap overflows at `heap_max` pending events, so a
+    /// handful of events reaches the seams a real run meets at 16 Ki.
+    fn small(width_us: u64, heap_max: usize) -> EventQueue {
+        let mut q = EventQueue::new(width_us);
+        q.heap_max = heap_max;
+        q
+    }
+
+    /// The executor's window loop (`Shard::run_window`), minus the actor:
+    /// pops while the minimum is before `end_us`, not after `clip_us`,
+    /// and `budget` lasts.
+    fn pop_window(q: &mut EventQueue, end_us: u64, clip_us: u64, budget: usize) -> Vec<K> {
+        let mut popped = Vec::new();
+        while popped.len() < budget
+            && q.peek_min_key()
+                .is_some_and(|(at, ..)| at.as_micros() < end_us && at.as_micros() <= clip_us)
+        {
+            popped.extend(q.pop_min().map(|e| e.key()));
+        }
+        popped
+    }
+
+    /// The reference: every pending key in a `Vec` kept sorted.
+    #[derive(Default)]
+    struct Model(Vec<K>);
+
+    impl Model {
+        fn push(&mut self, k: K) {
+            let at = self.0.partition_point(|q| *q < k);
+            self.0.insert(at, k);
+        }
+
+        fn pop_window(&mut self, end_us: u64, clip_us: u64, budget: usize) -> Vec<K> {
+            let due = |k: &&K| k.0.as_micros() < end_us && k.0.as_micros() <= clip_us;
+            let n = self.0.iter().take_while(due).take(budget).count();
+            self.0.drain(..n).collect()
+        }
+    }
+
+    proptest! {
+        /// Differential test against the sorted-`Vec` model over random
+        /// interleavings of `push`, `pop_min`, `peek_min_key` and bounded
+        /// pops. Times fall in 40 cells and origins in 4, so equal `at`
+        /// under different `(origin, seq)` is the common case; the
+        /// overflow threshold is drawn too, so the population crosses it
+        /// upwards while pushes outnumber pops and downwards in the
+        /// final drain.
+        #[test]
+        fn the_queue_pops_what_a_sorted_vec_pops(
+            heap_max in 0usize..24,
+            ops in prop::collection::vec((0u8..10, 0u64..4_000, 0u64..4), 1..300),
+        ) {
+            let mut q = small(100, heap_max);
+            let mut model = Model::default();
+            for (seq, &(op, at_us, origin)) in ops.iter().enumerate() {
+                match op {
+                    0..=5 => {
+                        q.push(ev(at_us, origin, seq as u64));
+                        model.push(key(at_us, origin, seq as u64));
+                    }
+                    6 => prop_assert_eq!(
+                        q.pop_min().map(|e| e.key()),
+                        model.pop_window(u64::MAX, u64::MAX, 1).pop()
+                    ),
+                    7 => prop_assert_eq!(q.peek_min_key(), model.0.first().copied()),
+                    // A window one cell wide anchored at the minimum,
+                    // clipped and budgeted by the drawn values.
+                    _ => {
+                        let start = model.0.first().map_or(0, |k| k.0.as_micros());
+                        let (clip, budget) = (start + at_us / 40, origin as usize + 1);
+                        prop_assert_eq!(
+                            pop_window(&mut q, start + 100, clip, budget),
+                            model.pop_window(start + 100, clip, budget)
+                        );
+                    }
+                }
+                prop_assert_eq!(q.len(), model.0.len());
+            }
+            prop_assert_eq!(pop_window(&mut q, u64::MAX, u64::MAX, usize::MAX), model.0);
+            prop_assert_eq!(q.len(), 0);
+        }
+    }
+
+    /// Events at `ats` (origin and seq from the position) in a queue of
+    /// width 1 000 whose heap overflows at four events, and in the model.
+    fn seeded(ats: impl IntoIterator<Item = u64>) -> (EventQueue, Model) {
+        let (mut q, mut model) = (small(1_000, 4), Model::default());
+        for (i, at) in ats.into_iter().enumerate() {
+            q.push(ev(at, i as u64 % 2, i as u64));
+            model.push(key(at, i as u64 % 2, i as u64));
+        }
+        (q, model)
+    }
+
+    /// Seam one, upwards: the heap takes the first four events, the rest
+    /// overflow into their cells; equal `at` under different
+    /// `(origin, seq)` on both sides of the seam.
     #[test]
     fn pops_in_key_order_across_cells() {
-        let mut q = CalendarQueue::new(1_000);
-        let keys = [
-            (5_000, 1, 0),
-            (100, 0, 0),
-            (100, 0, 1),
-            (2_500, 7, 2),
-            (100, 2, 0),
-            (999, 9, 9),
-            (1_000, 0, 3),
-        ];
-        for (at, o, s) in keys {
-            q.push(ev(at, o, s));
-        }
-        assert_eq!(q.len(), keys.len());
-        let mut sorted: Vec<_> = keys
-            .iter()
-            .map(|&(at, o, s)| (SimTime::from_micros(at), o, s))
-            .collect();
-        sorted.sort();
-        let mut popped = Vec::new();
-        while let Some(e) = q.pop_min() {
-            popped.push(e.key());
-        }
-        assert_eq!(popped, sorted);
-        assert_eq!(q.len(), 0);
+        let (mut q, model) = seeded([5_000, 100, 100, 2_500, 1_100, 1_999, 2_000, 2_500]);
+        assert_eq!((q.len(), q.heap.len(), q.overflow.len()), (8, 4, 2));
+        assert_eq!(pop_window(&mut q, u64::MAX, u64::MAX, 99), model.0);
+        assert_eq!((q.len(), q.overflow.len()), (0, 0));
     }
 
+    /// Seam two: a push earlier than every queued event, after a cell
+    /// was promoted.
     #[test]
     fn push_below_current_cell_is_seen_first() {
-        let mut q = CalendarQueue::new(1_000);
-        q.push(ev(5_000, 0, 0));
-        assert_eq!(q.peek_min_key(), Some((SimTime::from_micros(5_000), 0, 0)));
-        // cur now holds cell 5; a push into an earlier cell must win.
-        q.push(ev(100, 1, 0));
-        assert_eq!(q.peek_min_key(), Some((SimTime::from_micros(100), 1, 0)));
-        assert_eq!(q.pop_min().map(|e| e.at.as_micros()), Some(100));
-        assert_eq!(q.pop_min().map(|e| e.at.as_micros()), Some(5_000));
-    }
-
-    #[test]
-    fn take_cell_returns_whole_bucket() {
-        let mut q = CalendarQueue::new(1_000);
-        q.push(ev(1_100, 0, 0));
-        q.push(ev(1_900, 1, 0));
-        q.push(ev(2_000, 2, 0));
-        assert_eq!(q.peek_min_at(), Some(SimTime::from_micros(1_100)));
-        let cell = q.take_cell(1).map(|v| v.len());
-        assert_eq!(cell, Some(2));
-        assert_eq!(q.len(), 1);
-        assert!(q.take_cell(1).is_none());
-        assert_eq!(q.peek_min_at(), Some(SimTime::from_micros(2_000)));
-    }
-
-    #[test]
-    fn take_cell_grabs_the_sorted_cursor_too() {
-        let mut q = CalendarQueue::new(1_000);
-        q.push(ev(1_100, 0, 0));
-        q.push(ev(1_200, 1, 0));
-        // Sorting promotes cell 1 into the cursor.
-        let _ = q.peek_min_key();
-        let cell = q.take_cell(1).map(|v| v.len());
-        assert_eq!(cell, Some(2));
-        assert_eq!(q.len(), 0);
-        assert!(q.pop_min().is_none());
-    }
-
-    #[test]
-    fn push_batch_is_equivalent_to_push() {
-        let keys = [
-            (100, 0, 0),
-            (150, 0, 1),
-            (1_200, 1, 0),
-            (1_300, 1, 1),
-            (100, 2, 0),
-            (7_000, 3, 0),
-            (1_250, 4, 0),
-        ];
-        let mut a = CalendarQueue::new(1_000);
-        let mut b = CalendarQueue::new(1_000);
-        for (at, o, s) in keys {
-            a.push(ev(at, o, s));
+        let (mut q, mut model) = seeded([9_500, 7_300, 5_000, 6_100, 2_900, 8_400, 2_050]);
+        // The minimum sits in an overflow cell: peeking promotes cell 2
+        // whole, and only cell 2.
+        assert_eq!(q.peek_min_key(), Some(key(2_050, 0, 6)));
+        assert_eq!((q.opened, q.overflow.len()), (2, 1));
+        // Earlier than everything, and into the opened cell: the heap is
+        // over its threshold and still takes both itself.
+        for (at, seq) in [(100, 7), (2_500, 8)] {
+            q.push(ev(at, 2, seq));
+            model.push(key(at, 2, seq));
         }
-        let mut buf: Vec<Event> = keys.iter().map(|&(at, o, s)| ev(at, o, s)).collect();
-        b.push_batch(&mut buf);
-        assert!(buf.is_empty());
-        assert_eq!(a.len(), b.len());
-        loop {
-            let (x, y) = (a.pop_min().map(|e| e.key()), b.pop_min().map(|e| e.key()));
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
-        // Batching into a queue with a live sorted cursor keeps order.
-        let mut c = CalendarQueue::new(1_000);
-        c.push(ev(500, 9, 0));
-        let _ = c.peek_min_key();
-        let mut buf: Vec<Event> = vec![ev(400, 8, 0), ev(600, 8, 1), ev(2_000, 8, 2)];
-        c.push_batch(&mut buf);
-        let popped: Vec<u64> =
-            std::iter::from_fn(|| c.pop_min().map(|e| e.at.as_micros())).collect();
-        assert_eq!(popped, vec![400, 500, 600, 2_000]);
+        assert_eq!(q.overflow.len(), 1);
+        let popped = pop_window(&mut q, 5_000, u64::MAX, 99);
+        assert_eq!(popped.first(), Some(&key(100, 2, 7)));
+        assert_eq!(popped, model.pop_window(5_000, u64::MAX, 99));
     }
 
+    /// Seam one, downwards: windowed consumption drains the heap below
+    /// its threshold, after which it takes far pushes itself again.
     #[test]
     fn mixed_peek_and_pop_after_windowed_use() {
-        let mut q = CalendarQueue::new(500);
-        for i in 0..100u64 {
-            q.push(ev(i * 137 % 5_000, i, 0));
+        let (mut q, mut model) = seeded((0..100).map(|i| i * 137 % 5_000));
+        // Cell 0 counts as opened from the start.
+        assert_eq!(q.overflow.len(), 4);
+        // Windowed-style consumption of the four earliest cells.
+        for end_us in [1_000, 2_000, 3_000, 4_000] {
+            let popped = pop_window(&mut q, end_us, u64::MAX, 99);
+            assert_eq!(popped, model.pop_window(end_us, u64::MAX, 99));
         }
-        // Windowed-style consumption of the two earliest cells.
-        let mut drained = 0;
-        for _ in 0..2 {
-            if let Some(min) = q.peek_min_at() {
-                if let Some(v) = q.take_cell(min.as_micros() / 500) {
-                    drained += v.len();
-                    q.recycle(Vec::new());
+        // The peek that closed the last window promoted cell 4; pop all
+        // of it but three events.
+        let rest = q.len() - 3;
+        let popped = pop_window(&mut q, u64::MAX, u64::MAX, rest);
+        assert_eq!(popped, model.pop_window(u64::MAX, u64::MAX, rest));
+        assert_eq!((q.heap.len(), q.overflow.len()), (3, 0));
+        q.push(ev(90_000, 7, 7));
+        model.push(key(90_000, 7, 7));
+        assert_eq!(q.overflow.len(), 0, "a small heap takes far pushes");
+        // Remaining events still pop in order.
+        assert_eq!(pop_window(&mut q, u64::MAX, u64::MAX, 99), model.0);
+    }
+
+    /// Every popped event of the initial population spawns from its own
+    /// key: one event later in the same window, one a lookahead and a
+    /// half ahead (origin 9, which spawns nothing).
+    fn run_windows(q: &mut EventQueue, clip_us: u64, popped: &mut Vec<K>) {
+        const L: u64 = 100;
+        while let Some((start, ..)) = q.peek_min_key() {
+            if start.as_micros() > clip_us {
+                return;
+            }
+            let end_us = start.as_micros() + L;
+            while let Some(e) = pop_window(q, end_us, clip_us, 1).pop() {
+                let (at_us, n) = (e.0.as_micros(), popped.len() as u64);
+                if e.1 != 9 {
+                    q.push(ev(at_us + e.2 % 7, 9, 2 * n));
+                    q.push(ev(at_us + L + L / 2, 9, 2 * n + 1));
                 }
+                popped.push(e);
             }
         }
-        // Remaining events still pop in order.
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some(e) = q.pop_min() {
-            assert!(e.at >= last);
-            last = e.at;
-            popped += 1;
+    }
+
+    #[test]
+    fn a_clipped_window_resumed_pops_what_an_unclipped_run_pops() {
+        let world = |heap_max| {
+            let mut q = small(100, heap_max);
+            for i in 0..40u64 {
+                q.push(ev(i * 137 % 1_500, i % 5, i));
+            }
+            q
+        };
+        for heap_max in [0, 8, 1 << 20] {
+            let mut whole = Vec::new();
+            run_windows(&mut world(heap_max), u64::MAX, &mut whole);
+            // The deadline 570 clips the window [548, 648) with an event
+            // at 571 left inside it; the next run resumes there.
+            let (mut q, mut resumed) = (world(heap_max), Vec::new());
+            run_windows(&mut q, 570, &mut resumed);
+            assert_eq!(q.peek_min_key().map(|k| k.0.as_micros()), Some(571));
+            run_windows(&mut q, u64::MAX, &mut resumed);
+            assert_eq!(resumed, whole, "heap_max {heap_max}");
         }
-        assert_eq!(drained + popped, 100);
     }
 }

@@ -24,13 +24,13 @@ use crate::fault::{
 };
 use crate::metrics::DelayStats;
 use crate::network::{Fate, NetworkModel};
-use crate::scheduler::{CalendarQueue, Event, EventKind};
+use crate::scheduler::{Event, EventKind, EventQueue};
 use crate::time::{Duration, SimTime};
 use crate::trace::TraceEvent;
 use edgelet_util::ids::DeviceId;
 use edgelet_util::rng::DetRng;
 use edgelet_util::Payload;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
 /// Per-device mutable state. Owned by exactly one shard.
 pub struct DeviceState {
@@ -303,10 +303,6 @@ impl WindowReport {
 struct Exec<'a, 'b> {
     env: &'a RunEnv<'b>,
     out: &'a mut WindowOut,
-    /// Exclusive upper bound of the open window (µs); same-window spawns
-    /// targeting this shard go to the in-window heap. 0 in the fallback
-    /// executor (everything goes to the calendar queues).
-    window_end_us: u64,
     fc: &'a mut FaultCounters,
     /// Reorder stashes; only the fallback executor provides them
     /// (Reorder rules are never window-safe).
@@ -320,12 +316,10 @@ pub struct Shard {
     pub(crate) shard_count: usize,
     /// Devices with `id % shard_count == idx`, indexed by `id / shard_count`.
     pub(crate) devices: Vec<DeviceState>,
-    pub(crate) queue: CalendarQueue,
-    /// Working heap for events inside the currently open window.
-    window: BinaryHeap<Event>,
-    /// Scratch buffer for returning window remainders to the calendar
-    /// queue in one batch (kept across windows to avoid reallocation).
-    pub(crate) spill: Vec<Event>,
+    pub(crate) queue: EventQueue,
+    /// The commands of the actor callback in progress; one buffer
+    /// serves every callback of the slice.
+    commands: Vec<Command>,
 }
 
 impl Shard {
@@ -334,9 +328,8 @@ impl Shard {
             idx,
             shard_count,
             devices: Vec::new(),
-            queue: CalendarQueue::new(width_us),
-            window: BinaryHeap::new(),
-            spill: Vec::new(),
+            queue: EventQueue::new(width_us),
+            commands: Vec::new(),
         }
     }
 
@@ -353,7 +346,13 @@ impl Shard {
 
     /// Earliest pending event time in this slice's queue, µs.
     pub fn pending_min(&mut self) -> Option<u64> {
-        self.queue.peek_min_at().map(SimTime::as_micros)
+        self.queue.peek_min_key().map(|(at, ..)| at.as_micros())
+    }
+
+    /// Makes room for `devices` more devices and their first events.
+    pub(crate) fn reserve(&mut self, devices: usize) {
+        self.devices.reserve(devices);
+        self.queue.reserve(devices);
     }
 
     pub(crate) fn device_mut(&mut self, id: DeviceId) -> &mut DeviceState {
@@ -367,8 +366,8 @@ impl Shard {
     }
 
     /// Spawns an event from `origin` (the executing device), assigning
-    /// its intrinsic key and routing it to the in-window heap, this
-    /// shard's queue, or an outbound buffer.
+    /// its intrinsic key and routing it to this shard's queue or an
+    /// outbound buffer.
     fn spawn(&mut self, origin: DeviceId, at: SimTime, kind: EventKind, cx: &mut Exec<'_, '_>) {
         let seq = {
             let d = self.device_mut(origin);
@@ -385,10 +384,9 @@ impl Shard {
         self.enqueue(ev, cx);
     }
 
-    /// Routes a freshly keyed event: the in-window heap or this shard's
-    /// queue when it stays here, the destination's outbound buffer when
-    /// it leaves (another slice's device, or any delivery when the host
-    /// carries them all).
+    /// Routes a freshly keyed event: this shard's queue when it stays
+    /// here, the destination's outbound buffer when it leaves (another
+    /// slice's device, or any delivery when the host carries them all).
     fn enqueue(&mut self, ev: Event, cx: &mut Exec<'_, '_>) {
         if !ev.kind.is_churn() {
             cx.out.deltas.real_pending += 1;
@@ -398,8 +396,6 @@ impl Shard {
             || (cx.env.deliveries_leave && matches!(ev.kind, EventKind::Deliver { .. }));
         if leaves {
             cx.out.outbound[dest].push(ev);
-        } else if ev.at.as_micros() < cx.window_end_us {
-            self.window.push(ev);
         } else {
             self.queue.push(ev);
         }
@@ -412,7 +408,6 @@ impl Shard {
         ev: Event,
         env: &RunEnv<'_>,
         out: &mut WindowOut,
-        window_end_us: u64,
         fc: &mut FaultCounters,
         holds: Option<&mut Vec<Option<HeldMsg>>>,
     ) {
@@ -425,7 +420,6 @@ impl Shard {
         let mut cx = Exec {
             env,
             out,
-            window_end_us,
             fc,
             holds,
             now: ev.at,
@@ -611,38 +605,37 @@ impl Shard {
         let Some(mut actor) = state.actor.take() else {
             return;
         };
+        let commands = std::mem::take(&mut self.commands);
+        let state = self.device_mut(device);
         let mut ctx = Context::new(device, now, &mut state.rng, &mut state.next_timer);
+        ctx.commands = commands;
         f(&mut actor, &mut ctx);
-        let commands = std::mem::take(&mut ctx.commands);
-        drop(ctx);
+        let mut commands = ctx.take_commands();
         self.device_mut(device).actor = Some(actor);
-        self.apply_commands(device, commands, cx);
+        for cmd in commands.drain(..) {
+            self.apply_command(device, cmd, cx);
+        }
+        self.commands = commands;
     }
 
-    fn apply_commands(&mut self, device: DeviceId, commands: Vec<Command>, cx: &mut Exec<'_, '_>) {
-        for cmd in commands {
-            match cmd {
-                Command::Send { to, payload } => self.submit_send(device, to, payload, cx),
-                Command::Broadcast { to, payload } => {
-                    // Every recipient shares the same buffer: fan-out is
-                    // a reference-count bump per target, not a copy.
-                    for target in to {
-                        self.submit_send(device, target, payload.share(), cx);
-                    }
-                }
-                Command::SetTimer { token, fire_at } => {
-                    self.spawn(device, fire_at, EventKind::Timer { device, token }, cx);
-                }
-                Command::CancelTimer { token } => {
-                    self.device_mut(device).cancelled.insert(token);
-                }
-                Command::Observe { name, value } => {
-                    cx.out.observe(name, value);
-                }
-                Command::Halt => {
-                    self.device_mut(device).halted = true;
+    fn apply_command(&mut self, device: DeviceId, cmd: Command, cx: &mut Exec<'_, '_>) {
+        match cmd {
+            Command::Send { to, payload } => self.submit_send(device, to, payload, cx),
+            Command::Broadcast { to, payload } => {
+                // Every recipient shares the same buffer: fan-out is a
+                // reference-count bump per target, not a copy.
+                for target in to {
+                    self.submit_send(device, target, payload.share(), cx);
                 }
             }
+            Command::SetTimer { token, fire_at } => {
+                self.spawn(device, fire_at, EventKind::Timer { device, token }, cx);
+            }
+            Command::CancelTimer { token } => {
+                self.device_mut(device).cancelled.insert(token);
+            }
+            Command::Observe { name, value } => cx.out.observe(name, value),
+            Command::Halt => self.device_mut(device).halted = true,
         }
     }
 
@@ -906,15 +899,13 @@ impl Shard {
         Some(at)
     }
 
-    /// Runs one conservative window on this shard: pulls the covered
-    /// calendar cells (at most two — the window spans one lookahead
-    /// starting at the global minimum pending time) into the working
-    /// heap, processes events with `at < end_us` and `at <= clip_us` (the
-    /// deadline clamp) up to `budget` events, then returns unprocessed
-    /// events to the queue in one batch. All side effects land in the
-    /// returned report, with the journal pre-sorted by the intrinsic
-    /// event key so the barrier can k-way-merge the shards' journals
-    /// without re-sorting.
+    /// Runs one conservative window on this shard: pops events with
+    /// `at < end_us` and `at <= clip_us` (the deadline clamp) in key
+    /// order, up to `budget` of them; whatever the clamp or the budget
+    /// stops short of stays queued for the next window. All side effects
+    /// land in the returned report, with the journal pre-sorted by the
+    /// intrinsic event key so the barrier can k-way-merge the shards'
+    /// journals without re-sorting.
     ///
     /// `reuse` recycles the previous window's report (buffers cleared by
     /// the barrier), so steady-state windows allocate nothing.
@@ -934,65 +925,25 @@ impl Shard {
             ),
         };
         debug_assert!(out.journal.is_empty());
-        let Window {
-            start_us,
-            end_us: window_end_us,
-            clip_us,
-            budget,
-        } = *window;
-        let width = self.queue.width_us();
-        let first_cell = start_us / width;
-        let last_cell = window_end_us.saturating_sub(1) / width;
-        if let Some(mut cell) = self.queue.take_cell(first_cell) {
-            // The first cell is entirely inside the window: every event
-            // is >= the global minimum and < first_cell_end <= window_end.
-            for ev in cell.drain(..) {
-                self.window.push(ev);
-            }
-            self.queue.recycle(cell);
-        }
-        if last_cell != first_cell {
-            if let Some(mut cell) = self.queue.take_cell(last_cell) {
-                // The last cell straddles the window end; its tail goes
-                // straight back to the queue.
-                for ev in cell.drain(..) {
-                    if ev.at.as_micros() < window_end_us {
-                        self.window.push(ev);
-                    } else {
-                        self.spill.push(ev);
-                    }
-                }
-                self.queue.recycle(cell);
-                self.queue.push_batch(&mut self.spill);
-            }
-        }
+        let due = |at: SimTime| at.as_micros() < window.end_us && at.as_micros() <= window.clip_us;
         let mut processed = 0u64;
-        let mut hit_budget = false;
-        while let Some(top_at) = self.window.peek().map(|e| e.at) {
-            let at_us = top_at.as_micros();
-            if at_us >= window_end_us || at_us > clip_us {
-                break;
+        let hit_budget = loop {
+            if !self.queue.peek_min_key().is_some_and(|(at, ..)| due(at)) {
+                break false;
             }
-            if processed >= budget {
-                hit_budget = true;
-                break;
+            if processed >= window.budget {
+                break true;
             }
-            let Some(ev) = self.window.pop() else { break };
+            let Some(ev) = self.queue.pop_min() else {
+                break false;
+            };
             processed += 1;
             // real_pending/events bookkeeping happens inside process_event.
-            self.process_event(ev, env, &mut out, window_end_us, &mut fc, None);
-        }
-        // Return the remainder (deadline clip or exhausted budget) to the
-        // calendar queue for the next window. The heap pops in key order,
-        // so the batch arrives cell-grouped.
-        while let Some(ev) = self.window.pop() {
-            self.spill.push(ev);
-        }
-        self.queue.push_batch(&mut self.spill);
+            self.process_event(ev, env, &mut out, &mut fc, None);
+        };
         // Pre-sort so the barrier merge is a streaming k-way merge.
         out.journal
             .sort_unstable_by_key(|e| (e.at, e.origin, e.seq, e.intra));
-        let queue_min_at = self.queue.peek_min_at().map(SimTime::as_micros);
         let outbound_min_at = out
             .outbound
             .iter()
@@ -1001,7 +952,7 @@ impl Shard {
         WindowReport {
             out,
             fc,
-            queue_min_at,
+            queue_min_at: self.pending_min(),
             outbound_min_at,
             hit_budget,
         }

@@ -8,29 +8,47 @@
 //! keeps the sharing from silently regressing. The ceilings sit ~25 %
 //! above what the handle-backed `Schema`/`DataStore` measure; the
 //! deep-copying representation exceeds them by 2× or more.
+//!
+//! The same counter holds the executor's steady state: a window that
+//! touches three events allocates nothing, however many windows a run
+//! opens, and a whole query on the benchmark's churny polling world
+//! stays under a per-device ceiling.
 
 use edgelet_core::exec::assemble_plan;
 use edgelet_core::prelude::*;
+use edgelet_sim::{
+    Actor, Availability, Context, CrashPlan, DeviceConfig, Duration, NetworkModel, SimConfig,
+    SimTime, Simulation,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread, so the tests of this binary (and the harness thread
+    /// that reports them) never charge each other. Everything measured
+    /// here runs on the calling thread. No destructor, so the allocator
+    /// may touch it at any point of a thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a statistic that publishes
-// no other data, so `Relaxed` suffices.
+// the `GlobalAlloc` contract; the counter is a plain thread-local cell.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,9 +59,9 @@ static GLOBAL: Counting = Counting;
 /// Allocations (and reallocations) `f` performs, its result's drop
 /// included.
 fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     drop(f());
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.get() - before
 }
 
 const CONTRIBUTORS: usize = 1_000;
@@ -58,6 +76,64 @@ const BUILD_PER_DEVICE: f64 = 5.0;
 /// container growth; 13.38 when `assemble_plan` deep-copied each store).
 const QUERY_PER_CONTRIBUTOR: f64 = 2.3;
 
+/// Ceiling on a churn-only run of [`CHURN_DEVICES`] devices, whatever
+/// its length (measures 5 at 6 015 events and 5 at 11 980: the first
+/// window's report and the sentinel's command buffer; the
+/// cell-per-event calendar queue measured 6 724 and 13 373, 1.1 per
+/// window in `BTreeMap` nodes and cell buffers).
+const CHURN_RUN: u64 = 32;
+const CHURN_DEVICES: usize = 2_000;
+/// Ceiling on one `Platform::run_query` on the polling world, per
+/// enrolled device, planning, world build, 8 000 windows and teardown
+/// included (measures 17.74; 22.08 with the cell-per-event queue, a
+/// `Vec<Command>` per callback and device vectors grown by doubling).
+const POLLING_QUERY_PER_DEVICE: f64 = 19.5;
+
+/// Keeps a churn-only world from being quiescent: one timer, armed past
+/// every deadline the test runs to.
+struct Sentinel;
+
+impl Actor for Sentinel {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(Duration::from_secs(1_000_000));
+    }
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: DeviceId, _payload: &[u8]) {}
+}
+
+/// [`CHURN_DEVICES`] devices that toggle every 100 s on average (20
+/// toggles a virtual second) under a 1 ms lookahead: nearly every
+/// toggle is a window of its own.
+fn churn_world() -> Simulation {
+    let mut sim = Simulation::new(
+        SimConfig {
+            network: NetworkModel::reliable(Duration::from_millis(1)),
+            ..SimConfig::default()
+        },
+        7,
+    );
+    sim.reserve(CHURN_DEVICES);
+    for _ in 0..CHURN_DEVICES {
+        sim.add_device(DeviceConfig {
+            availability: Availability::Intermittent {
+                mean_up: Duration::from_secs(100),
+                mean_down: Duration::from_secs(100),
+                start_up: true,
+            },
+            crash: CrashPlan::Never,
+        });
+    }
+    sim.install_actor(DeviceId::new(0), Box::new(Sentinel));
+    sim
+}
+
+/// Allocations of a fresh churn world run to `secs` virtual seconds,
+/// and the events it processed.
+fn churn_run(secs: u64) -> (u64, u64) {
+    let mut sim = churn_world();
+    let during = allocations(|| sim.run_until(SimTime::from_micros(secs * 1_000_000)));
+    (during, sim.metrics().events_processed)
+}
+
 fn world() -> PlatformConfig {
     PlatformConfig {
         seed: 7,
@@ -70,8 +146,56 @@ fn world() -> PlatformConfig {
     }
 }
 
-// One test function: the counter is process-wide, so concurrent tests
-// would charge each other's allocations.
+#[test]
+fn windows_allocate_nothing() {
+    // 20 toggles a second, each alone in its 1 ms window but for the
+    // ~2 % that share one: 300 s is more than 5 000 windows, 600 s twice
+    // that.
+    let (short, short_events) = churn_run(300);
+    let (long, long_events) = churn_run(600);
+    println!(
+        "allocations: churn-only run {short} over {short_events} events, \
+         {long} over {long_events}"
+    );
+    assert!(short_events > 5_500 && long_events > 2 * 5_500);
+    assert!(
+        short <= CHURN_RUN && long <= CHURN_RUN,
+        "a churn-only run allocated {short} then {long} at twice the windows, budget {CHURN_RUN}"
+    );
+}
+
+#[test]
+fn a_polling_query_stays_under_its_ceiling() {
+    let mut platform = Platform::build(Scenario::OpportunisticPolling.config(7));
+    let spec = platform.grouping_query(
+        Predicate::cmp("age", CmpOp::Gt, Value::Int(20)),
+        800,
+        &[&["sex"], &[]],
+        vec![AggSpec::count_star(), AggSpec::over(AggKind::Avg, "bmi")],
+    );
+    let privacy = PrivacyConfig::none().with_max_tuples(100);
+    let resilience = ResilienceConfig {
+        strategy: Strategy::Overcollection,
+        failure_probability: 0.2,
+        ..ResilienceConfig::default()
+    };
+    let devices = platform.directory().len() + 1;
+    let query = allocations(|| {
+        let run = platform
+            .run_query(&spec, &privacy, &resilience)
+            .expect("the polling world is provisioned for this query");
+        assert!(run.report.completed && run.report.valid);
+        run
+    });
+    let per_device = query as f64 / devices as f64;
+    println!("allocations: polling run_query {query} ({per_device:.2}/device of {devices})");
+    assert!(
+        per_device <= POLLING_QUERY_PER_DEVICE,
+        "run_query on the polling world: {per_device:.2} allocations per device, \
+         budget {POLLING_QUERY_PER_DEVICE}"
+    );
+}
+
 #[test]
 fn crowd_is_shared_not_copied() {
     let mut platform = Platform::build(world());
