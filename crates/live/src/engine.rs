@@ -263,8 +263,8 @@ impl LiveEngine {
             run.join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
-        // An early exit can leave staged deliveries and barrier spills
-        // uncollected; they go back to the owning queues.
+        // An early exit can leave barrier spills uncollected; they go
+        // back to the owning queues.
         fabric.mail.flush_into(&mut world.slices);
         // The only barrier error in-process is a dead worker, whose
         // panic the thread scope has already propagated.

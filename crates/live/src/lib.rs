@@ -4,7 +4,7 @@
 //! this crate actually *does* it: the same role actors
 //! (`edgelet-exec`'s Contributor, Snapshot Builder, Computer, Combiner,
 //! Active Backup, Querier) run on std worker threads, exchanging the
-//! same `edgelet-wire` bytes over a pluggable, lock-striped, bounded
+//! same `edgelet-wire` envelopes over a pluggable, lock-striped, bounded
 //! [`Transport`](edgelet_wire::Transport) — no async runtime, no
 //! scheduler shims.
 //!
@@ -16,8 +16,7 @@
 //! * [`round`] — the transport hook, the only live-specific code on a
 //!   window's path;
 //! * [`transport`] — [`transport::StripedTransport`], the in-process
-//!   sharded fabric: per-epoch bounded mailbox lanes of serialized
-//!   envelopes;
+//!   sharded fabric: per-epoch bounded mailbox lanes of envelopes;
 //! * [`harness`] — building a live world from an enrolled
 //!   [`Platform`](edgelet_core::Platform) and running one query, step
 //!   for step as `Platform::run_query` does;

@@ -7,14 +7,12 @@
 //! window leaves the slice (same-slice ones included — the host asks
 //! for that in its `RunEnv`), becomes an [`Envelope`], and is flushed
 //! lane by lane in one batched submission; a full lane parks the
-//! remainder for the barrier. At the start of the next window the lanes
-//! are drained, decoded and staged as events for their owners. Why this
-//! cannot change an outcome: DESIGN.md §"One executor, three barriers".
+//! remainder for the barrier. At the start of the next window each
+//! slice drains its own lane straight onto its queue. Why this cannot
+//! change an outcome: DESIGN.md §"One executor, three barriers".
 
 use edgelet_sim::exec::{fold_min, Event, Exchange, Mailboxes, Shard, WindowReport};
-use edgelet_util::sync::EpochGate;
 use edgelet_wire::{Envelope, Transport, TransportError};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -22,21 +20,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One run's view of the transport: `lanes` mailbox lanes of one epoch
-/// (lane `i` feeds slice `i`), plus the staging that turns drained
-/// envelopes back into events.
+/// (lane `i` feeds slice `i`).
 pub(crate) struct Fabric<'a> {
     transport: &'a dyn Transport,
     epoch: u64,
     lanes: usize,
-    /// Decoded deliveries and barrier spills awaiting their slice.
+    /// Barrier spills awaiting their slice.
     pub(crate) mail: Mailboxes,
-    /// Monotone lane-claim ticket; window `g` owns tickets
-    /// `[(g-1)·W, g·W)` for `W` lanes, claimed by bounded CAS so a
-    /// window can never consume the next window's tickets.
-    claim: AtomicU64,
-    /// Cumulative count of decoded lanes; window `g` is fully staged
-    /// once this reaches `g·W`.
-    decoded: EpochGate,
     /// Envelopes refused with backpressure, for barrier re-submission.
     parked: Mutex<Vec<Envelope>>,
 }
@@ -48,42 +38,19 @@ impl<'a> Fabric<'a> {
             epoch,
             lanes,
             mail: Mailboxes::new(lanes),
-            claim: AtomicU64::new(0),
-            decoded: EpochGate::new(),
             parked: Mutex::new(Vec::new()),
         }
     }
 }
 
 impl Exchange for Fabric<'_> {
-    /// Cooperative lane decode, then ingestion. Every transport lane
-    /// must be drained and its wire bytes decoded before the window
-    /// runs; instead of each worker decoding only its own lane
-    /// (serializing the window on the busiest lane), workers claim lanes
-    /// round-robin and decode whichever is next, staging the events for
-    /// the owning worker.
-    fn ingest(&self, me: usize, generation: u64, shard: &mut Shard) {
-        let lanes = self.lanes as u64;
-        loop {
-            let ticket = self.claim.load(Ordering::Acquire);
-            if ticket >= generation * lanes {
-                break;
-            }
-            if self
-                .claim
-                .compare_exchange(ticket, ticket + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            let lane = (ticket % lanes) as usize;
-            let decoded = self.transport.drain(self.epoch, lane);
-            if !decoded.is_empty() {
-                self.mail.post(lane, decoded.into_iter().map(Event::from));
-            }
-            self.decoded.add(1);
+    /// Slice `me` takes its own lane (a neighbour that finished early
+    /// may already be filling it for the next window; the lookahead puts
+    /// those past this window's end), then any barrier spills.
+    fn ingest(&self, me: usize, _generation: u64, shard: &mut Shard) {
+        for env in self.transport.drain(self.epoch, me) {
+            shard.push(Event::from(env));
         }
-        self.decoded.wait_min(generation * lanes);
         self.mail.collect(me, shard);
     }
 

@@ -1,5 +1,5 @@
 //! The in-process sharded transport: lock-striped, bounded, epoch-keyed
-//! mailbox lanes carrying serialized [`Envelope`] bytes.
+//! mailbox lanes carrying [`Envelope`]s.
 //!
 //! One [`StripedTransport`] is shared by every query a
 //! [`crate::service::QueryService`] runs concurrently. Isolation between
@@ -9,30 +9,46 @@
 //! counted ([`StripedTransport::rejected_unknown_epoch`]) so tests can
 //! assert that no stray message was ever admitted.
 //!
-//! Envelopes are stored as their wire bytes ([`Envelope::to_wire`]), not
-//! as in-memory structs: what crosses the transport is exactly what
-//! would cross a socket, which keeps the live runtime honest about the
-//! serialized protocol and exercises the codec on every hop.
+//! A lane holds the envelopes themselves, not their wire bytes: both
+//! ends share an address space and the payload is an `Arc`-backed
+//! [`edgelet_util::Payload`], so a hop is a move and the receiver reads
+//! the buffer the sender's `Sealer::wrap` wrote. The codec is held where
+//! bytes do cross (`edgelet-net`, `net_parity`, the `wire` proptests) and
+//! by the re-serialising transport of `tests/live_parity.rs`.
 
+use edgelet_sim::exec::fold_min;
 use edgelet_wire::{Envelope, Transport, TransportError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// One mailbox lane: wire bytes plus the pre-parsed delivery time, so
-/// `pending` never re-decodes queued envelopes.
+/// One mailbox lane.
 #[derive(Debug, Default)]
 struct Lane {
-    queued: Vec<(u64, Vec<u8>)>,
-    /// Emptied buffer recycled by `drain`, so a steady-state
-    /// submit/drain cycle reuses one allocation instead of growing a
-    /// fresh `Vec` every window.
-    spare: Vec<(u64, Vec<u8>)>,
+    queued: Vec<Envelope>,
+    /// Earliest `deliver_at_us` in `queued` (`None` when empty), kept as
+    /// envelopes arrive so `pending` is a field read.
+    min_at: Option<u64>,
 }
 
-/// Locks a mutex, ignoring poisoning: lanes hold plain byte buffers
-/// that stay structurally valid, and a panicked worker propagates its
-/// panic through the owning thread scope regardless.
+impl Lane {
+    fn push(&mut self, env: Envelope) {
+        self.min_at = fold_min(self.min_at, Some(env.deliver_at_us));
+        self.queued.push(env);
+    }
+
+    fn take(&mut self) -> Vec<Envelope> {
+        self.min_at = None;
+        std::mem::take(&mut self.queued)
+    }
+}
+
+/// One epoch's lanes, shared with whoever is mid-call on them.
+type LaneSet = Arc<Vec<Mutex<Lane>>>;
+
+/// Locks a mutex, ignoring poisoning: lanes hold plain envelope
+/// vectors that stay structurally valid, and a panicked worker
+/// propagates its panic through the owning thread scope regardless.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -71,11 +87,10 @@ pub struct StripedTransport {
     /// are the hot path every worker thread hits concurrently —
     /// registration and retirement (one write per query) are the only
     /// writers.
-    epochs: RwLock<BTreeMap<u64, Arc<Vec<Mutex<Lane>>>>>,
-    /// Retired lane sets kept for reuse, so each query's
-    /// `register_epoch` stops allocating a fresh lane vector (and its
-    /// per-lane buffers) on the per-query path.
-    pool: Mutex<Vec<Arc<Vec<Mutex<Lane>>>>>,
+    epochs: RwLock<BTreeMap<u64, LaneSet>>,
+    /// Retired lane sets kept for reuse, so a query's `register_epoch`
+    /// allocates no fresh lane vector.
+    pool: Mutex<Vec<LaneSet>>,
 }
 
 impl StripedTransport {
@@ -121,9 +136,7 @@ impl StripedTransport {
             return;
         };
         for lane in set.iter() {
-            let mut guard = lock(lane);
-            guard.queued.clear();
-            guard.spare.clear();
+            lock(lane).take();
         }
         let mut pool = lock(&self.pool);
         if pool.len() < LANE_POOL_CAP {
@@ -148,14 +161,12 @@ impl StripedTransport {
         read(&self.epochs).len()
     }
 
-    fn lanes_of(&self, epoch: u64) -> Option<Arc<Vec<Mutex<Lane>>>> {
+    fn lanes_of(&self, epoch: u64) -> Option<LaneSet> {
         read(&self.epochs).get(&epoch).cloned()
     }
-}
 
-impl Transport for StripedTransport {
-    fn submit(&self, env: Envelope) -> Result<(), TransportError> {
-        crate::model::yield_point("transport.submit");
+    /// The lane set and lane `env` goes to, or why it is refused.
+    fn route(&self, env: &Envelope) -> Result<(LaneSet, usize), TransportError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
@@ -164,50 +175,57 @@ impl Transport for StripedTransport {
             return Err(TransportError::UnknownEpoch(env.epoch));
         };
         let lane = env.to.index() % lanes.len();
+        Ok((lanes, lane))
+    }
+
+    /// Moves envelopes off the front of `rest` until one is refused:
+    /// consecutive envelopes sharing one `(epoch, lane)` go in under a
+    /// single lane lock.
+    fn accept(&self, rest: &mut std::vec::IntoIter<Envelope>) -> Result<(), TransportError> {
+        while let Some(head) = rest.as_slice().first() {
+            let (lanes, lane) = self.route(head)?;
+            let epoch = head.epoch;
+            let run = rest
+                .as_slice()
+                .iter()
+                .take_while(|e| e.epoch == epoch && e.to.index() % lanes.len() == lane)
+                .count();
+            let mut guard = lock(&lanes[lane]);
+            let fits = run.min(self.capacity.saturating_sub(guard.queued.len()));
+            guard.queued.reserve(fits);
+            for env in rest.by_ref().take(fits) {
+                guard.push(env);
+            }
+            if fits < run {
+                return Err(TransportError::Backpressure);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Transport for StripedTransport {
+    fn submit(&self, env: Envelope) -> Result<(), TransportError> {
+        crate::model::yield_point("transport.submit");
+        let (lanes, lane) = self.route(&env)?;
         let mut guard = lock(&lanes[lane]);
         if guard.queued.len() >= self.capacity {
             return Err(TransportError::Backpressure);
         }
-        guard.queued.push((env.deliver_at_us, env.to_wire()));
+        guard.push(env);
         Ok(())
     }
 
-    /// Batched submission: consecutive envelopes sharing one
-    /// `(epoch, lane)` are pushed under a single lane lock, so a
-    /// worker flushing a window's sends takes each destination lock
-    /// once instead of once per message.
+    /// Batched submission: a worker flushing a window's sends takes each
+    /// destination lock once instead of once per message, and accepted
+    /// envelopes are moved out of `batch`, not copied.
     fn submit_batch(&self, batch: &mut Vec<Envelope>) -> Result<(), TransportError> {
         crate::model::yield_point("transport.submit");
-        let mut accepted = 0;
-        let mut result = Ok(());
-        'runs: while accepted < batch.len() {
-            if self.closed.load(Ordering::Acquire) {
-                result = Err(TransportError::Closed);
-                break;
-            }
-            let epoch = batch[accepted].epoch;
-            let Some(lanes) = self.lanes_of(epoch) else {
-                self.rejected.fetch_add(1, Ordering::AcqRel);
-                result = Err(TransportError::UnknownEpoch(epoch));
-                break;
-            };
-            let lane = batch[accepted].to.index() % lanes.len();
-            let mut guard = lock(&lanes[lane]);
-            while accepted < batch.len() {
-                let env = &batch[accepted];
-                if env.epoch != epoch || env.to.index() % lanes.len() != lane {
-                    // Next run: release this lane and re-resolve.
-                    continue 'runs;
-                }
-                if guard.queued.len() >= self.capacity {
-                    result = Err(TransportError::Backpressure);
-                    break 'runs;
-                }
-                guard.queued.push((env.deliver_at_us, env.to_wire()));
-                accepted += 1;
-            }
-        }
-        batch.drain(..accepted);
+        let mut rest = std::mem::take(batch).into_iter();
+        let result = self.accept(&mut rest);
+        // The refused envelope and everything behind it, in order;
+        // nothing (and no allocation) once the batch was accepted whole.
+        *batch = rest.collect();
         result
     }
 
@@ -216,34 +234,13 @@ impl Transport for StripedTransport {
         let Some(lanes) = self.lanes_of(epoch) else {
             return Vec::new();
         };
-        if lane >= lanes.len() {
-            return Vec::new();
-        }
-        // Swap the queued buffer out against the lane's spare so the
-        // lock is held for two pointer swaps, and decode outside it.
-        let mut buf = {
-            let mut guard = lock(&lanes[lane]);
-            let mut buf = std::mem::take(&mut guard.spare);
-            std::mem::swap(&mut buf, &mut guard.queued);
-            buf
-        };
-        let out = buf
-            .drain(..)
-            .filter_map(|(_, bytes)| Envelope::from_wire(&bytes).ok())
-            .collect();
-        lock(&lanes[lane]).spare = buf;
-        out
+        lanes.get(lane).map(|l| lock(l).take()).unwrap_or_default()
     }
 
     fn pending(&self, epoch: u64, lane: usize) -> Option<(usize, u64)> {
         let lanes = self.lanes_of(epoch)?;
-        if lane >= lanes.len() {
-            return None;
-        }
-        let guard = lock(&lanes[lane]);
-        let count = guard.queued.len();
-        let min_at = guard.queued.iter().map(|(at, _)| *at).min()?;
-        Some((count, min_at))
+        let guard = lock(lanes.get(lane)?);
+        guard.min_at.map(|min_at| (guard.queued.len(), min_at))
     }
 }
 
@@ -340,6 +337,42 @@ mod tests {
             Err(TransportError::UnknownEpoch(7))
         );
         assert_eq!(t.rejected_unknown_epoch(), 1);
+    }
+
+    /// A payload one byte past `Reader::bytes`' cap encodes but does not
+    /// decode: a lane of wire bytes dropped it in `drain` while the run
+    /// still counted it pending. A lane of envelopes has no decode to fail.
+    #[test]
+    fn a_payload_too_long_to_decode_survives_the_hop() {
+        let t = StripedTransport::new(8);
+        t.register_epoch(1, 1);
+        let len = edgelet_wire::codec::MAX_SEQUENCE_LEN as usize + 1;
+        let big = Envelope {
+            payload: Payload::from(vec![7u8; len]),
+            ..env(1, 0, 10)
+        };
+        assert!(Envelope::from_wire(&big.to_wire()).is_err());
+        t.submit(big.clone()).unwrap();
+        assert_eq!(t.pending(1, 0), Some((1, 10)));
+        // Key and payload intact (`assert!`: a failure must not print 16 MiB).
+        assert!(
+            t.drain(1, 0) == [big],
+            "the envelope was dropped or changed"
+        );
+        assert_eq!(t.pending(1, 0), None);
+    }
+
+    #[test]
+    fn pending_is_the_minimum_whatever_the_arrival_order() {
+        let t = StripedTransport::new(8);
+        t.register_epoch(1, 1);
+        t.submit(env(1, 0, 30)).unwrap();
+        t.submit_batch(&mut vec![env(1, 0, 20), env(1, 0, 40)])
+            .unwrap();
+        assert_eq!(t.pending(1, 0), Some((3, 20)));
+        assert_eq!(t.drain(1, 0).len(), 3);
+        t.submit(env(1, 0, 50)).unwrap();
+        assert_eq!(t.pending(1, 0), Some((1, 50)), "a drained minimum lingered");
     }
 
     #[test]

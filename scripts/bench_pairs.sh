@@ -9,6 +9,9 @@
 # at seed i, odd pairs parent first, and prints the table and the
 # per-run lines docs/PERF.md's "(measured)" sections use: median
 # [q1, q3] per side, the median's move, and "change better k/N".
+# Exits 1, after the table, if any run exited nonzero, reported
+# `correct: false` or a failed query, or if `msg_bytes_per_query` differs
+# within a pair: a table from such a run is not a measurement.
 #
 # Environment: PAIRS (default 10), SECONDS_PER_RUN (default: BENCHMARK.json's
 # run_seconds), OUT (default: a fresh mktemp directory; raw run logs are
@@ -18,7 +21,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent_rev=$1
@@ -36,6 +39,7 @@ else
 fi
 out=${OUT:-$(mktemp -d)}
 mkdir -p "$out/parent" "$out/runs"
+: > "$out/nonzero"
 
 echo "parent $(git rev-parse --short "$parent_rev"), change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo '+uncommitted'), $pairs pairs x ${seconds}s, $(nproc) logical cpu(s), logs in $out"
 git archive "$parent_rev" | tar -x -C "$out/parent"
@@ -49,7 +53,8 @@ run() { # side workload seed
     local dir=$root
     [ "$1" = parent ] && dir=$out/parent
     (cd "$dir" && "$out/$1-bench" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0) \
-        > "$out/runs/$2.$1.$3.log" 2>&1 || echo "  $1 $2 seed $3 exited nonzero" >&2
+        > "$out/runs/$2.$1.$3.log" 2>&1 ||
+        echo "$2 $1 seed $3: the benchmark exited nonzero" | tee -a "$out/nonzero" >&2
 }
 
 for workload in "${workloads[@]}"; do
@@ -60,9 +65,10 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$out/runs" "$pairs" "${workloads[@]}" <<'PY'
+python3 - "$out" "$pairs" "${workloads[@]}" <<'PY'
 import json, sys
-runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+runs = out + "/runs"
 gated = {m["name"]: m for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 
 def quantile(xs, q):
@@ -76,10 +82,13 @@ def summary(xs):
     return "%.4g [%.4g, %.4g]" % (quantile(xs, .5), quantile(xs, .25), quantile(xs, .75))
 
 def load(workload, side, seed):
-    last = open("%s/%s.%s.%d.log" % (runs, workload, side, seed)).read().strip().splitlines()[-1]
-    return json.loads(last)
+    log = "%s/%s.%s.%d.log" % (runs, workload, side, seed)
+    try:
+        return json.loads(open(log).read().strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.exit("%s does not end in a result line; no table" % log)
 
-lines, bad = [], []
+lines, bad = [], open(out + "/nonzero").read().splitlines()
 print("| Workload | Metric (bound) | Parent | This change | Median delta | Change better |")
 print("|----------|----------------|--------|-------------|--------------|---------------|")
 for w in workloads:
@@ -91,6 +100,8 @@ for w in workloads:
         p, c = ([r["metrics"][name]["value"] for r in results[side]] for side in ("parent", "change"))
         if name == "msg_bytes_per_query":
             same = "both sides" if p == c else "DIFFERS: parent %s; change" % " ".join("%.1f" % x for x in p)
+            bad += ["%s seed %d: msg_bytes_per_query parent %r, change %r" % (w, i + 1, a, b)
+                    for i, (a, b) in enumerate(zip(p, c)) if a != b]
             lines.append("%s %s (%s): %s" % (w, name, same, " ".join("%.1f" % x for x in c)))
             continue
         higher = m["better"] == "higher"
@@ -103,5 +114,6 @@ for w in workloads:
             w, name, " ".join("%.4g" % x for x in p), " ".join("%.4g" % x for x in c), iqr, m["unit"]))
 print("\nEvery run, pair order (odd pairs ran the parent first):\n")
 print("\n".join(lines))
-print("\n" + ("\n".join(bad) if bad else "every run: correct true, failed 0"))
+print("\n" + ("\n".join(bad) if bad else "every run: exit 0, correct true, failed 0, msg_bytes_per_query equal pair by pair"))
+sys.exit(1 if bad else 0)
 PY

@@ -12,14 +12,19 @@
 //! The same counter holds the executor's steady state: a window that
 //! touches three events allocates nothing, however many windows a run
 //! opens, and a whole query on the benchmark's churny polling world
-//! stays under a per-device ceiling.
+//! stays under a per-device ceiling. And the in-process lanes' hop: a
+//! thousand envelopes through `submit_batch` + `drain` grow one
+//! container and touch no payload.
 
 use edgelet_core::exec::assemble_plan;
 use edgelet_core::prelude::*;
+use edgelet_live::StripedTransport;
 use edgelet_sim::{
     Actor, Availability, Context, CrashPlan, DeviceConfig, Duration, NetworkModel, SimConfig,
     SimTime, Simulation,
 };
+use edgelet_util::Payload;
+use edgelet_wire::{Envelope, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -88,6 +93,14 @@ const CHURN_DEVICES: usize = 2_000;
 /// included (measures 17.74; 22.08 with the cell-per-event queue, a
 /// `Vec<Command>` per callback and device vectors grown by doubling).
 const POLLING_QUERY_PER_DEVICE: f64 = 19.5;
+
+/// Ceiling on `submit_batch` of [`HOP_ENVELOPES`] envelopes plus the
+/// `drain` that takes them back (measures 1: the lane reserves the
+/// run once and `drain` hands that vector over; 3 018 when a lane held
+/// wire bytes — an encode buffer, a decode buffer and an `Arc` per
+/// envelope).
+const LANE_HOP: u64 = 4;
+const HOP_ENVELOPES: usize = 1_000;
 
 /// Keeps a churn-only world from being quiescent: one timer, armed past
 /// every deadline the test runs to.
@@ -162,6 +175,46 @@ fn windows_allocate_nothing() {
         short <= CHURN_RUN && long <= CHURN_RUN,
         "a churn-only run allocated {short} then {long} at twice the windows, budget {CHURN_RUN}"
     );
+}
+
+#[test]
+fn a_lane_hop_moves_envelopes_and_copies_no_payload() {
+    let transport = StripedTransport::new(HOP_ENVELOPES);
+    transport.register_epoch(1, 1);
+    let mut batch: Vec<Envelope> = (0..HOP_ENVELOPES as u64)
+        .map(|i| Envelope {
+            epoch: 1,
+            from: DeviceId::new(i),
+            to: DeviceId::new(i + 1),
+            seq: i,
+            sent_at_us: i,
+            deliver_at_us: 1_000 + i,
+            payload: Payload::from(vec![i as u8; 256]),
+        })
+        .collect();
+    let sent: Vec<*const u8> = batch
+        .iter()
+        .map(|e| e.payload.as_slice().as_ptr())
+        .collect();
+    let mut drained = Vec::new();
+    let hop = allocations(|| {
+        transport
+            .submit_batch(&mut batch)
+            .expect("the lane holds the batch");
+        drained = transport.drain(1, 0);
+    });
+    println!("allocations: {HOP_ENVELOPES}-envelope submit_batch + drain {hop}");
+    assert!(batch.is_empty());
+    assert_eq!(drained.len(), HOP_ENVELOPES);
+    assert!(
+        hop <= LANE_HOP,
+        "submit_batch + drain of {HOP_ENVELOPES} envelopes allocated {hop}, budget {LANE_HOP}"
+    );
+    let received: Vec<*const u8> = drained
+        .iter()
+        .map(|e| e.payload.as_slice().as_ptr())
+        .collect();
+    assert_eq!(received, sent, "a hop hands over the sender's buffer");
 }
 
 #[test]

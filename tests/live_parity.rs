@@ -27,10 +27,39 @@ use edgelet_ml::AggSpec;
 use edgelet_privacy::analyze_plan;
 use edgelet_sim::{SimTime, TraceEvent};
 use edgelet_store::Predicate;
+use edgelet_wire::{Envelope, Transport, TransportError};
 use std::sync::Arc;
 
 /// Seeds per scenario; 2 scenarios × 8 seeds = the 16-world corpus.
 const SEEDS_PER_SCENARIO: u64 = 8;
+
+/// What a socket would do to every message: a [`StripedTransport`]
+/// whose submissions go through `to_wire`/`from_wire` first. The lanes
+/// themselves move envelopes untouched, so this is where the codec
+/// meets whole queries.
+struct Reserialising(StripedTransport);
+
+fn recoded(env: &Envelope) -> Envelope {
+    Envelope::from_wire(&env.to_wire()).expect("an envelope decodes from its own encoding")
+}
+
+impl Transport for Reserialising {
+    fn submit(&self, env: Envelope) -> Result<(), TransportError> {
+        self.0.submit(recoded(&env))
+    }
+    fn submit_batch(&self, batch: &mut Vec<Envelope>) -> Result<(), TransportError> {
+        let mut wired: Vec<Envelope> = batch.iter().map(recoded).collect();
+        let result = self.0.submit_batch(&mut wired);
+        batch.drain(..batch.len() - wired.len());
+        result
+    }
+    fn drain(&self, epoch: u64, lane: usize) -> Vec<Envelope> {
+        self.0.drain(epoch, lane)
+    }
+    fn pending(&self, epoch: u64, lane: usize) -> Option<(usize, u64)> {
+        self.0.pending(epoch, lane)
+    }
+}
 
 /// Runs the session's query on the live runtime and packages the result
 /// exactly like `RunResult` so the oracles can audit it.
@@ -125,6 +154,52 @@ fn kmeans_worlds_match_across_engines() {
     for seed in 0..SEEDS_PER_SCENARIO {
         let workers = if seed % 2 == 0 { 4 } else { 1 };
         assert_parity(ChaosScenario::KMeans, seed, workers);
+    }
+}
+
+/// The codec property, held on whole queries instead of paid on every
+/// message: a run whose every envelope was encoded and decoded on its
+/// way into the lanes is the plain run, byte for byte.
+#[test]
+fn a_reserialising_transport_changes_nothing() {
+    for scenario in [ChaosScenario::Grouping, ChaosScenario::KMeans] {
+        for workers in [1, 2] {
+            let session = scenario.open(3, FaultPlan::new());
+            let (plain, _) = run_on_live(&session, workers, 5);
+            let wired = Reserialising(StripedTransport::new(4096));
+            wired.0.register_epoch(5, workers);
+            let wired = run_live_query(
+                session.platform(),
+                session.spec(),
+                session.privacy(),
+                session.resilience(),
+                Arc::new(wired),
+                &LiveRunOptions::new(workers, 5),
+                None,
+            )
+            .expect("live execution over the reserialising transport");
+            let ctx = format!("scenario={} workers={workers}", scenario.name());
+            assert!(
+                plain.report.completed && plain.report.messages_sent > 0,
+                "{ctx}"
+            );
+            assert_eq!(
+                wired.report.result_payload, plain.report.result_payload,
+                "{ctx}"
+            );
+            assert_eq!(
+                wired.report.ledger.entries(),
+                plain.report.ledger.entries(),
+                "{ctx}"
+            );
+            assert_eq!(
+                wired.report.messages_sent, plain.report.messages_sent,
+                "{ctx}"
+            );
+            assert_eq!(wired.report.bytes_sent, plain.report.bytes_sent, "{ctx}");
+            assert!(plain.trace_digest.is_some(), "{ctx}");
+            assert_eq!(wired.trace_digest, plain.trace_digest, "{ctx}");
+        }
     }
 }
 
