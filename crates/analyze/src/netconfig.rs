@@ -5,8 +5,7 @@
 //!
 //! * `E150` — a deployment that cannot form: an unresolvable listen or
 //!   connect address, a daemon told to dial its own listen address
-//!   (duplicate endpoint), a declared `--transport` that contradicts
-//!   the address scheme, or a zero remote worker count;
+//!   (duplicate endpoint), or a zero remote worker count;
 //! * `W151` — TCP reconnects without explicit backoff bounds: across a
 //!   real network the defaults may thrash a flaky link or sit idle on a
 //!   fast one, so the bounds should be a deliberate choice;
@@ -29,8 +28,6 @@ pub struct NetSurface<'a> {
     pub listen: Option<&'a str>,
     /// `--connect` address (client or worker mode).
     pub connect: Option<&'a str>,
-    /// Declared `--transport` label (`uds` | `tcp`), if any.
-    pub transport: Option<&'a str>,
     /// Remote worker processes per epoch (`Some` in daemon mode).
     pub expected_workers: Option<usize>,
     /// Both reconnect backoff bounds were given explicitly.
@@ -46,15 +43,6 @@ pub struct NetSurface<'a> {
 enum Scheme {
     Uds,
     Tcp,
-}
-
-impl Scheme {
-    fn label(self) -> &'static str {
-        match self {
-            Scheme::Uds => "uds",
-            Scheme::Tcp => "tcp",
-        }
-    }
 }
 
 /// Validates `uds:<path>` / `tcp:<host>:<port>` without resolving
@@ -115,24 +103,6 @@ pub fn check_net_config(surface: &NetSurface<'_>) -> Vec<Diagnostic> {
                 )
                 .with_help("point --connect at a *different* daemon's address"),
             );
-        }
-    }
-    if let Some(declared) = surface.transport {
-        for scheme in &schemes {
-            if scheme.label() != declared {
-                out.push(
-                    Diagnostic::error(
-                        codes::NET_ENDPOINT_INVALID,
-                        "net.transport",
-                        format!(
-                            "declared transport `{declared}` contradicts the \
-                             `{}` address scheme",
-                            scheme.label()
-                        ),
-                    )
-                    .with_help("drop --transport or make it match the address"),
-                );
-            }
         }
     }
     if surface.expected_workers == Some(0) {
@@ -240,25 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn transport_scheme_mismatch_is_e150() {
-        let s = NetSurface {
-            listen: Some("uds:/tmp/a.sock"),
-            transport: Some("tcp"),
-            ..NetSurface::default()
-        };
-        let found = check_net_config(&s);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].code, codes::NET_ENDPOINT_INVALID);
-        assert!(found[0].message.contains("contradicts"), "{found:?}");
-        let s = NetSurface {
-            listen: Some("uds:/tmp/a.sock"),
-            transport: Some("uds"),
-            ..NetSurface::default()
-        };
-        assert!(check_net_config(&s).is_empty());
-    }
-
-    #[test]
     fn tcp_default_backoff_warns_w151() {
         let s = NetSurface {
             connect: Some("tcp:10.0.0.2:7000"),
@@ -309,7 +260,6 @@ mod tests {
         let s = NetSurface {
             listen: Some("ipc:bad"),
             connect: Some("tcp:h:1"),
-            transport: Some("uds"),
             expected_workers: Some(0),
             handshake_timeout_ms: Some(1_000_000),
             deadline_secs: Some(600.0),

@@ -1,7 +1,16 @@
 //! Hand-rolled argument parsing for the `edgelet` tool.
+//!
+//! Every flag is read through one [`Flags`], whose readers *consume*:
+//! a subcommand takes the flags it knows out of the map (falling back
+//! to the `Default` impls below, the only place a default is written)
+//! and [`Flags::finish`] refuses whatever nobody took, so a misspelt
+//! or misplaced knob — `run --sharsd 4`, `run --workers 2` — is an
+//! error naming the flag instead of a run at the default. There is no
+//! table of flags: [`USAGE`] documents them, the readers define them.
 
 use edgelet_core::util::{Error, Result};
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,9 +91,6 @@ pub struct ServeArgs {
     /// Client mode (`submit` only): send the query to a daemon at this
     /// address instead of running in-process.
     pub connect: Option<String>,
-    /// Declared transport (`uds` | `tcp`); must match the address
-    /// scheme (E150) — purely a guard against config drift.
-    pub transport: Option<String>,
     /// Worker *processes* the daemon coordinates per epoch (`--listen`
     /// only; distinct from `--workers`, the in-process thread count
     /// used when no remote fleet is available).
@@ -113,7 +119,6 @@ impl Default for ServeArgs {
             crash_at: None,
             listen: None,
             connect: None,
-            transport: None,
             expected_workers: 2,
             net_fault_plan: None,
             handshake_timeout_ms: 10_000,
@@ -289,8 +294,6 @@ OPTIONS (multi-process deployment; addresses are uds:<path> | tcp:<host>:<port>)
                         in-process otherwise
     --connect ADDR      submit: send the query to a daemon
                         worker: the daemon to serve
-    --transport T       declared transport, uds|tcp; must match the
-                        address scheme (E150 guard)
     --expected-workers N  worker processes per epoch (serve --listen)
                                                          [default: 2]
     --handshake-timeout-ms N  handshake deadline        [default: 10000]
@@ -311,298 +314,259 @@ pub fn parse(argv: &[String]) -> Result<Command> {
     let Some((sub, rest)) = argv.split_first() else {
         return Ok(Command::Help);
     };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "dataset" => {
-            let flags = collect_flags(rest)?;
-            let rows = flag_parse(&flags, "rows", 100usize)?;
-            let seed = flag_parse(&flags, "seed", 7u64)?;
-            Ok(Command::Dataset { rows, seed })
-        }
+    if matches!(sub.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let mut f = Flags::collect(rest)?;
+    let cmd = match sub.as_str() {
+        "dataset" => Command::Dataset {
+            rows: f.value("rows", 100)?,
+            seed: f.value("seed", 7)?,
+        },
         "chaos" => {
-            let flags = collect_flags(rest)?;
-            let mut c = ChaosArgs {
-                seeds: flag_parse(&flags, "seeds", 64u64)?,
-                no_shrink: flags.contains_key("no-shrink"),
-                shards: shards_flag(&flags)?,
-                ..ChaosArgs::default()
-            };
-            if let Some(values) = flags.get("scenario") {
-                let s = single(values, "scenario")?;
-                if !["grouping", "kmeans"].contains(&s.as_str()) {
-                    return Err(Error::InvalidConfig(format!(
-                        "--scenario expects grouping|kmeans, got `{s}`"
-                    )));
-                }
-                c.scenario = Some(s.clone());
-            }
-            if let Some(values) = flags.get("emit-corpus") {
-                c.emit_corpus = Some(single(values, "emit-corpus")?.clone());
-            }
-            if let Some(values) = flags.get("replay") {
-                c.replay = Some(single(values, "replay")?.clone());
-            }
-            Ok(Command::Chaos(c))
+            let d = ChaosArgs::default();
+            Command::Chaos(ChaosArgs {
+                seeds: f.value("seeds", d.seeds)?,
+                scenario: f.one_of("scenario", &["grouping", "kmeans"])?,
+                emit_corpus: f.opt("emit-corpus")?,
+                replay: f.opt("replay")?,
+                no_shrink: f.bare("no-shrink")?,
+                shards: f.shards(d.shards)?,
+            })
         }
-        "serve" | "submit" => {
-            let flags = collect_flags(rest)?;
-            let mut s = ServeArgs {
-                query: query_args(&flags)?,
-                workers: flag_parse(&flags, "workers", 4usize)?,
-                queries: flag_parse(&flags, "queries", 3usize)?,
-                max_concurrent: flag_parse(&flags, "max-concurrent", 4usize)?,
-                mailbox_cap: flag_parse(&flags, "mailbox-cap", 4096usize)?,
-                durable: flags.contains_key("durable"),
-                checkpoint_every: flag_parse(&flags, "checkpoint-every", 8u64)?,
-                commit_window_ms: flag_parse(&flags, "commit-window-ms", 0u64)?,
-                segment_bytes: flag_parse(&flags, "segment-bytes", 4u64 << 20)?,
-                ..ServeArgs::default()
-            };
-            if let Some(values) = flags.get("wal-dir") {
-                s.wal_dir = Some(single(values, "wal-dir")?.clone());
-            }
-            if let Some(values) = flags.get("crash-at") {
-                let p = single(values, "crash-at")?;
-                if !["after-admit", "mid-query", "before-checkpoint"].contains(&p.as_str()) {
-                    return Err(Error::InvalidConfig(format!(
-                        "--crash-at expects after-admit|mid-query|before-checkpoint, got `{p}`"
-                    )));
-                }
-                s.crash_at = Some(p.clone());
-            }
-            if let Some(values) = flags.get("wall-deadline-ms") {
-                s.wall_deadline_ms = Some(parse_value(
-                    single(values, "wall-deadline-ms")?,
-                    "wall-deadline-ms",
-                )?);
-            }
-            if let Some(values) = flags.get("format") {
-                s.json = match single(values, "format")?.as_str() {
-                    "json" => true,
-                    "human" => false,
-                    other => {
-                        return Err(Error::InvalidConfig(format!(
-                            "--format expects json|human, got `{other}`"
-                        )))
-                    }
-                };
-            }
-            if let Some(values) = flags.get("listen") {
-                s.listen = Some(single(values, "listen")?.clone());
-            }
-            if let Some(values) = flags.get("connect") {
-                s.connect = Some(single(values, "connect")?.clone());
-            }
-            if let Some(values) = flags.get("transport") {
-                let t = single(values, "transport")?;
-                if !["uds", "tcp"].contains(&t.as_str()) {
-                    return Err(Error::InvalidConfig(format!(
-                        "--transport expects uds|tcp, got `{t}`"
-                    )));
-                }
-                s.transport = Some(t.clone());
-            }
-            s.expected_workers = flag_parse(&flags, "expected-workers", 2usize)?;
-            s.handshake_timeout_ms = flag_parse(&flags, "handshake-timeout-ms", 10_000u64)?;
-            if let Some(values) = flags.get("net-fault-plan") {
-                s.net_fault_plan = Some(single(values, "net-fault-plan")?.clone());
-            }
-            if sub == "serve" {
-                if s.connect.is_some() {
-                    return Err(Error::InvalidConfig(
-                        "--connect is for `submit` and `worker`; a daemon listens (--listen)"
-                            .into(),
-                    ));
-                }
-            } else if s.listen.is_some() {
-                return Err(Error::InvalidConfig(
-                    "--listen is for `serve`; a client connects (--connect)".into(),
-                ));
-            }
-            if sub == "serve" {
-                Ok(Command::Serve(s))
-            } else {
-                Ok(Command::Submit(s))
-            }
+        // A daemon listens and a client connects: neither reads the
+        // other's flag, so `finish` refuses it.
+        "serve" => Command::Serve(ServeArgs {
+            listen: f.opt("listen")?,
+            ..serve_args(&mut f)?
+        }),
+        "submit" => Command::Submit(ServeArgs {
+            connect: f.opt("connect")?,
+            ..serve_args(&mut f)?
+        }),
+        "worker" => Command::Worker(WorkerArgs {
+            connect: f
+                .opt("connect")?
+                .ok_or_else(|| invalid("worker requires --connect <addr>"))?,
+            backoff_initial_ms: f.opt("backoff-initial-ms")?,
+            backoff_max_ms: f.opt("backoff-max-ms")?,
+        }),
+        "plan" => Command::Plan(QueryArgs {
+            dot: f.bare("dot")?,
+            ..query_args(&mut f)?
+        }),
+        "run" => Command::Run(query_args(&mut f)?),
+        "analyze" => Command::Analyze {
+            query: query_args(&mut f)?,
+            json: f.json()?,
+            concurrency: !f.bare("no-concurrency")?,
+            workspace_root: f.value("workspace-root", ".".to_string())?,
+        },
+        other => {
+            return Err(invalid(format!(
+                "unknown subcommand `{other}` (try `edgelet help`)"
+            )))
         }
-        "worker" => {
-            let flags = collect_flags(rest)?;
-            let connect = flags
-                .get("connect")
-                .map(|v| single(v, "connect").cloned())
-                .transpose()?
-                .ok_or_else(|| Error::InvalidConfig("worker requires --connect <addr>".into()))?;
-            let backoff_initial_ms = flags
-                .get("backoff-initial-ms")
-                .map(|v| parse_value(single(v, "backoff-initial-ms")?, "backoff-initial-ms"))
-                .transpose()?;
-            let backoff_max_ms = flags
-                .get("backoff-max-ms")
-                .map(|v| parse_value(single(v, "backoff-max-ms")?, "backoff-max-ms"))
-                .transpose()?;
-            Ok(Command::Worker(WorkerArgs {
-                connect,
-                backoff_initial_ms,
-                backoff_max_ms,
-            }))
-        }
-        "plan" | "run" | "analyze" => {
-            let flags = collect_flags(rest)?;
-            let q = query_args(&flags)?;
-            match sub.as_str() {
-                "plan" => Ok(Command::Plan(q)),
-                "run" => Ok(Command::Run(q)),
-                _ => {
-                    let json = match flags.get("format") {
-                        None => false,
-                        Some(values) => match single(values, "format")?.as_str() {
-                            "json" => true,
-                            "human" => false,
-                            other => {
-                                return Err(Error::InvalidConfig(format!(
-                                    "--format expects json|human, got `{other}`"
-                                )))
-                            }
-                        },
-                    };
-                    let concurrency = !flags.contains_key("no-concurrency");
-                    let workspace_root = flags
-                        .get("workspace-root")
-                        .map(|v| single(v, "workspace-root").cloned())
-                        .transpose()?
-                        .unwrap_or_else(|| ".".to_string());
-                    Ok(Command::Analyze {
-                        query: q,
-                        json,
-                        concurrency,
-                        workspace_root,
-                    })
-                }
-            }
-        }
-        other => Err(Error::InvalidConfig(format!(
-            "unknown subcommand `{other}` (try `edgelet help`)"
-        ))),
-    }
-}
-
-/// Builds [`QueryArgs`] from the collected `plan`/`run`/`analyze` flags.
-fn query_args(flags: &BTreeMap<String, Vec<String>>) -> Result<QueryArgs> {
-    let mut q = QueryArgs {
-        seed: flag_parse(flags, "seed", 7u64)?,
-        contributors: flag_parse(flags, "contributors", 2_000usize)?,
-        processors: flag_parse(flags, "processors", 150usize)?,
-        cardinality: flag_parse(flags, "cardinality", 300usize)?,
-        failure_p: flag_parse(flags, "failure-p", 0.1f64)?,
-        crash_p: flag_parse(flags, "crash-p", 0.0f64)?,
-        shards: shards_flag(flags)?,
-        ..QueryArgs::default()
     };
-    if let Some(values) = flags.get("cap") {
-        let raw = single(values, "cap")?;
-        q.cap = if raw == "none" {
-            None
-        } else {
-            Some(parse_value(raw, "cap")?)
-        };
-    }
-    if let Some(values) = flags.get("strategy") {
-        let s = single(values, "strategy")?;
-        if !["overcollection", "backup", "naive"].contains(&s.as_str()) {
-            return Err(Error::InvalidConfig(format!("unknown strategy `{s}`")));
-        }
-        q.strategy = s.clone();
-    }
-    if let Some(values) = flags.get("network") {
-        q.network = single(values, "network")?.clone();
-    }
-    if let Some(values) = flags.get("separate") {
-        for v in values {
-            let (a, b) = v.split_once(':').ok_or_else(|| {
-                Error::InvalidConfig(format!("--separate expects a:b, got `{v}`"))
-            })?;
-            q.separate.push((a.to_string(), b.to_string()));
-        }
-    }
-    if let Some(values) = flags.get("kmeans") {
-        let v = single(values, "kmeans")?;
-        let (k, h) = v
-            .split_once(',')
-            .ok_or_else(|| Error::InvalidConfig(format!("--kmeans expects K,H, got `{v}`")))?;
-        q.kmeans = Some((parse_value(k, "kmeans K")?, parse_value(h, "kmeans H")?));
-    }
-    q.dot = flags.contains_key("dot");
-    Ok(q)
+    f.finish(sub)?;
+    Ok(cmd)
 }
 
-/// Collects `--flag value` and bare `--flag` pairs; flags may repeat.
-fn collect_flags(args: &[String]) -> Result<BTreeMap<String, Vec<String>>> {
-    const BARE: &[&str] = &[
-        "dot",
-        "no-shrink",
-        "concurrency",
-        "no-concurrency",
-        "durable",
-    ];
-    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(Error::InvalidConfig(format!(
-                "expected a --flag, got `{arg}`"
-            )));
-        };
-        if BARE.contains(&name) {
-            out.entry(name.to_string()).or_default();
-            i += 1;
-            continue;
-        }
-        let Some(value) = args.get(i + 1) else {
-            return Err(Error::InvalidConfig(format!("--{name} needs a value")));
-        };
-        out.entry(name.to_string()).or_default().push(value.clone());
-        i += 2;
-    }
-    Ok(out)
+/// Reads the flags `serve` and `submit` share: the world and the live
+/// runtime's knobs.
+fn serve_args(f: &mut Flags) -> Result<ServeArgs> {
+    let d = ServeArgs::default();
+    Ok(ServeArgs {
+        query: query_args(f)?,
+        workers: f.value("workers", d.workers)?,
+        queries: f.value("queries", d.queries)?,
+        max_concurrent: f.value("max-concurrent", d.max_concurrent)?,
+        mailbox_cap: f.value("mailbox-cap", d.mailbox_cap)?,
+        wall_deadline_ms: f.opt("wall-deadline-ms")?,
+        json: f.json()?,
+        durable: f.bare("durable")?,
+        wal_dir: f.opt("wal-dir")?,
+        checkpoint_every: f.value("checkpoint-every", d.checkpoint_every)?,
+        commit_window_ms: f.value("commit-window-ms", d.commit_window_ms)?,
+        segment_bytes: f.value("segment-bytes", d.segment_bytes)?,
+        crash_at: f.one_of(
+            "crash-at",
+            &["after-admit", "mid-query", "before-checkpoint"],
+        )?,
+        expected_workers: f.value("expected-workers", d.expected_workers)?,
+        net_fault_plan: f.opt("net-fault-plan")?,
+        handshake_timeout_ms: f.value("handshake-timeout-ms", d.handshake_timeout_ms)?,
+        ..d
+    })
 }
 
-fn single<'a>(values: &'a [String], name: &str) -> Result<&'a String> {
-    match values {
-        [one] => Ok(one),
-        _ => Err(Error::InvalidConfig(format!(
-            "--{name} given {} times, expected once",
-            values.len()
-        ))),
-    }
+/// Reads the world flags (`plan`/`run`/`analyze`/`serve`/`submit`) out
+/// of `f`. The one way from text to [`QueryArgs`]: the world-spec
+/// decoder feeds its `key=value` lines through here too, so a socket
+/// peer is held to exactly what the command line accepts.
+pub(crate) fn query_args(f: &mut Flags) -> Result<QueryArgs> {
+    let d = QueryArgs::default();
+    Ok(QueryArgs {
+        seed: f.value("seed", d.seed)?,
+        contributors: f.value("contributors", d.contributors)?,
+        processors: f.value("processors", d.processors)?,
+        cardinality: f.value("cardinality", d.cardinality)?,
+        cap: match f.opt::<String>("cap")?.as_deref() {
+            None => d.cap,
+            Some("none") => None,
+            Some(raw) => Some(parse_value(raw, "cap")?),
+        },
+        separate: f
+            .many("separate")?
+            .iter()
+            .map(|v| {
+                let (a, b) = halves(v, ':', "--separate expects a:b")?;
+                Ok((a.to_string(), b.to_string()))
+            })
+            .collect::<Result<_>>()?,
+        failure_p: f.value("failure-p", d.failure_p)?,
+        strategy: f
+            .one_of("strategy", &["overcollection", "backup", "naive"])?
+            .unwrap_or(d.strategy),
+        network: f.value("network", d.network)?,
+        crash_p: f.value("crash-p", d.crash_p)?,
+        kmeans: match f.opt::<String>("kmeans")? {
+            None => d.kmeans,
+            Some(raw) => {
+                let (k, h) = halves(&raw, ',', "--kmeans expects K,H")?;
+                Some((parse_value(k, "kmeans K")?, parse_value(h, "kmeans H")?))
+            }
+        },
+        dot: d.dot,
+        shards: f.shards(d.shards)?,
+    })
 }
 
-/// Parses `--shards` (shared by `plan`/`run`/`analyze`/`chaos`),
-/// rejecting 0 — the engine treats 0 as 1, but the CLI insists on an
-/// honest value.
-fn shards_flag(flags: &BTreeMap<String, Vec<String>>) -> Result<usize> {
-    let shards = flag_parse(flags, "shards", 1usize)?;
-    if shards == 0 {
-        return Err(Error::InvalidConfig(
-            "--shards must be at least 1".to_string(),
-        ));
-    }
-    Ok(shards)
+/// Splits `raw` at `sep`, or says what `shape` it should have had.
+fn halves<'a>(raw: &'a str, sep: char, shape: &str) -> Result<(&'a str, &'a str)> {
+    raw.split_once(sep)
+        .ok_or_else(|| invalid(format!("{shape}, got `{raw}`")))
 }
 
-fn parse_value<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T> {
+fn invalid(what: impl Into<String>) -> Error {
+    Error::InvalidConfig(what.into())
+}
+
+fn parse_value<T: FromStr>(raw: &str, what: &str) -> Result<T> {
     raw.parse()
-        .map_err(|_| Error::InvalidConfig(format!("cannot parse `{raw}` for {what}")))
+        .map_err(|_| invalid(format!("cannot parse `{raw}` for {what}")))
 }
 
-fn flag_parse<T: std::str::FromStr + Copy>(
-    flags: &BTreeMap<String, Vec<String>>,
-    name: &str,
-    default: T,
-) -> Result<T> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(values) => parse_value(single(values, name)?, name),
+/// The flags of one invocation, by name, each with the values it was
+/// given (none for a bare `--flag`). A token after `--name` is its
+/// value unless it is itself a `--flag`; there is no list of which
+/// flags are bare. Every reader *removes* what it reads, so whatever is
+/// still here when the subcommand has read its fill was never looked
+/// at, and [`Flags::finish`] refuses it by name.
+#[derive(Debug, Default)]
+pub(crate) struct Flags(BTreeMap<String, Vec<String>>);
+
+impl Flags {
+    fn collect(args: &[String]) -> Result<Flags> {
+        let mut flags = Flags::default();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(invalid(format!("expected a --flag, got `{arg}`")));
+            };
+            let value = args.next_if(|next| !next.starts_with("--"));
+            let was_bare = flags.0.get(name).map(Vec::is_empty);
+            if was_bare.is_some_and(|bare| bare != value.is_none()) {
+                return Err(invalid(format!(
+                    "--{name} given both with and without a value"
+                )));
+            }
+            flags.values(name).extend(value.cloned());
+        }
+        Ok(flags)
+    }
+
+    fn values(&mut self, name: &str) -> &mut Vec<String> {
+        self.0.entry(name.to_string()).or_default()
+    }
+
+    /// Adds one `name value` pair, as if `--name value` had been typed.
+    pub(crate) fn push(&mut self, name: &str, value: &str) {
+        self.values(name).push(value.to_string());
+    }
+
+    /// `--name V`, at most once.
+    pub(crate) fn opt<T: FromStr>(&mut self, name: &str) -> Result<Option<T>> {
+        let Some(values) = self.0.remove(name) else {
+            return Ok(None);
+        };
+        match values.as_slice() {
+            [] => Err(invalid(format!("--{name} needs a value"))),
+            [raw] => parse_value(raw, name).map(Some),
+            many => Err(invalid(format!(
+                "--{name} given {} times, expected once",
+                many.len()
+            ))),
+        }
+    }
+
+    /// `--name V` at most once, or `default`.
+    pub(crate) fn value<T: FromStr>(&mut self, name: &str, default: T) -> Result<T> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// `--name V`, any number of times, in the order given.
+    pub(crate) fn many(&mut self, name: &str) -> Result<Vec<String>> {
+        match self.0.remove(name) {
+            Some(values) if values.is_empty() => Err(invalid(format!("--{name} needs a value"))),
+            values => Ok(values.unwrap_or_default()),
+        }
+    }
+
+    /// A bare `--name`: present or not.
+    pub(crate) fn bare(&mut self, name: &str) -> Result<bool> {
+        match self.0.remove(name) {
+            Some(values) if !values.is_empty() => Err(invalid(format!("--{name} takes no value"))),
+            values => Ok(values.is_some()),
+        }
+    }
+
+    /// `--name V` at most once, `V` being one of `choices`.
+    pub(crate) fn one_of(&mut self, name: &str, choices: &[&str]) -> Result<Option<String>> {
+        let chosen: Option<String> = self.opt(name)?;
+        match &chosen {
+            Some(v) if !choices.contains(&v.as_str()) => Err(invalid(format!(
+                "--{name} expects {}, got `{v}`",
+                choices.join("|")
+            ))),
+            _ => Ok(chosen),
+        }
+    }
+
+    /// `--format json|human` (`analyze`, `serve`/`submit`): is it `json`?
+    pub(crate) fn json(&mut self) -> Result<bool> {
+        let format = self.one_of("format", &["json", "human"])?;
+        Ok(format.as_deref() == Some("json"))
+    }
+
+    /// `--shards N` (`plan`/`run`/`analyze`/`chaos`), rejecting 0 — the
+    /// engine treats 0 as 1, but the CLI insists on an honest value.
+    pub(crate) fn shards(&mut self, default: usize) -> Result<usize> {
+        match self.value("shards", default)? {
+            0 => Err(invalid("--shards must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// Refuses every flag no reader asked for: a misspelt knob must not
+    /// run as if it had been set.
+    pub(crate) fn finish(self, sub: &str) -> Result<()> {
+        if self.0.is_empty() {
+            return Ok(());
+        }
+        let unread: Vec<String> = self.0.keys().map(|name| format!("`--{name}`")).collect();
+        let unread = unread.join(", ");
+        Err(invalid(format!("`{sub}` takes no flag {unread}")))
     }
 }
 
@@ -793,7 +757,7 @@ mod tests {
         // serve --listen with the daemon knobs.
         let Command::Serve(s) = parse(&argv(
             "serve --listen uds:/tmp/edgelet.sock --expected-workers 3 \
-             --handshake-timeout-ms 500 --transport uds --net-fault-plan drop,from=3",
+             --handshake-timeout-ms 500 --net-fault-plan drop,from=3",
         ))
         .unwrap() else {
             panic!()
@@ -801,7 +765,6 @@ mod tests {
         assert_eq!(s.listen.as_deref(), Some("uds:/tmp/edgelet.sock"));
         assert_eq!(s.expected_workers, 3);
         assert_eq!(s.handshake_timeout_ms, 500);
-        assert_eq!(s.transport.as_deref(), Some("uds"));
         assert_eq!(s.net_fault_plan.as_deref(), Some("drop,from=3"));
         // submit --connect as a socket client.
         let Command::Submit(s) = parse(&argv("submit --connect tcp:127.0.0.1:7000")).unwrap()
@@ -839,6 +802,40 @@ mod tests {
         assert_eq!(w.backoff_max_ms, Some(400));
         assert!(parse(&argv("worker")).is_err());
         assert!(parse(&argv("worker --connect a --backoff-max-ms soon")).is_err());
+    }
+
+    #[test]
+    fn a_flag_nobody_reads_is_refused_by_name() {
+        // A typo, another subcommand's knob, a value missing or given
+        // to a bare flag, a flag that no longer exists: the first seven
+        // ran as if nothing had been typed before readers consumed.
+        for (line, flag) in [
+            ("run --sharsd 4", "--sharsd"),
+            ("run --workers 2", "--workers"),
+            ("run --dot", "--dot"),
+            ("dataset --bogus 1", "--bogus"),
+            ("chaos --cap 5", "--cap"),
+            ("worker --connect a --seed 3", "--seed"),
+            ("submit --failure-P 0.3", "--failure-P"),
+            ("plan --cap", "--cap"),
+            ("plan --separate", "--separate"),
+            ("submit --durable yes", "--durable"),
+            ("serve --transport uds", "--transport"),
+        ] {
+            let err = parse(&argv(line)).expect_err(line).to_string();
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+        let err = parse(&argv("run --sharsd 4 --workers 9"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("`run` takes no flag `--sharsd`, `--workers`"),
+            "{err}"
+        );
+        // A flag is bare or valued by what follows it, not by a list.
+        assert!(parse(&argv("plan --dot --cap 5")).is_ok());
+        assert!(parse(&argv("plan --cap 5 --dot")).is_ok());
+        assert!(parse(&argv("plan --seed --seed 3")).is_err());
     }
 
     #[test]

@@ -17,45 +17,25 @@ pub fn execute(cmd: Command) -> Result<String> {
 /// exit status the tool should use: nonzero when `analyze` found
 /// `Error`-severity diagnostics, zero otherwise.
 pub fn execute_with_status(cmd: Command) -> Result<(String, i32)> {
-    if let Command::Analyze {
-        query,
-        json,
-        concurrency,
-        workspace_root,
-    } = cmd
-    {
-        return analyze_command(&query, json, concurrency, &workspace_root);
-    }
-    if let Command::Chaos(args) = cmd {
-        return chaos_command(&args);
-    }
-    if let Command::Serve(args) = cmd {
+    let text = match cmd {
+        Command::Analyze {
+            query,
+            json,
+            concurrency,
+            workspace_root,
+        } => return analyze_command(&query, json, concurrency, &workspace_root),
+        Command::Chaos(args) => return chaos_command(&args),
         // `--listen` switches to daemon mode: same service, plus a
         // socket front-end for remote workers and submissions.
-        if args.listen.is_some() {
-            return crate::net::serve_listen(&args);
-        }
-        return serve_command(&args);
-    }
-    if let Command::Submit(args) = cmd {
+        Command::Serve(args) if args.listen.is_some() => return crate::net::serve_listen(&args),
+        Command::Serve(args) => return serve_command(&args),
         // `--connect` sends the query to a daemon instead of running
         // it in-process.
-        if args.connect.is_some() {
-            return crate::net::submit_connect(&args);
+        Command::Submit(args) if args.connect.is_some() => {
+            return crate::net::submit_connect(&args)
         }
-        return submit_command(&args);
-    }
-    if let Command::Worker(args) = cmd {
-        return crate::net::worker_command(&args);
-    }
-    let text = match cmd {
-        Command::Analyze { .. }
-        | Command::Chaos(_)
-        | Command::Serve(_)
-        | Command::Submit(_)
-        | Command::Worker(_) => {
-            unreachable!("handled above")
-        }
+        Command::Submit(args) => return submit_command(&args),
+        Command::Worker(args) => return crate::net::worker_command(&args),
         Command::Help => USAGE.to_string(),
         Command::Dataset { rows, seed } => {
             let mut rng = DetRng::new(seed);
@@ -204,11 +184,8 @@ fn chaos_command(args: &ChaosArgs) -> Result<(String, i32)> {
             }
         }
     }
-    if !lint.is_empty() {
-        out.push_str(&edgelet_analyze::render_human(&lint));
-        if edgelet_analyze::has_errors(&lint) {
-            return Ok((out, 1));
-        }
+    if let Some(verdict) = lint_verdict(&lint, false, &mut out) {
+        return Ok(verdict);
     }
 
     let report = run_campaign(&CampaignConfig {
@@ -338,35 +315,16 @@ fn submit_command(args: &ServeArgs) -> Result<(String, i32)> {
     let outcome = service.submit(&spec, &privacy, &resilience, wall);
     let (out, status) = match &outcome {
         Ok(o) => {
-            let r = &o.run.report;
             let text = if args.json {
                 // Durable runs carry their recovery provenance and a
                 // state CRC so restart drills can diff verdicts.
-                let durable_fields = if args.durable {
-                    format!(
-                        ",\"recovered\":{},\"state_crc\":{}",
-                        o.recovered,
-                        edgelet_live::state_crc(&o.run)
-                    )
-                } else {
-                    String::new()
-                };
-                format!(
-                    "{{\"verdict\":\"{}\",\"epoch\":{},\"completed\":{},\"valid\":{},\
-                     \"wall_aborted\":{},\"completion_secs\":{},\"messages_sent\":{},\
-                     \"bytes_sent\":{},\"workers\":{}{durable_fields}}}\n",
-                    if o.succeeded() { "ok" } else { "miss" },
-                    o.epoch,
-                    r.completed,
-                    r.valid,
-                    o.wall_aborted,
-                    r.completion_secs
-                        .map(|t| format!("{t}"))
-                        .unwrap_or_else(|| "null".into()),
-                    r.messages_sent,
-                    r.bytes_sent,
-                    args.workers,
-                )
+                let mut text = crate::net::verdict_fields(o, args.workers);
+                if args.durable {
+                    let crc = edgelet_live::state_crc(&o.run);
+                    let _ = write!(text, ",\"recovered\":{},\"state_crc\":{crc}", o.recovered);
+                }
+                text.push_str("}\n");
+                text
             } else {
                 let mut text = render_run(&o.run.plan, &o.run.report);
                 let _ = writeln!(
@@ -388,40 +346,27 @@ fn submit_command(args: &ServeArgs) -> Result<(String, i32)> {
         Err(SubmitError::Failed(e)) => {
             return Err(Error::InvalidConfig(format!("live query failed: {e}")))
         }
-        Err(SubmitError::ShuttingDown) => {
-            // A graceful drain in progress: distinct from read-only so
-            // a client knows to retry elsewhere rather than give up on
-            // this daemon's durable state.
-            let text = if args.json {
-                "{\"verdict\":\"rejected_draining\",\"reason\":\"service shutting down\"}\n"
-                    .to_string()
-            } else {
-                "rejected (draining): service shutting down\n".to_string()
-            };
-            (text, 1)
-        }
-        Err(SubmitError::ReadOnly { reason }) => {
-            // Drained mode: a distinct verdict so operators (and the
-            // restart-smoke CI job) can tell "media is read-only" from
-            // a capacity rejection. See docs/RUNTIME.md.
-            let text = if args.json {
-                format!("{{\"verdict\":\"rejected_readonly\",\"reason\":\"{reason}\"}}\n")
-            } else {
-                format!("rejected (read-only): {reason}\n")
-            };
-            (text, 1)
-        }
-        Err(e) => {
-            let text = if args.json {
-                format!("{{\"verdict\":\"rejected\",\"reason\":\"{e}\"}}\n")
-            } else {
-                format!("rejected: {e}\n")
-            };
-            (text, 1)
-        }
+        Err(e) => (refusal_text(e, args.json), 1),
     };
     service.shutdown();
     Ok((format!("{preamble}{out}"), status))
+}
+
+/// What `submit` prints for a refused admission. The JSON is the
+/// daemon's own artifact ([`crate::net::error_artifact`]), so one
+/// refusal reads the same whichever way it was submitted. Draining is
+/// distinct from read-only so that a client knows to retry elsewhere
+/// rather than give up on this daemon's durable state, and read-only
+/// from a capacity rejection so that operators (and the restart-smoke
+/// CI job) can tell failed media from a full gate; see docs/RUNTIME.md.
+fn refusal_text(e: &edgelet_live::SubmitError, json: bool) -> String {
+    use edgelet_live::SubmitError;
+    match e {
+        _ if json => crate::net::error_artifact(e),
+        SubmitError::ShuttingDown => "rejected (draining): service shutting down\n".to_string(),
+        SubmitError::ReadOnly { reason } => format!("rejected (read-only): {reason}\n"),
+        other => format!("rejected: {other}\n"),
+    }
 }
 
 /// `E120`/`W121` plus `E140`/`W141`/`W142` preflight shared by `serve`
@@ -446,15 +391,26 @@ pub(crate) fn live_preflight(
         args.wall_deadline_ms,
         args.segment_bytes,
     ));
+    lint_verdict(&lint, json, preamble)
+}
+
+/// What a preflight's findings mean for the command: errors are its
+/// whole output and a nonzero status; warnings render into `preamble`
+/// and the command goes on.
+pub(crate) fn lint_verdict(
+    lint: &[edgelet_analyze::Diagnostic],
+    json: bool,
+    preamble: &mut String,
+) -> Option<(String, i32)> {
     if lint.is_empty() {
         return None;
     }
     let text = if json {
-        edgelet_analyze::render_json(&lint)
+        edgelet_analyze::render_json(lint)
     } else {
-        edgelet_analyze::render_human(&lint)
+        edgelet_analyze::render_human(lint)
     };
-    if edgelet_analyze::has_errors(&lint) {
+    if edgelet_analyze::has_errors(lint) {
         return Some((text, 1));
     }
     preamble.push_str(&text);
@@ -970,6 +926,44 @@ mod tests {
         assert!(text.contains("\"verdict\":\"rejected_readonly\""), "{text}");
         assert!(text.contains("refusing to replay"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refusal_is_the_daemons_artifact_and_valid_json() {
+        use edgelet_live::SubmitError;
+        // A storage error's text is not ours to choose: it must arrive
+        // escaped, on the one line an artifact is.
+        let e = SubmitError::ReadOnly {
+            reason: "a\"b\\c\nd".into(),
+        };
+        let json = refusal_text(&e, true);
+        assert_eq!(json, crate::net::error_artifact(&e));
+        assert!(
+            json.starts_with("{\"verdict\":\"rejected_readonly\",\"reason\":\""),
+            "{json}"
+        );
+        assert!(json.contains("a\\\"b\\\\c\\nd"), "{json}");
+        assert_eq!(json.find('\n'), Some(json.len() - 1), "{json}");
+        // In-process and over a socket, a drain reads the same.
+        let draining = refusal_text(&SubmitError::ShuttingDown, true);
+        assert_eq!(
+            draining,
+            "{\"verdict\":\"rejected_draining\",\
+             \"reason\":\"admission rejected: service shutting down\"}\n"
+        );
+        // The human wording is what it was.
+        assert_eq!(
+            refusal_text(&e, false),
+            "rejected (read-only): a\"b\\c\nd\n"
+        );
+        assert_eq!(
+            refusal_text(&SubmitError::ShuttingDown, false),
+            "rejected (draining): service shutting down\n"
+        );
+        assert_eq!(
+            refusal_text(&SubmitError::AtCapacity { limit: 2 }, false),
+            "rejected: admission rejected: 2 queries already in flight\n"
+        );
     }
 
     #[test]

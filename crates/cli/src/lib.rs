@@ -11,7 +11,10 @@
 //! * `edgelet dataset …` — emit the synthetic health data as CSV.
 //!
 //! The argument parser is hand-rolled (no external dependency) and unit
-//! tested here; `main.rs` is a thin shell around [`run_cli`].
+//! tested here: each subcommand takes the flags it knows out of one
+//! consuming reader (`args::Flags`) and a flag nobody took is refused
+//! by name, on the command line and in a world spec off a socket alike.
+//! `main.rs` is a thin shell around [`run_cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

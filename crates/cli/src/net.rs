@@ -15,7 +15,8 @@
 //! harness can byte-compare them against sim and in-process live runs
 //! without file transfer.
 
-use crate::args::{QueryArgs, ServeArgs, WorkerArgs};
+use crate::args::{query_args, Flags, QueryArgs, ServeArgs, WorkerArgs};
+use crate::commands::lint_verdict;
 use edgelet_core::prelude::DeviceId;
 use edgelet_core::util::{Error, Result};
 use edgelet_live::{LiveRunOptions, PreparedQuery, SubmitError, SubmitOutcome};
@@ -48,40 +49,32 @@ const WORLDSPEC_KEYS: [&str; 12] = [
     "shards",
 ];
 
-/// Encodes the world-shaping subset of [`QueryArgs`] as versioned text.
+/// Encodes the world-shaping subset of [`QueryArgs`] as versioned text,
+/// one `key=value` line per [`WORLDSPEC_KEYS`] entry in that order.
 /// Rendering-only knobs (`dot`) are excluded; `f64`s use Rust's
 /// shortest-roundtrip `Display`, so encode∘decode is the identity and
 /// two processes given the same bytes build the same world.
 pub(crate) fn encode_world_spec(q: &QueryArgs) -> Vec<u8> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{WORLDSPEC_HEADER}");
-    let _ = writeln!(out, "seed={}", q.seed);
-    let _ = writeln!(out, "contributors={}", q.contributors);
-    let _ = writeln!(out, "processors={}", q.processors);
-    let _ = writeln!(out, "cardinality={}", q.cardinality);
-    match q.cap {
-        Some(c) => {
-            let _ = writeln!(out, "cap={c}");
-        }
-        None => {
-            let _ = writeln!(out, "cap=none");
-        }
-    }
+    let none = || "none".to_string();
     let pairs: Vec<String> = q.separate.iter().map(|(a, b)| format!("{a}:{b}")).collect();
-    let _ = writeln!(out, "separate={}", pairs.join(","));
-    let _ = writeln!(out, "failure_p={}", q.failure_p);
-    let _ = writeln!(out, "strategy={}", q.strategy);
-    let _ = writeln!(out, "network={}", q.network);
-    let _ = writeln!(out, "crash_p={}", q.crash_p);
-    match q.kmeans {
-        Some((k, h)) => {
-            let _ = writeln!(out, "kmeans={k},{h}");
-        }
-        None => {
-            let _ = writeln!(out, "kmeans=none");
-        }
+    let values: [String; 12] = [
+        q.seed.to_string(),
+        q.contributors.to_string(),
+        q.processors.to_string(),
+        q.cardinality.to_string(),
+        q.cap.map_or_else(none, |c| c.to_string()),
+        pairs.join(","),
+        q.failure_p.to_string(),
+        q.strategy.clone(),
+        q.network.clone(),
+        q.crash_p.to_string(),
+        q.kmeans.map_or_else(none, |(k, h)| format!("{k},{h}")),
+        q.shards.to_string(),
+    ];
+    let mut out = format!("{WORLDSPEC_HEADER}\n");
+    for (key, value) in WORLDSPEC_KEYS.iter().zip(values) {
+        let _ = writeln!(out, "{key}={value}");
     }
-    let _ = writeln!(out, "shards={}", q.shards);
     out.into_bytes()
 }
 
@@ -91,75 +84,44 @@ fn spec_err(what: impl std::fmt::Display) -> Error {
 
 /// Decodes [`encode_world_spec`] output, rejecting unknown versions,
 /// unknown keys, duplicates, and missing keys — a daemon and a worker
-/// disagreeing on the spec surface must fail loudly, not diverge.
+/// disagreeing on the spec surface must fail loudly, not diverge. The
+/// values are read by the command line's own [`query_args`]: each line
+/// becomes the flag of the same name (`failure_p` is `--failure-p`,
+/// `separate=a:b,c:d` is `--separate a:b --separate c:d`, `kmeans=none`
+/// is no `--kmeans`), so a peer can send nothing an operator could not
+/// have typed.
 pub(crate) fn decode_world_spec(bytes: &[u8]) -> Result<QueryArgs> {
     let text = std::str::from_utf8(bytes).map_err(|_| spec_err("not utf-8"))?;
     let mut lines = text.lines();
     if lines.next() != Some(WORLDSPEC_HEADER) {
         return Err(spec_err(format!("expected `{WORLDSPEC_HEADER}` header")));
     }
-    let mut seen: Vec<(&str, &str)> = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
+    let mut flags = Flags::default();
+    let mut seen: Vec<&str> = Vec::new();
+    for line in lines.filter(|line| !line.is_empty()) {
         let (k, v) = line
             .split_once('=')
             .ok_or_else(|| spec_err(format!("malformed line `{line}`")))?;
         if !WORLDSPEC_KEYS.contains(&k) {
             return Err(spec_err(format!("unknown key `{k}`")));
         }
-        if seen.iter().any(|(s, _)| *s == k) {
+        if seen.contains(&k) {
             return Err(spec_err(format!("duplicate key `{k}`")));
         }
-        seen.push((k, v));
-    }
-    let get = |k: &str| -> Result<&str> {
-        seen.iter()
-            .find(|(s, _)| *s == k)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| spec_err(format!("missing key `{k}`")))
-    };
-    fn num<T: std::str::FromStr>(k: &str, v: &str) -> Result<T> {
-        v.parse()
-            .map_err(|_| spec_err(format!("bad value `{v}` for `{k}`")))
-    }
-    let mut separate = Vec::new();
-    let sep = get("separate")?;
-    if !sep.is_empty() {
-        for pair in sep.split(',') {
-            let (a, b) = pair
-                .split_once(':')
-                .ok_or_else(|| spec_err(format!("bad separate pair `{pair}`")))?;
-            separate.push((a.to_string(), b.to_string()));
+        seen.push(k);
+        let flag = k.replace('_', "-");
+        match (k, v) {
+            ("kmeans", "none") | ("separate", "") => {}
+            ("separate", pairs) => pairs.split(',').for_each(|pair| flags.push(&flag, pair)),
+            _ => flags.push(&flag, v),
         }
     }
-    Ok(QueryArgs {
-        seed: num("seed", get("seed")?)?,
-        contributors: num("contributors", get("contributors")?)?,
-        processors: num("processors", get("processors")?)?,
-        cardinality: num("cardinality", get("cardinality")?)?,
-        cap: match get("cap")? {
-            "none" => None,
-            v => Some(num("cap", v)?),
-        },
-        separate,
-        failure_p: num("failure_p", get("failure_p")?)?,
-        strategy: get("strategy")?.to_string(),
-        network: get("network")?.to_string(),
-        crash_p: num("crash_p", get("crash_p")?)?,
-        kmeans: match get("kmeans")? {
-            "none" => None,
-            v => {
-                let (k, h) = v
-                    .split_once(',')
-                    .ok_or_else(|| spec_err(format!("bad kmeans `{v}`")))?;
-                Some((num("kmeans", k)?, num("kmeans", h)?))
-            }
-        },
-        shards: num("shards", get("shards")?)?,
-        dot: false,
-    })
+    if let Some(missing) = WORLDSPEC_KEYS.iter().find(|k| !seen.contains(k)) {
+        return Err(spec_err(format!("missing key `{missing}`")));
+    }
+    let q = query_args(&mut flags).map_err(spec_err)?;
+    flags.finish("the world spec").map_err(spec_err)?;
+    Ok(q)
 }
 
 // ---- the shared world builder ----
@@ -305,25 +267,23 @@ pub(crate) fn reject_verdict(e: &SubmitError) -> &'static str {
 
 /// JSON artifact for a refused submission.
 pub(crate) fn error_artifact(e: &SubmitError) -> String {
-    format!(
-        "{{\"verdict\":\"{}\",\"reason\":\"{}\"}}\n",
-        reject_verdict(e),
-        json_escape(&e.to_string())
-    )
+    refusal_artifact(reject_verdict(e), &e.to_string())
 }
 
-/// JSON artifact for an executed submission. Payload and ledger are
-/// hex so the parity harness can byte-compare engines; `state_crc`
-/// summarizes both for quick diffing.
-fn run_artifact(o: &SubmitOutcome, transport: &str, workers: usize, fallbacks: u64) -> String {
+fn refusal_artifact(verdict: &str, reason: &str) -> String {
+    let reason = json_escape(reason);
+    format!("{{\"verdict\":\"{verdict}\",\"reason\":\"{reason}\"}}\n")
+}
+
+/// The opening of every executed submission's JSON verdict — `{` and
+/// the nine fields the in-process `submit` and the daemon both report,
+/// unclosed so that each appends what only it knows.
+pub(crate) fn verdict_fields(o: &SubmitOutcome, workers: usize) -> String {
     let r = &o.run.report;
-    let ledger = hex(&edgelet_wire::to_bytes(&r.ledger));
     format!(
         "{{\"verdict\":\"{}\",\"epoch\":{},\"completed\":{},\"valid\":{},\
          \"wall_aborted\":{},\"completion_secs\":{},\"messages_sent\":{},\
-         \"bytes_sent\":{},\"workers\":{},\"transport\":\"{}\",\
-         \"remote_fallbacks\":{},\"state_crc\":{},\"trace_digest\":{},\
-         \"result_payload\":{},\"ledger\":\"{}\"}}\n",
+         \"bytes_sent\":{},\"workers\":{workers}",
         if o.succeeded() { "ok" } else { "miss" },
         o.epoch,
         r.completed,
@@ -334,9 +294,18 @@ fn run_artifact(o: &SubmitOutcome, transport: &str, workers: usize, fallbacks: u
             .unwrap_or_else(|| "null".into()),
         r.messages_sent,
         r.bytes_sent,
-        workers,
-        transport,
-        fallbacks,
+    )
+}
+
+/// JSON artifact for an executed submission. Payload and ledger are
+/// hex so the parity harness can byte-compare engines; `state_crc`
+/// summarizes both for quick diffing.
+fn run_artifact(o: &SubmitOutcome, transport: &str, workers: usize, fallbacks: u64) -> String {
+    let r = &o.run.report;
+    format!(
+        "{},\"transport\":\"{transport}\",\"remote_fallbacks\":{fallbacks},\
+         \"state_crc\":{},\"trace_digest\":{},\"result_payload\":{},\"ledger\":\"{}\"}}\n",
+        verdict_fields(o, workers),
         edgelet_live::state_crc(&o.run),
         o.run
             .trace_digest
@@ -346,26 +315,11 @@ fn run_artifact(o: &SubmitOutcome, transport: &str, workers: usize, fallbacks: u
             .as_deref()
             .map(|p| format!("\"{}\"", hex(p)))
             .unwrap_or_else(|| "null".into()),
-        ledger,
+        hex(&edgelet_wire::to_bytes(&r.ledger)),
     )
 }
 
 // ---- commands ----
-
-fn render_lint(
-    lint: &[edgelet_analyze::Diagnostic],
-    preamble: &mut String,
-) -> Option<(String, i32)> {
-    if lint.is_empty() {
-        return None;
-    }
-    let text = edgelet_analyze::render_human(lint);
-    if edgelet_analyze::has_errors(lint) {
-        return Some((text, 1));
-    }
-    preamble.push_str(&text);
-    None
-}
 
 /// A line printed *now*, not at command exit: daemon/worker processes
 /// are long-running and their supervisors (the CI smoke job, the
@@ -391,13 +345,12 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
     let (service, spec, privacy, resilience, _recovery) = crate::commands::live_service(args)?;
     let lint = edgelet_analyze::check_net_config(&edgelet_analyze::NetSurface {
         listen: Some(listen),
-        transport: args.transport.as_deref(),
         expected_workers: Some(args.expected_workers),
         handshake_timeout_ms: Some(args.handshake_timeout_ms),
         deadline_secs: Some(spec.deadline_secs),
         ..Default::default()
     });
-    if let Some(v) = render_lint(&lint, &mut preamble) {
+    if let Some(v) = lint_verdict(&lint, false, &mut preamble) {
         service.shutdown();
         return Ok(v);
     }
@@ -445,6 +398,15 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
         );
     }
     let wall = args.wall_deadline_ms.map(Duration::from_millis);
+    // What a submission is answered with: its run's artifact, or its refusal's.
+    let answer = |result: &std::result::Result<SubmitOutcome, SubmitError>| {
+        let fallbacks = service.remote_fallbacks();
+        match result {
+            Ok(o) => run_artifact(o, transport_label, args.expected_workers, fallbacks),
+            Err(e) => error_artifact(e),
+        }
+        .into_bytes()
+    };
     let mut served = 0usize;
     let mut failed = 0usize;
     while served < args.queries {
@@ -459,7 +421,8 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
             sub.reject("world spec does not match this daemon's canonical world".into());
             continue;
         }
-        match service.submit(&spec, &privacy, &resilience, wall) {
+        let result = service.submit(&spec, &privacy, &resilience, wall);
+        match &result {
             Ok(o) => {
                 let ok = o.succeeded();
                 failed += usize::from(!ok);
@@ -471,22 +434,13 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
                     o.run.report.completed,
                     o.run.report.valid,
                 );
-                sub.respond(
-                    run_artifact(
-                        &o,
-                        transport_label,
-                        args.expected_workers,
-                        service.remote_fallbacks(),
-                    )
-                    .into_bytes(),
-                );
             }
             Err(e) => {
                 failed += 1;
                 let _ = writeln!(out, "query {served}: FAILED {e}");
-                sub.respond(error_artifact(&e).into_bytes());
             }
         }
+        sub.respond(answer(&result));
         served += 1;
     }
     // Graceful drain: stop admitting, then answer stragglers with the
@@ -494,18 +448,7 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
     // rejection reason is the service's own).
     service.shutdown();
     while let Some(sub) = daemon.next_submission(Duration::from_millis(200)) {
-        match service.submit(&spec, &privacy, &resilience, wall) {
-            Err(e) => sub.respond(error_artifact(&e).into_bytes()),
-            Ok(o) => sub.respond(
-                run_artifact(
-                    &o,
-                    transport_label,
-                    args.expected_workers,
-                    service.remote_fallbacks(),
-                )
-                .into_bytes(),
-            ),
-        }
+        sub.respond(answer(&service.submit(&spec, &privacy, &resilience, wall)));
     }
     daemon.shutdown();
     let _ = writeln!(
@@ -529,7 +472,7 @@ pub(crate) fn worker_command(w: &WorkerArgs) -> Result<(String, i32)> {
         explicit_backoff: w.backoff_initial_ms.is_some() && w.backoff_max_ms.is_some(),
         ..Default::default()
     });
-    if let Some(v) = render_lint(&lint, &mut out) {
+    if let Some(v) = lint_verdict(&lint, false, &mut out) {
         return Ok(v);
     }
     if !out.is_empty() {
@@ -573,12 +516,11 @@ pub(crate) fn submit_connect(args: &ServeArgs) -> Result<(String, i32)> {
     let mut preamble = String::new();
     let lint = edgelet_analyze::check_net_config(&edgelet_analyze::NetSurface {
         connect: Some(connect),
-        transport: args.transport.as_deref(),
         // Clients do not reconnect; the backoff warning is not for them.
         explicit_backoff: true,
         ..Default::default()
     });
-    if let Some(v) = render_lint(&lint, &mut preamble) {
+    if let Some(v) = lint_verdict(&lint, false, &mut preamble) {
         return Ok(v);
     }
     let addr = Addr::parse(connect)?;
@@ -598,13 +540,7 @@ pub(crate) fn submit_connect(args: &ServeArgs) -> Result<(String, i32)> {
             let ok = text.contains("\"verdict\":\"ok\"");
             Ok((format!("{preamble}{text}"), i32::from(!ok)))
         }
-        NetMsg::Reject { reason } => Ok((
-            format!(
-                "{preamble}{{\"verdict\":\"rejected\",\"reason\":\"{}\"}}\n",
-                json_escape(&reason)
-            ),
-            1,
-        )),
+        NetMsg::Reject { reason } => Ok((preamble + &refusal_artifact("rejected", &reason), 1)),
         other => Err(Error::Protocol(format!(
             "unexpected daemon reply: {other:?}"
         ))),
@@ -640,6 +576,36 @@ mod tests {
         assert_eq!(decoded, q);
         let q = QueryArgs::default();
         assert_eq!(decode_world_spec(&encode_world_spec(&q)).unwrap(), q);
+    }
+
+    #[test]
+    fn world_spec_bytes_are_pinned() {
+        // Every process in a deployment compares these bytes; they may
+        // not move with the code that writes them.
+        let defaults = "edgelet-worldspec-v1\nseed=7\ncontributors=2000\nprocessors=150\n\
+                        cardinality=300\ncap=75\nseparate=\nfailure_p=0.1\n\
+                        strategy=overcollection\nnetwork=lossy:0.05\ncrash_p=0\nkmeans=none\n\
+                        shards=1\n";
+        let q = QueryArgs::default();
+        assert_eq!(encode_world_spec(&q), defaults.as_bytes());
+        let q = QueryArgs {
+            cap: None,
+            separate: vec![("age".into(), "sex".into()), ("bmi".into(), "gir".into())],
+            kmeans: Some((4, 3)),
+            ..q
+        };
+        let variant = "edgelet-worldspec-v1\nseed=7\ncontributors=2000\nprocessors=150\n\
+                       cardinality=300\ncap=none\nseparate=age:sex,bmi:gir\nfailure_p=0.1\n\
+                       strategy=overcollection\nnetwork=lossy:0.05\ncrash_p=0\nkmeans=4,3\n\
+                       shards=1\n";
+        assert_eq!(encode_world_spec(&q), variant.as_bytes());
+        assert_eq!(decode_world_spec(variant.as_bytes()).unwrap(), q);
+        // A socket peer gets the command line's validation, not a laxer one.
+        for (good, bad) in [("shards=1", "shards=0"), ("=overcollection", "=wat")] {
+            let text = defaults.replace(good, bad);
+            let err = decode_world_spec(text.as_bytes()).expect_err(bad);
+            assert!(err.to_string().contains("world spec"), "{bad}: {err}");
+        }
     }
 
     #[test]

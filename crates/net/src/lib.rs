@@ -19,9 +19,8 @@
 //!   streams, reconnect [`conn::Backoff`], and the real-time
 //!   [`conn::TimerHeap`] behind handshake deadlines and reconnect
 //!   pacing;
-//! * [`transport`] — [`transport::SocketTransport`], the
-//!   [`edgelet_wire::Transport`] impl over a connected socket, plus the
-//!   [`transport::CollectorTransport`] detached worlds are built over;
+//! * [`transport`] — the [`transport::CollectorTransport`] detached
+//!   worlds are built over;
 //! * [`daemon`] — the `edgelet serve` side: accept loop, worker
 //!   registry with half-open detection, and the socket barrier under
 //!   the shared window decision loop, which plugs into [`edgelet_live::QueryService`] as its
@@ -52,5 +51,5 @@ pub use daemon::{Daemon, NetConfig, Submission, WorldBuilder};
 pub use fault::{FaultVerdict, NetFaultProxy};
 pub use framing::{encode_frame, FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_LEN, NET_MAGIC};
 pub use proto::{NetMsg, Role, WireRecord, WireRound, PROTO_VERSION};
-pub use transport::{CollectorTransport, SocketTransport};
+pub use transport::CollectorTransport;
 pub use worker::{run_worker, SessionEnd, WorkerConfig};

@@ -1,216 +1,17 @@
-//! [`Transport`] implementations for the socket deployment.
+//! The [`Transport`] a detached world is built over.
 //!
-//! Two transports:
-//!
-//! * [`SocketTransport`] — the trait-over-sockets impl: an
-//!   [`edgelet_wire::Transport`] whose `submit` pushes envelopes through
-//!   a framed socket and whose `drain`/`pending` read from per-`(epoch,
-//!   lane)` queues filled by a background reader thread. Two of these
-//!   back-to-back form a full-duplex envelope fabric over UDS or TCP —
-//!   the `net/roundtrip` bench suite and the loopback tests run on it.
-//! * [`CollectorTransport`] — what a detached world is built over:
-//!   `prepare_live_query` needs *a* transport, but a daemon or worker
-//!   takes the engine apart ([`edgelet_live::EngineParts`]) before
-//!   stepping it, and its window reports carry the outgoing deliveries
-//!   themselves. An unbounded per-lane collector that never
-//!   backpressures, should anything submit to it.
+//! `prepare_live_query` needs *a* transport, but a daemon or worker
+//! takes the engine apart ([`edgelet_live::EngineParts`]) before
+//! stepping it, and its window reports carry the outgoing deliveries
+//! themselves. [`CollectorTransport`] is an unbounded per-lane
+//! collector that never backpressures, should anything submit to it.
 
-use crate::conn::{MsgStream, Stream};
-use crate::proto::NetMsg;
 use edgelet_wire::{Envelope, Transport, TransportError};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Shared queue state of a [`SocketTransport`].
-struct SocketShared {
-    /// Per-`(epoch, lane)` received envelopes, FIFO.
-    queues: Mutex<BTreeMap<(u64, usize), Vec<Envelope>>>,
-    /// Signalled whenever the reader enqueues or the socket closes.
-    arrival: Condvar,
-    closed: AtomicBool,
-}
-
-/// An [`edgelet_wire::Transport`] over one connected socket.
-///
-/// `submit`/`submit_batch` frame envelopes into [`NetMsg::Envelopes`]
-/// and write them out; a reader thread parses inbound batches into
-/// per-`(epoch, lane)` queues served by `drain`/`pending`. Lanes are
-/// assigned the runtime's way: `to.index() % lane_count`.
-pub struct SocketTransport {
-    writer: Mutex<MsgStream>,
-    shared: Arc<SocketShared>,
-    lane_count: usize,
-    reader: Mutex<Option<JoinHandle<()>>>,
-    /// Clone of the socket used to unblock the reader on shutdown.
-    unblock: Stream,
-}
-
-impl SocketTransport {
-    /// Wraps a connected stream; spawns the reader thread.
-    pub fn new(stream: Stream, lane_count: usize) -> edgelet_util::Result<SocketTransport> {
-        let lane_count = lane_count.max(1);
-        let unblock = stream.try_clone()?;
-        let reader_half = stream.try_clone()?;
-        let shared = Arc::new(SocketShared {
-            queues: Mutex::new(BTreeMap::new()),
-            arrival: Condvar::new(),
-            closed: AtomicBool::new(false),
-        });
-        let shared2 = Arc::clone(&shared);
-        let reader = std::thread::Builder::new()
-            .name("net-transport-reader".into())
-            .spawn(move || {
-                let mut rx = MsgStream::new(reader_half);
-                loop {
-                    match rx.recv(None) {
-                        Ok(NetMsg::Envelopes { batch, .. }) => {
-                            let mut queues = lock(&shared2.queues);
-                            for env in batch {
-                                let lane = env.to.index() % lane_count;
-                                queues.entry((env.epoch, lane)).or_default().push(env);
-                            }
-                            drop(queues);
-                            shared2.arrival.notify_all();
-                        }
-                        // Tolerate other chatter (pings) on a shared link.
-                        Ok(_) => continue,
-                        Err(_) => {
-                            shared2.closed.store(true, Ordering::Release);
-                            shared2.arrival.notify_all();
-                            return;
-                        }
-                    }
-                }
-            })
-            .expect("spawn transport reader");
-        Ok(SocketTransport {
-            writer: Mutex::new(MsgStream::new(stream)),
-            shared,
-            lane_count,
-            reader: Mutex::new(Some(reader)),
-            unblock,
-        })
-    }
-
-    /// Number of lanes inbound envelopes are partitioned into.
-    pub fn lane_count(&self) -> usize {
-        self.lane_count
-    }
-
-    /// True once the peer closed or the stream errored.
-    pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
-    }
-
-    /// Blocks until `(epoch, lane)` has at least one envelope, the
-    /// socket closes, or `timeout` passes; returns whether envelopes
-    /// are waiting.
-    pub fn wait_pending(&self, epoch: u64, lane: usize, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut queues = lock(&self.shared.queues);
-        loop {
-            if queues.get(&(epoch, lane)).is_some_and(|q| !q.is_empty()) {
-                return true;
-            }
-            if self.shared.closed.load(Ordering::Acquire) {
-                return false;
-            }
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, _timed_out) = self
-                .shared
-                .arrival
-                .wait_timeout(queues, left)
-                .unwrap_or_else(|e| e.into_inner());
-            queues = guard;
-        }
-    }
-
-    /// Writes one frame; the writer lock protects exactly this write,
-    /// serializing concurrent lane submissions onto the stream.
-    fn send_frame(&self, msg: &NetMsg) -> bool {
-        lock(&self.writer).send(msg).is_ok()
-    }
-
-    /// Closes the socket and joins the reader thread.
-    pub fn close(&self) {
-        self.shared.closed.store(true, Ordering::Release);
-        self.unblock.shutdown();
-        self.shared.arrival.notify_all();
-        let handle = { lock(&self.reader).take() };
-        if let Some(h) = handle {
-            h.join().ok();
-        }
-    }
-}
-
-impl Drop for SocketTransport {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
-impl Transport for SocketTransport {
-    fn submit(&self, env: Envelope) -> Result<(), TransportError> {
-        if self.is_closed() {
-            return Err(TransportError::Closed);
-        }
-        let epoch = env.epoch;
-        let msg = NetMsg::Envelopes {
-            epoch,
-            batch: vec![env],
-        };
-        lock(&self.writer)
-            .send(&msg)
-            .map_err(|_| TransportError::Closed)
-    }
-
-    fn submit_batch(&self, batch: &mut Vec<Envelope>) -> Result<(), TransportError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if self.is_closed() {
-            return Err(TransportError::Closed);
-        }
-        let epoch = batch[0].epoch;
-        let msg = NetMsg::Envelopes {
-            epoch,
-            batch: std::mem::take(batch),
-        };
-        if self.send_frame(&msg) {
-            return Ok(());
-        }
-        // Restore the batch for the caller's retry accounting.
-        if let NetMsg::Envelopes { batch: b, .. } = msg {
-            *batch = b;
-        }
-        Err(TransportError::Closed)
-    }
-
-    fn drain(&self, epoch: u64, lane: usize) -> Vec<Envelope> {
-        lock(&self.shared.queues)
-            .remove(&(epoch, lane))
-            .unwrap_or_default()
-    }
-
-    fn pending(&self, epoch: u64, lane: usize) -> Option<(usize, u64)> {
-        let queues = lock(&self.shared.queues);
-        let q = queues.get(&(epoch, lane))?;
-        if q.is_empty() {
-            return None;
-        }
-        let min = q.iter().map(|e| e.deliver_at_us).min().unwrap_or(u64::MAX);
-        Some((q.len(), min))
-    }
 }
 
 /// An unbounded per-lane collector: `submit` never rejects, and every
@@ -258,7 +59,6 @@ impl Transport for CollectorTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::{Addr, Listener};
     use edgelet_util::ids::DeviceId;
     use edgelet_util::Payload;
 
@@ -272,62 +72,6 @@ mod tests {
             deliver_at_us,
             payload: Payload::from(vec![seq as u8]),
         }
-    }
-
-    #[test]
-    fn socket_transport_roundtrip_uds() {
-        let dir = std::env::temp_dir().join(format!("eln-tr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let addr = Addr::Uds(dir.join("t.sock"));
-        let listener = Listener::bind(&addr).unwrap();
-        let accept = std::thread::spawn(move || listener.accept().unwrap());
-        let client = Stream::connect(&addr).unwrap();
-        let server = accept.join().unwrap();
-
-        let a = SocketTransport::new(client, 2).unwrap();
-        let b = SocketTransport::new(server, 2).unwrap();
-
-        // a -> b: device 3 maps to lane 3 % 2 == 1.
-        a.submit(env(7, 3, 0, 500)).unwrap();
-        a.submit(env(7, 3, 1, 400)).unwrap();
-        assert!(b.wait_pending(7, 1, Duration::from_secs(5)));
-        // wait_pending unblocks on the first arrival; poll until the
-        // second lands before asserting the lane summary.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while b.pending(7, 1).is_none_or(|(n, _)| n < 2) && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(b.pending(7, 1), Some((2, 400)));
-        let got = b.drain(7, 1);
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[0].seq, got[1].seq), (0, 1), "FIFO within lane");
-        assert_eq!(b.pending(7, 1), None);
-
-        // b -> a as a batch.
-        let mut batch = vec![env(7, 2, 5, 900)];
-        b.submit_batch(&mut batch).unwrap();
-        assert!(batch.is_empty());
-        assert!(a.wait_pending(7, 0, Duration::from_secs(5)));
-        assert_eq!(a.drain(7, 0).len(), 1);
-
-        a.close();
-        b.close();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn socket_transport_reports_closed_peer() {
-        let listener = Listener::bind(&Addr::Tcp("127.0.0.1:0".into())).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let accept = std::thread::spawn(move || listener.accept().unwrap());
-        let client = Stream::connect(&addr).unwrap();
-        let server = accept.join().unwrap();
-        let t = SocketTransport::new(client, 1).unwrap();
-        drop(server);
-        // The reader notices EOF; wait_pending unblocks on closure.
-        assert!(!t.wait_pending(1, 0, Duration::from_secs(5)));
-        assert!(t.is_closed());
-        assert_eq!(t.submit(env(1, 0, 0, 0)), Err(TransportError::Closed));
     }
 
     #[test]
