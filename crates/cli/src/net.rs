@@ -3,7 +3,7 @@
 //!
 //! The daemon does not ship worlds over the wire — it ships the *world
 //! spec* (the `QueryArgs` surface, versioned text) and every process
-//! rebuilds the identical world from it via [`CliWorldBuilder`]. That
+//! builds the identical world from it via [`CliWorldBuilder`]. That
 //! keeps the parity argument trivial: daemon, workers, and the
 //! in-process fallback all call the same `build_world` +
 //! `prepare_live_query` path with the same inputs, so they hold
@@ -126,7 +126,7 @@ pub(crate) fn decode_world_spec(bytes: &[u8]) -> Result<QueryArgs> {
 
 // ---- the shared world builder ----
 
-/// Rebuilds a prepared live world from world-spec bytes — the one
+/// Builds a prepared live world from world-spec bytes — the one
 /// construction path every process in a deployment shares. The
 /// collector transport is a placeholder: `LiveEngine::into_parts`
 /// (worker side) and the daemon's coordinator both discard it; nothing

@@ -17,6 +17,7 @@ use edgelet_util::ids::{DeviceId, QueryId};
 use edgelet_util::rng::DetRng;
 use edgelet_util::Result;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Everything one query execution produced.
 #[derive(Debug, Clone)]
@@ -39,15 +40,25 @@ pub struct RunResult {
 }
 
 /// A simulated crowd of TEE-enabled personal devices.
+///
+/// A cheap handle: the enrolled crowd sits behind one `Arc`, so `clone`
+/// is a refcount bump and a clone plans warm (the directory's key-hash
+/// memo is shared with it).
+#[derive(Clone)]
 pub struct Platform {
+    crowd: Arc<Crowd>,
+    querier: DeviceId,
+    next_query: u64,
+    rng: DetRng,
+}
+
+/// Everything enrolment produced; immutable afterwards.
+struct Crowd {
     config: PlatformConfig,
     schema: Schema,
     directory: Directory,
     stores: BTreeMap<DeviceId, DataStore>,
     device_classes: BTreeMap<DeviceId, DeviceClass>,
-    querier: DeviceId,
-    next_query: u64,
-    rng: DetRng,
 }
 
 impl Platform {
@@ -87,11 +98,13 @@ impl Platform {
         device_classes.insert(querier, DeviceClass::SgxPc);
 
         Platform {
-            config,
-            schema,
-            directory,
-            stores,
-            device_classes,
+            crowd: Arc::new(Crowd {
+                config,
+                schema,
+                directory,
+                stores,
+                device_classes,
+            }),
             querier,
             next_query: 1,
             rng: root.fork("platform"),
@@ -100,17 +113,17 @@ impl Platform {
 
     /// The configuration the platform was built from.
     pub fn config(&self) -> &PlatformConfig {
-        &self.config
+        &self.crowd.config
     }
 
     /// The shared database schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.crowd.schema
     }
 
     /// The device directory.
     pub fn directory(&self) -> &Directory {
-        &self.directory
+        &self.crowd.directory
     }
 
     /// The querier's device id.
@@ -120,17 +133,17 @@ impl Platform {
 
     /// Read access to a contributor's store.
     pub fn store(&self, device: DeviceId) -> Option<&DataStore> {
-        self.stores.get(&device)
+        self.crowd.stores.get(&device)
     }
 
     /// All contributor data stores, keyed by device.
     pub fn stores(&self) -> &BTreeMap<DeviceId, DataStore> {
-        &self.stores
+        &self.crowd.stores
     }
 
     /// Hardware class of every enrolled device (querier included).
     pub fn device_classes(&self) -> &BTreeMap<DeviceId, DeviceClass> {
-        &self.device_classes
+        &self.crowd.device_classes
     }
 
     /// The engine seed [`Platform::run_query`] seeds the simulated world
@@ -138,7 +151,7 @@ impl Platform {
     /// can derive the identical per-device randomness and stay
     /// bit-equivalent with the simulator.
     pub fn sim_seed(&self, spec: &QuerySpec) -> u64 {
-        DetRng::new(self.config.seed)
+        DetRng::new(self.crowd.config.seed)
             .fork_indexed("sim", spec.id.raw())
             .next_u64()
     }
@@ -204,8 +217,8 @@ impl Platform {
     fn default_deadline_secs(&self) -> f64 {
         // Collection + combination windows plus slack for compute and
         // heartbeats.
-        (self.config.exec.collection_timeout.as_secs_f64()
-            + self.config.exec.combine_timeout.as_secs_f64())
+        (self.crowd.config.exec.collection_timeout.as_secs_f64()
+            + self.crowd.config.exec.combine_timeout.as_secs_f64())
             * 1.5
     }
 
@@ -217,13 +230,13 @@ impl Platform {
         privacy: &PrivacyConfig,
         resilience: &ResilienceConfig,
     ) -> Result<QueryPlan> {
-        let mut plan_rng = DetRng::new(self.config.seed).fork_indexed("plan", spec.id.raw());
+        let mut plan_rng = DetRng::new(self.crowd.config.seed).fork_indexed("plan", spec.id.raw());
         build_plan(
             spec,
-            &self.schema,
+            &self.crowd.schema,
             privacy,
             resilience,
-            &self.directory,
+            &self.crowd.directory,
             self.querier,
             &mut plan_rng,
         )
@@ -255,11 +268,11 @@ impl Platform {
         let root_secret = self.root_secret(spec);
         let report = execute_plan(
             &plan,
-            &self.schema,
-            &self.stores,
-            &self.device_classes,
+            &self.crowd.schema,
+            &self.crowd.stores,
+            &self.crowd.device_classes,
             &mut sim,
-            &self.config.exec,
+            &self.crowd.config.exec,
             root_secret,
         )?;
         let trace_digest = sim.trace().enabled().then(|| sim.trace().digest());
@@ -279,14 +292,14 @@ impl Platform {
     /// enrolment walk: every host — simulated, live, socket — registers
     /// exactly this sequence.
     pub fn device_configs(&self, spec: &QuerySpec) -> impl Iterator<Item = DeviceConfig> + '_ {
-        let cfg = &self.config;
+        let cfg = &self.crowd.config;
         let window = if cfg.crash_at_start {
             Duration::ZERO
         } else {
             Duration::from_secs_f64(spec.deadline_secs)
         };
-        debug_assert_eq!(self.querier.index(), self.directory.entries().len());
-        let enrolled = self.directory.entries().iter().map(move |entry| {
+        debug_assert_eq!(self.querier.index(), self.crowd.directory.entries().len());
+        let enrolled = self.crowd.directory.entries().iter().map(move |entry| {
             let (availability, p) = if entry.contributes_data {
                 (
                     &cfg.contributor_availability,
@@ -307,9 +320,9 @@ impl Platform {
     fn build_simulation(&self, spec: &QuerySpec) -> Simulation {
         let mut sim = Simulation::new(
             SimConfig {
-                network: self.config.network.to_model(),
-                trace_capacity: self.config.trace_capacity,
-                shards: self.config.shards.max(1),
+                network: self.crowd.config.network.to_model(),
+                trace_capacity: self.crowd.config.trace_capacity,
+                shards: self.crowd.config.shards.max(1),
                 ..SimConfig::default()
             },
             self.sim_seed(spec),
@@ -319,7 +332,7 @@ impl Platform {
         for cfg in devices {
             sim.add_device(cfg);
         }
-        if let Some(plan) = &self.config.fault_plan {
+        if let Some(plan) = &self.crowd.config.fault_plan {
             // Protocol-position targeting needs the exec classifier;
             // organic (fault-plan-less) runs skip both, keeping their
             // traces and digests unchanged.
@@ -338,8 +351,8 @@ impl Platform {
             ));
         };
         let columns = spec.kind.referenced_columns();
-        let rows = centralized::eligible_rows(&self.stores, &spec.filter, &columns)?;
-        centralized::run_grouping(&self.schema, &columns, &rows, q)
+        let rows = centralized::eligible_rows(&self.crowd.stores, &spec.filter, &columns)?;
+        centralized::run_grouping(&self.crowd.schema, &columns, &rows, q)
     }
 
     /// Centralized K-Means reference over all matching rows.
@@ -356,10 +369,10 @@ impl Platform {
             ));
         };
         let columns = spec.kind.referenced_columns();
-        let rows = centralized::eligible_rows(&self.stores, &spec.filter, &columns)?;
-        let mut rng = DetRng::new(self.config.seed).fork("central-kmeans");
+        let rows = centralized::eligible_rows(&self.crowd.stores, &spec.filter, &columns)?;
+        let mut rng = DetRng::new(self.crowd.config.seed).fork("central-kmeans");
         centralized::run_kmeans(
-            &self.schema,
+            &self.crowd.schema,
             &columns,
             &rows,
             *k,
@@ -371,7 +384,7 @@ impl Platform {
 
     /// All rows matching a filter across the crowd (for test assertions).
     pub fn matching_rows(&self, filter: &Predicate, columns: &[String]) -> Result<Vec<Row>> {
-        centralized::eligible_rows(&self.stores, filter, columns)
+        centralized::eligible_rows(&self.crowd.stores, filter, columns)
     }
 }
 

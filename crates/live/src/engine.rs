@@ -22,6 +22,7 @@
 //! The socket runtime (`edgelet-net`) drives the same slices across
 //! processes via [`LiveEngine::into_parts`].
 
+use crate::harness::PreparedInputs;
 use crate::round::Fabric;
 use edgelet_sim::exec::{ClassifierRef, RunEnv, World};
 use edgelet_sim::{Availability, DeviceConfig, NetworkModel, SimMetrics, SimTime, Trace};
@@ -119,6 +120,7 @@ fn live_env<'a>(
 pub struct LiveEngine {
     parts: EngineParts,
     transport: Arc<dyn Transport>,
+    pub(crate) prepared_from: Option<Arc<PreparedInputs>>,
 }
 
 impl LiveEngine {
@@ -157,6 +159,7 @@ impl LiveEngine {
                 epoch,
             },
             transport,
+            prepared_from: None,
         })
     }
 
@@ -221,6 +224,12 @@ impl LiveEngine {
     /// The epoch this engine stamps on every envelope.
     pub fn epoch(&self) -> u64 {
         self.parts.epoch
+    }
+
+    /// What [`crate::prepare_live_query`] built this world from; `None`
+    /// for a world assembled any other way.
+    pub fn prepared_from(&self) -> Option<&Arc<PreparedInputs>> {
+        self.prepared_from.as_ref()
     }
 
     /// Detaches a *built but not yet run* world from the in-process

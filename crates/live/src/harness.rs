@@ -128,11 +128,54 @@ pub struct PreparedQuery {
     pub assembly: edgelet_exec::PlanAssembly,
 }
 
+/// What [`prepare_live_query`] was called with, kept on the world it
+/// returns ([`LiveEngine::prepared_from`]) so that world can be prepared
+/// again under another epoch — by the same function, over a clone of the
+/// same crowd handle (no re-enrolment, a warm plan). A world assembled
+/// by hand from [`build_live_world`] carries none.
+pub struct PreparedInputs {
+    platform: Platform,
+    spec: QuerySpec,
+    privacy: PrivacyConfig,
+    resilience: ResilienceConfig,
+    opts: LiveRunOptions,
+}
+
+impl PreparedInputs {
+    /// The privacy configuration the plan was made under.
+    pub fn privacy(&self) -> &PrivacyConfig {
+        &self.privacy
+    }
+
+    /// The resilience configuration the plan was made under.
+    pub fn resilience(&self) -> &ResilienceConfig {
+        &self.resilience
+    }
+
+    /// [`prepare_live_query`] over these inputs, stamped with `epoch` and
+    /// built over `transport`.
+    pub fn prepare(&self, transport: Arc<dyn Transport>, epoch: u64) -> Result<PreparedQuery> {
+        let opts = LiveRunOptions {
+            epoch,
+            ..self.opts.clone()
+        };
+        prepare_live_query(
+            &self.platform,
+            &self.spec,
+            &self.privacy,
+            &self.resilience,
+            transport,
+            &opts,
+        )
+    }
+}
+
 /// Plans one query and builds its live world with every actor installed
 /// and the crash script applied, without running it. The deterministic
 /// construction contract is identical to [`run_live_query`] — same
 /// plan, same seed, same install order — so any two hosts calling this
-/// with the same inputs hold bit-identical worlds.
+/// with the same inputs hold bit-identical worlds. The inputs ride on
+/// the returned engine as its [`PreparedInputs`].
 pub fn prepare_live_query(
     platform: &Platform,
     spec: &QuerySpec,
@@ -158,6 +201,13 @@ pub fn prepare_live_query(
     for (dev, at) in &opts.crash_script {
         engine.crash_at(*dev, *at);
     }
+    engine.prepared_from = Some(Arc::new(PreparedInputs {
+        platform: platform.clone(),
+        spec: spec.clone(),
+        privacy: privacy.clone(),
+        resilience: resilience.clone(),
+        opts: opts.clone(),
+    }));
     Ok(PreparedQuery {
         plan,
         engine,

@@ -54,7 +54,8 @@ pub use durable::{
 };
 pub use engine::{EngineParts, ExitReason, LiveConfig, LiveEngine, PayloadClassifier};
 pub use harness::{
-    build_live_world, prepare_live_query, run_live_query, LiveRun, LiveRunOptions, PreparedQuery,
+    build_live_world, prepare_live_query, run_live_query, LiveRun, LiveRunOptions, PreparedInputs,
+    PreparedQuery,
 };
 pub use service::{QueryService, RemoteExecutor, ServiceConfig, SubmitError, SubmitOutcome};
 pub use transport::StripedTransport;

@@ -113,23 +113,34 @@ impl Encode for CentroidSet {
 
 impl Decode for CentroidSet {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        // Straight into the matrix's flat buffer, reserved once the first
+        // row names the dimension: the `k * dim` values it will hold take
+        // 8 bytes each of what is left, so the reservation is bounded by
+        // the input.
         let k = r.seq_len()?;
-        let mut centroids = Matrix::new(0);
+        let (mut dim, mut flat) = (0, Vec::new());
         for i in 0..k {
-            let dim = r.seq_len()?;
+            let len = r.seq_len()?;
             if i == 0 {
-                centroids = Matrix::with_capacity(dim, k);
-            } else if dim != centroids.dim() {
+                dim = len;
+                let need = k.saturating_mul(dim).saturating_mul(8);
+                if need > r.remaining() {
+                    return Err(Error::Decode(format!(
+                        "{k} centroids of dim {dim} need >= {need} bytes, have {}",
+                        r.remaining()
+                    )));
+                }
+                flat.reserve_exact(k * dim);
+            } else if len != dim {
                 return Err(Error::Decode("inconsistent centroid dims".into()));
             }
-            let mut row = Vec::with_capacity(dim.min(4096));
             for _ in 0..dim {
-                row.push(f64::decode(r)?);
+                flat.push(f64::decode(r)?);
             }
-            centroids.push_row(&row);
         }
         let weights = Vec::<f64>::decode(r)?;
-        CentroidSet::new(centroids, weights).map_err(|e| Error::Decode(e.to_string()))
+        CentroidSet::new(Matrix::from_parts(flat, k, dim), weights)
+            .map_err(|e| Error::Decode(e.to_string()))
     }
 }
 
@@ -206,6 +217,20 @@ mod tests {
             weights: vec![1.0, 2.0],
         };
         assert!(from_bytes::<CentroidSet>(&to_bytes(&bad)).is_err());
+    }
+
+    #[test]
+    fn hostile_dims_fail_before_reserving() {
+        // 2^24 centroids of 2^24 values each (both at the sequence cap),
+        // and nothing behind them: 2 PiB that must never be reserved.
+        let mut w = Writer::new();
+        w.put_varint(1 << 24);
+        w.put_varint(1 << 24);
+        let err = from_bytes::<CentroidSet>(&w.into_bytes()).unwrap_err();
+        assert!(err.to_string().contains("need >="), "{err}");
+        // Zero-dim rows still count.
+        let empty = set(&[vec![], vec![]], &[1.0, 2.0]).unwrap();
+        assert_eq!(from_bytes::<CentroidSet>(&to_bytes(&empty)).unwrap(), empty);
     }
 
     #[test]

@@ -56,6 +56,13 @@ impl Matrix {
         Ok(Self { data, rows, dim })
     }
 
+    /// A matrix over a flat row-major buffer of exactly `rows * dim`
+    /// values (`rows` is explicit: zero-dim rows occupy no storage).
+    pub(crate) fn from_parts(data: Vec<f64>, rows: usize, dim: usize) -> Self {
+        debug_assert_eq!(data.len(), rows * dim);
+        Self { data, rows, dim }
+    }
+
     /// Builds a matrix from explicit rows. Panics on ragged input.
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         let dim = rows.first().map_or(0, Vec::len);

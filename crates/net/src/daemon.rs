@@ -71,7 +71,10 @@ pub trait WorldBuilder: Send + Sync {
     /// `epoch` may only be stamped on what the world sends; it must never
     /// shape the world — plan, devices, actors, seeds and pending events
     /// are a function of `spec` and `workers` alone. The daemon builds
-    /// once and starts every epoch from a `CoordinatorTemplate`.
+    /// once and starts every epoch from a `CoordinatorTemplate`; a worker
+    /// builds once per (`spec`, `workers`) and prepares every later epoch
+    /// from the inputs `prepare_live_query` recorded on that build (a
+    /// world without them is built every epoch).
     fn build(&self, spec: &[u8], epoch: u64, workers: usize) -> Result<PreparedQuery>;
 }
 
@@ -88,14 +91,19 @@ struct CoordinatorTemplate {
     lookahead_us: u64,
     max_events: u64,
     trace_capacity: usize,
+    /// The configs the plan was made under, when the build recorded them.
+    configs: Option<(PrivacyConfig, ResilienceConfig)>,
 }
 
 impl CoordinatorTemplate {
     /// Keeps the coordinator's share of `prepared`; slices, actors and that
     /// build's ledger and record handles go (workers hold the real ones).
     fn of(prepared: PreparedQuery) -> Self {
+        let inputs = prepared.engine.prepared_from();
+        let configs = inputs.map(|i| (i.privacy().clone(), i.resilience().clone()));
         let mut parts = prepared.engine.into_parts();
         CoordinatorTemplate {
+            configs,
             plan: prepared.plan,
             sliced_queries: prepared.assembly.sliced_queries,
             classifier: parts.classifier,
@@ -396,9 +404,17 @@ impl Daemon {
     }
 
     /// The template, built now if no earlier epoch left one (a failed
-    /// build leaves none either). A `spec` other than the canonical query
-    /// is refused: the template's plan is the only one the workers run.
-    fn template_for(&self, spec: &QuerySpec, epoch: u64) -> Result<Arc<CoordinatorTemplate>> {
+    /// build leaves none either). A `spec` other than the canonical query,
+    /// or configs other than the ones its plan was made under (when the
+    /// build recorded them), is refused: the template's plan is the only
+    /// one the workers run.
+    fn template_for(
+        &self,
+        spec: &QuerySpec,
+        privacy: &PrivacyConfig,
+        resilience: &ResilienceConfig,
+        epoch: u64,
+    ) -> Result<Arc<CoordinatorTemplate>> {
         let kept = { lock(&self.template).clone() };
         let template = match kept {
             Some(template) => template,
@@ -412,9 +428,12 @@ impl Daemon {
                 lock(&self.template).get_or_insert(built).clone()
             }
         };
-        if *spec != template.plan.spec {
+        let configs = template.configs.as_ref();
+        if *spec != template.plan.spec
+            || configs.is_some_and(|(p, r)| (p, r) != (privacy, resilience))
+        {
             return Err(Error::InvalidQuery(format!(
-                "query {} is not the canonical query this daemon serves",
+                "query {} under these configs is not the canonical query this daemon serves",
                 spec.id
             )));
         }
@@ -630,24 +649,26 @@ impl Barrier for SocketBarrier<'_> {
     }
 }
 
-/// `privacy` and `resilience` are not checked: a `PreparedQuery` does not
-/// carry the ones its plan was made under, so a submission with the
-/// canonical `QuerySpec` but other configs gets the canonical verdict.
-/// The host must submit what the world spec encodes (`edgelet submit
-/// --connect` does).
+/// Only the canonical submission runs remotely: its `QuerySpec`, and the
+/// `privacy` and `resilience` its plan was made under, which
+/// `prepare_live_query` records on the world it builds. Anything else is
+/// refused with a typed error before a worker is prepared, so the service
+/// answers with its in-process run of what was actually submitted. A
+/// template taken from a hand-assembled world carries no configs; only
+/// its `QuerySpec` is checked.
 impl RemoteExecutor for Daemon {
     fn try_run(
         &self,
         epoch: u64,
         spec: &QuerySpec,
-        _privacy: &PrivacyConfig,
-        _resilience: &ResilienceConfig,
+        privacy: &PrivacyConfig,
+        resilience: &ResilienceConfig,
         abort: &AtomicBool,
     ) -> Option<edgelet_util::Result<LiveRun>> {
         // No fleet, no world build. Only the canonical query runs here;
         // any other goes back to the service before a worker is prepared.
         let mut workers = self.take_live_workers()?;
-        let template = match self.template_for(spec, epoch) {
+        let template = match self.template_for(spec, privacy, resilience, epoch) {
             Ok(t) => t,
             Err(e) => {
                 self.return_workers(workers);
@@ -891,6 +912,7 @@ mod tests {
             "lookahead_us",
             "max_events",
             "trace_capacity: 65536",
+            "configs: Some",
         ] {
             assert!(first.contains(field), "{field} missing from {first}");
         }

@@ -4,7 +4,7 @@
 //! A worker connects with truncated-exponential [`Backoff`] (paced by
 //! the same real-time [`TimerHeap`] the daemon's sweeper uses),
 //! completes the versioned handshake, and then serves the epoch
-//! protocol: `Prepare` builds the *entire* world from the canonical
+//! protocol: `Prepare` prepares the *entire* world from the canonical
 //! spec bytes (bit-identical to the daemon's and every sibling's copy)
 //! and keeps only its assigned slice; each `OpenWindow` runs one
 //! conservative window through the very same
@@ -18,15 +18,24 @@
 //! case *all* deliveries leave, so the fault proxy observes every
 //! envelope.
 //!
+//! The worker calls its [`WorldBuilder`] only for the first `Prepare`
+//! of a (world-spec bytes, worker count) pair. It keeps the inputs
+//! `prepare_live_query` recorded on that build — the crowd handle, query,
+//! configs — and prepares every later epoch of the pair from them: no
+//! re-enrolment, a warm plan, the same construction path. Other bytes
+//! or another count replace them; a builder whose world carries none
+//! (assembled by hand) is called every epoch.
+//!
 //! Daemon death (EOF or any protocol error) drops all epoch state and
-//! re-enters the reconnect loop — a fresh `Prepare` rebuilds the world
-//! deterministically, so a worker surviving a daemon restart poisons
-//! nothing.
+//! re-enters the reconnect loop — a fresh `Prepare` prepares the world
+//! deterministically from the spec bytes it names, so a worker
+//! surviving a daemon restart poisons nothing.
 
 use crate::conn::{Addr, Backoff, MsgStream, Stream, TimerHeap};
 use crate::daemon::WorldBuilder;
 use crate::proto::{NetMsg, Role, WireRecord, WireRound};
-use edgelet_live::{EngineParts, PreparedQuery};
+use crate::CollectorTransport;
+use edgelet_live::{EngineParts, PreparedInputs, PreparedQuery};
 use edgelet_sim::exec::{Event, Shard, Window, WindowReport};
 use edgelet_util::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,6 +81,25 @@ pub enum SessionEnd {
     Disconnected(String),
 }
 
+/// Where a worker's worlds come from: its builder, and the inputs the
+/// last build recorded with the (spec bytes, worker count) it was for.
+struct Worlds {
+    builder: Arc<dyn WorldBuilder>,
+    kept: Option<(Vec<u8>, usize, Arc<PreparedInputs>)>,
+}
+
+impl Worlds {
+    fn prepare(&mut self, spec: &[u8], epoch: u64, workers: usize) -> Result<PreparedQuery> {
+        if let Some((_, _, inputs)) = self.kept.as_ref().filter(|k| k.0 == spec && k.1 == workers) {
+            return inputs.prepare(Arc::new(CollectorTransport::new(workers)), epoch);
+        }
+        let built = self.builder.build(spec, epoch, workers)?;
+        let inputs = built.engine.prepared_from().cloned();
+        self.kept = inputs.map(|inputs| (spec.to_vec(), workers, inputs));
+        Ok(built)
+    }
+}
+
 /// The state a worker holds for one prepared epoch.
 struct EpochState {
     epoch: u64,
@@ -88,9 +116,9 @@ struct EpochState {
 }
 
 impl EpochState {
-    /// Builds the world for `epoch` and keeps slice `worker_index`.
+    /// Prepares the world for `epoch` and keeps slice `worker_index`.
     fn build(
-        builder: &dyn WorldBuilder,
+        worlds: &mut Worlds,
         spec: &[u8],
         epoch: u64,
         worker_count: usize,
@@ -106,7 +134,7 @@ impl EpochState {
             plan: _,
             engine,
             assembly,
-        } = builder.build(spec, epoch, worker_count)?;
+        } = worlds.prepare(spec, epoch, worker_count)?;
         let mut parts = engine.into_parts();
         if parts.world.slices.len() != worker_count {
             return Err(Error::InvalidConfig(format!(
@@ -188,11 +216,15 @@ pub fn run_worker(
 ) -> std::result::Result<(), SessionEnd> {
     let mut backoff = Backoff::new(cfg.backoff_initial, cfg.backoff_max);
     let mut timers: TimerHeap<()> = TimerHeap::new();
+    let mut worlds = Worlds {
+        builder,
+        kept: None,
+    };
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        match connect_session(cfg, builder.as_ref(), stop) {
+        match connect_session(cfg, &mut worlds, stop) {
             Ok(()) => return Ok(()),
             Err(SessionEnd::Rejected(reason)) => return Err(SessionEnd::Rejected(reason)),
             Err(SessionEnd::Disconnected(_)) => {
@@ -222,7 +254,7 @@ pub fn run_worker(
 /// One connection session: handshake then serve until disconnect.
 fn connect_session(
     cfg: &WorkerConfig,
-    builder: &dyn WorldBuilder,
+    worlds: &mut Worlds,
     stop: &AtomicBool,
 ) -> std::result::Result<(), SessionEnd> {
     let disc = |what: String| SessionEnd::Disconnected(what);
@@ -262,7 +294,7 @@ fn connect_session(
                 fault_mode,
             } => {
                 match EpochState::build(
-                    builder,
+                    worlds,
                     &spec,
                     ep,
                     worker_count as usize,

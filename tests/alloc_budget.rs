@@ -14,11 +14,13 @@
 //! opens, and a whole query on the benchmark's churny polling world
 //! stays under a per-device ceiling. And the in-process lanes' hop: a
 //! thousand envelopes through `submit_batch` + `drain` grow one
-//! container and touch no payload.
+//! container and touch no payload. And preparing a query again from the
+//! inputs its first preparation recorded (what a socket worker does every
+//! epoch after its first) shares the crowd instead of enrolling it anew.
 
 use edgelet_core::exec::assemble_plan;
 use edgelet_core::prelude::*;
-use edgelet_live::StripedTransport;
+use edgelet_live::{prepare_live_query, LiveRunOptions, StripedTransport};
 use edgelet_sim::{
     Actor, Availability, Context, CrashPlan, DeviceConfig, Duration, NetworkModel, SimConfig,
     SimTime, Simulation,
@@ -27,6 +29,7 @@ use edgelet_util::Payload;
 use edgelet_wire::{Envelope, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
@@ -101,6 +104,13 @@ const POLLING_QUERY_PER_DEVICE: f64 = 19.5;
 /// envelope).
 const LANE_HOP: u64 = 4;
 const HOP_ENVELOPES: usize = 1_000;
+
+/// Ceiling on preparing a query again from the inputs
+/// `prepare_live_query` recorded, per device of the world (measures 1.70:
+/// the live world's devices, the plan and its boxed actors; 5.73 for the
+/// first preparation, which enrols the crowd — `Platform::build`'s 4.02 —
+/// and plans it cold).
+const PREPARE_AGAIN_PER_DEVICE: f64 = 2.1;
 
 /// Keeps a churn-only world from being quiescent: one timer, armed past
 /// every deadline the test runs to.
@@ -249,11 +259,8 @@ fn a_polling_query_stays_under_its_ceiling() {
     );
 }
 
-#[test]
-fn crowd_is_shared_not_copied() {
-    let mut platform = Platform::build(world());
-    let build = allocations(|| Platform::build(world()));
-
+/// The grouping query both crowd tests plan on [`world`].
+fn grouping(platform: &mut Platform) -> (QuerySpec, PrivacyConfig, ResilienceConfig) {
     let spec = platform.grouping_query(
         Predicate::cmp("age", CmpOp::Gt, Value::Int(20)),
         200,
@@ -266,6 +273,15 @@ fn crowd_is_shared_not_copied() {
         failure_probability: 0.2,
         ..ResilienceConfig::default()
     };
+    (spec, privacy, resilience)
+}
+
+#[test]
+fn crowd_is_shared_not_copied() {
+    let mut platform = Platform::build(world());
+    let build = allocations(|| Platform::build(world()));
+
+    let (spec, privacy, resilience) = grouping(&mut platform);
     let plan_once = |platform: &Platform| {
         platform
             .plan_query(&spec, &privacy, &resilience)
@@ -309,5 +325,59 @@ fn crowd_is_shared_not_copied() {
     assert!(
         second_plan <= first_plan,
         "a second plan_query allocated {second_plan}, the first {first_plan}"
+    );
+}
+
+#[test]
+fn preparing_again_from_recorded_inputs_enrols_no_one() {
+    let platform = Platform::build(world());
+    let clone = allocations(|| platform.clone());
+    let build = allocations(|| Platform::build(world()));
+    let (spec, privacy, resilience) = grouping(&mut Platform::build(world()));
+    let transport: Arc<dyn Transport> = Arc::new(StripedTransport::new(4096));
+
+    let mut inputs = None;
+    let first = allocations(|| {
+        let prepared = prepare_live_query(
+            &Platform::build(world()),
+            &spec,
+            &privacy,
+            &resilience,
+            transport.clone(),
+            &LiveRunOptions::new(1, 1),
+        )
+        .expect("the world is provisioned for this query");
+        inputs = prepared.engine.prepared_from().cloned();
+        prepared
+    });
+    let inputs = inputs.expect("prepare_live_query records its inputs");
+    let again = allocations(|| {
+        let prepared = inputs
+            .prepare(transport.clone(), 2)
+            .expect("the recorded inputs prepare again");
+        assert_eq!(prepared.engine.epoch(), 2);
+        prepared
+    });
+
+    let devices = (CONTRIBUTORS + PROCESSORS + 1) as f64;
+    let (build, first, again) = (build as f64, first as f64, again as f64);
+    println!(
+        "allocations: Platform::clone {clone}; first preparation, crowd included, {first} \
+         ({:.2}/device); again from its inputs {again} ({:.2}/device); Platform::build \
+         {build} ({:.2}/device)",
+        first / devices,
+        again / devices,
+        build / devices,
+    );
+    assert_eq!(clone, 0, "Platform::clone allocated");
+    assert!(
+        again / devices <= PREPARE_AGAIN_PER_DEVICE,
+        "preparing again: {:.2} allocations per device, budget {PREPARE_AGAIN_PER_DEVICE}",
+        again / devices
+    );
+    assert!(
+        first - again >= build,
+        "preparing again saved {} allocations, Platform::build alone makes {build}",
+        first - again
     );
 }
