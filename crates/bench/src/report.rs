@@ -482,17 +482,17 @@ impl Actor for Sentinel {
     fn on_message(&mut self, _ctx: &mut Context<'_>, _from: DeviceId, _payload: &[u8]) {}
 }
 
-/// The simulator's exchange, counting windows on the way: the executor
-/// hands every window's 1-based number to `ingest`.
+/// The simulator's exchange, counting windows on the way: the one slice
+/// ingests once per window.
 struct CountingMail {
     mail: Mailboxes,
     windows: AtomicU64,
 }
 
 impl Exchange for CountingMail {
-    fn ingest(&self, me: usize, generation: u64, shard: &mut Shard) {
-        self.windows.store(generation, Ordering::Relaxed);
-        self.mail.ingest(me, generation, shard);
+    fn ingest(&self, me: usize, shard: &mut Shard) {
+        self.windows.fetch_add(1, Ordering::Relaxed);
+        self.mail.ingest(me, shard);
     }
     fn publish(&self, me: usize, report: &mut WindowReport) {
         self.mail.publish(me, report);
@@ -755,6 +755,92 @@ pub fn exec_assemble_and_drop(name: &'static str) -> SuiteResult {
     SuiteResult::new(name, timing, "assemblies_per_sec", 1.0)
 }
 
+/// The collection round in isolation, on [`crowd_1k`]'s 1 000
+/// contributors: one builder's request read and answered by every
+/// contributor and every answer collected, callback by callback with no
+/// executor around them (the in-situ share is `exec.actor_ms.contributor`
+/// and `.builder` of `benchmark/`). Reports ns per contributor; the
+/// crowd and its actors are built outside the timing, a fresh builder
+/// per sample inside it.
+pub fn exec_collection_round(name: &'static str) -> SuiteResult {
+    use edgelet_core::exec::roles::builder::{BuilderActor, BuilderWiring};
+    use edgelet_core::exec::roles::contributor::ContributorActor;
+    use edgelet_core::exec::roles::{RankGate, Sealer};
+    use edgelet_core::exec::{ledger, ExecConfig};
+    use edgelet_core::sim::Command;
+    use edgelet_core::util::ids::PartitionId;
+
+    let p = Platform::build(crowd_1k(1));
+    let query = QueryId::new(1);
+    let builder_device = DeviceId::new(u64::MAX);
+    let sealer = |device| Sealer::new(false, &[0; 32], query, device);
+    let ledger = ledger::shared();
+    let wiring = std::sync::Arc::new(BuilderWiring {
+        query,
+        partition: PartitionId::new(0),
+        // Room for every answer: the round never ends early.
+        quota: p.stores().len(),
+        filter: Predicate::cmp("age", CmpOp::Gt, Value::Int(20)),
+        columns: vec!["bmi".into(), "sex".into()],
+        contributors: p.stores().keys().copied().collect(),
+        slices: Vec::new(),
+    });
+    let builder = || {
+        BuilderActor::new(
+            wiring.clone(),
+            DeviceClass::SgxPc.profile(),
+            ExecConfig::fast(),
+            sealer(builder_device),
+            ledger.clone(),
+            RankGate::new(0, Vec::new(), 0.0),
+        )
+    };
+    let mut contributors: Vec<(DeviceId, ContributorActor)> = p
+        .stores()
+        .iter()
+        .map(|(&d, store)| {
+            let actor = ContributorActor::new(
+                query,
+                store.clone(),
+                sealer(d),
+                ledger.clone(),
+                wiring.quota,
+            );
+            (d, actor)
+        })
+        .collect();
+    let (mut rng, mut timers) = (DetRng::new(1), 0u64);
+    let request = {
+        let mut ctx = Context::new(builder_device, SimTime::ZERO, &mut rng, &mut timers);
+        builder().on_start(&mut ctx);
+        match ctx.take_commands().into_iter().next() {
+            Some(Command::Broadcast { payload, .. }) => payload,
+            other => panic!("a builder starts by asking its contributors, not {other:?}"),
+        }
+    };
+    let mut answers = 0;
+    let timing = time(|| {
+        let mut b = builder();
+        answers = 0;
+        for (device, contributor) in &mut contributors {
+            let mut ctx = Context::new(*device, SimTime::ZERO, &mut rng, &mut timers);
+            contributor.on_message(&mut ctx, builder_device, &request);
+            for command in ctx.take_commands() {
+                if let Command::Send { payload, .. } = command {
+                    answers += 1;
+                    let mut ctx =
+                        Context::new(builder_device, SimTime::ZERO, &mut rng, &mut timers);
+                    b.on_message(&mut ctx, *device, &payload);
+                }
+            }
+        }
+        b
+    })
+    .per(contributors.len());
+    assert!(answers > contributors.len() / 2, "the crowd answers");
+    SuiteResult::new(name, timing, "contributors_per_sec", 1.0)
+}
+
 /// End-to-end: one full grouping query over 1k contributors on a lossy
 /// network.
 pub fn e2e_query(name: &'static str) -> SuiteResult {
@@ -951,6 +1037,10 @@ pub fn suites() -> Vec<Suite> {
         suite(
             "exec/assemble_and_drop/1k_contributors",
             exec_assemble_and_drop,
+        ),
+        suite(
+            "exec/collection_round/1k_contributors",
+            exec_collection_round,
         ),
         suite("e2e/grouping_query_1k_contributors", e2e_query),
         suite(
@@ -1170,7 +1260,7 @@ mod tests {
     #[test]
     fn registry_filters_by_prefix() {
         let names: Vec<&str> = suites().iter().map(|s| s.name).collect();
-        assert_eq!(names.len(), 21, "{names:?}");
+        assert_eq!(names.len(), 22, "{names:?}");
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "{names:?}");
         // Prefix selection is what `bench_report --suite` exposes; pure

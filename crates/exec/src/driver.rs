@@ -301,7 +301,6 @@ pub fn assemble_plan(
                             config.clone(),
                             sealer_for(dev),
                             ledger.clone(),
-                            schema.clone(),
                             gate,
                         )),
                     ));

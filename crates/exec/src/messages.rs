@@ -1,7 +1,7 @@
 //! The inter-operator wire protocol.
 //!
 //! Every message is wire-encoded ([`edgelet_wire`]) and wrapped in a
-//! [`Frame`] whose kind tag identifies the variant; optionally the frame
+//! frame whose kind tag identifies the variant; optionally the frame
 //! payload is sealed with ChaCha20-Poly1305 under a query-scoped key (the
 //! paper's "only aggregated, encrypted data travels between operators").
 
@@ -10,7 +10,7 @@ use edgelet_ml::grouping::GroupedPartial;
 use edgelet_store::{Predicate, Row};
 use edgelet_util::ids::{PartitionId, QueryId};
 use edgelet_util::{Error, Result};
-use edgelet_wire::{Decode, Encode, Frame, FrameView, Reader, Writer};
+use edgelet_wire::{Decode, Encode, FrameView, Reader, Writer};
 
 /// Frame kind tags.
 pub mod kind {
@@ -159,13 +159,6 @@ impl Msg {
         }
     }
 
-    /// Encodes into an owned frame. The network path
-    /// ([`crate::roles::Sealer::wrap`]) writes the same bytes into one
-    /// buffer instead; this layered form is what its tests pin it to.
-    pub fn to_frame(&self) -> Frame {
-        Frame::new(self.kind(), self)
-    }
-
     /// Decodes from a frame, straight out of the bytes it was parsed from.
     pub fn from_frame(frame: FrameView<'_>) -> Result<Msg> {
         let msg: Msg = frame.open()?;
@@ -178,6 +171,23 @@ impl Msg {
         }
         Ok(msg)
     }
+}
+
+/// A reader over a frame's body past its message tag, for a role that
+/// reads the body in place instead of through [`Msg::from_frame`]. A tag
+/// other than the frame's kind is refused, as the owned decode refuses
+/// it; the caller reads the fields in [`Msg`]'s order and ends with
+/// [`Reader::expect_end`].
+pub(crate) fn body(frame: FrameView<'_>) -> Result<Reader<'_>> {
+    let mut r = Reader::new(frame.payload);
+    let tag = r.varint()?;
+    if tag != u64::from(frame.kind) {
+        return Err(Error::Decode(format!(
+            "frame kind {} does not match payload tag {tag}",
+            frame.kind
+        )));
+    }
+    Ok(r)
 }
 
 /// Classifies a sealed on-the-wire payload (as produced by
@@ -412,7 +422,7 @@ pub(crate) mod tests {
     use super::*;
     use edgelet_ml::Matrix;
     use edgelet_store::{CmpOp, Value};
-    use edgelet_wire::{from_bytes, to_bytes};
+    use edgelet_wire::{encode_framed, from_bytes, to_bytes};
 
     /// One message of every variant.
     pub(crate) fn sample_messages() -> Vec<Msg> {
@@ -489,11 +499,13 @@ pub(crate) mod tests {
     #[test]
     fn frame_roundtrip_and_kind_consistency() {
         for msg in sample_messages() {
-            let frame = msg.to_frame();
-            assert_eq!(frame.kind, msg.kind());
-            let wire = frame.to_wire();
-            let parsed = Frame::from_wire(&wire).unwrap();
-            assert_eq!(Msg::from_frame(parsed.view()).unwrap(), msg);
+            let wire = encode_framed(&[], msg.kind(), &msg);
+            let parsed = FrameView::parse(&wire).unwrap();
+            assert_eq!(parsed.kind, msg.kind());
+            assert_eq!(Msg::from_frame(parsed).unwrap(), msg);
+            // The in-place reader starts past the same tag.
+            let mut r = body(parsed).unwrap();
+            assert_eq!(QueryId::decode(&mut r).unwrap(), QueryId::new(1));
         }
     }
 
@@ -503,8 +515,13 @@ pub(crate) mod tests {
             query: QueryId::new(1),
             from_rank: 0,
         };
-        let bogus = Frame::new(kind::PONG, &msg);
-        assert!(Msg::from_frame(bogus.view()).is_err());
+        let payload = to_bytes(&msg);
+        let bogus = FrameView {
+            kind: kind::PONG,
+            payload: &payload,
+        };
+        assert!(Msg::from_frame(bogus).is_err());
+        assert!(body(bogus).is_err());
     }
 
     #[test]
@@ -528,9 +545,9 @@ pub(crate) mod tests {
             query: QueryId::new(1),
             rows: vec![Row::new(vec![Value::Int(5)])],
         };
-        let mut wire = msg.to_frame().to_wire();
+        let mut wire = encode_framed(&[], msg.kind(), &msg);
         let mid = wire.len() / 2;
         wire[mid] ^= 0x10;
-        assert!(Frame::from_wire(&wire).is_err());
+        assert!(FrameView::parse(&wire).is_err());
     }
 }

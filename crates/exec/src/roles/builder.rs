@@ -1,15 +1,21 @@
 //! The Snapshot Builder actor: collects one partition's share of the
 //! representative snapshot and ships vertical slices to its Computers.
+//!
+//! Contributions are read in place: the rows the quota still has room
+//! for are decoded straight onto the collected rows, every other row is
+//! checked and skipped unbuilt, and each slice is written from the
+//! collected rows through its column indices.
 
 use crate::config::ExecConfig;
 use crate::ledger::SharedLedger;
-use crate::messages::Msg;
+use crate::messages::{self, kind, Msg};
 use crate::roles::{RankGate, Sealer};
 use edgelet_sim::{Actor, Context, Duration, TimerToken};
-use edgelet_store::{Predicate, Row, Schema};
+use edgelet_store::{Predicate, Row};
 use edgelet_tee::DeviceProfile;
 use edgelet_util::ids::{DeviceId, PartitionId, QueryId};
-use edgelet_util::Payload;
+use edgelet_util::{Payload, Result};
+use edgelet_wire::{Decode, Encode, FrameView, Writer};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -56,7 +62,6 @@ pub struct BuilderActor {
     config: ExecConfig,
     sealer: Sealer,
     ledger: SharedLedger,
-    schema: Schema,
     gate: RankGate,
     collected: Vec<Row>,
     responded: BTreeSet<DeviceId>,
@@ -70,16 +75,14 @@ pub struct BuilderActor {
 }
 
 impl BuilderActor {
-    /// Creates a builder replica on a host with `profile`. `schema` is
-    /// the shared database schema; `gate` carries the replica rank (rank
-    /// 0 for the primary).
+    /// Creates a builder replica on a host with `profile`. `gate`
+    /// carries the replica rank (rank 0 for the primary).
     pub fn new(
         wiring: Arc<BuilderWiring>,
         profile: DeviceProfile,
         config: ExecConfig,
         sealer: Sealer,
         ledger: SharedLedger,
-        schema: Schema,
         gate: RankGate,
     ) -> Self {
         let config_retries = config.collection_retries;
@@ -89,7 +92,6 @@ impl BuilderActor {
             config,
             sealer,
             ledger,
-            schema,
             gate,
             collected: Vec::new(),
             responded: BTreeSet::new(),
@@ -101,15 +103,6 @@ impl BuilderActor {
             ping_timer: None,
             pending_output: Vec::new(),
         }
-    }
-
-    /// Sub-schema of the collected rows (columns in collection order).
-    fn collected_schema(&self) -> Schema {
-        let names: Vec<&str> = self.wiring.columns.iter().map(|s| s.as_str()).collect();
-        self.schema
-            .project(&names)
-            // lint: allow(E104 wiring columns are validated by the plan preflight)
-            .expect("wiring columns validated at plan time")
     }
 
     fn finish_collection(&mut self, ctx: &mut Context<'_>) {
@@ -135,32 +128,32 @@ impl BuilderActor {
     fn ship(&mut self, ctx: &mut Context<'_>) {
         self.phase = Phase::Shipped;
         let complete = self.collected.len() >= self.wiring.quota;
-        let sub_schema = self.collected_schema();
         ctx.observe(
             "partition_fill",
             self.collected.len() as f64 / self.wiring.quota.max(1) as f64,
         );
-        let slices = self.wiring.slices.clone();
-        for slice in &slices {
-            let names: Vec<&str> = slice.columns.iter().map(|s| s.as_str()).collect();
-            let rows: Vec<Row> = self
-                .collected
+        let wiring = Arc::clone(&self.wiring);
+        for slice in &wiring.slices {
+            let columns: Vec<usize> = slice
+                .columns
                 .iter()
-                .map(|r| {
-                    r.project(&sub_schema, &names)
+                .map(|c| {
+                    wiring
+                        .columns
+                        .iter()
+                        .position(|k| k == c)
                         // lint: allow(E104 slices are planned as subsets of the collected columns)
                         .expect("slice columns are a subset of collected columns")
                 })
                 .collect();
-            let msg = Msg::PartitionData {
-                query: self.wiring.query,
-                partition: self.wiring.partition,
-                attr_group: slice.attr_group,
-                columns: slice.columns.clone(),
-                rows,
+            let data = SliceData {
+                wiring: &wiring,
+                slice,
+                columns: &columns,
+                rows: &self.collected,
                 complete,
             };
-            let bytes = self.sealer.wrap(&msg);
+            let bytes = self.sealer.wrap_as(kind::PARTITION_DATA, &data);
             for &target in &slice.targets {
                 if self.gate.is_active() {
                     ctx.send(target, bytes.share());
@@ -211,6 +204,72 @@ impl BuilderActor {
     }
 }
 
+/// What a builder makes of a frame: a contribution is read in place,
+/// anything else decoded whole.
+enum Inbound {
+    /// A contribution to this query id, its wanted rows already collected.
+    Contribution(QueryId),
+    /// Any other message.
+    Other(Msg),
+}
+
+/// Reads a `Contribution` body in place. If it answers `query`, its
+/// first `room` rows are decoded onto `collected`; every other row is
+/// checked with [`Row::skip`] and never built. On an error `collected` is
+/// truncated back to where it was.
+fn collect(
+    frame: FrameView<'_>,
+    collected: &mut Vec<Row>,
+    query: QueryId,
+    room: usize,
+) -> Result<QueryId> {
+    let start = collected.len();
+    let mut read = || {
+        let mut r = messages::body(frame)?;
+        let answers = QueryId::decode(&mut r)?;
+        let room = if answers == query { room } else { 0 };
+        for i in 0..r.seq_len_for(1)? {
+            if i < room {
+                collected.push(Row::decode(&mut r)?);
+            } else {
+                Row::skip(&mut r)?;
+            }
+        }
+        r.expect_end()?;
+        Ok(answers)
+    };
+    let read = read();
+    if read.is_err() {
+        collected.truncate(start);
+    }
+    read
+}
+
+/// A `PartitionData` body written straight from the collected rows, each
+/// projected through the slice's column indices.
+struct SliceData<'a> {
+    wiring: &'a BuilderWiring,
+    slice: &'a SliceWiring,
+    columns: &'a [usize],
+    rows: &'a [Row],
+    complete: bool,
+}
+
+impl Encode for SliceData<'_> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(u64::from(kind::PARTITION_DATA));
+        self.wiring.query.encode(w);
+        self.wiring.partition.encode(w);
+        self.slice.attr_group.encode(w);
+        self.slice.columns.encode(w);
+        w.put_varint(self.rows.len() as u64);
+        for row in self.rows {
+            row.encode_columns(self.columns, w);
+        }
+        self.complete.encode(w);
+    }
+}
+
 impl Actor for BuilderActor {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.ledger
@@ -227,25 +286,32 @@ impl Actor for BuilderActor {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: DeviceId, payload: &[u8]) {
-        let Ok(msg) = self.sealer.unwrap(payload) else {
+        // Rows are wanted from a first answer while collecting; a late
+        // answer or a duplicate (a retry round crossed it) is only checked.
+        let wanted = matches!(self.phase, Phase::Collecting) && !self.responded.contains(&from);
+        let room = if wanted {
+            self.wiring.quota.saturating_sub(self.collected.len())
+        } else {
+            0
+        };
+        let (query, collected) = (self.wiring.query, &mut self.collected);
+        let inbound = self.sealer.open(payload, |frame| match frame.kind {
+            kind::CONTRIBUTION => collect(frame, collected, query, room).map(Inbound::Contribution),
+            _ => Msg::from_frame(frame).map(Inbound::Other),
+        });
+        let Ok(inbound) = inbound else {
             ctx.observe("corrupt_messages", 1.0);
             return;
         };
-        match msg {
-            Msg::Contribution { query, rows } if query == self.wiring.query => {
-                if !matches!(self.phase, Phase::Collecting) {
-                    return; // late contribution; snapshot already built
-                }
-                if !self.responded.insert(from) {
-                    return; // duplicate answer (a retry round crossed it)
-                }
-                let room = self.wiring.quota.saturating_sub(self.collected.len());
-                self.collected.extend(rows.into_iter().take(room));
+        match inbound {
+            Inbound::Contribution(q) if q == query && wanted => {
+                self.responded.insert(from);
                 if self.collected.len() >= self.wiring.quota {
                     self.finish_collection(ctx);
                 }
             }
-            Msg::Ping { query, .. } if query == self.wiring.query => {
+            Inbound::Contribution(_) => {}
+            Inbound::Other(Msg::Ping { query, .. }) if query == self.wiring.query => {
                 let pong = Msg::Pong {
                     query,
                     from_rank: self.gate.rank,
@@ -253,10 +319,10 @@ impl Actor for BuilderActor {
                 let bytes = self.sealer.wrap(&pong);
                 ctx.send(from, bytes);
             }
-            Msg::Pong { query, .. } if query == self.wiring.query => {
+            Inbound::Other(Msg::Pong { query, .. }) if query == self.wiring.query => {
                 self.gate.saw(from, ctx.now().as_secs_f64());
             }
-            _ => {}
+            Inbound::Other(_) => {}
         }
     }
 

@@ -1,12 +1,19 @@
 //! The Data Contributor actor: answers contribution requests from its
 //! owner's personal store.
+//!
+//! This is the busiest callback of a query (one per contributor asked),
+//! so it builds neither message: the request is read where it lies, its
+//! column names resolved straight to store indices, and the answer is
+//! written from the store's rows.
 
 use crate::ledger::SharedLedger;
-use crate::messages::Msg;
+use crate::messages::{self, kind, Msg};
 use crate::roles::Sealer;
 use edgelet_sim::{Actor, Context};
-use edgelet_store::DataStore;
+use edgelet_store::{DataStore, Predicate, Schema};
 use edgelet_util::ids::{DeviceId, QueryId};
+use edgelet_util::Result;
+use edgelet_wire::{Decode, Encode, FrameView, Writer};
 
 /// Actor holding one individual's data store.
 pub struct ContributorActor {
@@ -38,39 +45,108 @@ impl ContributorActor {
     }
 }
 
+/// A `ContributeRequest` read in place.
+struct Request {
+    query: QueryId,
+    filter: Predicate,
+    /// The requested columns as indices into the store's schema; `None`
+    /// when one is not in it (nothing to contribute).
+    columns: Option<Vec<usize>>,
+}
+
+impl Request {
+    /// Reads the body of `frame` (of kind `CONTRIBUTE_REQUEST`), checking
+    /// all of it as the owned decode would.
+    fn read(frame: FrameView<'_>, schema: &Schema) -> Result<Request> {
+        let mut r = messages::body(frame)?;
+        let query = QueryId::decode(&mut r)?;
+        let filter = Predicate::decode(&mut r)?;
+        let count = r.seq_len_for(1)?;
+        let mut columns = Vec::with_capacity(count);
+        let mut known = true;
+        for _ in 0..count {
+            match schema.index_of(r.str()?) {
+                Ok(i) => columns.push(i),
+                Err(_) => known = false,
+            }
+        }
+        r.expect_end()?;
+        Ok(Request {
+            query,
+            filter,
+            columns: known.then_some(columns),
+        })
+    }
+}
+
+/// A `Contribution` body written straight from the store: the first
+/// `rows` rows `filter` matches, projected through `columns`.
+struct Answer<'a> {
+    query: QueryId,
+    store: &'a DataStore,
+    filter: &'a Predicate,
+    columns: &'a [usize],
+    rows: usize,
+}
+
+impl Encode for Answer<'_> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(u64::from(kind::CONTRIBUTION));
+        self.query.encode(w);
+        w.put_varint(self.rows as u64);
+        let schema = self.store.schema();
+        let matching = self
+            .store
+            .rows()
+            .iter()
+            .filter(|row| matches!(self.filter.eval(schema, row), Ok(true)));
+        for row in matching.take(self.rows) {
+            row.encode_columns(self.columns, w);
+        }
+    }
+}
+
 impl Actor for ContributorActor {
     fn on_message(&mut self, ctx: &mut Context<'_>, from: DeviceId, payload: &[u8]) {
-        let Ok(msg) = self.sealer.unwrap(payload) else {
+        let schema = self.store.schema();
+        let request = self.sealer.open(payload, |frame| match frame.kind {
+            kind::CONTRIBUTE_REQUEST => Request::read(frame, schema).map(Some),
+            // Contributors only serve contribution requests, but any
+            // other frame is still decoded whole: a bad one is corrupt.
+            _ => Msg::from_frame(frame).map(|_| None),
+        });
+        let Ok(request) = request else {
             ctx.observe("corrupt_messages", 1.0);
             return;
         };
-        let Msg::ContributeRequest {
+        let Some(Request {
             query,
             filter,
-            columns,
-        } = msg
+            columns: Some(columns),
+        }) = request
         else {
-            return; // contributors only serve contribution requests
+            return;
         };
         if query != self.query {
             return;
         }
-        let names: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-        let rows = match self.store.scan_project(&filter, &names) {
-            Ok(mut rows) => {
-                rows.truncate(self.max_rows);
-                rows
-            }
-            Err(_) => Vec::new(), // schema mismatch: contribute nothing
+        // Every row is evaluated, as a scan would: an evaluation error
+        // anywhere means no contribution.
+        let Ok(matching) = self.store.count(&filter) else {
+            return;
         };
-        if rows.is_empty() {
+        let rows = matching.min(self.max_rows);
+        if rows == 0 {
             return; // nothing matching; silence = no contribution
         }
-        let reply = Msg::Contribution {
-            query: self.query,
+        let answer = Answer {
+            query,
+            store: &self.store,
+            filter: &filter,
+            columns: &columns,
             rows,
         };
-        let bytes = self.sealer.wrap(&reply);
+        let bytes = self.sealer.wrap_as(kind::CONTRIBUTION, &answer);
         self.ledger
             .lock()
             .unwrap_or_else(|e| e.into_inner())

@@ -12,7 +12,7 @@ use edgelet_crypto::aead::ChaCha20Poly1305;
 use edgelet_crypto::hmac::hkdf;
 use edgelet_util::ids::{DeviceId, QueryId};
 use edgelet_util::{Error, Payload, Result};
-use edgelet_wire::{encode_framed, FrameView};
+use edgelet_wire::{encode_framed, Encode, FrameView};
 
 /// Wraps/unwraps protocol messages for the network, optionally sealing
 /// them with a query-scoped AEAD key.
@@ -51,10 +51,17 @@ impl Sealer {
     /// [`Payload`]: sending it to every replica of an operator reuses one
     /// buffer instead of copying the bytes per recipient.
     pub fn wrap(&mut self, msg: &Msg) -> Payload {
+        self.wrap_as(msg.kind(), msg)
+    }
+
+    /// [`Sealer::wrap`] for a body that was never built as a [`Msg`]:
+    /// `body` writes the message tag and fields itself, straight from
+    /// where the sender holds them, under frame kind `kind`.
+    pub(crate) fn wrap_as(&mut self, kind: u16, body: &impl Encode) -> Payload {
         // Marker, nonce, frame and tag share one buffer: the message is
         // encoded once and never copied again.
         let out = match &self.cipher {
-            None => encode_framed(&[0x00], msg.kind(), msg),
+            None => encode_framed(&[0x00], kind, body),
             Some(cipher) => {
                 let mut nonce = [0u8; 12];
                 nonce[..4].copy_from_slice(&(self.device.raw() as u32).to_le_bytes());
@@ -62,7 +69,7 @@ impl Sealer {
                 self.counter += 1;
                 let mut prefix = [0x01; 13];
                 prefix[1..].copy_from_slice(&nonce);
-                let mut out = encode_framed(&prefix, msg.kind(), msg);
+                let mut out = encode_framed(&prefix, kind, body);
                 cipher.seal_in_place(&nonce, &[], &mut out, prefix.len());
                 out
             }
@@ -70,14 +77,26 @@ impl Sealer {
         Payload::new(out)
     }
 
-    /// Parses bytes from the network. Fails on corruption, tampering, or
-    /// an encryption-mode mismatch.
+    /// Parses bytes from the network into a message. Fails on
+    /// corruption, tampering, or an encryption-mode mismatch.
     pub fn unwrap(&self, bytes: &[u8]) -> Result<Msg> {
+        self.open(bytes, Msg::from_frame)
+    }
+
+    /// The one verify/decrypt path: checks the marker, opens a sealed
+    /// payload, parses the frame and hands it to `read`, which decodes
+    /// the body where it lies (the plaintext payload or the decrypted
+    /// buffer) instead of into an owned [`Msg`].
+    pub(crate) fn open<T>(
+        &self,
+        bytes: &[u8],
+        read: impl FnOnce(FrameView<'_>) -> Result<T>,
+    ) -> Result<T> {
         let (&marker, rest) = bytes
             .split_first()
             .ok_or_else(|| Error::Decode("empty network payload".into()))?;
         match (marker, &self.cipher) {
-            (0x00, None) => Msg::from_frame(FrameView::parse(rest)?),
+            (0x00, None) => read(FrameView::parse(rest)?),
             (0x01, Some(cipher)) => {
                 if rest.len() < 12 {
                     return Err(Error::Decode("sealed payload shorter than nonce".into()));
@@ -85,7 +104,7 @@ impl Sealer {
                 let mut nonce = [0u8; 12];
                 nonce.copy_from_slice(&rest[..12]);
                 let frame = cipher.open(&nonce, &[], &rest[12..])?;
-                Msg::from_frame(FrameView::parse(&frame)?)
+                read(FrameView::parse(&frame)?)
             }
             (m, _) => Err(Error::Decode(format!(
                 "encryption-mode mismatch (marker {m:#04x})"
@@ -218,7 +237,7 @@ mod tests {
 
     /// `wrap` builds marker, nonce, frame and tag in one buffer; the
     /// bytes must stay those of the layer-by-layer chain it replaced
-    /// (`to_frame` → `to_wire` → `seal` → marker ++ nonce ++ sealed).
+    /// (encode → frame → `seal` → marker ++ nonce ++ sealed).
     #[test]
     fn wrap_bytes_equal_the_layered_encoding() {
         let mut messages = crate::messages::tests::sample_messages();
@@ -239,7 +258,9 @@ mod tests {
         let receiver = Sealer::new(true, &root, QueryId::new(3), DeviceId::new(6));
         let cipher = sealed.cipher.clone().expect("sealing sealer has a cipher");
         for (counter, msg) in messages.iter().enumerate() {
-            let frame = msg.to_frame().to_wire();
+            let mut body = edgelet_wire::Writer::new();
+            body.put_bytes(&edgelet_wire::to_bytes(msg));
+            let frame = forged_frame(b"EL", 1, msg.kind().into(), &body.into_bytes());
 
             let mut want = vec![0x00];
             want.extend_from_slice(&frame);

@@ -47,7 +47,7 @@ impl Exchange for Fabric<'_> {
     /// Slice `me` takes its own lane (a neighbour that finished early
     /// may already be filling it for the next window; the lookahead puts
     /// those past this window's end), then any barrier spills.
-    fn ingest(&self, me: usize, _generation: u64, shard: &mut Shard) {
+    fn ingest(&self, me: usize, shard: &mut Shard) {
         for env in self.transport.drain(self.epoch, me) {
             shard.push(Event::from(env));
         }

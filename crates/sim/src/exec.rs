@@ -274,9 +274,9 @@ pub fn merge_reports(reports: &mut [WindowReport], state: &mut RunState) -> Opti
 /// slice's own thread; `settle` runs on the coordinator while every
 /// slice is idle.
 pub trait Exchange: Sync {
-    /// Window number `generation` (1-based) opens: queue everything
-    /// addressed to slice `me` on `shard`.
-    fn ingest(&self, me: usize, generation: u64, shard: &mut Shard);
+    /// A window opens: queue everything addressed to slice `me` on
+    /// `shard`.
+    fn ingest(&self, me: usize, shard: &mut Shard);
     /// Slice `me` finished its window: take its report's `outbound`
     /// buffers (indexed by destination slice).
     fn publish(&self, me: usize, report: &mut WindowReport);
@@ -337,7 +337,7 @@ impl Mailboxes {
 }
 
 impl Exchange for Mailboxes {
-    fn ingest(&self, me: usize, _generation: u64, shard: &mut Shard) {
+    fn ingest(&self, me: usize, shard: &mut Shard) {
         self.collect(me, shard);
     }
 
@@ -362,19 +362,17 @@ struct Inline<'a> {
     shard: &'a mut Shard,
     env: &'a RunEnv<'a>,
     exchange: &'a dyn Exchange,
-    generation: u64,
     /// The previous window's report (none before the first).
     report: Vec<WindowReport>,
 }
 
 impl Barrier for Inline<'_> {
     fn cross(&mut self, window: &Window) -> Result<(&mut [WindowReport], Option<u64>)> {
-        self.generation += 1;
         let reuse = self.report.pop().map(|mut r| {
             r.recycle();
             r
         });
-        self.exchange.ingest(0, self.generation, self.shard);
+        self.exchange.ingest(0, self.shard);
         let mut report = self.shard.run_window(self.env, window, reuse);
         self.exchange.publish(0, &mut report);
         self.report.push(report);
@@ -419,7 +417,7 @@ fn slice_worker(
             return;
         }
         seen += 1;
-        exchange.ingest(me, seen, shard);
+        exchange.ingest(me, shard);
         // The coordinator returned last window's emptied report through
         // our slot (None on the first window).
         let reuse = {
@@ -644,7 +642,6 @@ impl World {
                 shard,
                 env,
                 exchange,
-                generation: 0,
                 report: Vec::with_capacity(1),
             };
             return drive(state, &mut inline, deadline, abort);

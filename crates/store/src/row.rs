@@ -37,13 +37,24 @@ impl Row {
         Ok(&self.values[schema.index_of(name)?])
     }
 
-    /// Projects onto the named columns.
-    pub fn project(&self, schema: &Schema, names: &[&str]) -> Result<Row> {
-        let mut out = Vec::with_capacity(names.len());
-        for n in names {
-            out.push(self.values[schema.index_of(n)?].clone());
+    /// Writes this row projected onto the column indices `columns`: the
+    /// bytes of the projected row's encoding, without building it.
+    /// Panics if an index is out of range.
+    pub fn encode_columns(&self, columns: &[usize], w: &mut Writer) {
+        w.put_varint(columns.len() as u64);
+        for &i in columns {
+            self.values[i].encode(w);
         }
-        Ok(Row::new(out))
+    }
+
+    /// Checks one encoded row and steps over it without building it: the
+    /// grammar of [`Row::decode`], each value read by the same reader
+    /// `Value::decode` builds its value from.
+    pub fn skip(r: &mut Reader<'_>) -> Result<()> {
+        for _ in 0..r.seq_len_for(1)? {
+            Value::skip(r)?;
+        }
+        Ok(())
     }
 
     /// Consumes into the value vector.
@@ -78,6 +89,7 @@ mod tests {
     use super::*;
     use crate::value::ColumnType;
     use edgelet_wire::{from_bytes, to_bytes};
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::new(vec![("age", ColumnType::Int), ("bmi", ColumnType::Float)]).unwrap()
@@ -92,8 +104,13 @@ mod tests {
         assert_eq!(r.get(9), None);
         assert_eq!(r.get_named(&s, "bmi").unwrap(), &Value::Float(23.5));
         assert!(r.get_named(&s, "zzz").is_err());
-        let p = r.project(&s, &["bmi"]).unwrap();
-        assert_eq!(p.values(), &[Value::Float(23.5)]);
+        // A projection is written as the projected row would encode.
+        for columns in [&[1][..], &[1, 0], &[0, 0], &[]] {
+            let mut w = Writer::new();
+            r.encode_columns(columns, &mut w);
+            let projected = Row::new(columns.iter().map(|&i| r.values()[i].clone()).collect());
+            assert_eq!(w.into_bytes(), to_bytes(&projected), "{columns:?}");
+        }
         assert_eq!(
             Row::from(vec![Value::Int(1)]).into_values(),
             vec![Value::Int(1)]
@@ -111,5 +128,53 @@ mod tests {
         ]);
         let back: Row = from_bytes(&to_bytes(&r)).unwrap();
         assert_eq!(back, r);
+    }
+
+    /// What `skip` makes of `bytes` (how far it read, or that it failed)
+    /// against what `decode` makes of them.
+    fn skip_and_decode(bytes: &[u8]) -> (Option<usize>, Option<usize>) {
+        let consumed = |ok: bool, r: &Reader<'_>| ok.then(|| bytes.len() - r.remaining());
+        let mut r = Reader::new(bytes);
+        let skipped = consumed(Row::skip(&mut r).is_ok(), &r);
+        let mut r = Reader::new(bytes);
+        let decoded = consumed(Row::decode(&mut r).is_ok(), &r);
+        (skipped, decoded)
+    }
+
+    /// A value of the kind `tag` picks, from one draw of each payload.
+    fn value((tag, i, text, b): (u8, i64, String, bool)) -> Value {
+        match tag {
+            0 => Value::Null,
+            1 => Value::Int(i),
+            2 => Value::Float(f64::from_bits(i as u64)),
+            3 => Value::Text(text),
+            _ => Value::Bool(b),
+        }
+    }
+
+    proptest! {
+        /// `skip` accepts exactly what `decode` accepts and consumes the
+        /// same bytes: on well-formed rows, on those rows cut short or
+        /// with one byte overwritten, and on noise.
+        #[test]
+        fn prop_skip_accepts_what_decode_accepts(
+            values in prop::collection::vec((0u8..5, any::<i64>(), ".*", any::<bool>()), 0..6),
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            noise in prop::collection::vec(any::<u8>(), 0..24),
+        ) {
+            let bytes = to_bytes(&Row::new(values.into_iter().map(value).collect()));
+            let (skipped, decoded) = skip_and_decode(&bytes);
+            prop_assert_eq!(skipped, Some(bytes.len()));
+            prop_assert_eq!(decoded, Some(bytes.len()));
+            let mut flipped = bytes.clone();
+            let i = at % flipped.len();
+            flipped[i] = byte;
+            for input in [&bytes[..cut % (bytes.len() + 1)], &flipped[..], &noise[..]] {
+                let (skipped, decoded) = skip_and_decode(input);
+                prop_assert_eq!(skipped, decoded, "{:?}", input);
+            }
+        }
     }
 }

@@ -181,17 +181,65 @@ impl Encode for Value {
     }
 }
 
+/// A value read in place, its text still borrowed from the input.
+///
+/// [`ValueRef::read`] is the one grammar of an encoded value:
+/// [`Value::decode`] owns what it reads and [`Value::skip`] drops it, so
+/// what a decoder accepts and what a skipping reader accepts cannot drift
+/// apart.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    /// Absent value.
+    Null,
+    /// Integer.
+    Int(i64),
+    /// Float.
+    Float(f64),
+    /// Text, borrowed.
+    Text(&'a str),
+    /// Boolean.
+    Bool(bool),
+}
+
+impl<'a> ValueRef<'a> {
+    /// Reads one encoded value.
+    #[inline]
+    pub fn read(r: &mut Reader<'a>) -> Result<Self> {
+        match r.varint()? {
+            TAG_NULL => Ok(ValueRef::Null),
+            TAG_INT => Ok(ValueRef::Int(i64::decode(r)?)),
+            TAG_FLOAT => Ok(ValueRef::Float(f64::decode(r)?)),
+            TAG_TEXT => Ok(ValueRef::Text(r.str()?)),
+            TAG_BOOL => Ok(ValueRef::Bool(bool::decode(r)?)),
+            other => Err(Error::Decode(format!("invalid value tag {other}"))),
+        }
+    }
+}
+
+impl From<ValueRef<'_>> for Value {
+    fn from(v: ValueRef<'_>) -> Self {
+        match v {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(x) => Value::Float(x),
+            ValueRef::Text(t) => Value::Text(t.to_owned()),
+            ValueRef::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
+impl Value {
+    /// Checks one encoded value and steps over it without building it.
+    #[inline]
+    pub(crate) fn skip(r: &mut Reader<'_>) -> Result<()> {
+        ValueRef::read(r).map(drop)
+    }
+}
+
 impl Decode for Value {
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match r.varint()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_INT => Ok(Value::Int(i64::decode(r)?)),
-            TAG_FLOAT => Ok(Value::Float(f64::decode(r)?)),
-            TAG_TEXT => Ok(Value::Text(String::decode(r)?)),
-            TAG_BOOL => Ok(Value::Bool(bool::decode(r)?)),
-            other => Err(Error::Decode(format!("invalid value tag {other}"))),
-        }
+        ValueRef::read(r).map(Value::from)
     }
 }
 

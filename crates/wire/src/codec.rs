@@ -126,6 +126,13 @@ impl<'a> Reader<'a> {
         self.raw(len as usize)
     }
 
+    /// Reads a length-prefixed UTF-8 string in place: the one grammar
+    /// of every text on the wire, owned ([`String::decode`]) or not.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| Error::Decode("invalid utf-8".into()))
+    }
+
     /// Reads a sequence length, enforcing the cap.
     #[inline]
     pub fn seq_len(&mut self) -> Result<usize> {
@@ -325,9 +332,7 @@ impl Decode for String {
         // Validate in place, then copy once: rejecting bad UTF-8 before
         // the allocation keeps the error path allocation-free and the
         // happy path a plain memcpy.
-        let text =
-            std::str::from_utf8(r.bytes()?).map_err(|_| Error::Decode("invalid utf-8".into()))?;
-        Ok(text.to_owned())
+        r.str().map(str::to_owned)
     }
 }
 

@@ -24,65 +24,6 @@ pub const FRAME_MAGIC: [u8; 2] = *b"EL";
 /// Current wire protocol version.
 pub const FRAME_VERSION: u8 = 1;
 
-/// A framed message ready for the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Application-level message kind tag.
-    pub kind: u16,
-    /// Serialized message payload.
-    pub payload: Vec<u8>,
-}
-
-impl Frame {
-    /// Frames an encodable message under a kind tag.
-    pub fn new<T: Encode>(kind: u16, message: &T) -> Self {
-        Self {
-            kind,
-            payload: crate::to_bytes(message),
-        }
-    }
-
-    /// This frame as a borrowed view.
-    pub fn view(&self) -> FrameView<'_> {
-        FrameView {
-            kind: self.kind,
-            payload: &self.payload,
-        }
-    }
-
-    /// Decodes the payload as `T`.
-    pub fn open<T: Decode>(&self) -> Result<T> {
-        self.view().open()
-    }
-
-    /// Serializes the frame, appending the CRC trailer.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.payload.len() + 16);
-        w.put_raw(&FRAME_MAGIC);
-        w.put_varint(u64::from(FRAME_VERSION));
-        w.put_varint(u64::from(self.kind));
-        w.put_bytes(&self.payload);
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
-    }
-
-    /// Parses a frame, verifying magic, version and checksum.
-    pub fn from_wire(bytes: &[u8]) -> Result<Self> {
-        let view = FrameView::parse(bytes)?;
-        Ok(Self {
-            kind: view.kind,
-            payload: view.payload.to_vec(),
-        })
-    }
-
-    /// Total wire size of this frame once serialized.
-    pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
-    }
-}
-
 /// A verified frame whose payload still sits in the wire bytes it was
 /// parsed from: the receive path decodes a message without first copying
 /// its body out.
@@ -116,11 +57,11 @@ fn write_header(out: &mut [u8; MAX_HEADER_LEN], kind: u16, payload_len: usize) -
 }
 
 /// Encodes `message`, frames it under `kind` and returns `prefix`
-/// followed by the frame — the bytes of
-/// `prefix ++ Frame::new(kind, message).to_wire()` — built in one buffer:
-/// the body is encoded in place behind room for the longest header, the
-/// header (whose length prefix is only known afterwards) is written up
-/// against it, and the gap is closed by one in-buffer move.
+/// followed by the frame, built in one buffer: the body is encoded in
+/// place behind room for the longest header, the header (whose length
+/// prefix is only known afterwards) is written up against it, and the gap
+/// is closed by one in-buffer move. The tests pin it to the layered
+/// encoding it replaced (encode the message, then frame the bytes).
 pub fn encode_framed<T: Encode>(prefix: &[u8], kind: u16, message: &T) -> Vec<u8> {
     let body_start = prefix.len() + MAX_HEADER_LEN;
     let mut w = Writer::with_capacity(body_start + 128);
@@ -186,6 +127,48 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// An owned frame, encoded layer by layer: the reference the
+    /// one-buffer writer ([`encode_framed`]) and the borrowing parser are
+    /// held to.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Frame {
+        kind: u16,
+        payload: Vec<u8>,
+    }
+
+    impl Frame {
+        fn new<T: Encode>(kind: u16, message: &T) -> Self {
+            Self {
+                kind,
+                payload: crate::to_bytes(message),
+            }
+        }
+
+        fn open<T: Decode>(&self) -> Result<T> {
+            crate::from_bytes(&self.payload)
+        }
+
+        fn to_wire(&self) -> Vec<u8> {
+            let mut w = Writer::new();
+            w.put_raw(&FRAME_MAGIC);
+            w.put_varint(u64::from(FRAME_VERSION));
+            w.put_varint(u64::from(self.kind));
+            w.put_bytes(&self.payload);
+            let mut bytes = w.into_bytes();
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            bytes
+        }
+
+        fn from_wire(bytes: &[u8]) -> Result<Self> {
+            let view = FrameView::parse(bytes)?;
+            Ok(Self {
+                kind: view.kind,
+                payload: view.payload.to_vec(),
+            })
+        }
+    }
+
     #[test]
     fn roundtrip() {
         let frame = Frame::new(7, &vec![1u64, 2, 3]);
@@ -193,7 +176,9 @@ mod tests {
         let back = Frame::from_wire(&wire).unwrap();
         assert_eq!(back, frame);
         assert_eq!(back.open::<Vec<u64>>().unwrap(), vec![1, 2, 3]);
-        assert_eq!(frame.wire_len(), wire.len());
+        // The one-buffer writer emits the layered bytes, behind any prefix.
+        assert_eq!(encode_framed(&[], 7, &vec![1u64, 2, 3]), wire);
+        assert_eq!(encode_framed(&[9, 9], 7, &vec![1u64, 2, 3])[2..], wire[..]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod transport;
 pub mod varint;
 
 pub use codec::{Decode, Encode, Reader, Writer};
-pub use frame::{encode_framed, Frame, FrameView, FRAME_MAGIC, FRAME_VERSION};
+pub use frame::{encode_framed, FrameView, FRAME_MAGIC, FRAME_VERSION};
 pub use transport::{Envelope, Transport, TransportError, ENVELOPE_VERSION};
 
 use edgelet_util::{Payload, Result};

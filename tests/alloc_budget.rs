@@ -17,14 +17,22 @@
 //! container and touch no payload. And preparing a query again from the
 //! inputs its first preparation recorded (what a socket worker does every
 //! epoch after its first) shares the crowd instead of enrolling it anew.
+//! And the collection round's busiest callback: a contributor reads a
+//! request and writes its answer without building either as a `Msg`.
 
 use edgelet_core::exec::assemble_plan;
+use edgelet_core::exec::ledger;
+use edgelet_core::exec::messages::Msg;
+use edgelet_core::exec::roles::contributor::ContributorActor;
+use edgelet_core::exec::roles::Sealer;
 use edgelet_core::prelude::*;
 use edgelet_live::{prepare_live_query, LiveRunOptions, StripedTransport};
+use edgelet_sim::Command;
 use edgelet_sim::{
     Actor, Availability, Context, CrashPlan, DeviceConfig, Duration, NetworkModel, SimConfig,
     SimTime, Simulation,
 };
+use edgelet_util::rng::DetRng;
 use edgelet_util::Payload;
 use edgelet_wire::{Envelope, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -93,9 +101,11 @@ const CHURN_RUN: u64 = 32;
 const CHURN_DEVICES: usize = 2_000;
 /// Ceiling on one `Platform::run_query` on the polling world, per
 /// enrolled device, planning, world build, 8 000 windows and teardown
-/// included (measures 17.74; 22.08 with the cell-per-event queue, a
-/// `Vec<Command>` per callback and device vectors grown by doubling).
-const POLLING_QUERY_PER_DEVICE: f64 = 19.5;
+/// included (measures 9.12; 17.74 while the collection round decoded
+/// and built every request, answer and slice as a `Msg`, 22.08 before
+/// that with the cell-per-event queue, a `Vec<Command>` per callback and
+/// device vectors grown by doubling).
+const POLLING_QUERY_PER_DEVICE: f64 = 11.4;
 
 /// Ceiling on `submit_batch` of [`HOP_ENVELOPES`] envelopes plus the
 /// `drain` that takes them back (measures 1: the lane reserves the
@@ -111,6 +121,13 @@ const HOP_ENVELOPES: usize = 1_000;
 /// first preparation, which enrols the crowd — `Platform::build`'s 4.02 —
 /// and plans it cold).
 const PREPARE_AGAIN_PER_DEVICE: f64 = 2.1;
+
+/// Ceiling on one contributor turnaround, request read plus answer
+/// written, on a warm ledger and command buffer (measures 4: the
+/// filter's column name, the resolved column indices, the answer's
+/// buffer and its `Arc`; 11 when the request was decoded into owned
+/// strings and the answer built as `Row`s before it was encoded).
+const CONTRIBUTOR_TURNAROUND: u64 = 4;
 
 /// Keeps a churn-only world from being quiescent: one timer, armed past
 /// every deadline the test runs to.
@@ -256,6 +273,45 @@ fn a_polling_query_stays_under_its_ceiling() {
         per_device <= POLLING_QUERY_PER_DEVICE,
         "run_query on the polling world: {per_device:.2} allocations per device, \
          budget {POLLING_QUERY_PER_DEVICE}"
+    );
+}
+
+#[test]
+fn a_contributor_answers_without_building_messages() {
+    let platform = Platform::build(world());
+    let (&device, store) = platform
+        .stores()
+        .iter()
+        .next()
+        .expect("the world has contributors");
+    let (query, builder) = (QueryId::new(1), DeviceId::new(u64::MAX));
+    let request = Sealer::new(false, &[0; 32], query, builder).wrap(&Msg::ContributeRequest {
+        query,
+        filter: Predicate::cmp("age", CmpOp::Gt, Value::Int(0)),
+        columns: vec!["bmi".into(), "sex".into()],
+    });
+    let sealer = Sealer::new(false, &[0; 32], query, device);
+    let mut actor = ContributorActor::new(query, store.clone(), sealer, ledger::shared(), 50);
+    let (mut rng, mut timers) = (DetRng::new(1), 0);
+    let mut turnaround = || {
+        let mut ctx = Context::new(device, SimTime::ZERO, &mut rng, &mut timers);
+        // The host's command buffer, grown before the actor runs.
+        ctx.observe("warm", 0.0);
+        let warm = allocations(|| actor.on_message(&mut ctx, builder, &request));
+        let commands = ctx.take_commands();
+        assert!(
+            matches!(commands.last(), Some(Command::Send { to, .. }) if *to == builder),
+            "the contributor answers"
+        );
+        warm
+    };
+    // The first answer also opens the device's ledger entry.
+    turnaround();
+    let once = turnaround();
+    println!("allocations: one contributor turnaround {once}");
+    assert!(
+        once <= CONTRIBUTOR_TURNAROUND,
+        "a contributor turnaround allocated {once}, budget {CONTRIBUTOR_TURNAROUND}"
     );
 }
 
