@@ -95,8 +95,6 @@ pub struct ServeArgs {
     /// only; distinct from `--workers`, the in-process thread count
     /// used when no remote fleet is available).
     pub expected_workers: usize,
-    /// Relay fault plan DSL (`--listen` only); see docs/NET.md.
-    pub net_fault_plan: Option<String>,
     /// Handshake completion deadline, milliseconds (`--listen` only).
     pub handshake_timeout_ms: u64,
 }
@@ -120,7 +118,6 @@ impl Default for ServeArgs {
             listen: None,
             connect: None,
             expected_workers: 2,
-            net_fault_plan: None,
             handshake_timeout_ms: 10_000,
         }
     }
@@ -198,6 +195,9 @@ pub struct QueryArgs {
     /// Simulator shard count (results are bit-identical for every
     /// value; >1 runs event windows on worker threads).
     pub shards: usize,
+    /// Fault plan DSL text, as given (see docs/FAULTS.md): part of the
+    /// world on every host.
+    pub fault_plan: Option<String>,
 }
 
 impl Default for QueryArgs {
@@ -216,6 +216,7 @@ impl Default for QueryArgs {
             kmeans: None,
             dot: false,
             shards: 1,
+            fault_plan: None,
         }
     }
 }
@@ -252,6 +253,9 @@ OPTIONS (plan/run/analyze):
     --kmeans K,H        K-Means with K clusters, H heartbeats
     --shards N          simulator shards (identical results; >1 = parallel)
                                                          [default: 1]
+    --fault-plan P      inject faults on every host, e.g.
+                        `drop,from=3;dup,extra-ms=1,after-s=0.5`
+                        (see docs/FAULTS.md)
     --dot               print Graphviz DOT (plan only)
     --format F          diagnostic output, human|json (analyze only)
                                                          [default: human]
@@ -297,9 +301,6 @@ OPTIONS (multi-process deployment; addresses are uds:<path> | tcp:<host>:<port>)
     --expected-workers N  worker processes per epoch (serve --listen)
                                                          [default: 2]
     --handshake-timeout-ms N  handshake deadline        [default: 10000]
-    --net-fault-plan P  relay fault rules, e.g.
-                        `drop,from=3;dup,extra-ms=1,after-s=0.5`
-                        (see docs/NET.md)
     --backoff-initial-ms N  worker reconnect delay       [default: 50]
     --backoff-max-ms N      worker reconnect delay cap   [default: 2000]
 
@@ -394,7 +395,6 @@ fn serve_args(f: &mut Flags) -> Result<ServeArgs> {
             &["after-admit", "mid-query", "before-checkpoint"],
         )?,
         expected_workers: f.value("expected-workers", d.expected_workers)?,
-        net_fault_plan: f.opt("net-fault-plan")?,
         handshake_timeout_ms: f.value("handshake-timeout-ms", d.handshake_timeout_ms)?,
         ..d
     })
@@ -439,6 +439,14 @@ pub(crate) fn query_args(f: &mut Flags) -> Result<QueryArgs> {
         },
         dot: d.dot,
         shards: f.shards(d.shards)?,
+        fault_plan: match f.opt::<String>("fault-plan")? {
+            // One line of the world spec carries it.
+            Some(raw) if raw.contains(['\n', '\r']) => {
+                return Err(invalid("--fault-plan must not contain a line break"))
+            }
+            Some(raw) => crate::net::parse_fault_plan(&raw).map(|_| Some(raw))?,
+            None => d.fault_plan,
+        },
     })
 }
 
@@ -757,7 +765,7 @@ mod tests {
         // serve --listen with the daemon knobs.
         let Command::Serve(s) = parse(&argv(
             "serve --listen uds:/tmp/edgelet.sock --expected-workers 3 \
-             --handshake-timeout-ms 500 --net-fault-plan drop,from=3",
+             --handshake-timeout-ms 500 --fault-plan drop,from=3",
         ))
         .unwrap() else {
             panic!()
@@ -765,7 +773,7 @@ mod tests {
         assert_eq!(s.listen.as_deref(), Some("uds:/tmp/edgelet.sock"));
         assert_eq!(s.expected_workers, 3);
         assert_eq!(s.handshake_timeout_ms, 500);
-        assert_eq!(s.net_fault_plan.as_deref(), Some("drop,from=3"));
+        assert_eq!(s.query.fault_plan.as_deref(), Some("drop,from=3"));
         // submit --connect as a socket client.
         let Command::Submit(s) = parse(&argv("submit --connect tcp:127.0.0.1:7000")).unwrap()
         else {
@@ -821,6 +829,7 @@ mod tests {
             ("plan --separate", "--separate"),
             ("submit --durable yes", "--durable"),
             ("serve --transport uds", "--transport"),
+            ("serve --net-fault-plan drop,from=3", "--net-fault-plan"),
         ] {
             let err = parse(&argv(line)).expect_err(line).to_string();
             assert!(err.contains(flag), "{line}: {err}");
@@ -836,6 +845,21 @@ mod tests {
         assert!(parse(&argv("plan --dot --cap 5")).is_ok());
         assert!(parse(&argv("plan --cap 5 --dot")).is_ok());
         assert!(parse(&argv("plan --seed --seed 3")).is_err());
+    }
+
+    #[test]
+    fn a_fault_plan_is_one_valid_line() {
+        let Command::Run(q) = parse(&argv("run --fault-plan delay,extra-ms=50")).unwrap() else {
+            panic!()
+        };
+        assert_eq!(q.fault_plan.as_deref(), Some("delay,extra-ms=50"));
+        // A line break would split the world-spec line that carries it.
+        for plan in ["drop\nseed=3", "drop\r", "drop\n"] {
+            let line = ["run", "--fault-plan", plan].map(String::from);
+            let err = parse(&line).expect_err(plan).to_string();
+            assert!(err.contains("line break"), "{plan:?}: {err}");
+        }
+        assert!(parse(&argv("run --fault-plan reorder")).is_err());
     }
 
     #[test]

@@ -505,6 +505,11 @@ pub(crate) fn build_world(
         processor_crash_probability: q.crash_p,
         crash_at_start: q.crash_p > 0.0,
         shards: q.shards,
+        fault_plan: q
+            .fault_plan
+            .as_deref()
+            .map(crate::net::parse_fault_plan)
+            .transpose()?,
         ..PlatformConfig::default()
     });
 
@@ -800,6 +805,27 @@ mod tests {
         assert!(text.trim_start().starts_with('{'), "{text}");
         assert!(text.contains("\"verdict\":\"ok\""), "{text}");
         assert!(text.contains("\"completed\":true"), "{text}");
+    }
+
+    #[test]
+    fn submit_runs_the_fault_plan_it_is_given() {
+        // The tiny world completes in 0.05 s of virtual time; holding
+        // every message back 50 ms moves that, and `run` agrees.
+        let world = "--contributors 40 --processors 24 --cardinality 20 --cap 10 \
+                     --failure-p 0 --network reliable";
+        let submit = |plan: &str| {
+            let (text, status) =
+                run_cli_status(&format!("submit {world} --workers 1 --format json {plan}"));
+            assert_eq!(status, 0, "{text}");
+            let tail = &text[text.find("\"completion_secs\":").expect("timed") + 18..];
+            tail[..tail.find(',').expect("delimiter")]
+                .parse::<f64>()
+                .unwrap()
+        };
+        let (plain, delayed) = (submit(""), submit("--fault-plan delay,extra-ms=50"));
+        assert!(delayed > plain, "{delayed} vs {plain}");
+        let sim = run_cli_text(&format!("run {world} --fault-plan delay,extra-ms=50"));
+        assert!(sim.contains(&format!("t={delayed:.2}s")), "{sim}");
     }
 
     #[test]

@@ -33,8 +33,8 @@ use std::time::Duration;
 
 // ---- world-spec codec ----
 
-const WORLDSPEC_HEADER: &str = "edgelet-worldspec-v1";
-const WORLDSPEC_KEYS: [&str; 12] = [
+const WORLDSPEC_HEADER: &str = "edgelet-worldspec-v2";
+const WORLDSPEC_KEYS: [&str; 13] = [
     "seed",
     "contributors",
     "processors",
@@ -47,6 +47,7 @@ const WORLDSPEC_KEYS: [&str; 12] = [
     "crash_p",
     "kmeans",
     "shards",
+    "fault_plan",
 ];
 
 /// Encodes the world-shaping subset of [`QueryArgs`] as versioned text,
@@ -57,7 +58,7 @@ const WORLDSPEC_KEYS: [&str; 12] = [
 pub(crate) fn encode_world_spec(q: &QueryArgs) -> Vec<u8> {
     let none = || "none".to_string();
     let pairs: Vec<String> = q.separate.iter().map(|(a, b)| format!("{a}:{b}")).collect();
-    let values: [String; 12] = [
+    let values: [String; 13] = [
         q.seed.to_string(),
         q.contributors.to_string(),
         q.processors.to_string(),
@@ -70,6 +71,7 @@ pub(crate) fn encode_world_spec(q: &QueryArgs) -> Vec<u8> {
         q.crash_p.to_string(),
         q.kmeans.map_or_else(none, |(k, h)| format!("{k},{h}")),
         q.shards.to_string(),
+        q.fault_plan.clone().unwrap_or_else(none),
     ];
     let mut out = format!("{WORLDSPEC_HEADER}\n");
     for (key, value) in WORLDSPEC_KEYS.iter().zip(values) {
@@ -88,8 +90,8 @@ fn spec_err(what: impl std::fmt::Display) -> Error {
 /// values are read by the command line's own [`query_args`]: each line
 /// becomes the flag of the same name (`failure_p` is `--failure-p`,
 /// `separate=a:b,c:d` is `--separate a:b --separate c:d`, `kmeans=none`
-/// is no `--kmeans`), so a peer can send nothing an operator could not
-/// have typed.
+/// and `fault_plan=none` are no flag), so a peer can send nothing an
+/// operator could not have typed.
 pub(crate) fn decode_world_spec(bytes: &[u8]) -> Result<QueryArgs> {
     let text = std::str::from_utf8(bytes).map_err(|_| spec_err("not utf-8"))?;
     let mut lines = text.lines();
@@ -111,7 +113,7 @@ pub(crate) fn decode_world_spec(bytes: &[u8]) -> Result<QueryArgs> {
         seen.push(k);
         let flag = k.replace('_', "-");
         match (k, v) {
-            ("kmeans", "none") | ("separate", "") => {}
+            ("kmeans" | "fault_plan", "none") | ("separate", "") => {}
             ("separate", pairs) => pairs.split(',').for_each(|pair| flags.push(&flag, pair)),
             _ => flags.push(&flag, v),
         }
@@ -151,7 +153,7 @@ impl WorldBuilder for CliWorldBuilder {
 
 // ---- fault-plan DSL ----
 
-/// Parses the `--net-fault-plan` mini-DSL: rules separated by `;`,
+/// Parses the `--fault-plan` mini-DSL: rules separated by `;`,
 /// fields by `,`; the first field is the action (`drop` | `delay` |
 /// `dup`), the rest are `key=value` matchers:
 ///
@@ -159,10 +161,10 @@ impl WorldBuilder for CliWorldBuilder {
 ///
 /// Keys: `extra-ms` (delay amount / duplicate extra latency), `from`,
 /// `to` (device ids), `kind` (protocol kind), `after-s`, `until-s`
-/// (virtual-time window). Only the stateless envelope actions exist
-/// here by construction, so every parsed plan is relay-safe.
-pub(crate) fn parse_net_fault_plan(raw: &str) -> Result<FaultPlan> {
-    let bad = |what: String| Error::InvalidConfig(format!("--net-fault-plan: {what}"));
+/// (virtual-time window). There is no `skip`, `limit` or `reorder`, so
+/// every parsed plan is window-safe and runs on every host.
+pub(crate) fn parse_fault_plan(raw: &str) -> Result<FaultPlan> {
+    let bad = |what: String| Error::InvalidConfig(format!("--fault-plan: {what}"));
     let mut plan = FaultPlan::new();
     for rule_text in raw.split(';') {
         let rule_text = rule_text.trim();
@@ -354,16 +356,6 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
         service.shutdown();
         return Ok(v);
     }
-    let fault_plan = args
-        .net_fault_plan
-        .as_deref()
-        .map(parse_net_fault_plan)
-        .transpose()?;
-    if let Some(plan) = &fault_plan {
-        // Fail at startup, not at first epoch, if the plan cannot be
-        // carried deterministically at the relay.
-        edgelet_net::NetFaultProxy::new(plan.clone())?;
-    }
     let world_spec = encode_world_spec(&args.query);
     let addr = Addr::parse(listen)?;
     let daemon = Arc::new(Daemon::start(
@@ -371,7 +363,6 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
         NetConfig {
             expected_workers: args.expected_workers,
             handshake_timeout: Duration::from_millis(args.handshake_timeout_ms),
-            fault_plan,
             world_spec: world_spec.clone(),
             ..NetConfig::default()
         },
@@ -582,26 +573,37 @@ mod tests {
     fn world_spec_bytes_are_pinned() {
         // Every process in a deployment compares these bytes; they may
         // not move with the code that writes them.
-        let defaults = "edgelet-worldspec-v1\nseed=7\ncontributors=2000\nprocessors=150\n\
+        let defaults = "edgelet-worldspec-v2\nseed=7\ncontributors=2000\nprocessors=150\n\
                         cardinality=300\ncap=75\nseparate=\nfailure_p=0.1\n\
                         strategy=overcollection\nnetwork=lossy:0.05\ncrash_p=0\nkmeans=none\n\
-                        shards=1\n";
+                        shards=1\nfault_plan=none\n";
         let q = QueryArgs::default();
         assert_eq!(encode_world_spec(&q), defaults.as_bytes());
         let q = QueryArgs {
             cap: None,
             separate: vec![("age".into(), "sex".into()), ("bmi".into(), "gir".into())],
             kmeans: Some((4, 3)),
+            fault_plan: Some("drop,from=3;delay,extra-ms=50,kind=4".into()),
             ..q
         };
-        let variant = "edgelet-worldspec-v1\nseed=7\ncontributors=2000\nprocessors=150\n\
+        let variant = "edgelet-worldspec-v2\nseed=7\ncontributors=2000\nprocessors=150\n\
                        cardinality=300\ncap=none\nseparate=age:sex,bmi:gir\nfailure_p=0.1\n\
                        strategy=overcollection\nnetwork=lossy:0.05\ncrash_p=0\nkmeans=4,3\n\
-                       shards=1\n";
+                       shards=1\nfault_plan=drop,from=3;delay,extra-ms=50,kind=4\n";
         assert_eq!(encode_world_spec(&q), variant.as_bytes());
         assert_eq!(decode_world_spec(variant.as_bytes()).unwrap(), q);
+        // Version 1 text carries no plan; it does not decode as a world
+        // without one.
+        let v1 = defaults
+            .replace("-v2", "-v1")
+            .replace("fault_plan=none\n", "");
+        assert!(decode_world_spec(v1.as_bytes()).is_err());
         // A socket peer gets the command line's validation, not a laxer one.
-        for (good, bad) in [("shards=1", "shards=0"), ("=overcollection", "=wat")] {
+        for (good, bad) in [
+            ("shards=1", "shards=0"),
+            ("=overcollection", "=wat"),
+            ("fault_plan=none", "fault_plan=reorder"),
+        ] {
             let text = defaults.replace(good, bad);
             let err = decode_world_spec(text.as_bytes()).expect_err(bad);
             assert!(err.to_string().contains("world spec"), "{bad}: {err}");
@@ -630,9 +632,8 @@ mod tests {
 
     #[test]
     fn fault_dsl_parses_rules() {
-        let plan =
-            parse_net_fault_plan("drop,from=3;dup,extra-ms=1,after-s=0.5;delay,extra-ms=2,to=7")
-                .unwrap();
+        let plan = parse_fault_plan("drop,from=3;dup,extra-ms=1,after-s=0.5;delay,extra-ms=2,to=7")
+            .unwrap();
         assert_eq!(plan.rules.len(), 3);
         assert!(matches!(plan.rules[0].action, FaultAction::Drop));
         assert_eq!(plan.rules[0].matcher.from, Some(vec![DeviceId::new(3)]));
@@ -648,20 +649,20 @@ mod tests {
             FaultAction::Delay(d) => assert_eq!(d.as_micros(), 2_000),
             ref other => panic!("expected Delay, got {other:?}"),
         }
-        // Every DSL plan is relay-safe by construction.
-        edgelet_net::NetFaultProxy::new(plan).unwrap();
+        // Every DSL plan runs on every host.
+        assert!(plan.is_window_safe());
     }
 
     #[test]
     fn fault_dsl_rejects_malformed_input() {
-        assert!(parse_net_fault_plan("").is_err());
-        assert!(parse_net_fault_plan("reorder").is_err());
-        assert!(parse_net_fault_plan("drop,unknown=1").is_err());
+        assert!(parse_fault_plan("").is_err());
+        assert!(parse_fault_plan("reorder").is_err());
+        assert!(parse_fault_plan("drop,unknown=1").is_err());
         assert!(
-            parse_net_fault_plan("delay,from=1").is_err(),
+            parse_fault_plan("delay,from=1").is_err(),
             "delay needs extra-ms"
         );
-        assert!(parse_net_fault_plan("drop,from=x").is_err());
+        assert!(parse_fault_plan("drop,from=x").is_err());
     }
 
     #[test]
@@ -722,12 +723,43 @@ mod tests {
         // One daemon + one worker + one socket submission, all in this
         // process: the full serve/worker/submit plumbing minus the
         // process boundary (the keystone covers that with real spawns).
+        // With a plan, the worker faults its own slice and the artifact
+        // is the in-process service's, byte for byte.
+        for fault_plan in [None, Some("delay,extra-ms=50")] {
+            let query = QueryArgs {
+                fault_plan: fault_plan.map(String::from),
+                ..tiny_query()
+            };
+            let artifact = submit_over_uds(&query);
+            let (platform, spec, privacy, resilience) =
+                crate::commands::build_world(&query).unwrap();
+            let service = QueryService::new(
+                platform,
+                ServiceConfig {
+                    workers: 1,
+                    max_concurrent: 1,
+                    mailbox_capacity: 64,
+                },
+            );
+            let local = service.submit(&spec, &privacy, &resilience, None).unwrap();
+            service.shutdown();
+            assert_eq!(
+                artifact,
+                run_artifact(&local, "uds", 1, 0),
+                "{fault_plan:?}"
+            );
+        }
+    }
+
+    /// Serves `query` from a daemon with one worker and answers one
+    /// socket submission of it; returns the client's artifact.
+    fn submit_over_uds(query: &QueryArgs) -> String {
         let sock =
             std::env::temp_dir().join(format!("edgelet-cli-e2e-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&sock);
         let listen = format!("uds:{}", sock.display());
         let serve_args = ServeArgs {
-            query: tiny_query(),
+            query: query.clone(),
             workers: 1,
             queries: 1,
             max_concurrent: 1,
@@ -750,7 +782,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         let submit_args = ServeArgs {
-            query: tiny_query(),
+            query: query.clone(),
             connect: Some(listen),
             ..ServeArgs::default()
         };
@@ -764,5 +796,6 @@ mod tests {
         stop.store(true, std::sync::atomic::Ordering::Release);
         worker.join().unwrap().unwrap();
         let _ = std::fs::remove_file(&sock);
+        artifact
     }
 }

@@ -13,11 +13,15 @@
 //! `tests/live_parity.rs`.
 //!
 //! What a live world cannot express, relative to the simulator:
-//! churning devices (no store-and-forward layer), a zero lookahead (no
-//! sequential fallback) and fault-injection plans. Those are refused at
-//! construction; the executor branches behind them are simply never
-//! reached. Everything the query protocols use — timers, broadcasts,
-//! crashes, tracing, observations — is the same code.
+//! churning devices (no store-and-forward layer), a zero lookahead and
+//! fault plans that are not [window-safe](FaultPlan::is_window_safe)
+//! (`skip`/`limit` counters and `Reorder` holds need the simulator's
+//! sequential fallback). Those are refused at construction; the executor
+//! branches behind them are simply never reached. Everything else —
+//! timers, broadcasts, crashes, tracing, observations and window-safe
+//! fault plans — is the same code: a plan's rules fire inside
+//! `Shard::process_event`, on whichever slice runs the send or the
+//! delivery, as on a simulator shard.
 //!
 //! The socket runtime (`edgelet-net`) drives the same slices across
 //! processes via [`LiveEngine::into_parts`].
@@ -25,7 +29,9 @@
 use crate::harness::PreparedInputs;
 use crate::round::Fabric;
 use edgelet_sim::exec::{ClassifierRef, RunEnv, World};
-use edgelet_sim::{Availability, DeviceConfig, NetworkModel, SimMetrics, SimTime, Trace};
+use edgelet_sim::{
+    Availability, DeviceConfig, FaultPlan, NetworkModel, SimMetrics, SimTime, Trace,
+};
 use edgelet_util::ids::DeviceId;
 use edgelet_util::Result;
 use edgelet_wire::Transport;
@@ -75,40 +81,48 @@ pub struct EngineParts {
     pub config: LiveConfig,
     /// The built world: one slice per configured worker.
     pub world: World,
-    /// Payload classifier feeding `MsgKind` trace records.
+    /// Payload classifier feeding `MsgKind` trace records and
+    /// kind-restricted fault rules.
     pub classifier: Option<PayloadClassifier>,
+    /// The installed (window-safe) fault plan.
+    pub plan: Option<FaultPlan>,
     /// The epoch stamped on every envelope.
     pub epoch: u64,
 }
 
 impl EngineParts {
-    /// The run context of this world's slices: no fault plan, no TTL.
-    /// `deliveries_leave` is the host's choice of whether same-slice
-    /// deliveries cross its fabric too.
-    pub fn env(&self, deliveries_leave: bool) -> RunEnv<'_> {
+    /// The run context of a slice whose same-slice deliveries stay in its
+    /// own queue (the socket worker's): the installed plan, no TTL.
+    pub fn env(&self) -> RunEnv<'_> {
         live_env(
             &self.config,
             &self.classifier,
+            &self.plan,
             self.world.device_count(),
-            deliveries_leave,
+            false,
         )
     }
 }
 
+/// `deliveries_leave` is the host's choice of whether same-slice
+/// deliveries cross its fabric too.
 fn live_env<'a>(
     config: &'a LiveConfig,
     classifier: &'a Option<PayloadClassifier>,
+    plan: &'a Option<FaultPlan>,
     device_count: usize,
     deliveries_leave: bool,
 ) -> RunEnv<'a> {
     let trace_enabled = config.trace_capacity > 0;
+    let kind_rules = plan.as_ref().is_some_and(FaultPlan::matches_kinds);
     RunEnv {
         network: &config.network,
         ttl: None,
         classifier: classifier.as_ref().map(|c| c as ClassifierRef<'a>),
-        plan: None,
+        plan: plan.as_ref(),
         trace_enabled,
-        need_kind: classifier.is_some() && trace_enabled,
+        // As the simulator: classify only when something consumes it.
+        need_kind: classifier.is_some() && (trace_enabled || kind_rules),
         device_count,
         shard_count: config.workers.max(1),
         deliveries_leave,
@@ -156,6 +170,7 @@ impl LiveEngine {
                 config,
                 world,
                 classifier: None,
+                plan: None,
                 epoch,
             },
             transport,
@@ -166,6 +181,24 @@ impl LiveEngine {
     /// Installs the payload classifier feeding `MsgKind` trace records.
     pub fn set_classifier(&mut self, classifier: PayloadClassifier) {
         self.parts.classifier = Some(classifier);
+    }
+
+    /// Installs a fault plan, replacing any previous one.
+    ///
+    /// Fails for a plan that is not [window-safe](FaultPlan::is_window_safe):
+    /// its `skip`/`limit` counters and `Reorder` holds need the global
+    /// event order of the simulator's sequential fallback, and the live
+    /// runtime has none.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<()> {
+        if !plan.is_window_safe() {
+            return Err(edgelet_util::Error::InvalidConfig(
+                "live runtime requires a window-safe fault plan (no skip, limit or reorder); \
+                 stateful plans only run on the simulator"
+                    .into(),
+            ));
+        }
+        self.parts.plan = Some(plan);
+        Ok(())
     }
 
     /// Registers a device; returns its id
@@ -255,10 +288,11 @@ impl LiveEngine {
             config,
             world,
             classifier,
+            plan,
             epoch,
         } = &mut self.parts;
         // Every delivery crosses the transport, same-slice ones too.
-        let env = live_env(config, classifier, world.device_count(), true);
+        let env = live_env(config, classifier, plan, world.device_count(), true);
         let fabric = Fabric::new(self.transport.as_ref(), *epoch, env.shard_count);
         // The run gets a thread of its own; the caller (a query service
         // between two WAL commits, a serve loop) only blocks until it is

@@ -64,11 +64,13 @@ pub struct LiveRun {
 }
 
 /// Builds the [`LiveEngine`] world for `spec`: the simulated world's
-/// seed and the simulated world's enrolment sequence, hence the same
-/// RNG fork schedule and the same crash draws.
+/// seed, the simulated world's enrolment sequence and its fault plan,
+/// hence the same RNG fork schedule, the same crash draws and the same
+/// injected faults.
 ///
 /// Fails if the platform configuration needs simulator-only features
-/// (churn models, zero-lookahead networks, or a non-empty fault plan).
+/// (churn models, zero-lookahead networks, or a fault plan that is not
+/// window-safe).
 pub fn build_live_world(
     platform: &Platform,
     spec: &QuerySpec,
@@ -76,15 +78,6 @@ pub fn build_live_world(
     opts: &LiveRunOptions,
 ) -> Result<LiveEngine> {
     let cfg: &PlatformConfig = platform.config();
-    if let Some(fault_plan) = &cfg.fault_plan {
-        if !fault_plan.rules.is_empty() {
-            return Err(edgelet_util::Error::InvalidConfig(
-                "live runtime does not support fault-injection plans; \
-                 run fault campaigns on the simulator"
-                    .into(),
-            ));
-        }
-    }
     let mut engine = LiveEngine::new(
         LiveConfig {
             network: cfg.network.to_model(),
@@ -96,15 +89,16 @@ pub fn build_live_world(
         transport,
         opts.epoch,
     )?;
+    if let Some(plan) = &cfg.fault_plan {
+        // As the simulator: an installed plan, even an empty one, also
+        // classifies payloads into protocol kinds for the trace.
+        engine.set_fault_plan(plan.clone())?;
+        engine.set_classifier(edgelet_exec::messages::classify_payload);
+    }
     let devices = platform.device_configs(spec);
     engine.reserve(devices.size_hint().0);
     for device in devices {
         engine.add_device(device)?;
-    }
-    if cfg.fault_plan.is_some() {
-        // An installed (empty) fault plan means the platform wants
-        // protocol-kind classification in traces, same as the simulator.
-        engine.set_classifier(edgelet_exec::messages::classify_payload);
     }
     Ok(engine)
 }

@@ -22,9 +22,10 @@
 //! [`Daemon::try_run`] runs the shared window decision loop
 //! ([`edgelet_sim::exec::drive`]) and the shared barrier merge over a
 //! third [`Barrier`]: one `OpenWindow`/`RoundDone` round-trip per
-//! worker, with envelope relay (through the optional
-//! [`NetFaultProxy`]) in place of a shared transport, every epoch from
-//! the `CoordinatorTemplate` the daemon's one world build left. The
+//! worker, with envelope relay in place of a shared transport, every
+//! epoch from the `CoordinatorTemplate` the daemon's one world build
+//! left. A fault plan rides in the world: each worker evaluates it on
+//! its own slice, so the relay forwards what it is given. The
 //! parity argument is DESIGN.md §"One executor, three barriers"; the
 //! proof-by-test is `tests/net_parity.rs`.
 //!
@@ -37,13 +38,12 @@
 //! in CI exercises exactly this path.
 
 use crate::conn::{Addr, Listener, MsgStream, Stream, TimerHeap};
-use crate::fault::{FaultVerdict, NetFaultProxy};
 use crate::proto::{NetMsg, Role, WireRecord, PROTO_VERSION};
 use edgelet_exec::{roles::querier::QuerierRecord, GroupingQuery};
-use edgelet_live::{ExitReason, LiveRun, PayloadClassifier, PreparedQuery, RemoteExecutor};
+use edgelet_live::{ExitReason, LiveRun, PreparedQuery, RemoteExecutor};
 use edgelet_query::{PrivacyConfig, QueryPlan, QuerySpec, ResilienceConfig};
 use edgelet_sim::exec::{drive, fold_min, Barrier, RunState, Window, WindowReport};
-use edgelet_sim::{FaultPlan, SimTime};
+use edgelet_sim::SimTime;
 use edgelet_util::{Error, Result};
 use edgelet_wire::{from_bytes, Envelope};
 use std::collections::VecDeque;
@@ -85,7 +85,6 @@ pub trait WorldBuilder: Send + Sync {
 struct CoordinatorTemplate {
     plan: QueryPlan,
     sliced_queries: Vec<GroupingQuery>,
-    classifier: Option<PayloadClassifier>,
     real_pending: u64,
     min_at: Option<u64>,
     lookahead_us: u64,
@@ -106,7 +105,6 @@ impl CoordinatorTemplate {
             configs,
             plan: prepared.plan,
             sliced_queries: prepared.assembly.sliced_queries,
-            classifier: parts.classifier,
             min_at: parts.world.pending_min(),
             real_pending: parts.world.state.real_pending,
             lookahead_us: parts.world.state.lookahead_us,
@@ -129,9 +127,6 @@ pub struct NetConfig {
     pub io_timeout: Duration,
     /// `Ready` deadline after `Prepare` (world building takes a while).
     pub prepare_timeout: Duration,
-    /// Optional relay fault plan; when set, workers route own-lane
-    /// sends through the daemon so the proxy observes every envelope.
-    pub fault_plan: Option<FaultPlan>,
     /// Canonical world-spec bytes this daemon serves.
     pub world_spec: Vec<u8>,
 }
@@ -143,7 +138,6 @@ impl Default for NetConfig {
             handshake_timeout: Duration::from_secs(10),
             io_timeout: Duration::from_secs(60),
             prepare_timeout: Duration::from_secs(120),
-            fault_plan: None,
             world_spec: Vec::new(),
         }
     }
@@ -451,19 +445,12 @@ impl Daemon {
         abort: &AtomicBool,
     ) -> Result<LiveRun> {
         let worker_count = workers.len();
-        let fault_mode = self.config.fault_plan.is_some();
-        let proxy = match &self.config.fault_plan {
-            Some(plan) => Some(NetFaultProxy::new(plan.clone())?),
-            None => None,
-        };
-
         for (i, stream) in workers.iter_mut().enumerate() {
             stream.send(&NetMsg::Prepare {
                 epoch,
                 spec: self.config.world_spec.clone(),
                 worker_count: worker_count as u32,
                 worker_index: i as u32,
-                fault_mode,
             })?;
         }
 
@@ -499,8 +486,6 @@ impl Daemon {
             pending_relay: vec![Vec::new(); workers.len()],
             reports: Vec::with_capacity(workers.len()),
             workers: &mut *workers,
-            proxy,
-            classifier: template.classifier,
         };
         let exit = drive(&mut state, &mut barrier, deadline, Some(abort))?;
         let (metrics, trace) = (state.metrics, state.trace);
@@ -568,14 +553,11 @@ impl Daemon {
 }
 
 /// The socket barrier: one `OpenWindow`/`RoundDone` round-trip per
-/// worker, with the daemon relaying (and optionally faulting) every
-/// envelope that leaves a worker.
+/// worker, with the daemon relaying every envelope that leaves a worker.
 struct SocketBarrier<'a> {
     epoch: u64,
     io_timeout: Duration,
     workers: &'a mut [MsgStream],
-    proxy: Option<NetFaultProxy>,
-    classifier: Option<PayloadClassifier>,
     /// Relayed envelopes awaiting each worker's next `OpenWindow`.
     pending_relay: Vec<Vec<Envelope>>,
     reports: Vec<WindowReport>,
@@ -602,7 +584,7 @@ impl Barrier for SocketBarrier<'_> {
         self.reports.clear();
         let mut relay_min: Option<u64> = None;
         for stream in self.workers.iter_mut() {
-            let mut round = match stream.recv(Some(self.io_timeout))? {
+            let round = match stream.recv(Some(self.io_timeout))? {
                 NetMsg::RoundDone { epoch: e, round } if e == epoch => round,
                 other => {
                     return Err(Error::Protocol(format!(
@@ -610,33 +592,13 @@ impl Barrier for SocketBarrier<'_> {
                     )))
                 }
             };
-            // Relay the worker's outgoing envelopes, applying the fault
-            // proxy en route; a verdict that adds or removes an envelope
-            // lands in the round's deltas like any other effect. Event
-            // keys are globally unique, so arrival order across workers
-            // cannot affect the destination queue's ordering.
-            let pending_relay = &mut self.pending_relay;
-            let mut relay = |e: Envelope| {
-                relay_min = fold_min(relay_min, Some(e.deliver_at_us));
-                let dest = e.to.index() % pending_relay.len();
-                pending_relay[dest].push(e);
-            };
+            // Relay the worker's outgoing envelopes. Event keys are
+            // globally unique, so arrival order across workers cannot
+            // affect the destination queue's ordering.
             for env in round.outgoing {
-                let Some(proxy) = self.proxy.as_mut() else {
-                    relay(env);
-                    continue;
-                };
-                match proxy.apply(env, self.classifier) {
-                    FaultVerdict::Pass(e) | FaultVerdict::Delayed { env: e, .. } => relay(e),
-                    FaultVerdict::Duplicated { envs, .. } => {
-                        round.deltas.real_pending += 1;
-                        envs.into_iter().for_each(&mut relay);
-                    }
-                    FaultVerdict::Drop { .. } => {
-                        round.deltas.real_pending -= 1;
-                        round.deltas.dropped += 1;
-                    }
-                }
+                relay_min = fold_min(relay_min, Some(env.deliver_at_us));
+                let dest = env.to.index() % self.pending_relay.len();
+                self.pending_relay[dest].push(env);
             }
             self.reports.push(WindowReport::from_remote(
                 round.deltas,
@@ -865,6 +827,7 @@ mod tests {
         AggSpec, CmpOp, Platform, PlatformConfig, Predicate, PrivacyConfig, ResilienceConfig, Value,
     };
     use edgelet_live::{prepare_live_query, LiveRunOptions};
+    use edgelet_sim::FaultPlan;
 
     /// The template of a small traced world built for `epoch`.
     fn template_at(epoch: u64) -> String {
@@ -906,7 +869,6 @@ mod tests {
         for field in [
             "plan",
             "sliced_queries",
-            "classifier: Some",
             "real_pending",
             "min_at: Some",
             "lookahead_us",

@@ -27,10 +27,9 @@
 //!   [`edgelet_live::RemoteExecutor`] (socket failure → deterministic
 //!   in-process fallback);
 //! * [`worker`] — the `edgelet worker` side: backoff reconnect loop,
-//!   versioned handshake, and the per-window slice server;
-//! * [`fault`] — [`fault::NetFaultProxy`]: the simulator's fault DSL
-//!   evaluated on the daemon's relay path, restricted to the
-//!   order-independent subset so verdicts stay deterministic.
+//!   versioned handshake, and the per-window slice server. A fault
+//!   plan is part of the world a worker builds: its rules fire on the
+//!   worker's own slice, inside the same executor the simulator runs.
 //!
 //! Protocol and determinism model: `docs/NET.md`, `docs/PROTOCOL.md`
 //! §8.
@@ -40,7 +39,6 @@
 
 pub mod conn;
 pub mod daemon;
-pub mod fault;
 pub mod framing;
 pub mod proto;
 pub mod transport;
@@ -48,7 +46,6 @@ pub mod worker;
 
 pub use conn::{Addr, Backoff, Listener, MsgStream, Stream, TimerHeap};
 pub use daemon::{Daemon, NetConfig, Submission, WorldBuilder};
-pub use fault::{FaultVerdict, NetFaultProxy};
 pub use framing::{encode_frame, FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_LEN, NET_MAGIC};
 pub use proto::{NetMsg, Role, WireRecord, WireRound, PROTO_VERSION};
 pub use transport::CollectorTransport;

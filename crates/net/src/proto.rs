@@ -20,11 +20,11 @@
 //! entries, the querier record — is an exact integer encoding of the
 //! executor's own window report types ([`edgelet_sim::exec`]): this
 //! module defines their wire image, never a second copy of the types,
-//! so merging remote partials is the one barrier merge.
+//! so merging remote partials is the one barrier merge. A journal's
+//! trace events carry the codec `edgelet_sim::trace` gives them.
 
 use edgelet_sim::exec::{Deltas, JEntry, JItem};
-use edgelet_sim::{CrashCause, DelayStats, FaultKind, SimTime, TraceEvent};
-use edgelet_util::ids::DeviceId;
+use edgelet_sim::{DelayStats, SimTime, TraceEvent};
 use edgelet_util::{Error, Result};
 use edgelet_wire::{Decode, Encode, Envelope, Reader, Writer};
 use std::collections::BTreeSet;
@@ -32,8 +32,9 @@ use std::sync::Mutex;
 
 /// Version of this control protocol; bump on message layout changes.
 /// Carried in `Hello` and rejected on mismatch, alongside the frame and
-/// envelope versions.
-pub const PROTO_VERSION: u16 = 1;
+/// envelope versions. Version 2 dropped `Prepare`'s trailing fault-mode
+/// byte: a fault plan is part of the world the spec bytes describe.
+pub const PROTO_VERSION: u16 = 2;
 
 /// The peer's role, declared in `Hello`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,9 +166,6 @@ pub enum NetMsg {
         worker_count: u32,
         /// This worker's slice index for this epoch.
         worker_index: u32,
-        /// When set, own-lane sends also route via the daemon so the
-        /// fault proxy observes every envelope.
-        fault_mode: bool,
     },
     /// The world for `epoch` is built and idle at its first window.
     Ready {
@@ -301,136 +299,6 @@ fn decode_deltas(r: &mut Reader<'_>) -> Result<Deltas> {
     })
 }
 
-fn encode_device(w: &mut Writer, d: DeviceId) {
-    w.put_varint(d.raw());
-}
-
-fn decode_device(r: &mut Reader<'_>) -> Result<DeviceId> {
-    Ok(DeviceId::new(r.varint()?))
-}
-
-fn encode_trace_event(w: &mut Writer, ev: &TraceEvent) {
-    match ev {
-        TraceEvent::Sent { from, to, bytes } => {
-            w.put_varint(0);
-            encode_device(w, *from);
-            encode_device(w, *to);
-            w.put_varint(*bytes as u64);
-        }
-        TraceEvent::Delivered { from, to } => {
-            w.put_varint(1);
-            encode_device(w, *from);
-            encode_device(w, *to);
-        }
-        TraceEvent::Dropped { from, to } => {
-            w.put_varint(2);
-            encode_device(w, *from);
-            encode_device(w, *to);
-        }
-        TraceEvent::WentDown(d) => {
-            w.put_varint(3);
-            encode_device(w, *d);
-        }
-        TraceEvent::CameUp(d) => {
-            w.put_varint(4);
-            encode_device(w, *d);
-        }
-        TraceEvent::Crashed { device, cause } => {
-            w.put_varint(5);
-            encode_device(w, *device);
-            match cause {
-                CrashCause::Organic => w.put_varint(0),
-                CrashCause::Injected { rule } => {
-                    w.put_varint(1);
-                    w.put_varint(u64::from(*rule));
-                }
-            }
-        }
-        TraceEvent::TimerFired { device, token } => {
-            w.put_varint(6);
-            encode_device(w, *device);
-            w.put_varint(*token);
-        }
-        TraceEvent::FaultInjected {
-            rule,
-            kind,
-            from,
-            to,
-        } => {
-            w.put_varint(7);
-            w.put_varint(u64::from(*rule));
-            w.put_varint(u64::from(kind.code()));
-            encode_device(w, *from);
-            encode_device(w, *to);
-        }
-        TraceEvent::MsgKind { from, to, kind } => {
-            w.put_varint(8);
-            encode_device(w, *from);
-            encode_device(w, *to);
-            w.put_varint(u64::from(*kind));
-        }
-    }
-}
-
-fn decode_fault_kind(code: u64) -> Result<FaultKind> {
-    Ok(match code {
-        0 => FaultKind::Drop,
-        1 => FaultKind::Delay,
-        2 => FaultKind::Duplicate,
-        3 => FaultKind::Reorder,
-        4 => FaultKind::CrashSender,
-        5 => FaultKind::CrashReceiver,
-        other => return Err(Error::Decode(format!("invalid fault kind {other}"))),
-    })
-}
-
-fn decode_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
-    Ok(match r.varint()? {
-        0 => TraceEvent::Sent {
-            from: decode_device(r)?,
-            to: decode_device(r)?,
-            bytes: usize::decode(r)?,
-        },
-        1 => TraceEvent::Delivered {
-            from: decode_device(r)?,
-            to: decode_device(r)?,
-        },
-        2 => TraceEvent::Dropped {
-            from: decode_device(r)?,
-            to: decode_device(r)?,
-        },
-        3 => TraceEvent::WentDown(decode_device(r)?),
-        4 => TraceEvent::CameUp(decode_device(r)?),
-        5 => {
-            let device = decode_device(r)?;
-            let cause = match r.varint()? {
-                0 => CrashCause::Organic,
-                1 => CrashCause::Injected {
-                    rule: u32::decode(r)?,
-                },
-                other => return Err(Error::Decode(format!("invalid crash cause {other}"))),
-            };
-            TraceEvent::Crashed { device, cause }
-        }
-        6 => TraceEvent::TimerFired {
-            device: decode_device(r)?,
-            token: r.varint()?,
-        },
-        7 => TraceEvent::FaultInjected {
-            rule: u32::decode(r)?,
-            kind: decode_fault_kind(r.varint()?)?,
-            from: decode_device(r)?,
-            to: decode_device(r)?,
-        },
-        8 => TraceEvent::MsgKind {
-            from: decode_device(r)?,
-            to: decode_device(r)?,
-            kind: u16::decode(r)?,
-        },
-        other => return Err(Error::Decode(format!("invalid trace event tag {other}"))),
-    })
-}
-
 fn encode_jentry(w: &mut Writer, e: &JEntry) {
     e.at.as_micros().encode(w);
     e.origin.encode(w);
@@ -439,7 +307,7 @@ fn encode_jentry(w: &mut Writer, e: &JEntry) {
     match &e.item {
         JItem::Trace(ev) => {
             w.put_varint(0);
-            encode_trace_event(w, ev);
+            ev.encode(w);
         }
         JItem::Observe(name, value) => {
             w.put_varint(1);
@@ -456,7 +324,7 @@ fn decode_jentry(r: &mut Reader<'_>) -> Result<JEntry> {
         seq: u64::decode(r)?,
         intra: u32::decode(r)?,
         item: match r.varint()? {
-            0 => JItem::Trace(decode_trace_event(r)?),
+            0 => JItem::Trace(TraceEvent::decode(r)?),
             1 => JItem::Observe(intern_name(&String::decode(r)?)?, f64::decode(r)?),
             other => return Err(Error::Decode(format!("invalid journal item tag {other}"))),
         },
@@ -565,14 +433,12 @@ impl Encode for NetMsg {
                 spec,
                 worker_count,
                 worker_index,
-                fault_mode,
             } => {
                 w.put_varint(8);
                 epoch.encode(w);
                 spec.encode(w);
                 worker_count.encode(w);
                 worker_index.encode(w);
-                fault_mode.encode(w);
             }
             NetMsg::Ready { epoch } => {
                 w.put_varint(9);
@@ -654,7 +520,6 @@ impl Decode for NetMsg {
                 spec: Vec::<u8>::decode(r)?,
                 worker_count: u32::decode(r)?,
                 worker_index: u32::decode(r)?,
-                fault_mode: bool::decode(r)?,
             },
             9 => NetMsg::Ready {
                 epoch: u64::decode(r)?,
@@ -692,6 +557,8 @@ impl Decode for NetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgelet_sim::{CrashCause, FaultKind};
+    use edgelet_util::ids::DeviceId;
     use edgelet_util::Payload;
     use edgelet_wire::{from_bytes, to_bytes};
 
@@ -791,7 +658,6 @@ mod tests {
                 spec: vec![1],
                 worker_count: 2,
                 worker_index: 1,
-                fault_mode: true,
             },
             NetMsg::Ready { epoch: 11 },
             NetMsg::OpenWindow {
@@ -880,11 +746,33 @@ mod tests {
         assert_eq!(back, msg);
     }
 
-    /// The `RoundDone` layout is `PROTO_VERSION` 1's: these bytes were
-    /// produced by the build that still had separate wire structs.
+    /// The `RoundDone` layout has not moved since `PROTO_VERSION` 1: these
+    /// bytes were produced by the build that still had separate wire
+    /// structs, and by the one that still encoded trace events here.
     #[test]
     fn round_done_bytes_are_unchanged() {
         assert_eq!(to_bytes(&sample_round_done()), GOLDEN_ROUND_DONE);
+    }
+
+    /// `Hello` and `Prepare` at `PROTO_VERSION` 2. A version 1 `Prepare`
+    /// carried one more byte (the relay's fault mode); this build refuses
+    /// it with a typed error instead of reading the world without it.
+    #[test]
+    fn hello_and_prepare_bytes_are_pinned() {
+        assert_eq!(PROTO_VERSION, 2);
+        assert_eq!(to_bytes(&NetMsg::hello(Role::Worker)), [1, 0, 2, 1, 1]);
+        assert_eq!(to_bytes(&NetMsg::hello(Role::Client)), [1, 1, 2, 1, 1]);
+        let prepare = NetMsg::Prepare {
+            epoch: 11,
+            spec: b"ws".to_vec(),
+            worker_count: 2,
+            worker_index: 1,
+        };
+        let golden = [8, 11, 2, b'w', b's', 2, 1];
+        assert_eq!(to_bytes(&prepare), golden);
+        assert_eq!(from_bytes::<NetMsg>(&golden).unwrap(), prepare);
+        let v1 = [&golden[..], &[1]].concat();
+        assert!(matches!(from_bytes::<NetMsg>(&v1), Err(Error::Decode(_))));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!
 //! Deliveries to the worker's own devices stay in its queue; every
 //! other lane's leave in the window report's `outbound` and ship to the
-//! daemon for relay — unless the epoch runs in fault mode, in which
-//! case *all* deliveries leave, so the fault proxy observes every
-//! envelope.
+//! daemon for relay. A fault plan is part of the world the spec bytes
+//! build: send-point rules fire on the sender's slice and deliver-point
+//! rules on the receiver's, exactly as on a simulator shard.
 //!
 //! The worker calls its [`WorldBuilder`] only for the first `Prepare`
 //! of a (world-spec bytes, worker count) pair. It keeps the inputs
@@ -110,7 +110,6 @@ struct EpochState {
     assembly: edgelet_exec::PlanAssembly,
     worker_index: usize,
     worker_count: usize,
-    fault_mode: bool,
     /// Recycled window report, same as the in-process barriers keep.
     reuse: Option<WindowReport>,
 }
@@ -123,7 +122,6 @@ impl EpochState {
         epoch: u64,
         worker_count: usize,
         worker_index: usize,
-        fault_mode: bool,
     ) -> Result<EpochState> {
         if worker_index >= worker_count {
             return Err(Error::InvalidConfig(format!(
@@ -151,14 +149,13 @@ impl EpochState {
             assembly,
             worker_index,
             worker_count,
-            fault_mode,
             reuse: None,
         })
     }
 
     /// Runs one window and assembles the wire round.
     fn run_window(&mut self, window_end_us: u64, clip_us: u64, budget: u64) -> WireRound {
-        let env = self.parts.env(self.fault_mode);
+        let env = self.parts.env();
         let window = Window {
             start_us: window_end_us.saturating_sub(self.parts.world.state.lookahead_us),
             end_us: window_end_us,
@@ -291,7 +288,6 @@ fn connect_session(
                 spec,
                 worker_count,
                 worker_index,
-                fault_mode,
             } => {
                 match EpochState::build(
                     worlds,
@@ -299,7 +295,6 @@ fn connect_session(
                     ep,
                     worker_count as usize,
                     worker_index as usize,
-                    fault_mode,
                 ) {
                     Ok(state) => {
                         epoch = Some(state);

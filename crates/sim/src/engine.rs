@@ -181,7 +181,7 @@ impl Simulation {
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
         let plan = self.fault_plan.as_ref();
         let trace_enabled = self.world.state.trace.enabled();
-        let kind_rules = plan.is_some_and(|p| p.rules.iter().any(|r| r.matcher.kinds.is_some()));
+        let kind_rules = plan.is_some_and(FaultPlan::matches_kinds);
         let env = RunEnv {
             network: &self.config.network,
             ttl: self.config.store_and_forward_ttl,

@@ -95,7 +95,7 @@ impl FaultKind {
 
 /// Where in the message lifecycle a rule is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchPoint {
+pub(crate) enum MatchPoint {
     /// At `route()` time, before the network fate roll.
     Send,
     /// At delivery to a live receiver, before the actor runs.
@@ -208,7 +208,7 @@ impl FaultAction {
     }
 
     /// Where this action is evaluated.
-    pub fn match_point(&self) -> MatchPoint {
+    pub(crate) fn match_point(&self) -> MatchPoint {
         match self {
             FaultAction::CrashReceiver => MatchPoint::Deliver,
             _ => MatchPoint::Send,
@@ -336,6 +336,12 @@ impl FaultPlan {
         self.rules.is_empty()
     }
 
+    /// True when some rule matches on protocol kinds: the classifier must
+    /// then run even with the trace off.
+    pub fn matches_kinds(&self) -> bool {
+        self.rules.iter().any(|r| r.matcher.kinds.is_some())
+    }
+
     /// True when every rule's firing decision is a pure function of the
     /// message itself (matcher fields only) — i.e. no rule carries
     /// cross-message state. `skip`/`limit` depend on global occurrence
@@ -429,15 +435,11 @@ impl FaultCounters {
 
 /// Evaluate all rules of `plan` bound to `point` against a message,
 /// advancing the occurrence counters in `counters`; returns the first
-/// firing rule's index and action.
-///
-/// Public so out-of-crate fault carriers (the socket relay's
-/// `NetFaultProxy` in `edgelet-net`) evaluate the same DSL with the
-/// same first-firing-rule-wins semantics as the engine. For
-/// [window-safe](FaultPlan::is_window_safe) plans the firing decision
-/// never reads the counters, so callers may keep per-connection
-/// counters and still decide identically regardless of arrival order.
-pub fn evaluate_plan(
+/// firing rule's index and action. Every host reaches it through
+/// `Shard::process_event`. For [window-safe](FaultPlan::is_window_safe)
+/// plans the firing decision never reads the counters, so per-window,
+/// per-slice counters decide identically in any partition of the events.
+pub(crate) fn evaluate_plan(
     plan: &FaultPlan,
     counters: &mut FaultCounters,
     point: MatchPoint,

@@ -51,8 +51,7 @@ pub use actor::{Actor, Command, Context, TimerToken};
 pub use churn::{Availability, CrashPlan};
 pub use engine::{DeviceConfig, SimConfig, Simulation};
 pub use fault::{
-    evaluate_plan, Classifier, CrashCause, FaultAction, FaultCounters, FaultKind, FaultPlan,
-    FaultRule, MatchPoint, MsgMatch,
+    Classifier, CrashCause, FaultAction, FaultCounters, FaultKind, FaultPlan, FaultRule, MsgMatch,
 };
 pub use metrics::{DelayStats, SimMetrics};
 pub use network::{LatencyModel, NetworkModel};

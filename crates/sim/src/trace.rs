@@ -10,6 +10,8 @@
 use crate::fault::{CrashCause, FaultKind};
 use crate::time::SimTime;
 use edgelet_util::ids::DeviceId;
+use edgelet_util::{Error, Result};
+use edgelet_wire::{Decode, Encode, Reader, Writer};
 use std::collections::VecDeque;
 
 /// One recorded simulation event.
@@ -90,6 +92,130 @@ impl TraceEvent {
             device,
             cause: CrashCause::Organic,
         }
+    }
+}
+
+/// The wire image a socket worker ships its trace events in (inside the
+/// `RoundDone` journal): the digest's tag per variant, then its fields
+/// as varints.
+impl Encode for TraceEvent {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            TraceEvent::Sent { from, to, bytes } => {
+                w.put_varint(0);
+                from.encode(w);
+                to.encode(w);
+                bytes.encode(w);
+            }
+            TraceEvent::Delivered { from, to } => {
+                w.put_varint(1);
+                from.encode(w);
+                to.encode(w);
+            }
+            TraceEvent::Dropped { from, to } => {
+                w.put_varint(2);
+                from.encode(w);
+                to.encode(w);
+            }
+            TraceEvent::WentDown(d) => {
+                w.put_varint(3);
+                d.encode(w);
+            }
+            TraceEvent::CameUp(d) => {
+                w.put_varint(4);
+                d.encode(w);
+            }
+            TraceEvent::Crashed { device, cause } => {
+                w.put_varint(5);
+                device.encode(w);
+                match cause {
+                    CrashCause::Organic => w.put_varint(0),
+                    CrashCause::Injected { rule } => {
+                        w.put_varint(1);
+                        rule.encode(w);
+                    }
+                }
+            }
+            TraceEvent::TimerFired { device, token } => {
+                w.put_varint(6);
+                device.encode(w);
+                token.encode(w);
+            }
+            TraceEvent::FaultInjected {
+                rule,
+                kind,
+                from,
+                to,
+            } => {
+                w.put_varint(7);
+                rule.encode(w);
+                w.put_varint(u64::from(kind.code()));
+                from.encode(w);
+                to.encode(w);
+            }
+            TraceEvent::MsgKind { from, to, kind } => {
+                w.put_varint(8);
+                from.encode(w);
+                to.encode(w);
+                kind.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for TraceEvent {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(match r.varint()? {
+            0 => TraceEvent::Sent {
+                from: DeviceId::decode(r)?,
+                to: DeviceId::decode(r)?,
+                bytes: usize::decode(r)?,
+            },
+            1 => TraceEvent::Delivered {
+                from: DeviceId::decode(r)?,
+                to: DeviceId::decode(r)?,
+            },
+            2 => TraceEvent::Dropped {
+                from: DeviceId::decode(r)?,
+                to: DeviceId::decode(r)?,
+            },
+            3 => TraceEvent::WentDown(DeviceId::decode(r)?),
+            4 => TraceEvent::CameUp(DeviceId::decode(r)?),
+            5 => TraceEvent::Crashed {
+                device: DeviceId::decode(r)?,
+                cause: match r.varint()? {
+                    0 => CrashCause::Organic,
+                    1 => CrashCause::Injected {
+                        rule: u32::decode(r)?,
+                    },
+                    other => return Err(Error::Decode(format!("invalid crash cause {other}"))),
+                },
+            },
+            6 => TraceEvent::TimerFired {
+                device: DeviceId::decode(r)?,
+                token: u64::decode(r)?,
+            },
+            7 => TraceEvent::FaultInjected {
+                rule: u32::decode(r)?,
+                kind: match r.varint()? {
+                    0 => FaultKind::Drop,
+                    1 => FaultKind::Delay,
+                    2 => FaultKind::Duplicate,
+                    3 => FaultKind::Reorder,
+                    4 => FaultKind::CrashSender,
+                    5 => FaultKind::CrashReceiver,
+                    other => return Err(Error::Decode(format!("invalid fault kind {other}"))),
+                },
+                from: DeviceId::decode(r)?,
+                to: DeviceId::decode(r)?,
+            },
+            8 => TraceEvent::MsgKind {
+                from: DeviceId::decode(r)?,
+                to: DeviceId::decode(r)?,
+                kind: u16::decode(r)?,
+            },
+            other => return Err(Error::Decode(format!("invalid trace event tag {other}"))),
+        })
     }
 }
 

@@ -14,19 +14,26 @@
 //! * **zero chaos-oracle violations** on the live trace — the protocol
 //!   invariants audited on simulator runs hold verbatim on live runs.
 //!
+//! The same holds under the chaos catalog's window-safe fault plans: a
+//! plan is part of the world, and its rules fire inside the executor
+//! both engines share. A plan the live runtime cannot run (`skip`,
+//! `limit`, `Reorder`) is refused with a typed error.
+//!
 //! Plus the resilience drill: crash a combiner primary mid-flight on
 //! both engines and require the Active Backup to take over and deliver
 //! before the deadline.
 
-use edgelet_chaos::{check_run, ChaosScenario, FaultPlan, Session};
+use edgelet_chaos::{catalog, check_run, ChaosScenario, FaultPlan, Session};
 use edgelet_core::{Platform, PlatformConfig, RunResult};
 use edgelet_live::{
-    run_live_query, LiveRun, LiveRunOptions, QueryService, ServiceConfig, StripedTransport,
+    build_live_world, run_live_query, LiveRun, LiveRunOptions, QueryService, ServiceConfig,
+    StripedTransport,
 };
 use edgelet_ml::AggSpec;
 use edgelet_privacy::analyze_plan;
-use edgelet_sim::{SimTime, TraceEvent};
+use edgelet_sim::{FaultAction, FaultRule, SimTime, TraceEvent};
 use edgelet_store::Predicate;
+use edgelet_util::Error;
 use edgelet_wire::{Envelope, Transport, TransportError};
 use std::sync::Arc;
 
@@ -91,14 +98,36 @@ fn run_on_live(session: &Session, workers: usize, epoch: u64) -> (LiveRun, RunRe
     (live, as_result)
 }
 
-fn assert_parity(scenario: ChaosScenario, seed: u64, workers: usize) {
+/// The chaos catalog's plan called `name` for this world, or the empty
+/// plan.
+fn plan_named(scenario: ChaosScenario, seed: u64, name: Option<&str>) -> FaultPlan {
+    let Some(name) = name else {
+        return FaultPlan::new();
+    };
+    let catalog = catalog(scenario, seed).expect("the catalog plans");
+    catalog
+        .into_iter()
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| panic!("no catalog plan `{name}`"))
+        .plan
+}
+
+fn assert_parity(
+    scenario: ChaosScenario,
+    seed: u64,
+    workers: usize,
+    plan: Option<&str>,
+) -> LiveRun {
     let sim = scenario
-        .open(seed, FaultPlan::new())
+        .open(seed, plan_named(scenario, seed, plan))
         .run()
         .expect("simulator execution");
-    let session = scenario.open(seed, FaultPlan::new());
+    let session = scenario.open(seed, plan_named(scenario, seed, plan));
     let (live, live_result) = run_on_live(&session, workers, 1 + seed);
-    let ctx = format!("scenario={} seed={seed} workers={workers}", scenario.name());
+    let ctx = format!(
+        "scenario={} seed={seed} workers={workers} plan={plan:?}",
+        scenario.name()
+    );
 
     // Byte-identical results.
     assert_eq!(
@@ -131,12 +160,19 @@ fn assert_parity(scenario: ChaosScenario, seed: u64, workers: usize) {
         live.report.completion_secs, sim.result.report.completion_secs,
         "{ctx}"
     );
-    // The live trace passes the same protocol oracles as the simulator's.
+    // The live trace passes the same protocol oracles as the simulator's:
+    // all of them on a clean run, the same ones under a fault plan.
     let violations = check_run(&session.package(live_result));
-    assert!(
-        violations.is_empty(),
-        "chaos oracles flagged the live run ({ctx}): {violations:?}"
+    let expected = if plan.is_some() {
+        check_run(&sim)
+    } else {
+        Vec::new()
+    };
+    assert_eq!(
+        violations, expected,
+        "chaos oracles judged the live run differently ({ctx})"
     );
+    live
 }
 
 #[test]
@@ -145,7 +181,7 @@ fn grouping_worlds_match_across_engines() {
         // Alternate worker counts so both the single-worker and the
         // multi-worker barrier paths are exercised across the corpus.
         let workers = if seed % 2 == 0 { 1 } else { 4 };
-        assert_parity(ChaosScenario::Grouping, seed, workers);
+        assert_parity(ChaosScenario::Grouping, seed, workers, None);
     }
 }
 
@@ -153,7 +189,56 @@ fn grouping_worlds_match_across_engines() {
 fn kmeans_worlds_match_across_engines() {
     for seed in 0..SEEDS_PER_SCENARIO {
         let workers = if seed % 2 == 0 { 4 } else { 1 };
-        assert_parity(ChaosScenario::KMeans, seed, workers);
+        assert_parity(ChaosScenario::KMeans, seed, workers, None);
+    }
+}
+
+/// The chaos catalog's window-safe plans: the same faults fire at the
+/// same virtual instants on both engines, so the bytes, the trace digest
+/// (every `FaultInjected` record included) and the timing all match.
+#[test]
+fn window_safe_fault_plans_match_across_engines() {
+    for scenario in ChaosScenario::ALL {
+        for (seed, plan) in [
+            (1, "delay-partials"),
+            (2, "partition-computers-from-combiners"),
+            (3, "drop-contribute-requests-early"),
+        ] {
+            let workers = if seed % 2 == 0 { 1 } else { 4 };
+            let live = assert_parity(scenario, seed, workers, Some(plan));
+            let fired = live
+                .trace
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::FaultInjected { .. }))
+                .count();
+            assert!(fired > 0, "{} {plan}: no rule fired", scenario.name());
+        }
+    }
+}
+
+/// A plan whose rules read cross-message state needs the simulator's
+/// global event order; the live runtime refuses it up front.
+#[test]
+fn stateful_fault_plans_are_refused_by_the_live_runtime() {
+    for rule in [
+        FaultRule::new(FaultAction::Drop).limit(1),
+        FaultRule::new(FaultAction::Drop).skip(1),
+        FaultRule::new(FaultAction::Reorder),
+    ] {
+        let session = ChaosScenario::Grouping.open(0, FaultPlan::new().rule(rule.clone()));
+        let transport = Arc::new(StripedTransport::new(64));
+        transport.register_epoch(1, 2);
+        let refused = build_live_world(
+            session.platform(),
+            session.spec(),
+            transport,
+            &LiveRunOptions::new(2, 1),
+        );
+        match refused {
+            Err(Error::InvalidConfig(why)) => assert!(why.contains("window-safe"), "{why}"),
+            Err(other) => panic!("{rule:?}: expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("{rule:?}: the live runtime accepted a stateful plan"),
+        }
     }
 }
 

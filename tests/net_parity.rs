@@ -16,9 +16,9 @@
 //! liability ledgers, identical trace digests, and identical scalar
 //! report fields. On top of the three-engine sweep:
 //!
-//! * relay fault plans (the order-independent drop/delay/duplicate
-//!   subset, `NetFaultProxy`) must replay deterministically — two
-//!   fleets running the same plan produce the same bytes;
+//! * the same holds under the chaos catalog's window-safe fault plans:
+//!   a plan is part of the world every worker builds from the spec
+//!   bytes, and its rules fire on the worker's own slice;
 //! * a version-skewed `Hello` must be rejected at the handshake;
 //! * killing a worker's connection mid-fleet must not fail the next
 //!   query: the service falls back to a deterministic in-process rerun
@@ -27,7 +27,7 @@
 //! CI's `net-smoke` job runs this sweep plus the same drill against
 //! real OS processes (`edgelet serve/worker/submit` + `kill -9`).
 
-use edgelet_chaos::{ChaosScenario, FaultPlan};
+use edgelet_chaos::{catalog, ChaosScenario, FaultPlan, Session};
 use edgelet_live::{
     prepare_live_query, run_live_query, state_crc, LiveRun, LiveRunOptions, QueryService,
     RemoteExecutor, ServiceConfig, StripedTransport,
@@ -36,8 +36,7 @@ use edgelet_net::{
     run_worker, Addr, CollectorTransport, Daemon, MsgStream, NetConfig, NetMsg, Role, Stream,
     WorkerConfig, WorldBuilder, PROTO_VERSION,
 };
-use edgelet_sim::{FaultAction, FaultRule, MsgMatch};
-use edgelet_util::ids::DeviceId;
+use edgelet_sim::TraceEvent;
 use edgelet_util::{Error, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,13 +51,33 @@ const FLEET: usize = 2;
 
 // ---- canonical world-spec bytes ----
 
-/// The spec codec for this harness: scenario name + seed. Every
+/// The spec codec for this harness: scenario name + seed, and the name
+/// of a chaos catalog plan when the world carries one. Every
 /// process-equivalent (daemon, each worker) rebuilds the *entire*
 /// world from these bytes through the same deterministic constructor,
-/// exactly like the CLI's `edgelet-worldspec-v1` codec does for real
+/// exactly like the CLI's `edgelet-worldspec-v2` codec does for real
 /// deployments.
 fn spec_bytes(scenario: ChaosScenario, seed: u64) -> Vec<u8> {
     format!("net-parity/1 scenario={} seed={seed}", scenario.name()).into_bytes()
+}
+
+fn faulted_spec_bytes(scenario: ChaosScenario, seed: u64, plan: &str) -> Vec<u8> {
+    [
+        spec_bytes(scenario, seed),
+        format!(" plan={plan}").into_bytes(),
+    ]
+    .concat()
+}
+
+/// The session of `scenario` at `seed`, under the chaos catalog's plan
+/// called `plan` (none: the empty plan).
+fn open(scenario: ChaosScenario, seed: u64, plan: Option<&str>) -> Session {
+    let Some(name) = plan else {
+        return scenario.open(seed, FaultPlan::new());
+    };
+    let catalog = catalog(scenario, seed).expect("the catalog plans");
+    let named = catalog.into_iter().find(|p| p.name == name);
+    scenario.open(seed, named.expect("a catalog plan").plan)
 }
 
 struct ScenarioBuilder;
@@ -74,18 +93,19 @@ impl WorldBuilder for ScenarioBuilder {
             .map_err(|_| Error::InvalidConfig("world spec is not UTF-8".into()))?;
         let mut scenario = None;
         let mut seed = None;
+        let mut plan = None;
         for field in text.split_whitespace().skip(1) {
             match field.split_once('=') {
                 Some(("scenario", name)) => scenario = ChaosScenario::from_name(name),
                 Some(("seed", n)) => seed = n.parse::<u64>().ok(),
+                Some(("plan", name)) => plan = Some(name),
                 _ => {}
             }
         }
         let (scenario, seed) = scenario.zip(seed).ok_or_else(|| {
             Error::InvalidConfig(format!("unparseable net-parity world spec: {text:?}"))
         })?;
-        let (platform, qspec, privacy, resilience) =
-            scenario.open(seed, FaultPlan::new()).into_parts();
+        let (platform, qspec, privacy, resilience) = open(scenario, seed, plan).into_parts();
         prepare_live_query(
             &platform,
             &qspec,
@@ -121,7 +141,7 @@ fn unique_uds_path(tag: &str) -> std::path::PathBuf {
 }
 
 impl Fleet {
-    fn start(world_spec: Vec<u8>, fault_plan: Option<FaultPlan>, tag: &str) -> Fleet {
+    fn start(world_spec: Vec<u8>, tag: &str) -> Fleet {
         let path = unique_uds_path(tag);
         let addr = Addr::Uds(path.clone());
         let daemon = Arc::new(
@@ -130,7 +150,6 @@ impl Fleet {
                 NetConfig {
                     expected_workers: FLEET,
                     world_spec,
-                    fault_plan,
                     ..NetConfig::default()
                 },
                 Arc::new(ScenarioBuilder),
@@ -199,18 +218,17 @@ impl Drop for Fleet {
 
 // ---- the three-engine sweep ----
 
-fn assert_three_engine_parity(scenario: ChaosScenario, seed: u64) {
-    let ctx = format!("scenario={} seed={seed}", scenario.name());
+fn assert_three_engine_parity(scenario: ChaosScenario, seed: u64, plan: Option<&str>) -> LiveRun {
+    let ctx = format!("scenario={} seed={seed} plan={plan:?}", scenario.name());
     let epoch = 1 + seed;
 
     // Engine 1: the simulator.
-    let sim = scenario
-        .open(seed, FaultPlan::new())
+    let sim = open(scenario, seed, plan)
         .run()
         .expect("simulator execution");
 
     // Engine 2: the in-process live runtime.
-    let session = scenario.open(seed, FaultPlan::new());
+    let session = open(scenario, seed, plan);
     let transport = Arc::new(StripedTransport::new(4096));
     transport.register_epoch(epoch, FLEET);
     let live = run_live_query(
@@ -225,7 +243,11 @@ fn assert_three_engine_parity(scenario: ChaosScenario, seed: u64) {
     .expect("in-process live execution");
 
     // Engine 3: daemon + two socket workers.
-    let fleet = Fleet::start(spec_bytes(scenario, seed), None, scenario.name());
+    let world_spec = match plan {
+        Some(plan) => faulted_spec_bytes(scenario, seed, plan),
+        None => spec_bytes(scenario, seed),
+    };
+    let fleet = Fleet::start(world_spec, scenario.name());
     let net = fleet.run(scenario, seed, epoch);
 
     for (name, run) in [("live", &live), ("net", &net)] {
@@ -263,91 +285,59 @@ fn assert_three_engine_parity(scenario: ChaosScenario, seed: u64) {
         state_crc(&live),
         "state CRC diverged ({ctx})"
     );
+    net
 }
 
 #[test]
 fn grouping_worlds_match_across_three_engines() {
     for seed in 0..SEEDS_PER_SCENARIO {
-        assert_three_engine_parity(ChaosScenario::Grouping, seed);
+        assert_three_engine_parity(ChaosScenario::Grouping, seed, None);
     }
 }
 
 #[test]
 fn kmeans_worlds_match_across_three_engines() {
     for seed in 0..SEEDS_PER_SCENARIO {
-        assert_three_engine_parity(ChaosScenario::KMeans, seed);
+        assert_three_engine_parity(ChaosScenario::KMeans, seed, None);
     }
 }
 
-// ---- relay fault determinism ----
+// ---- fault plans ----
 
-/// The order-independent relay subset: stateless matchers, no
-/// skip/limit windows, no reorder/crash actions.
-fn relay_plan() -> FaultPlan {
-    FaultPlan::new()
-        .rule(FaultRule {
-            matcher: MsgMatch {
-                from: Some(vec![DeviceId::new(3)]),
-                ..Default::default()
-            },
-            action: FaultAction::Drop,
-            skip: 0,
-            limit: None,
-        })
-        .rule(FaultRule {
-            matcher: MsgMatch {
-                from: Some(vec![DeviceId::new(5)]),
-                ..Default::default()
-            },
-            action: FaultAction::Duplicate {
-                extra_delay: edgelet_sim::Duration::ZERO,
-            },
-            skip: 0,
-            limit: None,
-        })
-}
-
-/// Two independent fleets running the same fault plan over the same
-/// world must produce identical artifacts: the proxy's verdicts are a
-/// pure per-envelope function, so nondeterministic socket arrival
-/// order cannot leak into the bytes.
+/// The chaos catalog's window-safe plans on the 2-worker fleet: each
+/// worker evaluates the plan on its own slice, so the faults fire at the
+/// same virtual instants as on the simulator and every byte matches —
+/// the trace digest with its `FaultInjected` records, the completion
+/// time a delay moves, the state CRC.
 #[test]
-fn net_fault_plans_replay_deterministically() {
-    let scenario = ChaosScenario::Grouping;
-    let seed = 1;
-    let runs: Vec<LiveRun> = (0..2)
-        .map(|i| {
-            let fleet = Fleet::start(
-                spec_bytes(scenario, seed),
-                Some(relay_plan()),
-                &format!("fault{i}"),
-            );
-            fleet.run(scenario, seed, 42)
-        })
-        .collect();
-    assert_eq!(
-        runs[0].report.result_payload, runs[1].report.result_payload,
-        "fault-plan replay diverged in result bytes"
-    );
-    assert_eq!(
-        runs[0].trace_digest, runs[1].trace_digest,
-        "fault-plan replay diverged in trace digest"
-    );
-    assert_eq!(
-        runs[0].report.ledger.entries(),
-        runs[1].report.ledger.entries(),
-        "fault-plan replay diverged in liability ledger"
-    );
-    assert_eq!(runs[0].report.completed, runs[1].report.completed);
-    assert_eq!(runs[0].report.valid, runs[1].report.valid);
-    assert_eq!(state_crc(&runs[0]), state_crc(&runs[1]));
+fn window_safe_fault_plans_match_across_three_engines() {
+    for (scenario, seed, plan) in [
+        (ChaosScenario::Grouping, 1, "delay-partials"),
+        (
+            ChaosScenario::Grouping,
+            2,
+            "partition-computers-from-combiners",
+        ),
+        (ChaosScenario::Grouping, 3, "drop-contribute-requests-early"),
+        (ChaosScenario::KMeans, 1, "delay-partials"),
+    ] {
+        let net = assert_three_engine_parity(scenario, seed, Some(plan));
+        assert!(
+            net.trace
+                .iter()
+                .any(|r| matches!(r.event, TraceEvent::FaultInjected { .. })),
+            "{} {plan}: no rule fired on the fleet",
+            scenario.name()
+        );
+    }
 }
 
 // ---- handshake version gate ----
 
-/// A peer built against a different frame layout must be refused at
-/// the handshake with a reason naming the mismatch — never admitted to
-/// produce silently divergent bytes mid-query.
+/// A peer built against a different frame layout, or speaking protocol
+/// version 1 (whose `Prepare` still carried the relay's fault mode), must
+/// be refused at the handshake with a reason naming the mismatch — never
+/// admitted to produce silently divergent bytes mid-query.
 #[test]
 fn version_skewed_hello_is_rejected_at_handshake() {
     let path = unique_uds_path("skew");
@@ -363,23 +353,32 @@ fn version_skewed_hello_is_rejected_at_handshake() {
     )
     .expect("daemon binds");
 
-    let stream = Stream::connect(&addr).expect("connect");
-    let mut ms = MsgStream::new(stream);
-    ms.send(&NetMsg::Hello {
-        role: Role::Worker,
-        proto: PROTO_VERSION,
-        frame_version: edgelet_wire::FRAME_VERSION.wrapping_add(1),
-        envelope_version: edgelet_wire::ENVELOPE_VERSION,
-    })
-    .expect("hello send");
-    match ms.recv(Some(Duration::from_secs(10))) {
-        Ok(NetMsg::Reject { reason }) => {
-            assert!(
-                reason.contains("version"),
-                "rejection must name the version mismatch, got {reason:?}"
-            );
+    for (proto, frame_version, names) in [
+        (
+            PROTO_VERSION,
+            edgelet_wire::FRAME_VERSION.wrapping_add(1),
+            "frame version",
+        ),
+        (1, edgelet_wire::FRAME_VERSION, "proto 1"),
+    ] {
+        let stream = Stream::connect(&addr).expect("connect");
+        let mut ms = MsgStream::new(stream);
+        ms.send(&NetMsg::Hello {
+            role: Role::Worker,
+            proto,
+            frame_version,
+            envelope_version: edgelet_wire::ENVELOPE_VERSION,
+        })
+        .expect("hello send");
+        match ms.recv(Some(Duration::from_secs(10))) {
+            Ok(NetMsg::Reject { reason }) => {
+                assert!(
+                    reason.contains("version") && reason.contains(names),
+                    "rejection must name the version mismatch, got {reason:?}"
+                );
+            }
+            other => panic!("expected Reject for a version-skewed Hello, got {other:?}"),
         }
-        other => panic!("expected Reject for a version-skewed Hello, got {other:?}"),
     }
     assert_eq!(daemon.registered_workers(), 0);
     daemon.shutdown();
@@ -407,7 +406,7 @@ fn severed_worker_falls_back_to_identical_bytes() {
             mailbox_capacity: 4096,
         },
     );
-    let mut fleet = Fleet::start(spec_bytes(scenario, seed), None, "sever");
+    let mut fleet = Fleet::start(spec_bytes(scenario, seed), "sever");
     service.set_remote(fleet.daemon.clone());
 
     let deadline = Some(Duration::from_secs(300));
