@@ -197,318 +197,131 @@ fn json_string(s: &str) -> String {
 pub mod codes {
     use super::Severity;
 
-    /// Planning itself failed before a plan existed to analyze.
-    pub const PLANNING_FAILED: &str = "E000";
-    /// Snapshot Builder coverage broken (missing/duplicate partitions).
-    pub const BUILDER_COVERAGE: &str = "E001";
-    /// Computer grid broken (missing/duplicate/unknown-group computers).
-    pub const COMPUTER_GRID: &str = "E002";
-    /// Combiner/Querier arity broken.
-    pub const COMBINER_ARITY: &str = "E003";
-    /// A dataflow edge violates the QEP stage order or dangles.
-    pub const EDGE_ORDER: &str = "E004";
-    /// Contributor buckets do not match the partition count.
-    pub const CONTRIBUTOR_BUCKETS: &str = "E005";
-    /// A separated (quasi-identifier) attribute pair co-resides in one
-    /// vertical group, i.e. on one Computer.
-    pub const VERTICAL_PRIVACY: &str = "E010";
-    /// Horizontal partitioning violates the raw-tuple cap or cannot cover
-    /// the snapshot.
-    pub const HORIZONTAL_CAP: &str = "E011";
-    /// A partition's contributor bucket cannot fill its quota.
-    pub const THIN_BUCKET: &str = "W012";
-    /// Provisioned resiliency misses the validity target (binomial tail
-    /// below target for Overcollection; replica survival for Backup).
-    pub const RESILIENCY_TARGET: &str = "E020";
-    /// The Naive strategy is combined with a non-zero fault presumption.
-    pub const NAIVE_WITH_FAULTS: &str = "W021";
-    /// Combiner replica pool may not survive the fault presumption.
-    pub const COMBINER_SURVIVAL: &str = "W022";
-    /// A device hosts more Data Processor operators than the liability
-    /// bound allows (crowd-liability skew).
-    pub const LIABILITY_SKEW: &str = "E030";
-    /// Contributor assignment is heavily skewed across partitions.
-    pub const CONTRIBUTOR_SKEW: &str = "W031";
-    /// The deadline is non-positive or below the critical-path floor.
-    pub const DEADLINE_INFEASIBLE: &str = "E040";
-    /// The deadline leaves less than 2x the critical-path floor.
-    pub const DEADLINE_TIGHT: &str = "W041";
-    /// A fault rule targets a device id outside the simulated world.
-    pub const FAULT_TARGET_OOB: &str = "E060";
-    /// A fault rule can never match (empty time window or zero firing
-    /// limit).
-    pub const FAULT_WINDOW_EMPTY: &str = "E061";
-    /// An injected delay (or the rule's activation) lands past the query
-    /// deadline, so the fault cannot affect the outcome.
-    pub const FAULT_DELAY_BEYOND_DEADLINE: &str = "W062";
-    /// A fault rule is shadowed by an earlier unbounded rule with a
-    /// wider matcher (first-firing-rule-wins makes it unreachable).
-    pub const FAULT_RULE_UNREACHABLE: &str = "W063";
-    /// Default-hasher `HashMap`/`HashSet` in a deterministic crate.
-    pub const LINT_HASHER: &str = "E101";
-    /// Wall-clock (`Instant`/`SystemTime`) outside the bench crate.
-    pub const LINT_WALL_CLOCK: &str = "E102";
-    /// Ambient randomness (`thread_rng`/`rand::random`).
-    pub const LINT_AMBIENT_RNG: &str = "E103";
-    /// `unwrap`/`expect` in non-test `exec`/`sim` library code.
-    pub const LINT_PANIC: &str = "E104";
-    /// `.clone()` of a message payload (`payload`/`bytes`) in `exec`/`sim`
-    /// send paths; share the buffer instead.
-    pub const LINT_PAYLOAD_CLONE: &str = "W105";
-    /// The network model's minimum latency is zero, so the sharded
-    /// engine's conservative lookahead window is empty and every run
-    /// falls back to the global sequential executor.
-    pub const SIM_ZERO_LOOKAHEAD: &str = "W110";
-    /// A live-runtime configuration that cannot make progress: zero
-    /// worker threads, or a wall-clock deadline below the transport
-    /// floor (the watchdog aborts before the first window barrier).
-    pub const LIVE_CONFIG_INFEASIBLE: &str = "E120";
-    /// Live transport mailbox capacity so large it never exerts
-    /// backpressure, leaving queue growth unbounded in practice.
-    pub const LIVE_UNBOUNDED_MAILBOX: &str = "W121";
-    /// Durability is enabled but the WAL directory is unset or
-    /// unwritable: the first append would drain the service read-only.
-    pub const STORAGE_WAL_DIR: &str = "E140";
-    /// The checkpoint interval is zero: the WAL is never compacted and
-    /// every restart replays the service's entire history.
-    pub const STORAGE_NO_CHECKPOINT: &str = "W141";
-    /// The configuration plans for crashes but durability is disabled:
-    /// every crash loses ledgers, epochs, and in-flight queries.
-    pub const STORAGE_VOLATILE_UNDER_CRASHES: &str = "W142";
-    /// The group-commit window eats a large share of the query's wall
-    /// deadline slack: durable submits stall in the commit window.
-    pub const STORAGE_WINDOW_OVER_DEADLINE: &str = "W143";
-    /// The WAL segment size is below one checkpoint interval's churn:
-    /// the log rotates several times per checkpoint for no compaction
-    /// gain.
-    pub const STORAGE_SEGMENT_THRASH: &str = "W144";
-    /// A multi-process deployment that cannot form: unresolvable listen
-    /// or connect address, a daemon dialing its own endpoint, a
-    /// declared transport contradicting the address scheme, or a zero
-    /// remote worker count.
-    pub const NET_ENDPOINT_INVALID: &str = "E150";
-    /// TCP reconnects left on the default backoff bounds.
-    pub const NET_TCP_DEFAULT_BACKOFF: &str = "W151";
-    /// A handshake timeout at or beyond the query deadline.
-    pub const NET_HANDSHAKE_OVER_DEADLINE: &str = "W152";
-    /// The lock-order graph has a cycle: two lock classes are acquired
-    /// in opposite orders on different code paths, so two threads can
-    /// deadlock holding one each.
-    pub const CONC_LOCK_ORDER_CYCLE: &str = "E130";
-    /// A `lint: allow(...)` directive no longer suppresses any finding.
-    pub const CONC_STALE_ALLOW: &str = "W131";
-    /// A lock guard is held across a blocking or transport call
-    /// (`submit`, `send`, `recv`, `join`, sleep): the holder can stall
-    /// every other thread contending for that lock.
-    pub const CONC_LOCK_ACROSS_BLOCKING: &str = "E132";
-    /// A channel or mailbox is constructed without a capacity bound —
-    /// the code-level generalization of `W121`.
-    pub const CONC_UNBOUNDED_CHANNEL: &str = "W133";
-    /// Shared mutable state (`static mut`, `Rc`, `RefCell`, `Cell`) in a
-    /// thread-spawning crate, reachable without a lock or `Arc`.
-    pub const CONC_UNSYNC_SHARED_STATE: &str = "E134";
+    /// Declares each code once: its constant, default severity and
+    /// one-line summary.
+    macro_rules! codes {
+        ($($(#[$doc:meta])* $name:ident = $code:literal, $severity:ident, $summary:literal;)*) => {
+            $($(#[$doc])* pub const $name: &str = $code;)*
 
-    /// Every code with its default severity and one-line summary, in code
-    /// order. Drives the documentation table and its test.
-    pub const ALL: &[(&str, Severity, &str)] = &[
-        (
-            PLANNING_FAILED,
-            Severity::Error,
-            "planning failed before analysis",
-        ),
-        (
-            BUILDER_COVERAGE,
-            Severity::Error,
-            "snapshot-builder coverage broken",
-        ),
-        (COMPUTER_GRID, Severity::Error, "computer grid broken"),
-        (
-            COMBINER_ARITY,
-            Severity::Error,
-            "combiner/querier arity broken",
-        ),
-        (
-            EDGE_ORDER,
-            Severity::Error,
-            "dataflow edge violates stage order",
-        ),
-        (
-            CONTRIBUTOR_BUCKETS,
-            Severity::Error,
-            "contributor buckets mismatch partitions",
-        ),
-        (
-            VERTICAL_PRIVACY,
-            Severity::Error,
-            "separated attribute pair co-located",
-        ),
-        (
-            HORIZONTAL_CAP,
-            Severity::Error,
-            "raw-tuple cap violated or snapshot uncovered",
-        ),
-        (
-            THIN_BUCKET,
-            Severity::Warning,
-            "contributor bucket below quota",
-        ),
-        (
-            RESILIENCY_TARGET,
-            Severity::Error,
-            "provisioned validity below target",
-        ),
-        (
-            NAIVE_WITH_FAULTS,
-            Severity::Warning,
-            "naive strategy under fault presumption",
-        ),
-        (
-            COMBINER_SURVIVAL,
-            Severity::Warning,
-            "combiner replicas may not survive",
-        ),
-        (
-            LIABILITY_SKEW,
-            Severity::Error,
-            "device exceeds operator liability bound",
-        ),
-        (
-            CONTRIBUTOR_SKEW,
-            Severity::Warning,
-            "contributor assignment skewed",
-        ),
-        (
-            DEADLINE_INFEASIBLE,
-            Severity::Error,
-            "deadline below critical-path floor",
-        ),
-        (
-            DEADLINE_TIGHT,
-            Severity::Warning,
-            "deadline within 2x of the floor",
-        ),
-        (
-            FAULT_TARGET_OOB,
-            Severity::Error,
-            "fault rule targets a device outside the world",
-        ),
-        (
-            FAULT_WINDOW_EMPTY,
-            Severity::Error,
-            "fault rule can never match",
-        ),
-        (
-            FAULT_DELAY_BEYOND_DEADLINE,
-            Severity::Warning,
-            "fault lands past the query deadline",
-        ),
-        (
-            FAULT_RULE_UNREACHABLE,
-            Severity::Warning,
-            "fault rule shadowed by an earlier wider rule",
-        ),
-        (
-            LINT_HASHER,
-            Severity::Error,
-            "default-hasher map/set in deterministic crate",
-        ),
-        (
-            LINT_WALL_CLOCK,
-            Severity::Error,
-            "wall-clock read outside bench",
-        ),
-        (LINT_AMBIENT_RNG, Severity::Error, "ambient OS randomness"),
-        (
-            LINT_PANIC,
-            Severity::Error,
-            "unwrap/expect in exec/sim library code",
-        ),
-        (
-            LINT_PAYLOAD_CLONE,
-            Severity::Warning,
-            "payload deep-copied on a send path",
-        ),
-        (
-            SIM_ZERO_LOOKAHEAD,
-            Severity::Warning,
-            "zero minimum latency disables the sharded engine",
-        ),
-        (
-            LIVE_CONFIG_INFEASIBLE,
-            Severity::Error,
-            "live runtime cannot make progress",
-        ),
-        (
-            LIVE_UNBOUNDED_MAILBOX,
-            Severity::Warning,
-            "live mailbox capacity never exerts backpressure",
-        ),
-        (
-            STORAGE_WAL_DIR,
-            Severity::Error,
-            "WAL directory unset or unwritable under durability",
-        ),
-        (
-            STORAGE_NO_CHECKPOINT,
-            Severity::Warning,
-            "zero checkpoint interval leaves replay unbounded",
-        ),
-        (
-            STORAGE_VOLATILE_UNDER_CRASHES,
-            Severity::Warning,
-            "crash-planning configuration without durability",
-        ),
-        (
-            STORAGE_WINDOW_OVER_DEADLINE,
-            Severity::Warning,
-            "group-commit window eats the wall-deadline slack",
-        ),
-        (
-            STORAGE_SEGMENT_THRASH,
-            Severity::Warning,
-            "WAL segment size below checkpoint churn causes rotation thrash",
-        ),
-        (
-            CONC_LOCK_ORDER_CYCLE,
-            Severity::Error,
-            "lock-order cycle across code paths",
-        ),
-        (
-            CONC_STALE_ALLOW,
-            Severity::Warning,
-            "allow directive suppresses nothing",
-        ),
-        (
-            CONC_LOCK_ACROSS_BLOCKING,
-            Severity::Error,
-            "lock held across a blocking/transport call",
-        ),
-        (
-            CONC_UNBOUNDED_CHANNEL,
-            Severity::Warning,
-            "channel constructed without a capacity bound",
-        ),
-        (
-            CONC_UNSYNC_SHARED_STATE,
-            Severity::Error,
-            "unsynchronized shared mutable state in a threaded crate",
-        ),
-        (
-            NET_ENDPOINT_INVALID,
-            Severity::Error,
-            "multi-process deployment endpoint cannot form",
-        ),
-        (
-            NET_TCP_DEFAULT_BACKOFF,
-            Severity::Warning,
-            "TCP reconnect on default backoff bounds",
-        ),
-        (
-            NET_HANDSHAKE_OVER_DEADLINE,
-            Severity::Warning,
-            "handshake timeout at or beyond the query deadline",
-        ),
-    ];
+            /// Every code with its default severity and one-line summary, in
+            /// code order. Drives the documentation table and its test.
+            pub const ALL: &[(&str, Severity, &str)] =
+                &[$(($name, Severity::$severity, $summary)),*];
+        };
+    }
+
+    codes! {
+        /// Planning itself failed before a plan existed to analyze.
+        PLANNING_FAILED = "E000", Error, "planning failed before analysis";
+        /// Snapshot Builder coverage broken (missing/duplicate partitions).
+        BUILDER_COVERAGE = "E001", Error, "snapshot-builder coverage broken";
+        /// Computer grid broken (missing/duplicate/unknown-group computers).
+        COMPUTER_GRID = "E002", Error, "computer grid broken";
+        /// Combiner/Querier arity broken.
+        COMBINER_ARITY = "E003", Error, "combiner/querier arity broken";
+        /// A dataflow edge violates the QEP stage order or dangles.
+        EDGE_ORDER = "E004", Error, "dataflow edge violates stage order";
+        /// Contributor buckets do not match the partition count.
+        CONTRIBUTOR_BUCKETS = "E005", Error, "contributor buckets mismatch partitions";
+        /// A separated (quasi-identifier) attribute pair co-resides in one
+        /// vertical group, i.e. on one Computer.
+        VERTICAL_PRIVACY = "E010", Error, "separated attribute pair co-located";
+        /// Horizontal partitioning violates the raw-tuple cap or cannot cover
+        /// the snapshot.
+        HORIZONTAL_CAP = "E011", Error, "raw-tuple cap violated or snapshot uncovered";
+        /// A partition's contributor bucket cannot fill its quota.
+        THIN_BUCKET = "W012", Warning, "contributor bucket below quota";
+        /// Provisioned resiliency misses the validity target (binomial tail
+        /// below target for Overcollection; replica survival for Backup).
+        RESILIENCY_TARGET = "E020", Error, "provisioned validity below target";
+        /// The Naive strategy is combined with a non-zero fault presumption.
+        NAIVE_WITH_FAULTS = "W021", Warning, "naive strategy under fault presumption";
+        /// Combiner replica pool may not survive the fault presumption.
+        COMBINER_SURVIVAL = "W022", Warning, "combiner replicas may not survive";
+        /// A device hosts more Data Processor operators than the liability
+        /// bound allows (crowd-liability skew).
+        LIABILITY_SKEW = "E030", Error, "device exceeds operator liability bound";
+        /// Contributor assignment is heavily skewed across partitions.
+        CONTRIBUTOR_SKEW = "W031", Warning, "contributor assignment skewed";
+        /// The deadline is non-positive or below the critical-path floor.
+        DEADLINE_INFEASIBLE = "E040", Error, "deadline below critical-path floor";
+        /// The deadline leaves less than 2x the critical-path floor.
+        DEADLINE_TIGHT = "W041", Warning, "deadline within 2x of the floor";
+        /// A fault rule targets a device id outside the simulated world.
+        FAULT_TARGET_OOB = "E060", Error, "fault rule targets a device outside the world";
+        /// A fault rule can never match (empty time window or zero firing
+        /// limit).
+        FAULT_WINDOW_EMPTY = "E061", Error, "fault rule can never match";
+        /// An injected delay (or the rule's activation) lands past the query
+        /// deadline, so the fault cannot affect the outcome.
+        FAULT_DELAY_BEYOND_DEADLINE = "W062", Warning, "fault lands past the query deadline";
+        /// A fault rule is shadowed by an earlier unbounded rule with a
+        /// wider matcher (first-firing-rule-wins makes it unreachable).
+        FAULT_RULE_UNREACHABLE = "W063", Warning, "fault rule shadowed by an earlier wider rule";
+        /// Default-hasher `HashMap`/`HashSet` in a deterministic crate.
+        LINT_HASHER = "E101", Error, "default-hasher map/set in deterministic crate";
+        /// Wall-clock (`Instant`/`SystemTime`) outside the bench crate.
+        LINT_WALL_CLOCK = "E102", Error, "wall-clock read outside bench";
+        /// Ambient randomness (`thread_rng`/`rand::random`).
+        LINT_AMBIENT_RNG = "E103", Error, "ambient OS randomness";
+        /// `unwrap`/`expect` in non-test `exec`/`sim` library code.
+        LINT_PANIC = "E104", Error, "unwrap/expect in exec/sim library code";
+        /// `.clone()` of a message payload (`payload`/`bytes`) in `exec`/`sim`
+        /// send paths; share the buffer instead.
+        LINT_PAYLOAD_CLONE = "W105", Warning, "payload deep-copied on a send path";
+        /// The network model's minimum latency is zero, so the sharded
+        /// engine's conservative lookahead window is empty and every run
+        /// falls back to the global sequential executor.
+        SIM_ZERO_LOOKAHEAD = "W110", Warning, "zero minimum latency disables the sharded engine";
+        /// A live-runtime configuration that cannot make progress: zero
+        /// worker threads, or a wall-clock deadline below the transport
+        /// floor (the watchdog aborts before the first window barrier).
+        LIVE_CONFIG_INFEASIBLE = "E120", Error, "live runtime cannot make progress";
+        /// Live transport mailbox capacity so large it never exerts
+        /// backpressure, leaving queue growth unbounded in practice.
+        LIVE_UNBOUNDED_MAILBOX = "W121", Warning, "live mailbox capacity never exerts backpressure";
+        /// Durability is enabled but the WAL directory is unset or
+        /// unwritable: the first append would drain the service read-only.
+        STORAGE_WAL_DIR = "E140", Error, "WAL directory unset or unwritable under durability";
+        /// The checkpoint interval is zero: the WAL is never compacted and
+        /// every restart replays the service's entire history.
+        STORAGE_NO_CHECKPOINT = "W141", Warning, "zero checkpoint interval leaves replay unbounded";
+        /// The configuration plans for crashes but durability is disabled:
+        /// every crash loses ledgers, epochs, and in-flight queries.
+        STORAGE_VOLATILE_UNDER_CRASHES = "W142", Warning, "crash-planning configuration without durability";
+        /// The group-commit window eats a large share of the query's wall
+        /// deadline slack: durable submits stall in the commit window.
+        STORAGE_WINDOW_OVER_DEADLINE = "W143", Warning, "group-commit window eats the wall-deadline slack";
+        /// The WAL segment size is below one checkpoint interval's churn:
+        /// the log rotates several times per checkpoint for no compaction
+        /// gain.
+        STORAGE_SEGMENT_THRASH = "W144", Warning, "WAL segment size below checkpoint churn causes rotation thrash";
+        /// The lock-order graph has a cycle: two lock classes are acquired
+        /// in opposite orders on different code paths, so two threads can
+        /// deadlock holding one each.
+        CONC_LOCK_ORDER_CYCLE = "E130", Error, "lock-order cycle across code paths";
+        /// A `lint: allow(...)` directive no longer suppresses any finding.
+        CONC_STALE_ALLOW = "W131", Warning, "allow directive suppresses nothing";
+        /// A lock guard is held across a blocking or transport call
+        /// (`submit`, `send`, `recv`, `join`, sleep): the holder can stall
+        /// every other thread contending for that lock.
+        CONC_LOCK_ACROSS_BLOCKING = "E132", Error, "lock held across a blocking/transport call";
+        /// A channel or mailbox is constructed without a capacity bound —
+        /// the code-level generalization of `W121`.
+        CONC_UNBOUNDED_CHANNEL = "W133", Warning, "channel constructed without a capacity bound";
+        /// Shared mutable state (`static mut`, `Rc`, `RefCell`, `Cell`) in a
+        /// thread-spawning crate, reachable without a lock or `Arc`.
+        CONC_UNSYNC_SHARED_STATE = "E134", Error, "unsynchronized shared mutable state in a threaded crate";
+        /// A multi-process deployment that cannot form: unresolvable listen
+        /// or connect address, a daemon dialing its own endpoint, a
+        /// declared transport contradicting the address scheme, or a zero
+        /// remote worker count.
+        NET_ENDPOINT_INVALID = "E150", Error, "multi-process deployment endpoint cannot form";
+        /// TCP reconnects left on the default backoff bounds.
+        NET_TCP_DEFAULT_BACKOFF = "W151", Warning, "TCP reconnect on default backoff bounds";
+        /// A handshake timeout at or beyond the query deadline.
+        NET_HANDSHAKE_OVER_DEADLINE = "W152", Warning, "handshake timeout at or beyond the query deadline";
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Static analysis for Edgelet computing.
 //!
-//! Two layers share one [`Diagnostic`](diagnostic::Diagnostic) model:
+//! Every pass reports into one [`Diagnostic`] model:
 //!
 //! * [`semantic`] — analyzes a built [`QueryPlan`](edgelet_query::QueryPlan)
 //!   plus its privacy/resiliency configuration against the paper's
@@ -8,35 +8,30 @@
 //!   raw-tuple cap, resiliency provisioning vs. the binomial survival
 //!   tail, crowd-liability skew, and deadline feasibility. The execution
 //!   driver runs the plan-only subset as a deny-by-default
-//!   [`preflight`](semantic::preflight); the CLI exposes the full set as
+//!   [`preflight`]; the CLI exposes the full set as
 //!   `edgelet analyze`.
-//! * [`faultplan`] — checks chaos-harness
-//!   [`FaultPlan`](edgelet_sim::FaultPlan)s for rules that cannot fire
-//!   (out-of-world targets, empty windows, post-deadline activation,
-//!   first-firing-wins shadowing), so a campaign never sweeps a plan
-//!   that silently tests nothing.
-//! * [`liveconfig`] — preflights `edgelet serve`/`submit` runtime knobs
-//!   (worker count, wall-clock deadline vs. the transport floor,
-//!   mailbox capacity) before the live runtime spins up threads.
-//! * [`storageconfig`] — preflights durable-storage knobs (WAL
-//!   directory presence/writability, checkpoint cadence, durability
-//!   disabled under crash-planning configurations) before the service's
-//!   first append (`E140`/`W141`/`W142`; model in `docs/STORAGE.md`).
-//! * [`lint`] — a token-level source scanner that keeps nondeterminism
-//!   (default-hasher collections, wall clocks, ambient RNG) and panic
-//!   paths out of the deterministic crates. It runs as a tier-1 test and
-//!   as the standalone `edgelet-lint` binary for CI.
-//! * [`concurrency`] — Layer 3: a cross-crate lock model built on the
-//!   same [`scanner`] parse. It reports lock-order cycles (`E130`),
-//!   locks held across blocking/transport calls (`E132`), unbounded
-//!   channels (`W133`), and unsynchronized shared state in threaded
-//!   crates (`E134`).
+//! * [`faultplan`] — checks a [`FaultPlan`](edgelet_sim::FaultPlan) (the
+//!   `--fault-plan` a world installs, and the chaos catalog) for rules
+//!   that cannot fire: out-of-world targets, empty windows,
+//!   post-deadline activation, first-firing-wins shadowing.
+//! * [`simconfig`], [`liveconfig`], [`storageconfig`], [`netconfig`] —
+//!   preflight the simulator, live-runtime, durable-storage and
+//!   multi-process knobs before a run starts. Where another crate owns a
+//!   check (`Addr::parse`, `FileBackend::open`), the caller runs it and
+//!   these passes report its outcome.
+//! * [`lint`] — a token-level source scanner that keeps nondeterminism,
+//!   panic paths, unbounded channels and unsynchronized shared state out
+//!   of the workspace's crates.
+//! * [`concurrency`] — Layer 3: a per-crate lock model built on the same
+//!   [`scanner`] parse, reporting lock-order inversions (`E130`) and
+//!   locks held across blocking calls (`E132`).
 //! * [`sourcepass`] — runs both source layers in one workspace walk and
-//!   audits `lint: allow(..)` directives for staleness (`W131`).
+//!   audits `lint: allow(..)` directives for staleness (`W131`); the CLI
+//!   runs it as `edgelet analyze --workspace-root .`.
 //!
-//! Diagnostics carry stable codes (`E0xx`/`W0xx` semantic, `E1xx` lint,
-//! `E13x` concurrency) documented in `docs/ANALYZER.md`, and render as
-//! compiler-style text or JSON in a deterministic file/line/code order.
+//! Diagnostics carry stable codes documented in `docs/ANALYZER.md`, and
+//! render as compiler-style text or JSON in a deterministic
+//! file/line/code order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,5 +59,5 @@ pub use liveconfig::check_live_config;
 pub use netconfig::{check_net_config, NetSurface};
 pub use semantic::{analyze, analyze_plan, preflight, AnalyzeOptions};
 pub use simconfig::check_sim_config;
-pub use sourcepass::{analyze_sources, analyze_sources_with, SourcePassOptions};
-pub use storageconfig::{check_storage_config, fault_plan_has_crashes};
+pub use sourcepass::analyze_sources;
+pub use storageconfig::check_storage_config;

@@ -1,4 +1,5 @@
-//! Layer 2: token-level source lint for determinism and panic hygiene.
+//! Layer 2: token-level source lint for determinism, panic hygiene and
+//! shared state.
 //!
 //! The simulator's headline guarantee is bit-identical replay from a
 //! seed. That guarantee dies quietly the moment somebody iterates a
@@ -8,7 +9,7 @@
 //! ([`crate::scanner`], shared with the Layer-3 concurrency pass) strips
 //! comments and string/char literals and masks `#[cfg(test)]` items by
 //! brace depth — code after a test module is still scanned — then this
-//! pass matches per-line needles:
+//! pass matches per-line needles, one table row per rule:
 //!
 //! * `E101` — default-hasher `HashMap`/`HashSet` in the deterministic
 //!   crates (`sim`, `exec`, `query`); use `BTreeMap`/`BTreeSet`.
@@ -23,16 +24,25 @@
 //!   variables) in `exec`/`sim`: the zero-copy fabric shares one buffer
 //!   per fan-out via [`Payload::share`](edgelet_util::Payload::share);
 //!   deep copies on the send path are a regression.
+//! * `W133` — a channel constructed without a capacity bound
+//!   (`mpsc::channel`, `unbounded(`): the code-level generalization of
+//!   the config-level `W121` mailbox check.
+//! * `E134` — unsynchronized shared mutable state: `static mut`
+//!   anywhere; `Rc`/`RefCell`/`Cell` in a crate whose library code
+//!   spawns or scopes threads, outside `thread_local!` blocks (which
+//!   are per-thread by construction).
 //!
-//! A finding on a line is suppressed by a directive on the same or the
-//! preceding line: `// lint: allow(E104 reason why this is infallible)`.
-//! The reason is mandatory — a bare code does not suppress. Directives
-//! that no longer suppress anything are themselves reported (`W131`) by
-//! the combined driver in [`crate::sourcepass`].
+//! A needle that starts or ends with an identifier character matches
+//! only at a word boundary (`Rc<` is not `Arc<`). A finding on a line is
+//! suppressed by a directive on the same or the preceding line:
+//! `// lint: allow(E104 reason why this is infallible)`. The reason is
+//! mandatory — a bare code does not suppress. Directives that no longer
+//! suppress anything are themselves reported (`W131`) by the combined
+//! source pass in [`crate::sourcepass`].
 
 use crate::diagnostic::{codes, Diagnostic, Severity};
-use crate::scanner::{load_workspace, SourceFile};
-use std::path::Path;
+use crate::scanner::{is_ident, SourceFile};
+use std::collections::BTreeSet;
 
 /// Which crates a rule applies to (by directory name under `crates/`).
 enum CrateFilter {
@@ -40,15 +50,9 @@ enum CrateFilter {
     Only(&'static [&'static str]),
     /// Applies to every crate except the listed ones.
     Except(&'static [&'static str]),
-}
-
-impl CrateFilter {
-    fn applies(&self, crate_name: &str) -> bool {
-        match self {
-            CrateFilter::Only(list) => list.contains(&crate_name),
-            CrateFilter::Except(list) => !list.contains(&crate_name),
-        }
-    }
+    /// Applies to crates whose library code spawns or scopes threads,
+    /// outside `thread_local!` blocks.
+    Threaded,
 }
 
 struct Rule {
@@ -56,7 +60,8 @@ struct Rule {
     severity: Severity,
     needles: Vec<String>,
     filter: CrateFilter,
-    what: &'static str,
+    /// The finding's message; `{}` stands for the matched needle.
+    message: &'static str,
     help: &'static str,
 }
 
@@ -64,13 +69,16 @@ struct Rule {
 /// the banned tokens itself.
 fn rules() -> Vec<Rule> {
     let join = |parts: &[&str]| parts.concat();
+    let shared_state = "unsynchronized shared mutable state in a thread-spawning crate: `{}`";
+    let shared_state_help = "worker threads can reach this without a lock: use \
+                             Arc<Mutex<..>>/atomics, or keep it inside thread_local!";
     vec![
         Rule {
             code: codes::LINT_HASHER,
             severity: Severity::Error,
             needles: vec![join(&["Hash", "Map"]), join(&["Hash", "Set"])],
             filter: CrateFilter::Only(&["sim", "exec", "query"]),
-            what: "default-hasher collection in a deterministic crate",
+            message: "default-hasher collection in a deterministic crate: `{}`",
             help: "iteration order is randomized per process; use BTreeMap/BTreeSet",
         },
         Rule {
@@ -82,7 +90,7 @@ fn rules() -> Vec<Rule> {
             // sweeping) — its virtual-time discipline is enforced by
             // the cross-engine parity tests, not by this lint.
             filter: CrateFilter::Except(&["bench", "net"]),
-            what: "wall-clock read",
+            message: "wall-clock read: `{}`",
             help: "simulated time comes from the engine; wall clocks break replay",
         },
         Rule {
@@ -90,7 +98,7 @@ fn rules() -> Vec<Rule> {
             severity: Severity::Error,
             needles: vec![join(&["thread", "_rng"]), join(&["rand::", "random"])],
             filter: CrateFilter::Except(&["bench"]),
-            what: "ambient OS randomness",
+            message: "ambient OS randomness: `{}`",
             help: "draw from a seeded DetRng forked per purpose",
         },
         Rule {
@@ -98,7 +106,7 @@ fn rules() -> Vec<Rule> {
             severity: Severity::Error,
             needles: vec![join(&[".unw", "rap()"]), join(&[".exp", "ect("])],
             filter: CrateFilter::Only(&["exec", "sim"]),
-            what: "panic path in library code",
+            message: "panic path in library code: `{}`",
             help: "return a typed edgelet_util::Error, or justify with \
                    an allow directive",
         },
@@ -110,42 +118,104 @@ fn rules() -> Vec<Rule> {
                 join(&["bytes", ".clo", "ne()"]),
             ],
             filter: CrateFilter::Only(&["exec", "sim"]),
-            what: "deep copy of a message payload",
+            message: "deep copy of a message payload: `{}`",
             help: "share the buffer instead: Payload::share is a \
                    reference-count bump, cloning the bytes re-copies them \
                    per recipient",
         },
+        Rule {
+            code: codes::CONC_UNBOUNDED_CHANNEL,
+            severity: Severity::Warning,
+            needles: vec![join(&["mpsc::", "channel"]), join(&["unbou", "nded("])],
+            filter: CrateFilter::Except(&[]),
+            message: "channel constructed without a capacity bound: `{}..`",
+            help: "a producer can outrun its consumer without ever seeing \
+                   backpressure; use a bounded channel (sync_channel) sized \
+                   like the transport mailboxes",
+        },
+        Rule {
+            code: codes::CONC_UNSYNC_SHARED_STATE,
+            severity: Severity::Error,
+            needles: vec![join(&["static", " mut "])],
+            filter: CrateFilter::Except(&[]),
+            message: shared_state,
+            help: shared_state_help,
+        },
+        Rule {
+            code: codes::CONC_UNSYNC_SHARED_STATE,
+            severity: Severity::Error,
+            needles: vec![
+                join(&["R", "c<"]),
+                join(&["RefC", "ell<"]),
+                join(&["Ce", "ll<"]),
+            ],
+            filter: CrateFilter::Threaded,
+            message: shared_state,
+            help: shared_state_help,
+        },
     ]
 }
 
-/// Lints one parsed file, marking used suppression directives.
-pub fn lint_file(file: &SourceFile) -> Vec<Diagnostic> {
-    let rules: Vec<Rule> = rules()
-        .into_iter()
-        .filter(|r| r.filter.applies(&file.crate_name))
+/// True when `needle` occurs in `line` at a word boundary on each side
+/// where it starts or ends with an identifier character.
+fn matches_at_boundary(line: &str, needle: &str) -> bool {
+    let (bytes, n) = (line.as_bytes(), needle.as_bytes());
+    let (open, close) = (is_ident(n[0]), is_ident(n[n.len() - 1]));
+    line.match_indices(needle).any(|(p, _)| {
+        let glued_before = open && p > 0 && is_ident(bytes[p - 1]);
+        let glued_after = close && bytes.get(p + n.len()).copied().is_some_and(is_ident);
+        !glued_before && !glued_after
+    })
+}
+
+/// Lints parsed files, marking used suppression directives. A crate is
+/// threaded when any of its files spawns or scopes a thread outside
+/// test code.
+pub(crate) fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
+    let threaded: BTreeSet<&str> = files
+        .iter()
+        .filter(|f| {
+            f.lines.iter().zip(&f.test_mask).any(|(line, masked)| {
+                !masked && (line.contains("thread::spawn") || line.contains("thread::scope"))
+            })
+        })
+        .map(|f| f.crate_name.as_str())
         .collect();
-    if rules.is_empty() {
-        return Vec::new();
-    }
+    let all = rules();
     let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if file.test_mask.get(idx).copied().unwrap_or(false) {
-            continue;
-        }
-        for rule in &rules {
-            let Some(needle) = rule.needles.iter().find(|n| line.contains(n.as_str())) else {
-                continue;
-            };
-            if file.allows(rule.code, idx + 1) {
+    for file in files {
+        let is_threaded = threaded.contains(file.crate_name.as_str());
+        let rules: Vec<&Rule> = all
+            .iter()
+            .filter(|r| match r.filter {
+                CrateFilter::Only(list) => list.contains(&file.crate_name.as_str()),
+                CrateFilter::Except(list) => !list.contains(&file.crate_name.as_str()),
+                CrateFilter::Threaded => is_threaded,
+            })
+            .collect();
+        for (idx, line) in file.lines.iter().enumerate() {
+            if file.test_mask[idx] {
                 continue;
             }
-            let location = format!("{}:{}", file.display_path, idx + 1);
-            let message = format!("{}: `{needle}`", rule.what);
-            let diag = match rule.severity {
-                Severity::Error => Diagnostic::error(rule.code, location, message),
-                Severity::Warning => Diagnostic::warning(rule.code, location, message),
-            };
-            out.push(diag.with_help(rule.help));
+            for rule in &rules {
+                if matches!(rule.filter, CrateFilter::Threaded) && file.thread_local_mask[idx] {
+                    continue;
+                }
+                let Some(needle) = rule.needles.iter().find(|n| matches_at_boundary(line, n))
+                else {
+                    continue;
+                };
+                if file.allows(rule.code, idx + 1) {
+                    continue;
+                }
+                let location = format!("{}:{}", file.display_path, idx + 1);
+                let message = rule.message.replace("{}", needle.trim_end());
+                let diag = match rule.severity {
+                    Severity::Error => Diagnostic::error(rule.code, location, message),
+                    Severity::Warning => Diagnostic::warning(rule.code, location, message),
+                };
+                out.push(diag.with_help(rule.help));
+            }
         }
     }
     out
@@ -154,16 +224,7 @@ pub fn lint_file(file: &SourceFile) -> Vec<Diagnostic> {
 /// Lints one file's source. `display_path` is used in locations;
 /// `crate_name` selects which rules apply.
 pub fn lint_source(display_path: &str, crate_name: &str, source: &str) -> Vec<Diagnostic> {
-    lint_file(&SourceFile::parse(display_path, crate_name, source))
-}
-
-/// Lints every `crates/<name>/src/**/*.rs` under `workspace_root`.
-pub fn lint_workspace(workspace_root: &Path) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in load_workspace(workspace_root) {
-        out.extend(lint_file(&file));
-    }
-    out
+    lint_files(&[SourceFile::parse(display_path, crate_name, source)])
 }
 
 #[cfg(test)]
@@ -296,23 +357,5 @@ mod tests {
     fn raw_strings_are_stripped() {
         let src = "let s = r#\"contains Instant::now() text\"#;\n";
         assert!(lint_source("crates/sim/src/x.rs", "sim", src).is_empty());
-    }
-
-    #[test]
-    fn workspace_is_lint_clean() {
-        // CARGO_MANIFEST_DIR is crates/analyze; the workspace root is two
-        // levels up.
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .to_path_buf();
-        assert!(root.join("Cargo.toml").is_file(), "bad root {root:?}");
-        let findings = lint_workspace(&root);
-        assert!(
-            findings.is_empty(),
-            "workspace must be lint-clean:\n{}",
-            crate::diagnostic::render_human(&findings)
-        );
     }
 }

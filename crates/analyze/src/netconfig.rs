@@ -13,21 +13,23 @@
 //!   worker that stalls in handshake eats the entire query budget
 //!   before the daemon gives up on it.
 //!
-//! The address grammar is deliberately re-validated here (not imported
-//! from `edgelet-net`): the analyzer stays linkable without the socket
-//! stack, and the two parsers are pinned against each other by the CLI
-//! integration tests.
+//! Addresses are parsed once, by the caller, with `edgelet_net::Addr::parse`;
+//! this pass only reports the verdict it is handed.
 
 use crate::diagnostic::{codes, Diagnostic};
+
+/// One address as given, with the caller's parse verdict: `Ok(true)` for
+/// TCP, `Ok(false)` for a Unix socket, or the parse error's text.
+pub type Endpoint<'a> = (&'a str, Result<bool, String>);
 
 /// The deployment surface of one `serve`/`submit`/`worker` invocation.
 /// Fields the invocation does not carry stay `None`/`false`.
 #[derive(Debug, Default, Clone)]
 pub struct NetSurface<'a> {
     /// `--listen` address (daemon mode).
-    pub listen: Option<&'a str>,
+    pub listen: Option<Endpoint<'a>>,
     /// `--connect` address (client or worker mode).
-    pub connect: Option<&'a str>,
+    pub connect: Option<Endpoint<'a>>,
     /// Remote worker processes per epoch (`Some` in daemon mode).
     pub expected_workers: Option<usize>,
     /// Both reconnect backoff bounds were given explicitly.
@@ -38,59 +40,25 @@ pub struct NetSurface<'a> {
     pub deadline_secs: Option<f64>,
 }
 
-/// The address scheme a well-formed endpoint declares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scheme {
-    Uds,
-    Tcp,
-}
-
-/// Validates `uds:<path>` / `tcp:<host>:<port>` without resolving
-/// anything; returns the scheme or a description of what is wrong.
-fn parse_addr(raw: &str) -> Result<Scheme, String> {
-    if let Some(path) = raw.strip_prefix("uds:") {
-        if path.is_empty() {
-            return Err("uds address has an empty path".into());
-        }
-        return Ok(Scheme::Uds);
-    }
-    if let Some(rest) = raw.strip_prefix("tcp:") {
-        let Some((host, port)) = rest.rsplit_once(':') else {
-            return Err("tcp address needs `tcp:<host>:<port>`".into());
-        };
-        if host.is_empty() {
-            return Err("tcp address has an empty host".into());
-        }
-        if port.parse::<u16>().is_err() {
-            return Err(format!("tcp port `{port}` is not a u16"));
-        }
-        return Ok(Scheme::Tcp);
-    }
-    Err("address must start with `uds:` or `tcp:`".into())
-}
-
 /// Checks one deployment surface; see the module docs for the codes.
 pub fn check_net_config(surface: &NetSurface<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut schemes: Vec<Scheme> = Vec::new();
-    for (what, addr) in [
-        ("net.listen", surface.listen),
-        ("net.connect", surface.connect),
+    for (what, endpoint) in [
+        ("net.listen", &surface.listen),
+        ("net.connect", &surface.connect),
     ] {
-        let Some(addr) = addr else { continue };
-        match parse_addr(addr) {
-            Ok(scheme) => schemes.push(scheme),
-            Err(why) => out.push(
+        if let Some((addr, Err(why))) = endpoint {
+            out.push(
                 Diagnostic::error(
                     codes::NET_ENDPOINT_INVALID,
                     what,
                     format!("unresolvable address `{addr}`: {why}"),
                 )
                 .with_help("addresses are `uds:<path>` or `tcp:<host>:<port>`"),
-            ),
+            );
         }
     }
-    if let (Some(listen), Some(connect)) = (surface.listen, surface.connect) {
+    if let (Some((listen, _)), Some((connect, _))) = (&surface.listen, &surface.connect) {
         if listen == connect {
             out.push(
                 Diagnostic::error(
@@ -116,7 +84,7 @@ pub fn check_net_config(surface: &NetSurface<'_>) -> Vec<Diagnostic> {
             .with_help("set --expected-workers >= 1, or drop --listen"),
         );
     }
-    if surface.connect.is_some() && schemes.contains(&Scheme::Tcp) && !surface.explicit_backoff {
+    if matches!(surface.connect, Some((_, Ok(true)))) && !surface.explicit_backoff {
         out.push(
             Diagnostic::warning(
                 codes::NET_TCP_DEFAULT_BACKOFF,
@@ -154,7 +122,7 @@ mod tests {
     #[test]
     fn well_formed_surfaces_are_clean() {
         let s = NetSurface {
-            listen: Some("uds:/tmp/edgelet.sock"),
+            listen: Some(("uds:/tmp/edgelet.sock", Ok(false))),
             expected_workers: Some(2),
             handshake_timeout_ms: Some(10_000),
             deadline_secs: Some(600.0),
@@ -162,7 +130,7 @@ mod tests {
         };
         assert!(check_net_config(&s).is_empty());
         let s = NetSurface {
-            connect: Some("tcp:127.0.0.1:7000"),
+            connect: Some(("tcp:127.0.0.1:7000", Ok(true))),
             explicit_backoff: true,
             ..NetSurface::default()
         };
@@ -171,36 +139,50 @@ mod tests {
 
     #[test]
     fn bad_addresses_are_e150() {
-        for addr in [
-            "ipc:/tmp/x",
-            "uds:",
-            "tcp:127.0.0.1",
-            "tcp::7000",
-            "tcp:h:70000",
+        // The parser's own error text is what the finding carries.
+        let bad = || {
+            Some((
+                "ipc:/tmp/x",
+                Err("address must start with uds: or tcp:".into()),
+            ))
+        };
+        for (what, s) in [
+            (
+                "listen",
+                NetSurface {
+                    listen: bad(),
+                    ..NetSurface::default()
+                },
+            ),
+            (
+                "connect",
+                NetSurface {
+                    connect: bad(),
+                    ..NetSurface::default()
+                },
+            ),
         ] {
-            let s = NetSurface {
-                listen: Some(addr),
-                ..NetSurface::default()
-            };
             let found = check_net_config(&s);
-            assert_eq!(found.len(), 1, "{addr}: {found:?}");
-            assert_eq!(found[0].code, codes::NET_ENDPOINT_INVALID, "{addr}");
+            assert_eq!(found.len(), 1, "{what}: {found:?}");
+            assert_eq!(found[0].code, codes::NET_ENDPOINT_INVALID, "{what}");
             assert_eq!(found[0].severity, Severity::Error);
+            assert_eq!(found[0].location, format!("net.{what}"));
+            assert!(found[0].message.contains("must start with"), "{found:?}");
         }
     }
 
     #[test]
     fn self_dial_and_zero_workers_are_e150() {
         let s = NetSurface {
-            listen: Some("uds:/tmp/a.sock"),
-            connect: Some("uds:/tmp/a.sock"),
+            listen: Some(("uds:/tmp/a.sock", Ok(false))),
+            connect: Some(("uds:/tmp/a.sock", Ok(false))),
             ..NetSurface::default()
         };
         let found = check_net_config(&s);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].message.contains("same endpoint"), "{found:?}");
         let s = NetSurface {
-            listen: Some("uds:/tmp/a.sock"),
+            listen: Some(("uds:/tmp/a.sock", Ok(false))),
             expected_workers: Some(0),
             ..NetSurface::default()
         };
@@ -212,7 +194,7 @@ mod tests {
     #[test]
     fn tcp_default_backoff_warns_w151() {
         let s = NetSurface {
-            connect: Some("tcp:10.0.0.2:7000"),
+            connect: Some(("tcp:10.0.0.2:7000", Ok(true))),
             ..NetSurface::default()
         };
         let found = check_net_config(&s);
@@ -221,7 +203,7 @@ mod tests {
         assert_eq!(found[0].severity, Severity::Warning);
         // UDS reconnects are local; the defaults are fine.
         let s = NetSurface {
-            connect: Some("uds:/tmp/a.sock"),
+            connect: Some(("uds:/tmp/a.sock", Ok(false))),
             ..NetSurface::default()
         };
         assert!(check_net_config(&s).is_empty());
@@ -230,7 +212,7 @@ mod tests {
     #[test]
     fn handshake_past_deadline_warns_w152() {
         let s = NetSurface {
-            listen: Some("uds:/tmp/a.sock"),
+            listen: Some(("uds:/tmp/a.sock", Ok(false))),
             expected_workers: Some(2),
             handshake_timeout_ms: Some(700_000),
             deadline_secs: Some(600.0),
@@ -258,8 +240,8 @@ mod tests {
     #[test]
     fn problems_compose() {
         let s = NetSurface {
-            listen: Some("ipc:bad"),
-            connect: Some("tcp:h:1"),
+            listen: Some(("ipc:bad", Err("no scheme".into()))),
+            connect: Some(("tcp:h:1", Ok(true))),
             expected_workers: Some(0),
             handshake_timeout_ms: Some(1_000_000),
             deadline_secs: Some(600.0),

@@ -5,7 +5,6 @@
 //!
 //! A [`SourceFile`] is parsed once per analysis run and carries:
 //!
-//! * the raw lines (directives are matched against these);
 //! * the comment/string-stripped lines ([`strip_source`] preserves line
 //!   structure, so needle matching never fires inside prose);
 //! * a per-line **test mask**: lines belonging to a `#[cfg(test)]` item
@@ -13,8 +12,9 @@
 //!   so code *after* a test module is scanned again — test modules are
 //!   not assumed to close the file;
 //! * a per-line `thread_local!` mask (a thread-local is per-thread by
-//!   construction, so the shared-state pass exempts it);
-//! * every `lint: allow(CODE reason)` directive, with usage tracking:
+//!   construction, so the lint's shared-state row exempts it);
+//! * every `lint: allow(CODE reason)` directive (read from the raw
+//!   lines), with usage tracking:
 //!   a pass that suppresses a finding marks the directive used, and the
 //!   stale-directive pass (`W131`) warns about the ones nothing used.
 //!
@@ -24,6 +24,11 @@
 use std::cell::Cell;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// True for bytes that can continue a Rust identifier.
+pub(crate) fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
 
 /// Replaces comment bodies and string/char-literal contents with spaces,
 /// preserving line structure, so needle matching never fires inside
@@ -240,9 +245,7 @@ pub struct SourceFile {
     pub display_path: String,
     /// The crate directory name under `crates/` (rule filters key on it).
     pub crate_name: String,
-    /// Raw source lines.
-    pub raw_lines: Vec<String>,
-    /// Comment/string-stripped lines; same count as `raw_lines`.
+    /// Comment/string-stripped lines, one per source line.
     pub lines: Vec<String>,
     /// Per-line: the line belongs to a `#[cfg(test)]` item.
     pub test_mask: Vec<bool>,
@@ -266,7 +269,6 @@ impl SourceFile {
         SourceFile {
             display_path: display_path.into(),
             crate_name: crate_name.into(),
-            raw_lines,
             lines,
             test_mask,
             thread_local_mask,

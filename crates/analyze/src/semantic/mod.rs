@@ -7,8 +7,7 @@
 //! is sent. Each pass inspects one property family and emits
 //! [`Diagnostic`]s with stable codes:
 //!
-//! * [`structure`] — DAG shape and wiring (`E001`–`E005`), subsuming and
-//!   extending `edgelet_query::check_plan`;
+//! * [`structure`] — DAG shape and wiring (`E001`–`E005`);
 //! * [`privacy`] — vertical-partitioning safety and the horizontal
 //!   raw-tuple cap (`E010`, `E011`, `W012`);
 //! * [`resiliency`] — provisioning vs. the binomial survival tail

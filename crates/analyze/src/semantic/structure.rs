@@ -1,6 +1,6 @@
 //! Structural pass: DAG shape and wiring (`E001`–`E005`).
 //!
-//! Subsumes `edgelet_query::check_plan` but collects *every* violation
+//! The workspace's one structure check: it collects *every* violation
 //! instead of stopping at the first, and reports each under a stable
 //! diagnostic code. (The device-collision invariant lives in the
 //! [liability pass](super::liability) as `E030`, since it is a bound, not

@@ -7,8 +7,8 @@
 //! directive that no longer suppresses anything — a stale directive is a
 //! standing invitation to reintroduce the bug it once excused.
 //! Directives inside `#[cfg(test)]` regions and directives without a
-//! reason (which never suppressed anything to begin with — the lint
-//! layer rejects them with `E120`) are exempt.
+//! reason (which never suppress anything: the finding they fail to waive
+//! is still reported) are exempt.
 //!
 //! Output is deterministic: diagnostics are sorted by file, line, then
 //! code via [`crate::diagnostic::sort_diagnostics`].
@@ -16,36 +16,21 @@
 use crate::concurrency;
 use crate::diagnostic::{codes, sort_diagnostics, Diagnostic};
 use crate::lint;
-use crate::scanner::load_workspace;
+use crate::scanner::{load_workspace, SourceFile};
 use std::path::Path;
 
-/// Options for [`analyze_sources_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct SourcePassOptions {
-    /// Run the Layer-3 concurrency pass (`E130`-series). On by default.
-    pub concurrency: bool,
-}
-
-impl Default for SourcePassOptions {
-    fn default() -> Self {
-        Self { concurrency: true }
-    }
-}
-
-/// Runs every enabled source layer over `crates/**/src/**/*.rs` under
+/// Runs every source layer over `crates/**/src/**/*.rs` under
 /// `workspace_root` and returns the sorted findings.
-pub fn analyze_sources_with(workspace_root: &Path, opts: SourcePassOptions) -> Vec<Diagnostic> {
-    let files = load_workspace(workspace_root);
-    let mut out = Vec::new();
-    for file in &files {
-        out.extend(lint::lint_file(file));
-    }
-    if opts.concurrency {
-        out.extend(concurrency::check_files(&files));
-    }
+pub fn analyze_sources(workspace_root: &Path) -> Vec<Diagnostic> {
+    analyze_files(&load_workspace(workspace_root))
+}
+
+fn analyze_files(files: &[SourceFile]) -> Vec<Diagnostic> {
+    let mut out = lint::lint_files(files);
+    out.extend(concurrency::check_files(files));
     // Staleness is judged after every layer has had its chance to use a
     // directive — a directive is stale only if nothing fired under it.
-    for file in &files {
+    for file in files {
         for d in file.stale_directives() {
             out.push(
                 Diagnostic::warning(
@@ -67,30 +52,14 @@ pub fn analyze_sources_with(workspace_root: &Path, opts: SourcePassOptions) -> V
     out
 }
 
-/// Runs the full source pass (all layers) with default options.
-pub fn analyze_sources(workspace_root: &Path) -> Vec<Diagnostic> {
-    analyze_sources_with(workspace_root, SourcePassOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner::SourceFile;
 
     // The stale-directive sweep itself, exercised on in-memory sources
     // (the workspace-level integration lives in tests/static_analysis.rs).
     fn stale_codes(source: &str) -> Vec<Diagnostic> {
-        let file = SourceFile::parse("crates/exec/src/x.rs", "exec", source);
-        let mut out = lint::lint_file(&file);
-        out.extend(concurrency::check_files(std::slice::from_ref(&file)));
-        for d in file.stale_directives() {
-            out.push(Diagnostic::warning(
-                codes::CONC_STALE_ALLOW,
-                format!("{}:{}", file.display_path, d.line),
-                format!("`lint: allow({})` suppresses nothing", d.code),
-            ));
-        }
-        out
+        analyze_files(&[SourceFile::parse("crates/exec/src/x.rs", "exec", source)])
     }
 
     #[test]
@@ -113,20 +82,5 @@ mod tests {
         assert_eq!(found.len(), 1, "{found:#?}");
         assert_eq!(found[0].code, codes::CONC_STALE_ALLOW);
         assert!(found[0].location.ends_with(":2"), "{found:#?}");
-    }
-
-    #[test]
-    fn workspace_has_no_stale_directives() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .to_path_buf();
-        let findings = analyze_sources(&root);
-        assert!(
-            findings.is_empty(),
-            "full source pass must be clean:\n{}",
-            crate::diagnostic::render_human(&findings)
-        );
     }
 }

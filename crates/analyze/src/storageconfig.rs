@@ -6,15 +6,15 @@
 //! deserve a diagnostic before the first append:
 //!
 //! * `E140` — durability is enabled but the WAL directory is unset or
-//!   unwritable: the first append would drain the service to read-only
-//!   before it served anything;
+//!   `FileBackend::open` refused it: the first append would drain the
+//!   service to read-only before it served anything;
 //! * `W141` — a checkpoint interval of zero: the WAL is never
 //!   compacted, so it grows without bound and every restart replays the
 //!   service's entire history;
 //! * `W142` — durability is *disabled* while the configuration plans
-//!   for crashes (a crash-probability presumption, a crash-injecting
-//!   fault plan, or a scripted `--crash-at`): every crash the plan
-//!   provokes loses state the operator apparently cares about;
+//!   for crashes (`--crash-p` above 0, or a scripted `--crash-at`):
+//!   every crash it provokes loses state the operator apparently cares
+//!   about;
 //! * `W143` — the group-commit window is a large share of the query's
 //!   wall-deadline slack: every durable submit parks in the commit
 //!   window before its sync, so a window the deadline cannot absorb
@@ -25,40 +25,7 @@
 //!   (sealed segments can only be deleted at a checkpoint).
 
 use crate::diagnostic::{codes, Diagnostic};
-use edgelet_sim::{FaultAction, FaultPlan};
 use std::path::Path;
-
-/// True when a fault plan contains crash-injecting rules
-/// (`CrashSender`/`CrashReceiver`) — the condition under which running
-/// without durability forfeits state by design (`W142`).
-pub fn fault_plan_has_crashes(plan: &FaultPlan) -> bool {
-    plan.rules.iter().any(|r| {
-        matches!(
-            r.action,
-            FaultAction::CrashSender | FaultAction::CrashReceiver
-        )
-    })
-}
-
-/// Probes that `dir` exists (creating it if needed) and accepts writes,
-/// the way [`edgelet_store::FileBackend`] will. Returns the failure as
-/// a human-readable string.
-fn probe_writable(dir: &Path) -> Result<(), String> {
-    if dir.as_os_str().is_empty() {
-        return Err("path is empty".into());
-    }
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        return Err(format!("cannot create directory: {e}"));
-    }
-    let probe = dir.join(".edgelet-wal-probe");
-    match std::fs::write(&probe, b"probe") {
-        Ok(()) => {
-            let _ = std::fs::remove_file(&probe);
-            Ok(())
-        }
-        Err(e) => Err(format!("cannot write in directory: {e}")),
-    }
-}
 
 /// Ballpark framed bytes one completion record occupies in the WAL,
 /// used to translate a checkpoint cadence into expected append churn
@@ -71,14 +38,16 @@ const TYPICAL_RECORD_BYTES: u64 = 4096;
 const WINDOW_SLACK_FACTOR: u64 = 4;
 
 /// Checks a durable-storage configuration: whether durability is
-/// enabled, the WAL directory, the checkpoint cadence (completions per
-/// checkpoint; 0 = never), and whether the wider configuration plans
-/// for crashes. The group-commit knobs (`commit_window_ms`,
-/// `segment_bytes`) are checked against the query wall deadline and the
-/// checkpoint cadence; pass 0 to mean "feature off" for either.
+/// enabled, the WAL directory with the outcome of opening it as a
+/// `FileBackend` (the caller opens it; the error text on failure), the
+/// checkpoint cadence (completions per checkpoint; 0 = never), and
+/// whether the wider configuration plans for crashes. The group-commit
+/// knobs (`commit_window_ms`, `segment_bytes`) are checked against the
+/// query wall deadline and the checkpoint cadence; pass 0 to mean
+/// "feature off" for either.
 pub fn check_storage_config(
     durable: bool,
-    wal_dir: Option<&Path>,
+    wal_dir: Option<(&Path, Result<(), String>)>,
     checkpoint_every: u64,
     crash_risk: bool,
     commit_window_ms: u64,
@@ -97,22 +66,19 @@ pub fn check_storage_config(
                 )
                 .with_help("pass --wal-dir <dir>, or drop --durable"),
             ),
-            Some(dir) => {
-                if let Err(why) = probe_writable(dir) {
-                    out.push(
-                        Diagnostic::error(
-                            codes::STORAGE_WAL_DIR,
-                            "storage.wal_dir",
-                            format!(
-                                "WAL directory `{}` is unusable ({why}): the first \
-                                 append would drain the service to read-only",
-                                dir.display()
-                            ),
-                        )
-                        .with_help("point --wal-dir at a writable directory"),
-                    );
-                }
-            }
+            Some((dir, Err(why))) => out.push(
+                Diagnostic::error(
+                    codes::STORAGE_WAL_DIR,
+                    "storage.wal_dir",
+                    format!(
+                        "WAL directory `{}` is unusable ({why}): the first \
+                         append would drain the service to read-only",
+                        dir.display()
+                    ),
+                )
+                .with_help("point --wal-dir at a writable directory"),
+            ),
+            Some((_, Ok(()))) => {}
         }
         if checkpoint_every == 0 {
             out.push(
@@ -176,9 +142,8 @@ pub fn check_storage_config(
             Diagnostic::warning(
                 codes::STORAGE_VOLATILE_UNDER_CRASHES,
                 "storage.durable",
-                "the configuration plans for crashes (crash probability, \
-                 crash-injecting fault rules, or a scripted crash point) but \
-                 durability is disabled: every crash loses ledgers, epochs, \
+                "the configuration plans for crashes (--crash-p or --crash-at) \
+                 but durability is disabled: every crash loses ledgers, epochs, \
                  and in-flight queries",
             )
             .with_help("enable --durable with a --wal-dir to make crashes recoverable"),
@@ -191,7 +156,19 @@ pub fn check_storage_config(
 mod tests {
     use super::*;
     use crate::diagnostic::Severity;
-    use edgelet_sim::{FaultPlan, FaultRule};
+
+    /// A WAL directory the caller opened successfully.
+    fn ok_dir() -> Option<(&'static Path, Result<(), String>)> {
+        Some((Path::new("wal"), Ok(())))
+    }
+
+    /// Opens `dir` the way the CLI does before the service starts.
+    fn opened(dir: &Path) -> Option<(&Path, Result<(), String>)> {
+        let outcome = edgelet_store::FileBackend::open(dir)
+            .map(drop)
+            .map_err(|e| e.to_string());
+        Some((dir, outcome))
+    }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -213,9 +190,9 @@ mod tests {
     #[test]
     fn writable_dir_is_created_and_accepted() {
         let dir = tmp_dir("ok");
-        let found = check_storage_config(true, Some(&dir), 8, false, 0, None, 0);
+        let found = check_storage_config(true, opened(&dir), 8, false, 0, None, 0);
         assert!(found.is_empty(), "{found:?}");
-        assert!(dir.is_dir(), "the probe must have created the directory");
+        assert!(dir.is_dir(), "opening must have created the directory");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -224,21 +201,20 @@ mod tests {
         // A regular file where the directory should be.
         let dir = tmp_dir("file");
         std::fs::write(&dir, b"not a directory").unwrap();
-        let found = check_storage_config(true, Some(&dir), 8, false, 0, None, 0);
+        let found = check_storage_config(true, opened(&dir), 8, false, 0, None, 0);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].code, codes::STORAGE_WAL_DIR);
         assert!(found[0].message.contains("unusable"), "{found:?}");
+        assert!(found[0].message.contains("not a directory"), "{found:?}");
         let _ = std::fs::remove_file(&dir);
     }
 
     #[test]
     fn zero_checkpoint_interval_warns() {
-        let dir = tmp_dir("ckpt");
-        let found = check_storage_config(true, Some(&dir), 0, false, 0, None, 0);
+        let found = check_storage_config(true, ok_dir(), 0, false, 0, None, 0);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].code, codes::STORAGE_NO_CHECKPOINT);
         assert_eq!(found[0].severity, Severity::Warning);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -251,48 +227,33 @@ mod tests {
     }
 
     #[test]
-    fn crash_detection_in_fault_plans() {
-        assert!(!fault_plan_has_crashes(&FaultPlan::new()));
-        let plan = FaultPlan::new().rule(FaultRule::new(FaultAction::Drop));
-        assert!(!fault_plan_has_crashes(&plan));
-        let plan = plan.rule(FaultRule::new(FaultAction::CrashSender));
-        assert!(fault_plan_has_crashes(&plan));
-        let plan = FaultPlan::new().rule(FaultRule::new(FaultAction::CrashReceiver));
-        assert!(fault_plan_has_crashes(&plan));
-    }
-
-    #[test]
     fn oversized_commit_window_warns_against_the_deadline() {
-        let dir = tmp_dir("window");
         // 40 ms window x 4 > 100 ms deadline: the slack is gone.
-        let found = check_storage_config(true, Some(&dir), 8, false, 40, Some(100), 0);
+        let found = check_storage_config(true, ok_dir(), 8, false, 40, Some(100), 0);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].code, codes::STORAGE_WINDOW_OVER_DEADLINE);
         assert_eq!(found[0].severity, Severity::Warning);
         // 10 ms window x 4 <= 100 ms deadline: fine.
-        assert!(check_storage_config(true, Some(&dir), 8, false, 10, Some(100), 0).is_empty());
+        assert!(check_storage_config(true, ok_dir(), 8, false, 10, Some(100), 0).is_empty());
         // No deadline, or window off: nothing to compare against.
-        assert!(check_storage_config(true, Some(&dir), 8, false, 40, None, 0).is_empty());
-        assert!(check_storage_config(true, Some(&dir), 8, false, 0, Some(100), 0).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(check_storage_config(true, ok_dir(), 8, false, 40, None, 0).is_empty());
+        assert!(check_storage_config(true, ok_dir(), 8, false, 0, Some(100), 0).is_empty());
     }
 
     #[test]
     fn undersized_segments_warn_about_rotation_thrash() {
-        let dir = tmp_dir("thrash");
         // 8 completions x 4096 B churn = 32 KiB > 1 KiB segments.
-        let found = check_storage_config(true, Some(&dir), 8, false, 0, None, 1024);
+        let found = check_storage_config(true, ok_dir(), 8, false, 0, None, 1024);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].code, codes::STORAGE_SEGMENT_THRASH);
         assert_eq!(found[0].severity, Severity::Warning);
         // A segment that holds a whole interval's churn is fine.
-        assert!(check_storage_config(true, Some(&dir), 8, false, 0, None, 1 << 20).is_empty());
+        assert!(check_storage_config(true, ok_dir(), 8, false, 0, None, 1 << 20).is_empty());
         // checkpoint_every = 0 already warns W141; W144 has no cadence
         // to size against and stays quiet.
-        let never = check_storage_config(true, Some(&dir), 0, false, 0, None, 1024);
+        let never = check_storage_config(true, ok_dir(), 0, false, 0, None, 1024);
         assert_eq!(never.len(), 1, "{never:?}");
         assert_eq!(never[0].code, codes::STORAGE_NO_CHECKPOINT);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

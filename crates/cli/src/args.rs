@@ -25,8 +25,6 @@ pub enum Command {
         query: QueryArgs,
         /// Emit a JSON array instead of compiler-style text.
         json: bool,
-        /// Run the Layer-3 concurrency pass over the workspace sources.
-        concurrency: bool,
         /// Workspace to scan for the source layers (needs a `crates/`
         /// directory; silently skipped otherwise).
         workspace_root: String,
@@ -261,7 +259,6 @@ OPTIONS (plan/run/analyze):
                                                          [default: human]
     --workspace-root P  workspace to source-scan (analyze only; skipped
                         when P has no crates/ directory)  [default: .]
-    --no-concurrency    skip the Layer-3 concurrency pass (analyze only)
 
 OPTIONS (chaos):
     --seeds N           sweep seeds 0..N                 [default: 64]
@@ -360,7 +357,6 @@ pub fn parse(argv: &[String]) -> Result<Command> {
         "analyze" => Command::Analyze {
             query: query_args(&mut f)?,
             json: f.json()?,
-            concurrency: !f.bare("no-concurrency")?,
             workspace_root: f.value("workspace-root", ".".to_string())?,
         },
         other => {
@@ -649,7 +645,6 @@ mod tests {
         let Command::Analyze {
             query,
             json,
-            concurrency,
             workspace_root,
         } = cmd
         else {
@@ -657,7 +652,6 @@ mod tests {
         };
         assert_eq!(query.cardinality, 500);
         assert!(json);
-        assert!(concurrency);
         assert_eq!(workspace_root, ".");
         let cmd = parse(&argv("analyze")).unwrap();
         let Command::Analyze { json, .. } = cmd else {
@@ -669,16 +663,10 @@ mod tests {
 
     #[test]
     fn analyze_source_pass_flags() {
-        let cmd = parse(&argv("analyze --no-concurrency --workspace-root /tmp/ws")).unwrap();
-        let Command::Analyze {
-            concurrency,
-            workspace_root,
-            ..
-        } = cmd
-        else {
+        let cmd = parse(&argv("analyze --workspace-root /tmp/ws")).unwrap();
+        let Command::Analyze { workspace_root, .. } = cmd else {
             panic!()
         };
-        assert!(!concurrency);
         assert_eq!(workspace_root, "/tmp/ws");
     }
 
@@ -830,6 +818,7 @@ mod tests {
             ("submit --durable yes", "--durable"),
             ("serve --transport uds", "--transport"),
             ("serve --net-fault-plan drop,from=3", "--net-fault-plan"),
+            ("analyze --no-concurrency", "--no-concurrency"),
         ] {
             let err = parse(&argv(line)).expect_err(line).to_string();
             assert!(err.contains(flag), "{line}: {err}");

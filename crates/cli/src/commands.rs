@@ -21,9 +21,8 @@ pub fn execute_with_status(cmd: Command) -> Result<(String, i32)> {
         Command::Analyze {
             query,
             json,
-            concurrency,
             workspace_root,
-        } => return analyze_command(&query, json, concurrency, &workspace_root),
+        } => return analyze_command(&query, json, &workspace_root),
         Command::Chaos(args) => return chaos_command(&args),
         // `--listen` switches to daemon mode: same service, plus a
         // socket front-end for remote workers and submissions.
@@ -73,16 +72,12 @@ pub fn execute_with_status(cmd: Command) -> Result<(String, i32)> {
 }
 
 /// `edgelet analyze`: plans the configured query and runs every semantic
-/// pass over the result, then the source layers (lint + concurrency +
-/// suppression audit) over the workspace named by `--workspace-root`.
-/// Planner failures surface as an `E000` diagnostic rather than a hard
-/// error, so the output shape is uniform.
-fn analyze_command(
-    q: &QueryArgs,
-    json: bool,
-    concurrency: bool,
-    workspace_root: &str,
-) -> Result<(String, i32)> {
+/// pass over the result, lints the `--fault-plan` the world installs,
+/// then runs the source layers (lint + concurrency + suppression audit)
+/// over the workspace named by `--workspace-root`. Planner failures
+/// surface as an `E000` diagnostic rather than a hard error, so the
+/// output shape is uniform.
+fn analyze_command(q: &QueryArgs, json: bool, workspace_root: &str) -> Result<(String, i32)> {
     use edgelet_analyze::{analyze, AnalyzeOptions, Diagnostic};
 
     let (platform, spec, privacy, resilience) = build_world(q)?;
@@ -102,14 +97,21 @@ fn analyze_command(
         .min_latency()
         .as_micros();
     diagnostics.extend(edgelet_analyze::check_sim_config(min_latency_us, q.shards));
+    // The plan the world runs under (E060-W063). The querier holds the
+    // world's last device id.
+    if let Some(plan) = &platform.config().fault_plan {
+        let devices = platform.querier().raw() + 1;
+        diagnostics.extend(edgelet_analyze::check_fault_plan(
+            plan,
+            devices,
+            spec.deadline_secs,
+        ));
+    }
     // Source layers: only meaningful when the root actually holds a
     // workspace to scan (running from an arbitrary cwd skips them).
     let root = std::path::Path::new(workspace_root);
     if root.join("crates").is_dir() {
-        diagnostics.extend(edgelet_analyze::analyze_sources_with(
-            root,
-            edgelet_analyze::SourcePassOptions { concurrency },
-        ));
+        diagnostics.extend(edgelet_analyze::analyze_sources(root));
     }
     edgelet_analyze::sort_diagnostics(&mut diagnostics);
     let text = if json {
@@ -382,9 +384,18 @@ pub(crate) fn live_preflight(
     let mut lint =
         edgelet_analyze::check_live_config(args.workers, args.wall_deadline_ms, args.mailbox_cap);
     let crash_risk = args.query.crash_p > 0.0 || args.crash_at.is_some();
+    // Opening is idempotent: it creates the directory and the active
+    // segment the service is about to open anyway.
+    let wal = args.wal_dir.as_deref().filter(|_| args.durable).map(|dir| {
+        let opened = edgelet_core::store::FileBackend::open(dir);
+        (
+            std::path::Path::new(dir),
+            opened.map(drop).map_err(|e| e.to_string()),
+        )
+    });
     lint.extend(edgelet_analyze::check_storage_config(
         args.durable,
-        args.wal_dir.as_deref().map(std::path::Path::new),
+        wal,
         args.checkpoint_every,
         crash_risk,
         args.commit_window_ms,
@@ -775,6 +786,21 @@ mod tests {
         assert_eq!(status, 1, "{json}");
         assert!(json.contains("\"code\":\"E000\""), "{json}");
         assert!(json.trim_start().starts_with('['), "{json}");
+    }
+
+    #[test]
+    fn analyze_lints_the_fault_plan_it_is_given() {
+        // The second rule names a device outside the world, has an empty
+        // window, and is shadowed by the first.
+        let (text, status) =
+            run_cli_status("analyze --fault-plan drop;drop,to=999999,after-s=5,until-s=1");
+        assert_eq!(status, 1, "{text}");
+        for code in ["error[E060]", "error[E061]", "warning[W063]"] {
+            assert!(text.contains(code), "{code}: {text}");
+        }
+        let (text, status) = run_cli_status("analyze --fault-plan delay,extra-ms=50");
+        assert_eq!(status, 0, "{text}");
+        assert!(!text.contains("fault_plan"), "{text}");
     }
 
     #[test]

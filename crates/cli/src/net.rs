@@ -323,6 +323,12 @@ fn run_artifact(o: &SubmitOutcome, transport: &str, workers: usize, fallbacks: u
 
 // ---- commands ----
 
+/// What the net-config lint is told about a parsed address: TCP or not,
+/// or the parse error it reports as `E150`.
+fn verdict(addr: &Result<Addr>) -> std::result::Result<bool, String> {
+    addr.as_ref().map(Addr::is_tcp).map_err(ToString::to_string)
+}
+
 /// A line printed *now*, not at command exit: daemon/worker processes
 /// are long-running and their supervisors (the CI smoke job, the
 /// parity keystone) parse this line to learn the bound address.
@@ -345,8 +351,9 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
         return Ok(v);
     }
     let (service, spec, privacy, resilience, _recovery) = crate::commands::live_service(args)?;
+    let addr = Addr::parse(listen);
     let lint = edgelet_analyze::check_net_config(&edgelet_analyze::NetSurface {
-        listen: Some(listen),
+        listen: Some((listen, verdict(&addr))),
         expected_workers: Some(args.expected_workers),
         handshake_timeout_ms: Some(args.handshake_timeout_ms),
         deadline_secs: Some(spec.deadline_secs),
@@ -357,7 +364,7 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
         return Ok(v);
     }
     let world_spec = encode_world_spec(&args.query);
-    let addr = Addr::parse(listen)?;
+    let addr = addr?;
     let daemon = Arc::new(Daemon::start(
         &addr,
         NetConfig {
@@ -458,8 +465,9 @@ pub(crate) fn serve_listen(args: &ServeArgs) -> Result<(String, i32)> {
 /// rejected (version mismatch, full fleet).
 pub(crate) fn worker_command(w: &WorkerArgs) -> Result<(String, i32)> {
     let mut out = String::new();
+    let addr = Addr::parse(&w.connect);
     let lint = edgelet_analyze::check_net_config(&edgelet_analyze::NetSurface {
-        connect: Some(&w.connect),
+        connect: Some((&w.connect, verdict(&addr))),
         explicit_backoff: w.backoff_initial_ms.is_some() && w.backoff_max_ms.is_some(),
         ..Default::default()
     });
@@ -471,7 +479,7 @@ pub(crate) fn worker_command(w: &WorkerArgs) -> Result<(String, i32)> {
         print!("{out}");
         std::io::stdout().flush().ok();
     }
-    let mut cfg = WorkerConfig::new(Addr::parse(&w.connect)?);
+    let mut cfg = WorkerConfig::new(addr?);
     if let Some(ms) = w.backoff_initial_ms {
         cfg.backoff_initial = Duration::from_millis(ms);
     }
@@ -505,8 +513,9 @@ pub(crate) fn submit_connect(args: &ServeArgs) -> Result<(String, i32)> {
         .as_deref()
         .expect("submit_connect needs --connect");
     let mut preamble = String::new();
+    let addr = Addr::parse(connect);
     let lint = edgelet_analyze::check_net_config(&edgelet_analyze::NetSurface {
-        connect: Some(connect),
+        connect: Some((connect, verdict(&addr))),
         // Clients do not reconnect; the backoff warning is not for them.
         explicit_backoff: true,
         ..Default::default()
@@ -514,7 +523,7 @@ pub(crate) fn submit_connect(args: &ServeArgs) -> Result<(String, i32)> {
     if let Some(v) = lint_verdict(&lint, false, &mut preamble) {
         return Ok(v);
     }
-    let addr = Addr::parse(connect)?;
+    let addr = addr?;
     let mut stream = MsgStream::new(Stream::connect(&addr)?);
     stream.send(&NetMsg::hello(Role::Client))?;
     stream.send(&NetMsg::SubmitReq {

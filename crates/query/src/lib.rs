@@ -18,7 +18,6 @@
 //!   planners built on exact binomial tails;
 //! * [`plan`] — plan construction and device assignment;
 //! * [`render`] — ASCII and Graphviz rendering of plans;
-//! * [`invariants`] — structural well-formedness checks on plans;
 //! * [`cost`] — an analytic message/latency estimator the tests hold
 //!   against the simulator's measurements.
 
@@ -27,7 +26,6 @@
 
 pub mod config;
 pub mod cost;
-pub mod invariants;
 pub mod plan;
 pub mod render;
 pub mod resilience;
@@ -36,7 +34,6 @@ pub mod vertical;
 
 pub use config::{PrivacyConfig, ResilienceConfig, Strategy};
 pub use cost::{estimate, CostEstimate};
-pub use invariants::check_plan;
 pub use plan::{OperatorRole, PlannedOperator, QueryPlan};
 pub use resilience::{plan_backup_degree, plan_overcollection};
 pub use spec::{QueryKind, QuerySpec};

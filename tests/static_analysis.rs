@@ -11,6 +11,11 @@ use std::path::Path;
 /// Plans the reference scenario: a capped, vertically-separated
 /// Grouping-Sets survey under Overcollection.
 fn planned_world() -> (QueryPlan, PrivacyConfig, ResilienceConfig) {
+    planned_world_with(Strategy::Overcollection)
+}
+
+/// The reference scenario under the given resiliency strategy.
+fn planned_world_with(strategy: Strategy) -> (QueryPlan, PrivacyConfig, ResilienceConfig) {
     let mut platform = Platform::build(PlatformConfig {
         seed: 11,
         contributors: 4_000,
@@ -32,7 +37,7 @@ fn planned_world() -> (QueryPlan, PrivacyConfig, ResilienceConfig) {
         .with_max_tuples(100)
         .separate("bmi", "systolic_bp");
     let resilience = ResilienceConfig {
-        strategy: Strategy::Overcollection,
+        strategy,
         failure_probability: 0.15,
         ..ResilienceConfig::default()
     };
@@ -53,21 +58,44 @@ fn codes_of(
 
 #[test]
 fn planner_output_passes_every_semantic_pass() {
-    let (plan, privacy, resilience) = planned_world();
-    let findings = analyze(&plan, &privacy, &resilience, &AnalyzeOptions::default());
-    assert!(!has_errors(&findings), "{findings:?}");
+    for strategy in [Strategy::Overcollection, Strategy::Backup, Strategy::Naive] {
+        let (plan, privacy, resilience) = planned_world_with(strategy);
+        let findings = analyze(&plan, &privacy, &resilience, &AnalyzeOptions::default());
+        assert!(!has_errors(&findings), "{strategy:?}: {findings:?}");
+        assert!(edgelet_analyze::preflight(&plan).is_ok(), "{strategy:?}");
+    }
 }
 
 #[test]
 fn missing_computer_is_a_structure_error() {
-    let (mut plan, privacy, resilience) = planned_world();
-    let victim = plan
-        .operators
-        .iter()
-        .position(|o| matches!(o.role, OperatorRole::Computer { .. }))
-        .unwrap();
-    plan.operators.remove(victim);
-    assert!(codes_of(&plan, &privacy, &resilience).contains(&"E002"));
+    // Each seeded break of the QEP's wiring is refused by the structure
+    // pass with its own code.
+    let (plan, privacy, resilience) = planned_world();
+    let first = |pred: fn(&OperatorRole) -> bool| {
+        plan.operators.iter().position(|o| pred(&o.role)).unwrap()
+    };
+    let computer = first(|r| matches!(r, OperatorRole::Computer { .. }));
+    let builder = first(|r| matches!(r, OperatorRole::SnapshotBuilder { .. }));
+    let mut no_computer = plan.clone();
+    no_computer.operators.remove(computer);
+    let mut twin_builder = plan.clone();
+    twin_builder.operators.push(plan.operators[builder].clone());
+    let mut backwards_edge = plan.clone();
+    let (a, b) = plan.edges[0];
+    backwards_edge.edges.push((b, a));
+    // One bucket too many: dropping one instead would panic in the cost
+    // model the deadline pass calls, before E005 is reported.
+    let mut extra_bucket = plan.clone();
+    extra_bucket.contributors.push(Vec::new());
+    for (code, broken) in [
+        ("E002", no_computer),
+        ("E001", twin_builder),
+        ("E004", backwards_edge),
+        ("E005", extra_bucket),
+    ] {
+        let found = codes_of(&broken, &privacy, &resilience);
+        assert!(found.contains(&code), "expected {code} in {found:?}");
+    }
 }
 
 #[test]
@@ -147,20 +175,17 @@ fn preflight_denies_a_broken_plan_and_passes_a_sound_one() {
 fn group_commit_knobs_are_checked_against_deadline_and_cadence() {
     use edgelet_analyze::check_storage_config;
 
-    let dir = std::env::temp_dir().join(format!(
-        "edgelet-static-analysis-storage-{}",
-        std::process::id()
-    ));
+    // The WAL directory opened fine; only the group-commit knobs vary.
+    let wal = || Some((Path::new("wal"), Ok(())));
     // A commit window the wall deadline cannot absorb is W143; segments
     // smaller than one checkpoint interval's churn are W144.
-    let found = check_storage_config(true, Some(&dir), 8, false, 50, Some(120), 1024);
+    let found = check_storage_config(true, wal(), 8, false, 50, Some(120), 1024);
     let codes: Vec<&str> = found.iter().map(|d| d.code).collect();
     assert_eq!(codes, vec!["W143", "W144"], "{found:?}");
     assert!(!has_errors(&found), "both are warnings, not errors");
     // Defaults (window off, 4 MiB segments) stay quiet.
-    let found = check_storage_config(true, Some(&dir), 8, false, 0, Some(120), 4 << 20);
+    let found = check_storage_config(true, wal(), 8, false, 0, Some(120), 4 << 20);
     assert!(found.is_empty(), "{found:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -255,7 +280,7 @@ fn net_config_pass_catches_seeded_deployment_mistakes() {
 
     // A well-formed daemon surface is clean.
     let sound = NetSurface {
-        listen: Some("uds:/tmp/edgelet-fixture.sock"),
+        listen: Some(("uds:/tmp/edgelet-fixture.sock", Ok(false))),
         expected_workers: Some(2),
         handshake_timeout_ms: Some(10_000),
         deadline_secs: Some(600.0),
@@ -265,7 +290,10 @@ fn net_config_pass_catches_seeded_deployment_mistakes() {
 
     // An unresolvable listen address is E150, an error.
     let broken = NetSurface {
-        listen: Some("ipc:/tmp/edgelet-fixture.sock"),
+        listen: Some((
+            "ipc:/tmp/edgelet-fixture.sock",
+            Err("address must start with `uds:` or `tcp:`".into()),
+        )),
         ..NetSurface::default()
     };
     let found = check_net_config(&broken);
@@ -274,7 +302,7 @@ fn net_config_pass_catches_seeded_deployment_mistakes() {
 
     // TCP reconnect with default backoff bounds is W151, a warning.
     let lazy = NetSurface {
-        connect: Some("tcp:10.0.0.2:7000"),
+        connect: Some(("tcp:10.0.0.2:7000", Ok(true))),
         ..NetSurface::default()
     };
     let found = check_net_config(&lazy);
@@ -283,7 +311,7 @@ fn net_config_pass_catches_seeded_deployment_mistakes() {
 
     // A handshake timeout beyond the query deadline is W152.
     let greedy = NetSurface {
-        listen: Some("uds:/tmp/edgelet-fixture.sock"),
+        listen: Some(("uds:/tmp/edgelet-fixture.sock", Ok(false))),
         expected_workers: Some(2),
         handshake_timeout_ms: Some(700_000),
         deadline_secs: Some(600.0),
