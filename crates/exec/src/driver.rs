@@ -96,6 +96,16 @@ pub struct PlanAssembly {
     pub config: ExecConfig,
 }
 
+impl PlanAssembly {
+    /// Clears the shared ledger and the querier record in place, back to
+    /// what [`assemble_plan`] made them, so every installed actor's handle
+    /// stays valid for a world that runs again.
+    pub fn restart(&self) {
+        *self.ledger.lock().unwrap_or_else(|e| e.into_inner()) = Ledger::default();
+        *self.record.lock().unwrap_or_else(|e| e.into_inner()) = querier::QuerierRecord::default();
+    }
+}
+
 /// Installs all actors for `plan` on `sim` and runs until the query
 /// deadline. The `stores` map provides each Data Contributor's personal
 /// store; `device_classes` gives per-device hardware profiles (defaults

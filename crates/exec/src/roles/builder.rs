@@ -49,10 +49,27 @@ pub struct BuilderWiring {
     pub slices: Vec<SliceWiring>,
 }
 
+#[derive(Default)]
 enum Phase {
+    #[default]
     Collecting,
     Computing,
     Shipped,
+}
+
+/// What one run of the query makes of a builder; a fresh one is the
+/// constructor's.
+#[derive(Default)]
+struct Run {
+    collected: Vec<Row>,
+    responded: BTreeSet<DeviceId>,
+    retries_used: u32,
+    phase: Phase,
+    collection_timer: Option<TimerToken>,
+    retry_timer: Option<TimerToken>,
+    compute_timer: Option<TimerToken>,
+    ping_timer: Option<TimerToken>,
+    pending_output: Vec<(DeviceId, Payload)>,
 }
 
 /// The Snapshot Builder actor.
@@ -63,15 +80,7 @@ pub struct BuilderActor {
     sealer: Sealer,
     ledger: SharedLedger,
     gate: RankGate,
-    collected: Vec<Row>,
-    responded: BTreeSet<DeviceId>,
-    retries_left: u32,
-    phase: Phase,
-    collection_timer: Option<TimerToken>,
-    retry_timer: Option<TimerToken>,
-    compute_timer: Option<TimerToken>,
-    ping_timer: Option<TimerToken>,
-    pending_output: Vec<(DeviceId, Payload)>,
+    run: Run,
 }
 
 impl BuilderActor {
@@ -85,7 +94,6 @@ impl BuilderActor {
         ledger: SharedLedger,
         gate: RankGate,
     ) -> Self {
-        let config_retries = config.collection_retries;
         Self {
             wiring,
             profile,
@@ -93,44 +101,40 @@ impl BuilderActor {
             sealer,
             ledger,
             gate,
-            collected: Vec::new(),
-            responded: BTreeSet::new(),
-            retries_left: config_retries,
-            phase: Phase::Collecting,
-            collection_timer: None,
-            retry_timer: None,
-            compute_timer: None,
-            ping_timer: None,
-            pending_output: Vec::new(),
+            run: Run::default(),
         }
     }
 
+    fn retries_left(&self) -> bool {
+        self.run.retries_used < self.config.collection_retries
+    }
+
     fn finish_collection(&mut self, ctx: &mut Context<'_>) {
-        self.phase = Phase::Computing;
-        if let Some(t) = self.collection_timer.take() {
+        self.run.phase = Phase::Computing;
+        if let Some(t) = self.run.collection_timer.take() {
             ctx.cancel_timer(t);
         }
-        if let Some(t) = self.retry_timer.take() {
+        if let Some(t) = self.run.retry_timer.take() {
             ctx.cancel_timer(t);
         }
         self.ledger
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .raw_tuples(ctx.device(), self.collected.len() as u64);
+            .raw_tuples(ctx.device(), self.run.collected.len() as u64);
         if self.config.charge_compute_time {
-            let secs = self.profile.compute_seconds(self.collected.len());
-            self.compute_timer = Some(ctx.set_timer(Duration::from_secs_f64(secs)));
+            let secs = self.profile.compute_seconds(self.run.collected.len());
+            self.run.compute_timer = Some(ctx.set_timer(Duration::from_secs_f64(secs)));
         } else {
             self.ship(ctx);
         }
     }
 
     fn ship(&mut self, ctx: &mut Context<'_>) {
-        self.phase = Phase::Shipped;
-        let complete = self.collected.len() >= self.wiring.quota;
+        self.run.phase = Phase::Shipped;
+        let complete = self.run.collected.len() >= self.wiring.quota;
         ctx.observe(
             "partition_fill",
-            self.collected.len() as f64 / self.wiring.quota.max(1) as f64,
+            self.run.collected.len() as f64 / self.wiring.quota.max(1) as f64,
         );
         let wiring = Arc::clone(&self.wiring);
         for slice in &wiring.slices {
@@ -150,7 +154,7 @@ impl BuilderActor {
                 wiring: &wiring,
                 slice,
                 columns: &columns,
-                rows: &self.collected,
+                rows: &self.run.collected,
                 complete,
             };
             let bytes = self.sealer.wrap_as(kind::PARTITION_DATA, &data);
@@ -158,14 +162,14 @@ impl BuilderActor {
                 if self.gate.is_active() {
                     ctx.send(target, bytes.share());
                 } else {
-                    self.pending_output.push((target, bytes.share()));
+                    self.run.pending_output.push((target, bytes.share()));
                 }
             }
         }
     }
 
     fn flush_pending(&mut self, ctx: &mut Context<'_>) {
-        for (target, bytes) in std::mem::take(&mut self.pending_output) {
+        for (target, bytes) in std::mem::take(&mut self.run.pending_output) {
             ctx.send(target, bytes);
         }
     }
@@ -195,11 +199,11 @@ impl BuilderActor {
         // Backups monitor lower ranks until they either take over (and
         // have flushed) or the query deadline passes; actives never ping.
         let done = self.gate.is_active()
-            && matches!(self.phase, Phase::Shipped)
-            && self.pending_output.is_empty();
+            && matches!(self.run.phase, Phase::Shipped)
+            && self.run.pending_output.is_empty();
         let past_deadline = ctx.now().as_secs_f64() >= self.config.query_deadline.as_secs_f64();
         if self.gate.rank > 0 && !done && !past_deadline {
-            self.ping_timer = Some(ctx.set_timer(self.config.ping_period));
+            self.run.ping_timer = Some(ctx.set_timer(self.config.ping_period));
         }
     }
 }
@@ -271,6 +275,13 @@ impl Encode for SliceData<'_> {
 }
 
 impl Actor for BuilderActor {
+    fn restart(&mut self) -> bool {
+        self.sealer.restart();
+        self.gate.restart();
+        self.run = Run::default();
+        true
+    }
+
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.ledger
             .lock()
@@ -278,9 +289,9 @@ impl Actor for BuilderActor {
             .host_operator(ctx.device());
         let contributors = self.wiring.contributors.clone();
         self.request_contributions(ctx, contributors);
-        self.collection_timer = Some(ctx.set_timer(self.config.collection_timeout));
-        if self.retries_left > 0 {
-            self.retry_timer = Some(ctx.set_timer(self.retry_interval()));
+        self.run.collection_timer = Some(ctx.set_timer(self.config.collection_timeout));
+        if self.retries_left() {
+            self.run.retry_timer = Some(ctx.set_timer(self.retry_interval()));
         }
         self.arm_ping(ctx);
     }
@@ -288,13 +299,14 @@ impl Actor for BuilderActor {
     fn on_message(&mut self, ctx: &mut Context<'_>, from: DeviceId, payload: &[u8]) {
         // Rows are wanted from a first answer while collecting; a late
         // answer or a duplicate (a retry round crossed it) is only checked.
-        let wanted = matches!(self.phase, Phase::Collecting) && !self.responded.contains(&from);
+        let wanted =
+            matches!(self.run.phase, Phase::Collecting) && !self.run.responded.contains(&from);
         let room = if wanted {
-            self.wiring.quota.saturating_sub(self.collected.len())
+            self.wiring.quota.saturating_sub(self.run.collected.len())
         } else {
             0
         };
-        let (query, collected) = (self.wiring.query, &mut self.collected);
+        let (query, collected) = (self.wiring.query, &mut self.run.collected);
         let inbound = self.sealer.open(payload, |frame| match frame.kind {
             kind::CONTRIBUTION => collect(frame, collected, query, room).map(Inbound::Contribution),
             _ => Msg::from_frame(frame).map(Inbound::Other),
@@ -305,8 +317,8 @@ impl Actor for BuilderActor {
         };
         match inbound {
             Inbound::Contribution(q) if q == query && wanted => {
-                self.responded.insert(from);
-                if self.collected.len() >= self.wiring.quota {
+                self.run.responded.insert(from);
+                if self.run.collected.len() >= self.wiring.quota {
                     self.finish_collection(ctx);
                 }
             }
@@ -327,35 +339,35 @@ impl Actor for BuilderActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        if Some(token) == self.collection_timer {
-            self.collection_timer = None;
-            if matches!(self.phase, Phase::Collecting) {
+        if Some(token) == self.run.collection_timer {
+            self.run.collection_timer = None;
+            if matches!(self.run.phase, Phase::Collecting) {
                 self.finish_collection(ctx);
             }
-        } else if Some(token) == self.retry_timer {
-            self.retry_timer = None;
-            if matches!(self.phase, Phase::Collecting)
-                && self.retries_left > 0
-                && self.collected.len() < self.wiring.quota
+        } else if Some(token) == self.run.retry_timer {
+            self.run.retry_timer = None;
+            if matches!(self.run.phase, Phase::Collecting)
+                && self.retries_left()
+                && self.run.collected.len() < self.wiring.quota
             {
-                self.retries_left -= 1;
+                self.run.retries_used += 1;
                 ctx.observe("collection_retries", 1.0);
                 let silent: Vec<DeviceId> = self
                     .wiring
                     .contributors
                     .iter()
                     .copied()
-                    .filter(|d| !self.responded.contains(d))
+                    .filter(|d| !self.run.responded.contains(d))
                     .collect();
                 self.request_contributions(ctx, silent);
-                if self.retries_left > 0 {
-                    self.retry_timer = Some(ctx.set_timer(self.retry_interval()));
+                if self.retries_left() {
+                    self.run.retry_timer = Some(ctx.set_timer(self.retry_interval()));
                 }
             }
-        } else if Some(token) == self.compute_timer {
-            self.compute_timer = None;
+        } else if Some(token) == self.run.compute_timer {
+            self.run.compute_timer = None;
             self.ship(ctx);
-        } else if Some(token) == self.ping_timer {
+        } else if Some(token) == self.run.ping_timer {
             // Probe lower ranks and re-evaluate activation.
             let ping = Msg::Ping {
                 query: self.wiring.query,

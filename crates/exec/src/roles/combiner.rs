@@ -66,6 +66,13 @@ pub struct CombinerActor {
     sealer: Sealer,
     ledger: SharedLedger,
     gate: RankGate,
+    run: Run,
+}
+
+/// What one run of the query makes of a combiner; a fresh one is the
+/// constructor's.
+#[derive(Default)]
+struct Run {
     grouping_buf: BTreeMap<PartitionId, GroupingPartition>,
     kmeans_buf: BTreeMap<PartitionId, KMeansPartition>,
     /// Partial-result slots already accepted, keyed by
@@ -93,13 +100,7 @@ impl CombinerActor {
             sealer,
             ledger,
             gate,
-            grouping_buf: BTreeMap::new(),
-            kmeans_buf: BTreeMap::new(),
-            seen_partials: BTreeSet::new(),
-            combine_timer: None,
-            ping_timer: None,
-            finalized: false,
-            pending_output: None,
+            run: Run::default(),
         }
     }
 
@@ -108,12 +109,14 @@ impl CombinerActor {
     fn ready_partitions(&self) -> Vec<(PartitionId, bool)> {
         let mut out: Vec<(PartitionId, bool)> = match self.wiring.mode {
             CombinerMode::Grouping { attr_groups } => self
+                .run
                 .grouping_buf
                 .iter()
                 .filter(|(_, p)| p.slices.len() as u32 == attr_groups)
                 .map(|(id, p)| (*id, p.slices.values().all(|(_, c)| *c)))
                 .collect(),
             CombinerMode::KMeans => self
+                .run
                 .kmeans_buf
                 .iter()
                 .map(|(id, p)| (*id, p.complete))
@@ -124,7 +127,7 @@ impl CombinerActor {
     }
 
     fn try_early_finalize(&mut self, ctx: &mut Context<'_>) {
-        if self.finalized {
+        if self.run.finalized {
             return;
         }
         let complete_ready = self.ready_partitions().iter().filter(|(_, c)| *c).count() as u64;
@@ -134,11 +137,11 @@ impl CombinerActor {
     }
 
     fn finalize(&mut self, ctx: &mut Context<'_>) {
-        if self.finalized {
+        if self.run.finalized {
             return;
         }
-        self.finalized = true;
-        if let Some(t) = self.combine_timer.take() {
+        self.run.finalized = true;
+        if let Some(t) = self.run.combine_timer.take() {
             ctx.cancel_timer(t);
         }
         let chosen: Vec<(PartitionId, bool)> = self
@@ -156,7 +159,7 @@ impl CombinerActor {
                     .map(|g| (g, GroupedPartial::default()))
                     .collect();
                 for (pid, _) in &chosen {
-                    let part = &self.grouping_buf[pid];
+                    let part = &self.run.grouping_buf[pid];
                     for (g, (partial, _)) in &part.slices {
                         // Merge failures cannot occur across well-formed
                         // partials of one query; guard anyway.
@@ -169,7 +172,9 @@ impl CombinerActor {
                 // Majority seed origin wins (ties: lowest origin).
                 let mut counts: BTreeMap<PartitionId, usize> = BTreeMap::new();
                 for (pid, _) in &chosen {
-                    *counts.entry(self.kmeans_buf[pid].seed_origin).or_default() += 1;
+                    *counts
+                        .entry(self.run.kmeans_buf[pid].seed_origin)
+                        .or_default() += 1;
                 }
                 let best_origin = counts
                     .iter()
@@ -181,7 +186,7 @@ impl CombinerActor {
                 let mut merged_clusters = GroupedPartial::default();
                 let mut used = 0u64;
                 for (pid, _) in &chosen {
-                    let part = &self.kmeans_buf[pid];
+                    let part = &self.run.kmeans_buf[pid];
                     if part.seed_origin != best_origin {
                         continue;
                     }
@@ -216,26 +221,33 @@ impl CombinerActor {
         if self.gate.is_active() {
             ctx.send(self.wiring.querier, bytes);
         } else {
-            self.pending_output = Some(bytes);
+            self.run.pending_output = Some(bytes);
         }
     }
 
     fn arm_ping(&mut self, ctx: &mut Context<'_>) {
-        let done = self.gate.is_active() && self.finalized && self.pending_output.is_none();
+        let done = self.gate.is_active() && self.run.finalized && self.run.pending_output.is_none();
         let past_deadline = ctx.now().as_secs_f64() >= self.config.query_deadline.as_secs_f64();
         if self.gate.rank > 0 && !done && !past_deadline {
-            self.ping_timer = Some(ctx.set_timer(self.config.ping_period));
+            self.run.ping_timer = Some(ctx.set_timer(self.config.ping_period));
         }
     }
 }
 
 impl Actor for CombinerActor {
+    fn restart(&mut self) -> bool {
+        self.sealer.restart();
+        self.gate.restart();
+        self.run = Run::default();
+        true
+    }
+
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.ledger
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .host_operator(ctx.device());
-        self.combine_timer = Some(ctx.set_timer(self.config.combine_timeout));
+        self.run.combine_timer = Some(ctx.set_timer(self.config.combine_timeout));
         self.arm_ping(ctx);
     }
 
@@ -253,10 +265,10 @@ impl Actor for CombinerActor {
                 complete,
                 ..
             } if query == self.wiring.query => {
-                if self.finalized {
+                if self.run.finalized {
                     return;
                 }
-                if !self.seen_partials.insert((partition, attr_group, from)) {
+                if !self.run.seen_partials.insert((partition, attr_group, from)) {
                     ctx.observe("duplicate_partials", 1.0);
                     return;
                 }
@@ -264,7 +276,8 @@ impl Actor for CombinerActor {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .aggregates(ctx.device(), 1);
-                self.grouping_buf
+                self.run
+                    .grouping_buf
                     .entry(partition)
                     .or_default()
                     .slices
@@ -281,10 +294,10 @@ impl Actor for CombinerActor {
                 complete,
                 ..
             } if query == self.wiring.query => {
-                if self.finalized {
+                if self.run.finalized {
                     return;
                 }
-                if !self.seen_partials.insert((partition, 0, from)) {
+                if !self.run.seen_partials.insert((partition, 0, from)) {
                     ctx.observe("duplicate_partials", 1.0);
                     return;
                 }
@@ -292,12 +305,15 @@ impl Actor for CombinerActor {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .aggregates(ctx.device(), 1);
-                self.kmeans_buf.entry(partition).or_insert(KMeansPartition {
-                    seed_origin,
-                    centroids,
-                    per_cluster,
-                    complete,
-                });
+                self.run
+                    .kmeans_buf
+                    .entry(partition)
+                    .or_insert(KMeansPartition {
+                        seed_origin,
+                        centroids,
+                        per_cluster,
+                        complete,
+                    });
                 self.try_early_finalize(ctx);
             }
             Msg::Ping { query, .. } if query == self.wiring.query => {
@@ -316,10 +332,10 @@ impl Actor for CombinerActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        if Some(token) == self.combine_timer {
-            self.combine_timer = None;
+        if Some(token) == self.run.combine_timer {
+            self.run.combine_timer = None;
             self.finalize(ctx);
-        } else if Some(token) == self.ping_timer {
+        } else if Some(token) == self.run.ping_timer {
             let ping = Msg::Ping {
                 query: self.wiring.query,
                 from_rank: self.gate.rank,
@@ -331,7 +347,7 @@ impl Actor for CombinerActor {
                 self.config.suspect_timeout.as_secs_f64(),
             ) {
                 ctx.observe("backup_takeovers", 1.0);
-                if let Some(bytes) = self.pending_output.take() {
+                if let Some(bytes) = self.run.pending_output.take() {
                     ctx.send(self.wiring.querier, bytes);
                 }
             }

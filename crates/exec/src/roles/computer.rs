@@ -39,6 +39,13 @@ pub struct GroupingComputerActor {
     ledger: SharedLedger,
     schema: Schema,
     gate: RankGate,
+    run: Run,
+}
+
+/// What one run of the query makes of a computer; a fresh one is the
+/// constructor's.
+#[derive(Default)]
+struct Run {
     compute_timer: Option<TimerToken>,
     ping_timer: Option<TimerToken>,
     staged: Option<(Vec<String>, Vec<Row>, bool)>,
@@ -65,16 +72,12 @@ impl GroupingComputerActor {
             ledger,
             schema,
             gate,
-            compute_timer: None,
-            ping_timer: None,
-            staged: None,
-            pending_output: Vec::new(),
-            done: false,
+            run: Run::default(),
         }
     }
 
     fn compute_and_forward(&mut self, ctx: &mut Context<'_>) {
-        let Some((columns, rows, complete)) = self.staged.take() else {
+        let Some((columns, rows, complete)) = self.run.staged.take() else {
             return;
         };
         let names: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
@@ -89,7 +92,7 @@ impl GroupingComputerActor {
                 return;
             }
         };
-        self.done = true;
+        self.run.done = true;
         let msg = Msg::GroupingPartial {
             query: self.wiring.query,
             partition: self.wiring.partition,
@@ -104,21 +107,28 @@ impl GroupingComputerActor {
             if self.gate.is_active() {
                 ctx.send(target, bytes.share());
             } else {
-                self.pending_output.push((target, bytes.share()));
+                self.run.pending_output.push((target, bytes.share()));
             }
         }
     }
 
     fn arm_ping(&mut self, ctx: &mut Context<'_>) {
-        let finished = self.gate.is_active() && self.done && self.pending_output.is_empty();
+        let finished = self.gate.is_active() && self.run.done && self.run.pending_output.is_empty();
         let past_deadline = ctx.now().as_secs_f64() >= self.config.query_deadline.as_secs_f64();
         if self.gate.rank > 0 && !finished && !past_deadline {
-            self.ping_timer = Some(ctx.set_timer(self.config.ping_period));
+            self.run.ping_timer = Some(ctx.set_timer(self.config.ping_period));
         }
     }
 }
 
 impl Actor for GroupingComputerActor {
+    fn restart(&mut self) -> bool {
+        self.sealer.restart();
+        self.gate.restart();
+        self.run = Run::default();
+        true
+    }
+
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.ledger
             .lock()
@@ -144,7 +154,7 @@ impl Actor for GroupingComputerActor {
                 && partition == self.wiring.partition
                 && attr_group == self.wiring.attr_group =>
             {
-                if self.done || self.staged.is_some() {
+                if self.run.done || self.run.staged.is_some() {
                     return; // duplicate delivery (replicated builder)
                 }
                 self.ledger
@@ -152,10 +162,10 @@ impl Actor for GroupingComputerActor {
                     .unwrap_or_else(|e| e.into_inner())
                     .raw_tuples(ctx.device(), rows.len() as u64);
                 let tuple_count = rows.len();
-                self.staged = Some((columns, rows, complete));
+                self.run.staged = Some((columns, rows, complete));
                 if self.config.charge_compute_time {
                     let secs = self.profile.compute_seconds(tuple_count);
-                    self.compute_timer = Some(ctx.set_timer(Duration::from_secs_f64(secs)));
+                    self.run.compute_timer = Some(ctx.set_timer(Duration::from_secs_f64(secs)));
                 } else {
                     self.compute_and_forward(ctx);
                 }
@@ -176,10 +186,10 @@ impl Actor for GroupingComputerActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        if Some(token) == self.compute_timer {
-            self.compute_timer = None;
+        if Some(token) == self.run.compute_timer {
+            self.run.compute_timer = None;
             self.compute_and_forward(ctx);
-        } else if Some(token) == self.ping_timer {
+        } else if Some(token) == self.run.ping_timer {
             let ping = Msg::Ping {
                 query: self.wiring.query,
                 from_rank: self.gate.rank,
@@ -191,7 +201,7 @@ impl Actor for GroupingComputerActor {
                 self.config.suspect_timeout.as_secs_f64(),
             ) {
                 ctx.observe("backup_takeovers", 1.0);
-                for (target, bytes) in std::mem::take(&mut self.pending_output) {
+                for (target, bytes) in std::mem::take(&mut self.run.pending_output) {
                     ctx.send(target, bytes);
                 }
             }

@@ -107,6 +107,11 @@ impl Encode for Answer<'_> {
 }
 
 impl Actor for ContributorActor {
+    fn restart(&mut self) -> bool {
+        self.sealer.restart();
+        true
+    }
+
     fn on_message(&mut self, ctx: &mut Context<'_>, from: DeviceId, payload: &[u8]) {
         let schema = self.store.schema();
         let request = self.sealer.open(payload, |frame| match frame.kind {

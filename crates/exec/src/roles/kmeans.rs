@@ -55,6 +55,13 @@ pub struct KMeansComputerActor {
     sealer: Sealer,
     ledger: SharedLedger,
     schema: Schema,
+    run: Run,
+}
+
+/// What one run of the query makes of a computer; a fresh one
+/// ([`Run::fresh`]) is the constructor's.
+#[derive(Default)]
+struct Run {
     heartbeat_timer: Option<TimerToken>,
     round: u32,
     /// Local data: full rows (for per-cluster aggregates) and points.
@@ -69,6 +76,16 @@ pub struct KMeansComputerActor {
     finished: bool,
 }
 
+impl Run {
+    /// Every computer starts on its own partition's seeding basis.
+    fn fresh(wiring: &KMeansWiring) -> Run {
+        Run {
+            seed_origin: wiring.partition,
+            ..Run::default()
+        }
+    }
+}
+
 impl KMeansComputerActor {
     /// Creates a K-Means computer.
     pub fn new(
@@ -78,62 +95,54 @@ impl KMeansComputerActor {
         ledger: SharedLedger,
         schema: Schema,
     ) -> Self {
-        let seed_origin = wiring.partition;
         Self {
+            run: Run::fresh(&wiring),
             wiring,
             config,
             sealer,
             ledger,
             schema,
-            heartbeat_timer: None,
-            round: 0,
-            rows: Vec::new(),
-            row_columns: Vec::new(),
-            points: Matrix::default(),
-            complete: false,
-            km: None,
-            seed_origin,
-            mailbox: Vec::new(),
-            finished: false,
         }
     }
 
     fn sub_schema(&self) -> Option<Schema> {
-        let names: Vec<&str> = self.row_columns.iter().map(|s| s.as_str()).collect();
+        let names: Vec<&str> = self.run.row_columns.iter().map(|s| s.as_str()).collect();
         self.schema.project(&names).ok()
     }
 
     fn seed_if_needed(&mut self, ctx: &mut Context<'_>) {
-        if self.km.is_some() || self.points.is_empty() {
+        if self.run.km.is_some() || self.run.points.is_empty() {
             return;
         }
         let mut seeds =
             // lint: allow(E104 the points-empty case returns early two lines up)
-            kmeans_pp_seed(&self.points, self.wiring.k, ctx.rng()).expect("points non-empty");
+            kmeans_pp_seed(&self.run.points, self.wiring.k, ctx.rng()).expect("points non-empty");
         // Keep k consistent across the crowd even on tiny partitions.
         while seeds.len() < self.wiring.k {
             let last = seeds.row(seeds.len() - 1).to_vec();
             seeds.push_row(&last);
         }
-        self.km = Some(KMeans::from_centroids(seeds));
+        self.run.km = Some(KMeans::from_centroids(seeds));
     }
 
     /// Local convergence on (a mini-batch of) the local partition.
     fn local_convergence(&mut self, ctx: &mut Context<'_>) {
-        let Some(km) = self.km.as_mut() else { return };
-        if self.points.is_empty() {
+        let Some(km) = self.run.km.as_mut() else {
+            return;
+        };
+        if self.run.points.is_empty() {
             return;
         }
         // Full batches borrow the stored matrix directly; mini-batches
         // gather the sampled rows into one contiguous buffer.
         let sampled;
         let batch: &Matrix = match self.config.minibatch_fraction {
-            None => &self.points,
+            None => &self.run.points,
             Some(f) => {
-                let size =
-                    ((self.points.len() as f64 * f).ceil() as usize).clamp(1, self.points.len());
-                let indices = ctx.rng().sample_indices(self.points.len(), size);
-                sampled = self.points.gather(&indices);
+                let size = ((self.run.points.len() as f64 * f).ceil() as usize)
+                    .clamp(1, self.run.points.len());
+                let indices = ctx.rng().sample_indices(self.run.points.len(), size);
+                sampled = self.run.points.gather(&indices);
                 &sampled
             }
         };
@@ -152,28 +161,28 @@ impl KMeansComputerActor {
 
     /// Synchronization: adopt lower-origin bases, merge same-origin peers.
     fn synchronize(&mut self, ctx: &mut Context<'_>) {
-        let mailbox = std::mem::take(&mut self.mailbox);
+        let mailbox = std::mem::take(&mut self.run.mailbox);
         for (origin, knowledge) in mailbox {
-            if self.km.is_none() {
+            if self.run.km.is_none() {
                 // No local data yet: adopt any knowledge as the basis.
-                self.km = Some(KMeans {
+                self.run.km = Some(KMeans {
                     centroids: knowledge.centroids.clone(),
                     weights: knowledge.weights.clone(),
                 });
-                self.seed_origin = origin;
+                self.run.seed_origin = origin;
                 continue;
             }
-            if origin < self.seed_origin {
+            if origin < self.run.seed_origin {
                 // Lower origin wins: re-base on the peer's centroids.
-                self.km = Some(KMeans {
+                self.run.km = Some(KMeans {
                     centroids: knowledge.centroids.clone(),
                     weights: vec![0.0; knowledge.centroids.len()],
                 });
-                self.seed_origin = origin;
+                self.run.seed_origin = origin;
                 ctx.observe("seed_rebase", 1.0);
-            } else if origin == self.seed_origin {
+            } else if origin == self.run.seed_origin {
                 // lint: allow(E104 the km-is-none arm continues the loop above)
-                let km = self.km.as_mut().expect("checked above");
+                let km = self.run.km.as_mut().expect("checked above");
                 let mut mine = CentroidSet {
                     centroids: km.centroids.clone(),
                     weights: km.weights.clone(),
@@ -188,15 +197,15 @@ impl KMeansComputerActor {
     }
 
     fn broadcast_knowledge(&mut self, ctx: &mut Context<'_>) {
-        let Some(km) = &self.km else { return };
+        let Some(km) = &self.run.km else { return };
         let Ok(centroids) = CentroidSet::new(km.centroids.clone(), km.weights.clone()) else {
             return;
         };
         let msg = Msg::Knowledge {
             query: self.wiring.query,
             partition: self.wiring.partition,
-            round: self.round,
-            seed_origin: self.seed_origin,
+            round: self.run.round,
+            seed_origin: self.run.seed_origin,
             centroids,
         };
         let bytes = self.sealer.wrap(&msg);
@@ -206,7 +215,7 @@ impl KMeansComputerActor {
     /// Per-cluster aggregates over the local rows under the final model.
     fn per_cluster_partial(&self) -> GroupedPartial {
         let empty = GroupedPartial::default();
-        let Some(km) = &self.km else { return empty };
+        let Some(km) = &self.run.km else { return empty };
         let Some(sub_schema) = self.sub_schema() else {
             return empty;
         };
@@ -229,8 +238,8 @@ impl KMeansComputerActor {
         else {
             return empty;
         };
-        let mut aug_rows = Vec::with_capacity(self.rows.len());
-        'rows: for row in &self.rows {
+        let mut aug_rows = Vec::with_capacity(self.run.rows.len());
+        'rows: for row in &self.run.rows {
             let mut p = Vec::with_capacity(feat_idx.len());
             for &i in &feat_idx {
                 match row.get(i).and_then(|v| v.as_f64()) {
@@ -252,8 +261,8 @@ impl KMeansComputerActor {
     }
 
     fn finalize(&mut self, ctx: &mut Context<'_>) {
-        self.finished = true;
-        let Some(km) = &self.km else {
+        self.run.finished = true;
+        let Some(km) = &self.run.km else {
             return; // never got data nor knowledge: this partition is lost
         };
         let Ok(centroids) = CentroidSet::new(km.centroids.clone(), km.weights.clone()) else {
@@ -263,19 +272,25 @@ impl KMeansComputerActor {
         let msg = Msg::KMeansFinal {
             query: self.wiring.query,
             partition: self.wiring.partition,
-            seed_origin: self.seed_origin,
+            seed_origin: self.run.seed_origin,
             centroids,
             per_cluster,
-            tuples: self.points.len() as u64,
-            complete: self.complete,
+            tuples: self.run.points.len() as u64,
+            complete: self.run.complete,
         };
         let bytes = self.sealer.wrap(&msg);
         ctx.broadcast(self.wiring.combiners.clone(), bytes);
-        ctx.observe("kmeans_rounds_completed", f64::from(self.round));
+        ctx.observe("kmeans_rounds_completed", f64::from(self.run.round));
     }
 }
 
 impl Actor for KMeansComputerActor {
+    fn restart(&mut self) -> bool {
+        self.sealer.restart();
+        self.run = Run::fresh(&self.wiring);
+        true
+    }
+
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.ledger
             .lock()
@@ -299,26 +314,27 @@ impl Actor for KMeansComputerActor {
                 complete,
                 ..
             } if query == self.wiring.query && partition == self.wiring.partition => {
-                if !self.rows.is_empty() {
+                if !self.run.rows.is_empty() {
                     return; // duplicate
                 }
                 self.ledger
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .raw_tuples(ctx.device(), rows.len() as u64);
-                self.row_columns = columns;
-                self.rows = rows;
-                self.complete = complete;
+                self.run.row_columns = columns;
+                self.run.rows = rows;
+                self.run.complete = complete;
                 if let Some(sub_schema) = self.sub_schema() {
                     let feature_names: Vec<&str> =
                         self.wiring.features.iter().map(|s| s.as_str()).collect();
-                    if let Ok(points) = rows_to_points(&sub_schema, &self.rows, &feature_names) {
-                        self.points = points;
+                    if let Ok(points) = rows_to_points(&sub_schema, &self.run.rows, &feature_names)
+                    {
+                        self.run.points = points;
                     }
                 }
                 self.seed_if_needed(ctx);
-                if self.heartbeat_timer.is_none() && !self.finished {
-                    self.heartbeat_timer = Some(ctx.set_timer(self.config.heartbeat_period));
+                if self.run.heartbeat_timer.is_none() && !self.run.finished {
+                    self.run.heartbeat_timer = Some(ctx.set_timer(self.config.heartbeat_period));
                 }
             }
             Msg::Knowledge {
@@ -332,27 +348,27 @@ impl Actor for KMeansComputerActor {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .aggregates(ctx.device(), 1);
-                self.mailbox.push((seed_origin, centroids));
+                self.run.mailbox.push((seed_origin, centroids));
             }
             _ => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        if Some(token) != self.heartbeat_timer || self.finished {
+        if Some(token) != self.run.heartbeat_timer || self.run.finished {
             return;
         }
-        self.round += 1;
+        self.run.round += 1;
         // Synchronization first (integrate what we heard), then local
         // convergence, then broadcast the improved knowledge.
         self.synchronize(ctx);
         self.seed_if_needed(ctx);
         self.local_convergence(ctx);
         self.broadcast_knowledge(ctx);
-        if (self.round as usize) >= self.wiring.heartbeats {
+        if (self.run.round as usize) >= self.wiring.heartbeats {
             self.finalize(ctx);
         } else {
-            self.heartbeat_timer = Some(ctx.set_timer(self.config.heartbeat_period));
+            self.run.heartbeat_timer = Some(ctx.set_timer(self.config.heartbeat_period));
         }
     }
 }

@@ -47,6 +47,11 @@ impl Sealer {
         }
     }
 
+    /// Back to the first nonce, as [`Sealer::new`] leaves it.
+    pub fn restart(&mut self) {
+        self.counter = 0;
+    }
+
     /// Serializes a message for the network. The result is a shareable
     /// [`Payload`]: sending it to every replica of an operator reuses one
     /// buffer instead of copying the bytes per recipient.
@@ -128,19 +133,33 @@ pub struct RankGate {
     /// Virtual time (seconds) of the last sign of life per lower rank.
     last_seen: Vec<f64>,
     active: bool,
+    /// The `now_secs` the gate was created at.
+    created_secs: f64,
+    forced: bool,
 }
 
 impl RankGate {
     /// Creates a gate; `lower[i]` hosts rank `i`.
     pub fn new(rank: u32, lower: Vec<DeviceId>, now_secs: f64) -> Self {
         debug_assert_eq!(rank as usize, lower.len());
-        let n = lower.len();
-        Self {
+        let mut gate = Self {
             rank,
+            last_seen: vec![now_secs; lower.len()],
             lower,
-            last_seen: vec![now_secs; n],
-            active: rank == 0,
-        }
+            active: false,
+            created_secs: now_secs,
+            forced: false,
+        };
+        gate.restart();
+        gate
+    }
+
+    /// Back to the state [`RankGate::new`] (and a
+    /// [`RankGate::force_active`] after it) left: every lower rank last
+    /// seen at creation, rank 0 or a forced gate active.
+    pub fn restart(&mut self) {
+        self.last_seen.fill(self.created_secs);
+        self.active = self.rank == 0 || self.forced;
     }
 
     /// Whether this replica currently forwards output.
@@ -151,6 +170,7 @@ impl RankGate {
     /// Permanently forces activity (used by Overcollection's Active
     /// Backup, which runs in parallel by design).
     pub fn force_active(&mut self) {
+        self.forced = true;
         self.active = true;
     }
 

@@ -50,6 +50,11 @@ impl QuerierActor {
 }
 
 impl Actor for QuerierActor {
+    fn restart(&mut self) -> bool {
+        self.sealer.restart();
+        true
+    }
+
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: DeviceId, payload: &[u8]) {
         let Ok(msg) = self.sealer.unwrap(payload) else {
             ctx.observe("corrupt_messages", 1.0);

@@ -122,17 +122,14 @@ pub struct PreparedQuery {
     pub assembly: edgelet_exec::PlanAssembly,
 }
 
-/// What [`prepare_live_query`] was called with, kept on the world it
-/// returns ([`LiveEngine::prepared_from`]) so that world can be prepared
-/// again under another epoch — by the same function, over a clone of the
-/// same crowd handle (no re-enrolment, a warm plan). A world assembled
+/// The configs [`prepare_live_query`] planned under, kept on the world it
+/// returns ([`LiveEngine::prepared_from`]): the daemon refuses the
+/// canonical query under others, and a socket worker keeps, and resets
+/// for its next epoch, only a world that carries one. A world assembled
 /// by hand from [`build_live_world`] carries none.
 pub struct PreparedInputs {
-    platform: Platform,
-    spec: QuerySpec,
     privacy: PrivacyConfig,
     resilience: ResilienceConfig,
-    opts: LiveRunOptions,
 }
 
 impl PreparedInputs {
@@ -145,30 +142,13 @@ impl PreparedInputs {
     pub fn resilience(&self) -> &ResilienceConfig {
         &self.resilience
     }
-
-    /// [`prepare_live_query`] over these inputs, stamped with `epoch` and
-    /// built over `transport`.
-    pub fn prepare(&self, transport: Arc<dyn Transport>, epoch: u64) -> Result<PreparedQuery> {
-        let opts = LiveRunOptions {
-            epoch,
-            ..self.opts.clone()
-        };
-        prepare_live_query(
-            &self.platform,
-            &self.spec,
-            &self.privacy,
-            &self.resilience,
-            transport,
-            &opts,
-        )
-    }
 }
 
 /// Plans one query and builds its live world with every actor installed
 /// and the crash script applied, without running it. The deterministic
 /// construction contract is identical to [`run_live_query`] — same
 /// plan, same seed, same install order — so any two hosts calling this
-/// with the same inputs hold bit-identical worlds. The inputs ride on
+/// with the same inputs hold bit-identical worlds. The configs ride on
 /// the returned engine as its [`PreparedInputs`].
 pub fn prepare_live_query(
     platform: &Platform,
@@ -196,11 +176,8 @@ pub fn prepare_live_query(
         engine.crash_at(*dev, *at);
     }
     engine.prepared_from = Some(Arc::new(PreparedInputs {
-        platform: platform.clone(),
-        spec: spec.clone(),
         privacy: privacy.clone(),
         resilience: resilience.clone(),
-        opts: opts.clone(),
     }));
     Ok(PreparedQuery {
         plan,

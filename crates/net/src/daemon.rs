@@ -72,9 +72,9 @@ pub trait WorldBuilder: Send + Sync {
     /// shape the world — plan, devices, actors, seeds and pending events
     /// are a function of `spec` and `workers` alone. The daemon builds
     /// once and starts every epoch from a `CoordinatorTemplate`; a worker
-    /// builds once per (`spec`, `workers`) and prepares every later epoch
-    /// from the inputs `prepare_live_query` recorded on that build (a
-    /// world without them is built every epoch).
+    /// builds once per (`spec`, `workers`, its index) and resets the
+    /// slice it kept for every later epoch (a world `prepare_live_query`
+    /// did not make is built every epoch).
     fn build(&self, spec: &[u8], epoch: u64, workers: usize) -> Result<PreparedQuery>;
 }
 

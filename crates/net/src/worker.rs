@@ -4,9 +4,10 @@
 //! A worker connects with truncated-exponential [`Backoff`] (paced by
 //! the same real-time [`TimerHeap`] the daemon's sweeper uses),
 //! completes the versioned handshake, and then serves the epoch
-//! protocol: `Prepare` prepares the *entire* world from the canonical
+//! protocol: `Prepare` builds the *entire* world from the canonical
 //! spec bytes (bit-identical to the daemon's and every sibling's copy)
-//! and keeps only its assigned slice; each `OpenWindow` runs one
+//! and keeps only its assigned slice (or resets the slice it kept,
+//! below); each `OpenWindow` runs one
 //! conservative window through the very same
 //! [`edgelet_sim::exec::Shard::run_window`] every in-process barrier
 //! calls; `Finish`/`Abort` reports the ledger partial (and the querier
@@ -19,23 +20,24 @@
 //! rules on the receiver's, exactly as on a simulator shard.
 //!
 //! The worker calls its [`WorldBuilder`] only for the first `Prepare`
-//! of a (world-spec bytes, worker count) pair. It keeps the inputs
-//! `prepare_live_query` recorded on that build — the crowd handle, query,
-//! configs — and prepares every later epoch of the pair from them: no
-//! re-enrolment, a warm plan, the same construction path. Other bytes
-//! or another count replace them; a builder whose world carries none
-//! (assembled by hand) is called every epoch.
+//! of a (world-spec bytes, worker count, worker index) key. It keeps
+//! the slice that build gave it and resets the kept slice for every
+//! later epoch of the key ([`Shard::reset`]: every device derived
+//! again, every actor restarted, the initial events queued again, the
+//! ledger and querier record cleared in place) — no plan, no assembly,
+//! no allocation per device. Another key, a failed prepare or a
+//! disconnect drops it; a builder whose world carries no
+//! `PreparedInputs` (assembled by hand) is called every epoch.
 //!
 //! Daemon death (EOF or any protocol error) drops all epoch state and
-//! re-enters the reconnect loop — a fresh `Prepare` prepares the world
+//! re-enters the reconnect loop — a fresh `Prepare` builds the world
 //! deterministically from the spec bytes it names, so a worker
 //! surviving a daemon restart poisons nothing.
 
 use crate::conn::{Addr, Backoff, MsgStream, Stream, TimerHeap};
 use crate::daemon::WorldBuilder;
 use crate::proto::{NetMsg, Role, WireRecord, WireRound};
-use crate::CollectorTransport;
-use edgelet_live::{EngineParts, PreparedInputs, PreparedQuery};
+use edgelet_live::{EngineParts, PreparedQuery};
 use edgelet_sim::exec::{Event, Shard, Window, WindowReport};
 use edgelet_util::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,76 +83,81 @@ pub enum SessionEnd {
     Disconnected(String),
 }
 
-/// Where a worker's worlds come from: its builder, and the inputs the
-/// last build recorded with the (spec bytes, worker count) it was for.
-struct Worlds {
-    builder: Arc<dyn WorldBuilder>,
-    kept: Option<(Vec<u8>, usize, Arc<PreparedInputs>)>,
-}
-
-impl Worlds {
-    fn prepare(&mut self, spec: &[u8], epoch: u64, workers: usize) -> Result<PreparedQuery> {
-        if let Some((_, _, inputs)) = self.kept.as_ref().filter(|k| k.0 == spec && k.1 == workers) {
-            return inputs.prepare(Arc::new(CollectorTransport::new(workers)), epoch);
-        }
-        let built = self.builder.build(spec, epoch, workers)?;
-        let inputs = built.engine.prepared_from().cloned();
-        self.kept = inputs.map(|inputs| (spec.to_vec(), workers, inputs));
-        Ok(built)
-    }
-}
-
-/// The state a worker holds for one prepared epoch.
-struct EpochState {
+/// The slice a worker holds: built for one (world-spec bytes, worker
+/// count, worker index), run for one epoch at a time, and reset in place
+/// for the next epoch of the same key.
+struct Kept {
+    /// The world-spec bytes the slice was built from (its worker count
+    /// and index are its own); `None` for a world assembled by hand (no
+    /// [`edgelet_live::PreparedInputs`]), which is never reset.
+    spec: Option<Vec<u8>>,
     epoch: u64,
+    /// Whether `QueryDone` closed the epoch: only then is the slice reset.
+    closed: bool,
     /// This worker's slice of the world.
     slice: Shard,
     /// The rest of the built world, slices removed.
     parts: EngineParts,
     assembly: edgelet_exec::PlanAssembly,
-    worker_index: usize,
-    worker_count: usize,
     /// Recycled window report, same as the in-process barriers keep.
     reuse: Option<WindowReport>,
 }
 
-impl EpochState {
-    /// Prepares the world for `epoch` and keeps slice `worker_index`.
-    fn build(
-        worlds: &mut Worlds,
+impl Kept {
+    /// The slice for `epoch`: `kept` reset in place when it closed its
+    /// last epoch under the same key, otherwise a fresh build.
+    fn prepare(
+        kept: Option<Kept>,
+        builder: &dyn WorldBuilder,
         spec: &[u8],
         epoch: u64,
-        worker_count: usize,
-        worker_index: usize,
-    ) -> Result<EpochState> {
-        if worker_index >= worker_count {
+        (count, index): (usize, usize),
+    ) -> Result<Kept> {
+        if let Some(mut k) = kept.filter(|k| k.closed) {
+            let at = (k.worker_count(), k.slice.idx());
+            if k.spec.as_deref() == Some(spec) && at == (count, index) && k.slice.reset() {
+                k.assembly.restart();
+                (k.epoch, k.closed) = (epoch, false);
+                return Ok(k);
+            }
+        }
+        if index >= count {
             return Err(Error::InvalidConfig(format!(
-                "worker index {worker_index} out of range for {worker_count} workers"
+                "worker index {index} out of range for {count} workers"
             )));
         }
         let PreparedQuery {
-            plan: _,
-            engine,
-            assembly,
-        } = worlds.prepare(spec, epoch, worker_count)?;
+            engine, assembly, ..
+        } = builder.build(spec, epoch, count)?;
+        let kept_spec = engine.prepared_from().map(|_| spec.to_vec());
         let mut parts = engine.into_parts();
-        if parts.world.slices.len() != worker_count {
+        if parts.world.slices.len() != count {
             return Err(Error::InvalidConfig(format!(
-                "world built {} slices, daemon expects {worker_count}",
+                "world built {} slices, daemon expects {count}",
                 parts.world.slices.len()
             )));
         }
-        let slice = parts.world.slices.swap_remove(worker_index);
+        let slice = parts.world.slices.swap_remove(index);
         parts.world.slices.clear();
-        Ok(EpochState {
+        Ok(Kept {
+            spec: kept_spec,
             epoch,
+            closed: false,
             slice,
             parts,
             assembly,
-            worker_index,
-            worker_count,
             reuse: None,
         })
+    }
+
+    /// The workers the world was sliced for.
+    fn worker_count(&self) -> usize {
+        self.parts.config.workers.max(1)
+    }
+
+    /// Whether `epoch` is prepared on this slice and not yet closed.
+    fn open(&self, epoch: u64) -> bool {
+        self.epoch == epoch && !self.closed
     }
 
     /// Runs one window and assembles the wire round.
@@ -184,8 +191,8 @@ impl EpochState {
     /// The final partials for `QueryDone`.
     fn finish(&self) -> (Vec<u8>, Option<WireRecord>) {
         let ledger = edgelet_wire::to_bytes(&*lock(&self.assembly.ledger));
-        let querier_owner = (self.parts.world.device_count() - 1) % self.worker_count;
-        let record = (querier_owner == self.worker_index).then(|| {
+        let querier_owner = (self.parts.world.device_count() - 1) % self.worker_count();
+        let record = (querier_owner == self.slice.idx()).then(|| {
             let rec = lock(&self.assembly.record);
             WireRecord {
                 payload: rec.payload.clone(),
@@ -213,15 +220,11 @@ pub fn run_worker(
 ) -> std::result::Result<(), SessionEnd> {
     let mut backoff = Backoff::new(cfg.backoff_initial, cfg.backoff_max);
     let mut timers: TimerHeap<()> = TimerHeap::new();
-    let mut worlds = Worlds {
-        builder,
-        kept: None,
-    };
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        match connect_session(cfg, &mut worlds, stop) {
+        match connect_session(cfg, builder.as_ref(), stop) {
             Ok(()) => return Ok(()),
             Err(SessionEnd::Rejected(reason)) => return Err(SessionEnd::Rejected(reason)),
             Err(SessionEnd::Disconnected(_)) => {
@@ -251,7 +254,7 @@ pub fn run_worker(
 /// One connection session: handshake then serve until disconnect.
 fn connect_session(
     cfg: &WorkerConfig,
-    worlds: &mut Worlds,
+    builder: &dyn WorldBuilder,
     stop: &AtomicBool,
 ) -> std::result::Result<(), SessionEnd> {
     let disc = |what: String| SessionEnd::Disconnected(what);
@@ -266,7 +269,7 @@ fn connect_session(
         Err(e) => return Err(disc(format!("handshake: {e:?}"))),
     }
 
-    let mut epoch: Option<EpochState> = None;
+    let mut kept: Option<Kept> = None;
     loop {
         if stop.load(Ordering::Acquire) {
             ms.shutdown();
@@ -289,15 +292,10 @@ fn connect_session(
                 worker_count,
                 worker_index,
             } => {
-                match EpochState::build(
-                    worlds,
-                    &spec,
-                    ep,
-                    worker_count as usize,
-                    worker_index as usize,
-                ) {
-                    Ok(state) => {
-                        epoch = Some(state);
+                let at = (worker_count as usize, worker_index as usize);
+                match Kept::prepare(kept.take(), builder, &spec, ep, at) {
+                    Ok(k) => {
+                        kept = Some(k);
                         ms.send(&NetMsg::Ready { epoch: ep })
                             .map_err(|e| disc(format!("ready: {e:?}")))?;
                     }
@@ -311,11 +309,11 @@ fn connect_session(
                 }
             }
             NetMsg::Envelopes { epoch: ep, batch } => {
-                let Some(state) = epoch.as_mut().filter(|s| s.epoch == ep) else {
+                let Some(k) = kept.as_mut().filter(|k| k.open(ep)) else {
                     return Err(disc(format!("envelopes for unprepared epoch {ep}")));
                 };
                 for env in batch {
-                    state.slice.push(Event::from(env));
+                    k.slice.push(Event::from(env));
                 }
             }
             NetMsg::OpenWindow {
@@ -324,24 +322,25 @@ fn connect_session(
                 clip_us,
                 budget,
             } => {
-                let Some(state) = epoch.as_mut().filter(|s| s.epoch == ep) else {
+                let Some(k) = kept.as_mut().filter(|k| k.open(ep)) else {
                     return Err(disc(format!("window for unprepared epoch {ep}")));
                 };
-                let round = state.run_window(window_end_us, clip_us, budget);
+                let round = k.run_window(window_end_us, clip_us, budget);
                 ms.send(&NetMsg::RoundDone { epoch: ep, round })
                     .map_err(|e| disc(format!("round done: {e:?}")))?;
             }
             NetMsg::Finish { epoch: ep } | NetMsg::Abort { epoch: ep } => {
-                let Some(state) = epoch.take().filter(|s| s.epoch == ep) else {
+                let Some(k) = kept.as_mut().filter(|k| k.open(ep)) else {
                     return Err(disc(format!("finish for unprepared epoch {ep}")));
                 };
-                let (ledger, record) = state.finish();
+                let (ledger, record) = k.finish();
                 ms.send(&NetMsg::QueryDone {
                     epoch: ep,
                     ledger,
                     record,
                 })
                 .map_err(|e| disc(format!("query done: {e:?}")))?;
+                k.closed = true;
             }
             other => {
                 return Err(disc(format!("unexpected message {other:?}")));

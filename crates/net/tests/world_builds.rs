@@ -1,10 +1,11 @@
 //! The daemon builds one world per host and the worker one per world
 //! spec — held by counts, not times — and an epoch started from the kept
-//! `CoordinatorTemplate` and the worker's recorded inputs answers like
-//! one started from a fresh build.
+//! `CoordinatorTemplate` and the worker's reset slice answers like one
+//! started from a fresh build.
 //!
 //! A counting [`WorldBuilder`] sits on each side of a Unix-socket
-//! daemon and one `run_worker`, the deployment `net_grouping` measures.
+//! daemon and its `run_worker`s — one of them is the deployment
+//! `net_grouping` measures.
 
 use edgelet_core::exec::assemble_plan;
 use edgelet_core::prelude::{
@@ -19,14 +20,24 @@ use edgelet_live::{
 use edgelet_net::{
     run_worker, Addr, CollectorTransport, Daemon, NetConfig, WorkerConfig, WorldBuilder,
 };
+use edgelet_query::Strategy;
+use edgelet_sim::{Duration as SimDuration, FaultAction, FaultPlan, FaultRule};
 use edgelet_util::{Error, Result};
+use std::io::{Read, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const SPEC_BYTES: &[u8] = b"world-builds/1";
 /// Another crowd (another seed) under the same query shape.
 const OTHER_WORLD: &[u8] = b"world-builds/2";
+/// Contributors and processors crash at virtual time zero; channels are
+/// sealed and every operator has a rank-gated backup.
+const CRASHES_AT_START: &[u8] = b"world-builds/crashes-at-start";
+/// Crashes drawn over the query, sealed channels, and a window-safe
+/// fault plan delaying every message by 50 ms (`delay,extra-ms=50`).
+const CRASHES_DELAYED: &[u8] = b"world-builds/crashes-delayed";
 
 /// A small traced world (an installed, empty fault plan turns on
 /// message-kind classification, so the trace digest covers the
@@ -41,20 +52,34 @@ struct Opened {
 }
 
 fn open(spec: &[u8]) -> Opened {
-    let seed = match spec {
-        SPEC_BYTES => 11,
-        OTHER_WORLD => 12,
+    let delay = FaultRule::new(FaultAction::Delay(SimDuration::from_millis(50)));
+    let (seed, crashes, crash_at_start, plan, strategy) = match spec {
+        SPEC_BYTES => (11, 0.0, false, FaultPlan::new(), Strategy::Overcollection),
+        OTHER_WORLD => (12, 0.0, false, FaultPlan::new(), Strategy::Overcollection),
+        CRASHES_AT_START => (13, 0.1, true, FaultPlan::new(), Strategy::Backup),
+        CRASHES_DELAYED => (
+            14,
+            0.1,
+            false,
+            FaultPlan::new().rule(delay),
+            Strategy::Backup,
+        ),
         _ => panic!("no world is named {spec:?}"),
     };
-    let mut platform = Platform::build(PlatformConfig {
+    let mut config = PlatformConfig {
         seed,
         contributors: 40,
         processors: 24,
         network: NetworkProfile::Reliable,
-        fault_plan: Some(edgelet_sim::FaultPlan::new()),
+        contributor_crash_probability: crashes,
+        processor_crash_probability: crashes,
+        crash_at_start,
+        fault_plan: Some(plan),
         trace_capacity: 1 << 16,
         ..PlatformConfig::default()
-    });
+    };
+    config.exec.encrypt_channels = crashes > 0.0;
+    let mut platform = Platform::build(config);
     let mut query = |cardinality| {
         platform.grouping_query(
             Predicate::cmp("age", CmpOp::Gt, Value::Int(65)),
@@ -69,7 +94,8 @@ fn open(spec: &[u8]) -> Opened {
         platform,
         privacy: PrivacyConfig::none().with_max_tuples(10),
         resilience: ResilienceConfig {
-            failure_probability: 0.0,
+            failure_probability: crashes,
+            strategy,
             ..ResilienceConfig::default()
         },
     }
@@ -123,25 +149,32 @@ impl WorldBuilder for Counting {
     }
 }
 
-/// A daemon and one socket worker, each over its own counting builder.
+/// A daemon and its socket workers, each over its own counting builder.
 struct Deployment {
     daemon: Arc<Daemon>,
     daemon_side: Arc<Counting>,
-    worker_side: Arc<Counting>,
+    worker_sides: Vec<Arc<Counting>>,
     stop: Arc<AtomicBool>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     path: std::path::PathBuf,
+    /// Between the workers and the daemon, when the deployment is tapped.
+    tap: Option<Tap>,
     /// What a host submitting to this daemon holds.
     world: Opened,
 }
 
-/// A daemon serving `spec` on `path`, not yet built anything.
-fn start_daemon(path: &std::path::Path, spec: &[u8], builder: Arc<Counting>) -> Arc<Daemon> {
+/// A daemon serving `spec` to `workers` on `path`, not yet built anything.
+fn start_daemon(
+    path: &std::path::Path,
+    spec: &[u8],
+    workers: usize,
+    builder: Arc<Counting>,
+) -> Arc<Daemon> {
     Arc::new(
         Daemon::start(
             &Addr::Uds(path.to_path_buf()),
             NetConfig {
-                expected_workers: 1,
+                expected_workers: workers,
                 world_spec: spec.to_vec(),
                 ..NetConfig::default()
             },
@@ -151,28 +184,119 @@ fn start_daemon(path: &std::path::Path, spec: &[u8], builder: Arc<Counting>) -> 
     )
 }
 
+/// A relay every worker connects through, keeping each connection's
+/// bytes toward the daemon: a worker that resets its slice must send
+/// what one that builds every epoch sends, sealed payloads included.
+/// Its relay threads end when either side closes and are not joined, so
+/// a socket one side keeps open cannot hang a test.
+struct Tap {
+    path: std::path::PathBuf,
+    stop: Arc<AtomicBool>,
+    sent: Arc<Mutex<Vec<Stream>>>,
+}
+
+/// One connection's bytes toward the daemon, growing while it lives.
+type Stream = Arc<Mutex<Vec<u8>>>;
+
+impl Tap {
+    fn start(path: std::path::PathBuf, daemon: std::path::PathBuf) -> Tap {
+        let listener = UnixListener::bind(&path).expect("the tap binds a UDS path");
+        let (stop, sent) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(Mutex::new(Vec::new())),
+        );
+        let (halt, streams) = (stop.clone(), sent.clone());
+        std::thread::spawn(move || {
+            for worker in listener.incoming() {
+                if halt.load(Ordering::Acquire) {
+                    return;
+                }
+                let (Ok(worker), Ok(daemon)) = (worker, UnixStream::connect(&daemon)) else {
+                    continue; // the worker sees EOF and reconnects
+                };
+                let bytes = Arc::new(Mutex::new(Vec::new()));
+                streams.lock().unwrap().push(bytes.clone());
+                let (mut from, mut to) = (worker.try_clone().unwrap(), daemon.try_clone().unwrap());
+                std::thread::spawn(move || {
+                    let mut buf = [0u8; 4096];
+                    while let Ok(n @ 1..) = from.read(&mut buf) {
+                        bytes.lock().unwrap().extend_from_slice(&buf[..n]);
+                        if to.write_all(&buf[..n]).is_err() {
+                            break;
+                        }
+                    }
+                    to.shutdown(std::net::Shutdown::Both).ok();
+                });
+                let (mut from, mut to) = (daemon, worker);
+                std::thread::spawn(move || {
+                    std::io::copy(&mut from, &mut to).ok();
+                    to.shutdown(std::net::Shutdown::Both).ok();
+                });
+            }
+        });
+        Tap { path, stop, sent }
+    }
+
+    /// Every connection's bytes toward the daemon, in sorted order (which
+    /// worker connected first is up to the scheduler).
+    fn sent(&self) -> Vec<Vec<u8>> {
+        let streams = self.sent.lock().unwrap();
+        let mut sent: Vec<Vec<u8>> = streams.iter().map(|b| b.lock().unwrap().clone()).collect();
+        sent.sort();
+        sent
+    }
+}
+
+impl Drop for Tap {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        UnixStream::connect(&self.path).ok(); // wakes the accept loop
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
 impl Deployment {
     fn start(tag: &str, daemon_side: Counting, worker_side: Counting) -> Deployment {
+        Deployment::launch(tag, SPEC_BYTES, daemon_side, vec![worker_side], false)
+    }
+
+    /// A daemon serving `spec` and one worker per builder in
+    /// `worker_sides`, connected through a [`Tap`] when `tapped`.
+    fn launch(
+        tag: &str,
+        spec: &[u8],
+        daemon_side: Counting,
+        worker_sides: Vec<Counting>,
+        tapped: bool,
+    ) -> Deployment {
         let path =
             std::path::PathBuf::from(format!("/tmp/edgelet-wb-{}-{tag}.sock", std::process::id()));
-        let (daemon_side, worker_side) = (Arc::new(daemon_side), Arc::new(worker_side));
-        let daemon = start_daemon(&path, SPEC_BYTES, daemon_side.clone());
+        let daemon_side = Arc::new(daemon_side);
+        let worker_sides: Vec<Arc<Counting>> = worker_sides.into_iter().map(Arc::new).collect();
+        let daemon = start_daemon(&path, spec, worker_sides.len(), daemon_side.clone());
+        let tap = tapped.then(|| Tap::start(path.with_extension("tap"), path.clone()));
+        let connect = tap.as_ref().map_or(&path, |t| &t.path);
         let stop = Arc::new(AtomicBool::new(false));
-        let worker = {
-            let (stop, builder) = (stop.clone(), worker_side.clone());
-            let addr = Addr::Uds(path.clone());
-            std::thread::spawn(move || {
-                run_worker(&WorkerConfig::new(addr), builder, &stop).expect("worker ends cleanly");
+        let workers = worker_sides
+            .iter()
+            .map(|builder| {
+                let (stop, builder) = (stop.clone(), builder.clone());
+                let addr = Addr::Uds(connect.clone());
+                std::thread::spawn(move || {
+                    run_worker(&WorkerConfig::new(addr), builder, &stop)
+                        .expect("worker ends cleanly");
+                })
             })
-        };
+            .collect();
         let d = Deployment {
             daemon,
             daemon_side,
-            worker_side,
+            worker_sides,
             stop,
-            worker: Some(worker),
+            workers,
             path,
-            world: open(SPEC_BYTES),
+            tap,
+            world: open(spec),
         };
         d.await_worker();
         d
@@ -192,16 +316,16 @@ impl Deployment {
     fn restart(&mut self, spec: &[u8]) {
         self.daemon.shutdown();
         self.daemon_side = Arc::new(Counting::default());
-        self.daemon = start_daemon(&self.path, spec, self.daemon_side.clone());
+        let workers = self.worker_sides.len();
+        self.daemon = start_daemon(&self.path, spec, workers, self.daemon_side.clone());
         self.world = open(spec);
         self.await_worker();
     }
 
     fn builds(&self) -> (usize, usize) {
-        (
-            self.daemon_side.calls.load(Ordering::SeqCst),
-            self.worker_side.calls.load(Ordering::SeqCst),
-        )
+        let calls = |c: &Counting| c.calls.load(Ordering::SeqCst);
+        let workers = self.worker_sides.iter().map(|c| calls(c)).sum();
+        (calls(&self.daemon_side), workers)
     }
 
     fn try_run_under(
@@ -209,16 +333,15 @@ impl Deployment {
         epoch: u64,
         spec: &QuerySpec,
         (privacy, resilience): (&PrivacyConfig, &ResilienceConfig),
-        abort: bool,
+        abort: &AtomicBool,
     ) -> Option<Result<LiveRun>> {
-        let abort = AtomicBool::new(abort);
-        self.daemon
-            .try_run(epoch, spec, privacy, resilience, &abort)
+        self.daemon.try_run(epoch, spec, privacy, resilience, abort)
     }
 
     fn try_run(&self, epoch: u64, spec: &QuerySpec, abort: bool) -> Option<Result<LiveRun>> {
         let w = &self.world;
-        self.try_run_under(epoch, spec, (&w.privacy, &w.resilience), abort)
+        let abort = AtomicBool::new(abort);
+        self.try_run_under(epoch, spec, (&w.privacy, &w.resilience), &abort)
     }
 
     fn run(&self, epoch: u64) -> LiveRun {
@@ -246,7 +369,7 @@ impl Drop for Deployment {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         self.daemon.shutdown();
-        if let Some(w) = self.worker.take() {
+        for w in self.workers.drain(..) {
             w.join().ok();
         }
         let _ = std::fs::remove_file(&self.path);
@@ -427,7 +550,7 @@ fn the_canonical_query_under_other_configs_is_refused_and_answered_in_process() 
     ];
     for (epoch, (p, r)) in (1..).zip(submissions) {
         // Refused whether or not a template exists yet.
-        match d.try_run_under(epoch, &w.canonical, (p, r), false) {
+        match d.try_run_under(epoch, &w.canonical, (p, r), &AtomicBool::new(false)) {
             Some(Err(Error::InvalidQuery(why))) => assert!(why.contains("configs"), "{why}"),
             other => panic!("expected a typed refusal, got {other:?}"),
         }
@@ -449,4 +572,128 @@ fn the_canonical_query_under_other_configs_is_refused_and_answered_in_process() 
         );
     }
     assert_eq!(d.builds(), (1, 1), "the workers stayed registered");
+}
+
+/// Epochs each kept-slice deployment runs.
+const EPOCHS: u64 = 8;
+
+/// Counting builders for `workers` workers; `by_hand` ones are called
+/// every epoch.
+fn worker_sides(workers: usize, by_hand: bool) -> Vec<Counting> {
+    let side = || Counting {
+        by_hand,
+        ..Counting::default()
+    };
+    (0..workers).map(|_| side()).collect()
+}
+
+/// [`EPOCHS`] epochs of `spec` on `workers` workers that keep their
+/// slices, each checked against the in-process run of that epoch, and the
+/// bytes those workers sent the daemon against workers that build every
+/// epoch.
+fn kept_slices_answer_like_fresh_builds(spec: &[u8], workers: usize) {
+    let name = String::from_utf8_lossy(spec).replace('/', "-");
+    let tag = |side: &str| format!("{side}-{name}-{workers}");
+    let kept = Deployment::launch(
+        &tag("kept"),
+        spec,
+        Counting::default(),
+        worker_sides(workers, false),
+        true,
+    );
+    let fresh = Deployment::launch(
+        &tag("fresh"),
+        spec,
+        Counting::default(),
+        worker_sides(workers, true),
+        true,
+    );
+    let w = &kept.world;
+    let mut completed = 0;
+    for epoch in 1..=EPOCHS {
+        let reference = in_process_under(w, &w.canonical, &w.privacy, &w.resilience, epoch);
+        completed += usize::from(reference.report.completed);
+        let (run, built) = (kept.run(epoch), fresh.run(epoch));
+        assert_eq!(
+            verdict(&run),
+            verdict(&reference),
+            "{name} x{workers}, epoch {epoch}"
+        );
+        assert_eq!(
+            verdict(&built),
+            verdict(&reference),
+            "{name} x{workers}, epoch {epoch}"
+        );
+        assert_eq!(
+            kept.builds(),
+            (1, workers),
+            "{name} x{workers}, epoch {epoch}"
+        );
+    }
+    assert!(
+        completed > 0,
+        "{name}: no epoch completes, so little is compared"
+    );
+    assert_eq!(fresh.builds(), (1, EPOCHS as usize * workers));
+    let sent = |d: &Deployment| d.tap.as_ref().expect("tapped").sent();
+    let (kept_sent, fresh_sent) = (sent(&kept), sent(&fresh));
+    assert_eq!(kept_sent.len(), workers, "one connection per worker");
+    assert!(
+        kept_sent == fresh_sent,
+        "{name} x{workers}: workers that reset their slices sent the daemon other bytes \
+         ({:?} bytes) than workers that build every epoch ({:?})",
+        kept_sent.iter().map(Vec::len).collect::<Vec<_>>(),
+        fresh_sent.iter().map(Vec::len).collect::<Vec<_>>(),
+    );
+}
+
+#[test]
+fn every_epoch_on_a_kept_slice_answers_like_a_fresh_build() {
+    for spec in [CRASHES_AT_START, CRASHES_DELAYED] {
+        for workers in [1, 2] {
+            kept_slices_answer_like_fresh_builds(spec, workers);
+        }
+    }
+}
+
+#[test]
+fn an_epoch_aborted_mid_run_leaves_nothing_behind_on_the_kept_slice() {
+    for workers in [1, 2] {
+        let tag = format!("midabort-{workers}");
+        let sides = worker_sides(workers, false);
+        let d = Deployment::launch(&tag, CRASHES_DELAYED, Counting::default(), sides, false);
+        let w = &d.world;
+        // Raise the abort sooner or later until it lands mid-run: after
+        // windows that sent messages, before the run ends on its own.
+        let (mut epoch, mut delay) = (0, Duration::from_micros(200));
+        loop {
+            epoch += 1;
+            assert!(epoch <= 40, "no abort landed mid-run");
+            let abort = AtomicBool::new(false);
+            let run = std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(delay);
+                    abort.store(true, Ordering::Release);
+                });
+                d.try_run_under(epoch, &w.canonical, (&w.privacy, &w.resilience), &abort)
+            });
+            let run = run
+                .expect("the fleet is complete")
+                .expect("the epoch tears down");
+            match (run.exit, run.report.messages_sent) {
+                (ExitReason::Aborted, 0) => delay = delay * 3 / 2,
+                (ExitReason::Aborted, _) => break,
+                _ => delay /= 2,
+            }
+        }
+        for epoch in epoch + 1..=epoch + 2 {
+            let reference = in_process_under(w, &w.canonical, &w.privacy, &w.resilience, epoch);
+            assert_eq!(
+                verdict(&d.run(epoch)),
+                verdict(&reference),
+                "x{workers}, epoch {epoch}"
+            );
+        }
+        assert_eq!(d.builds(), (1, workers), "x{workers}");
+    }
 }

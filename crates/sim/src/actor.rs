@@ -180,6 +180,13 @@ pub trait Actor: Send {
 
     /// Called when the device reconnects after a down period. Optional.
     fn on_reconnect(&mut self, _ctx: &mut Context<'_>) {}
+
+    /// Returns the actor to the state its constructor gave it, for a host
+    /// that runs the same world again (`Shard::reset`). `false`, the
+    /// default, says it cannot: the host must build it anew.
+    fn restart(&mut self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@ use edgelet_util::ids::DeviceId;
 use edgelet_util::rng::DetRng;
 use edgelet_util::sync::EpochGate;
 use edgelet_util::{Error, Result};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -493,7 +492,6 @@ pub struct World {
     /// The global accumulators.
     pub state: RunState,
     device_count: usize,
-    root_rng: DetRng,
 }
 
 impl World {
@@ -506,13 +504,13 @@ impl World {
         seed: u64,
     ) -> Self {
         let n = slices.max(1);
+        let root = DetRng::new(seed);
         World {
             slices: (0..n)
-                .map(|i| Shard::new(i, n, lookahead_us.max(1)))
+                .map(|i| Shard::new(i, n, lookahead_us.max(1), root.clone()))
                 .collect(),
             state: RunState::new(lookahead_us, max_events, trace_capacity),
             device_count: 0,
-            root_rng: DetRng::new(seed),
         }
     }
 
@@ -536,41 +534,14 @@ impl World {
         self.slices[id.index() % self.slices.len()].device(id)
     }
 
-    /// Registers a device; returns its id. The RNG fork order — "churn",
-    /// "device", "netdev", then "crash", indexed by the device id — is
-    /// part of the deterministic contract.
+    /// Registers a device; returns its id. Its state and first events
+    /// are derived from the world seed and the id alone
+    /// ([`Shard::reset`] derives them again).
     pub fn add_device(&mut self, cfg: DeviceConfig) -> DeviceId {
         let id = DeviceId::new(self.device_count as u64);
         self.device_count += 1;
-        let mut churn_rng = self.root_rng.fork_indexed("churn", id.raw());
-        let up = cfg.availability.starts_up();
-        let first_toggle = cfg.availability.next_period(up, &mut churn_rng);
-        let state = DeviceState {
-            up,
-            crashed: false,
-            halted: false,
-            actor: None,
-            rng: self.root_rng.fork_indexed("device", id.raw()),
-            churn_rng,
-            net_rng: self.root_rng.fork_indexed("netdev", id.raw()),
-            next_timer: 0,
-            spawn_seq: 0,
-            cancelled: BTreeSet::new(),
-            availability: cfg.availability,
-            outbox: Vec::new(),
-            inbox: Vec::new(),
-        };
         let s = id.index() % self.slices.len();
-        self.slices[s].devices.push(state);
-        // Schedule the first availability transition.
-        if let Some(period) = first_toggle {
-            self.push_external(id, self.state.now + period, EventKind::ChurnToggle(id));
-        }
-        // Resolve the crash plan.
-        let mut crash_rng = self.root_rng.fork_indexed("crash", id.raw());
-        if let Some(t) = cfg.crash.resolve(&mut crash_rng) {
-            self.crash_at(id, t);
-        }
+        self.state.real_pending += self.slices[s].derive(id, cfg, None, self.state.now);
         id
     }
 
@@ -579,41 +550,30 @@ impl World {
     /// the deterministic contract (it consumes per-device sequence
     /// numbers).
     pub fn install_actor(&mut self, device: DeviceId, actor: Box<dyn Actor>) {
-        let s = device.index() % self.slices.len();
-        let state = self.slices[s].device_mut(device);
+        let now = self.state.now;
+        let slice = self.slice_of(device);
+        let state = slice.device_mut(device);
         assert!(
             state.actor.is_none(),
             "device {device} already has an actor"
         );
         state.actor = Some(actor);
-        self.push_external(device, self.state.now, EventKind::Start(device));
+        slice.schedule(device, now, EventKind::Start(device));
+        self.state.real_pending += 1;
     }
 
     /// Schedules a scripted crash (the demo's "power off a device").
     pub fn crash_at(&mut self, device: DeviceId, at: SimTime) {
-        self.push_external(
-            device,
-            at.max(self.state.now),
-            EventKind::Crash(device, CrashCause::Organic),
-        );
+        let at = at.max(self.state.now);
+        let slice = self.slice_of(device);
+        slice.scripted.push((device, at));
+        slice.schedule(device, at, EventKind::Crash(device, CrashCause::Organic));
+        self.state.real_pending += 1;
     }
 
-    /// Schedules an event from outside any event handler, drawing the
-    /// key from the origin device's spawn counter.
-    fn push_external(&mut self, origin: DeviceId, at: SimTime, kind: EventKind) {
-        if !kind.is_churn() {
-            self.state.real_pending += 1;
-        }
+    fn slice_of(&mut self, device: DeviceId) -> &mut Shard {
         let n = self.slices.len();
-        let d = self.slices[origin.index() % n].device_mut(origin);
-        let seq = d.spawn_seq;
-        d.spawn_seq += 1;
-        self.slices[kind.target().index() % n].queue.push(Event {
-            at,
-            origin: origin.raw(),
-            seq,
-            kind,
-        });
+        &mut self.slices[device.index() % n]
     }
 
     /// Earliest pending event time across every slice's queue, µs.

@@ -216,6 +216,16 @@ impl EventQueue {
         self.heap.reserve(events);
     }
 
+    /// Drops every pending event, keeping the heap's and the slab's
+    /// capacity: the queue [`EventQueue::new`] gives, without allocating.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.overflow.clear();
+        self.opened = 0;
+    }
+
     /// Number of pending events.
     #[cfg(test)]
     pub fn len(&self) -> usize {

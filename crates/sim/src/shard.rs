@@ -18,7 +18,7 @@
 //! results.
 
 use crate::actor::{Actor, Command, Context, TimerToken};
-use crate::churn::Availability;
+use crate::exec::DeviceConfig;
 use crate::fault::{
     evaluate_plan, CrashCause, FaultAction, FaultCounters, FaultPlan, HeldMsg, MatchPoint,
 };
@@ -52,7 +52,9 @@ pub struct DeviceState {
     /// device spawns.
     pub(crate) spawn_seq: u64,
     pub(crate) cancelled: BTreeSet<TimerToken>,
-    pub(crate) availability: Availability,
+    /// What the device was registered with; [`Shard::reset`] derives
+    /// its state from it again.
+    pub(crate) config: DeviceConfig,
     /// Messages waiting for this (down) sender to reconnect.
     pub(crate) outbox: Vec<(DeviceId, Payload, SimTime)>,
     /// Messages waiting for this (down) receiver to reconnect.
@@ -60,6 +62,39 @@ pub struct DeviceState {
 }
 
 impl DeviceState {
+    /// The state registration gives device `id` under `config`: flags,
+    /// counters, empty parking and its RNG streams forked from the world
+    /// seed `root` by id ("churn", "device", "netdev" — and "crash", whose
+    /// one draw is its crash plan's). Also returns its first events' times:
+    /// the first availability toggle's delay and the crash drawn.
+    fn fresh(
+        id: DeviceId,
+        config: DeviceConfig,
+        root: &DetRng,
+    ) -> (Self, Option<Duration>, Option<SimTime>) {
+        let fork = |label| root.fork_indexed(label, id.raw());
+        let mut churn_rng = fork("churn");
+        let up = config.availability.starts_up();
+        let first_toggle = config.availability.next_period(up, &mut churn_rng);
+        let crash = config.crash.resolve(&mut fork("crash"));
+        let state = DeviceState {
+            up,
+            crashed: false,
+            halted: false,
+            actor: None,
+            rng: fork("device"),
+            churn_rng,
+            net_rng: fork("netdev"),
+            next_timer: 0,
+            spawn_seq: 0,
+            cancelled: BTreeSet::new(),
+            config,
+            outbox: Vec::new(),
+            inbox: Vec::new(),
+        };
+        (state, first_toggle, crash)
+    }
+
     /// Whether the device is connected (and has not crashed).
     pub fn is_up(&self) -> bool {
         self.up && !self.crashed
@@ -320,16 +355,23 @@ pub struct Shard {
     /// The commands of the actor callback in progress; one buffer
     /// serves every callback of the slice.
     commands: Vec<Command>,
+    /// The world's seed stream, which every device's streams fork from.
+    root: DetRng,
+    /// Scripted crashes of this slice's devices, in the order they were
+    /// scheduled.
+    pub(crate) scripted: Vec<(DeviceId, SimTime)>,
 }
 
 impl Shard {
-    pub(crate) fn new(idx: usize, shard_count: usize, width_us: u64) -> Self {
+    pub(crate) fn new(idx: usize, shard_count: usize, width_us: u64, root: DetRng) -> Self {
         Shard {
             idx,
             shard_count,
             devices: Vec::new(),
             queue: EventQueue::new(width_us),
             commands: Vec::new(),
+            root,
+            scripted: Vec::new(),
         }
     }
 
@@ -363,6 +405,80 @@ impl Shard {
     pub(crate) fn device(&self, id: DeviceId) -> &DeviceState {
         debug_assert_eq!(id.index() % self.shard_count, self.idx);
         &self.devices[id.index() / self.shard_count]
+    }
+
+    /// Gives device `id` the [fresh](DeviceState::fresh) state under
+    /// `config`, with `actor` on it, and queues its first events: the
+    /// first availability toggle and the crash drawn. Registration (of
+    /// the slice's next device) and [`Shard::reset`] both come here.
+    /// Returns the non-churn events queued.
+    pub(crate) fn derive(
+        &mut self,
+        id: DeviceId,
+        config: DeviceConfig,
+        actor: Option<Box<dyn Actor>>,
+        now: SimTime,
+    ) -> u64 {
+        let (mut state, first_toggle, crash) = DeviceState::fresh(id, config, &self.root);
+        state.actor = actor;
+        let local = id.index() / self.shard_count;
+        match self.devices.get_mut(local) {
+            Some(d) => *d = state,
+            None => {
+                debug_assert_eq!(local, self.devices.len(), "devices register in id order");
+                self.devices.push(state);
+            }
+        }
+        if let Some(period) = first_toggle {
+            self.schedule(id, now + period, EventKind::ChurnToggle(id));
+        }
+        let Some(at) = crash else { return 0 };
+        self.schedule(id, at.max(now), EventKind::Crash(id, CrashCause::Organic));
+        1
+    }
+
+    /// Queues an event `origin` makes for itself from outside any handler
+    /// (registration, its actor's start, a scripted crash), keyed from its
+    /// spawn counter.
+    pub(crate) fn schedule(&mut self, origin: DeviceId, at: SimTime, kind: EventKind) {
+        debug_assert_eq!(kind.target(), origin);
+        let d = self.device_mut(origin);
+        let seq = d.spawn_seq;
+        d.spawn_seq += 1;
+        self.queue.push(Event {
+            at,
+            origin: origin.raw(),
+            seq,
+            kind,
+        });
+    }
+
+    /// Returns this slice to what its registrations, installs and
+    /// scripted crashes at virtual time zero made it, without allocating:
+    /// the queue emptied, every device derived again, every installed
+    /// actor restarted and started, every scripted crash queued again.
+    /// Each device's events are made in the order `prepare_live_query`
+    /// makes them (registration, install, scripted crashes), so every
+    /// event key repeats. `false` when an actor cannot restart: the slice
+    /// must then be built anew.
+    pub fn reset(&mut self) -> bool {
+        self.queue.clear();
+        for local in 0..self.devices.len() {
+            let id = DeviceId::new((local * self.shard_count + self.idx) as u64);
+            let d = &mut self.devices[local];
+            let (config, actor) = (std::mem::take(&mut d.config), d.actor.take());
+            self.derive(id, config, actor, SimTime::ZERO);
+            match self.devices[local].actor.as_mut().map(|a| a.restart()) {
+                Some(false) => return false,
+                Some(true) => self.schedule(id, SimTime::ZERO, EventKind::Start(id)),
+                None => {}
+            }
+        }
+        for i in 0..self.scripted.len() {
+            let (device, at) = self.scripted[i];
+            self.schedule(device, at, EventKind::Crash(device, CrashCause::Organic));
+        }
+        true
     }
 
     /// Spawns an event from `origin` (the executing device), assigning
@@ -529,7 +645,7 @@ impl Shard {
         }
         // Schedule the next transition.
         let state = self.device_mut(device);
-        let availability = state.availability.clone();
+        let availability = state.config.availability.clone();
         let mut churn_rng = state.churn_rng.clone();
         if let Some(period) = availability.next_period(now_up, &mut churn_rng) {
             self.device_mut(device).churn_rng = churn_rng;
@@ -581,9 +697,10 @@ impl Shard {
         if state.crashed {
             return;
         }
+        // The actor stays: `crashed` gates every callback, and a reset
+        // world restarts it.
         state.crashed = true;
         state.up = false;
-        state.actor = None;
         let cleared = (state.inbox.len() + state.outbox.len()) as i64;
         state.inbox.clear();
         state.outbox.clear();

@@ -83,15 +83,13 @@ fn missing_computer_is_a_structure_error() {
     let mut backwards_edge = plan.clone();
     let (a, b) = plan.edges[0];
     backwards_edge.edges.push((b, a));
-    // One bucket too many: dropping one instead would panic in the cost
-    // model the deadline pass calls, before E005 is reported.
-    let mut extra_bucket = plan.clone();
-    extra_bucket.contributors.push(Vec::new());
+    let mut missing_bucket = plan.clone();
+    missing_bucket.contributors.pop();
     for (code, broken) in [
         ("E002", no_computer),
         ("E001", twin_builder),
         ("E004", backwards_edge),
-        ("E005", extra_bucket),
+        ("E005", missing_bucket),
     ] {
         let found = codes_of(&broken, &privacy, &resilience);
         assert!(found.contains(&code), "expected {code} in {found:?}");
