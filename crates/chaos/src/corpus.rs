@@ -388,7 +388,7 @@ impl CorpusEntry {
                      drills run the durable live service over a clean network)",
                 ));
             }
-            let drill = crate::storage::run_storage_drill_with(
+            let drill = crate::storage::run_storage_drill(
                 scenario,
                 self.seed,
                 &self.storage,
@@ -620,7 +620,7 @@ storage = torn-tail at_append=2 keep=6
         // oracle-clean.
         let storage = StorageFaultPlan::new().with(2, StorageFaultAction::TornTail { keep: 6 });
         let drill =
-            crate::storage::run_storage_drill(ChaosScenario::Grouping, 5, &storage).unwrap();
+            crate::storage::run_storage_drill(ChaosScenario::Grouping, 5, &storage, None).unwrap();
         assert!(
             drill.parity && drill.oracles.is_empty() && drill.repaired_tail,
             "storage pin must be clean, got {drill:?}"
@@ -646,7 +646,7 @@ storage = torn-tail at_append=2 keep=6
         // repair only the active tail, and still reach byte parity.
         let storage = StorageFaultPlan::new().with(2, StorageFaultAction::TornTail { keep: 6 });
         let drill =
-            crate::storage::run_storage_drill_with(ChaosScenario::Grouping, 5, &storage, Some(256))
+            crate::storage::run_storage_drill(ChaosScenario::Grouping, 5, &storage, Some(256))
                 .unwrap();
         assert!(
             drill.parity && drill.oracles.is_empty() && drill.repaired_tail,

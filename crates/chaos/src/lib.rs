@@ -53,4 +53,3 @@ pub use edgelet_sim::FaultPlan;
 pub use oracle::{check_run, signature, Violation};
 pub use plans::{catalog, plan_for_seed, NamedPlan};
 pub use scenario::{ChaosRun, ChaosScenario, Session};
-pub use storage::{run_storage_drill, StorageDrillReport, STORAGE_DRAINED};

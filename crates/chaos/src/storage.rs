@@ -122,19 +122,10 @@ fn submit(
 /// Runs the three-incarnation storage drill for `(scenario, seed)`
 /// under `plan`. Errors only on harness-level failures (the baseline
 /// itself failing, an unexpected submit error); a drained recovery is
-/// a *verdict*, not an error.
+/// a *verdict*, not an error. `segment_bytes` overrides the WAL segment
+/// size (`None` = the service default), so corpus entries can pin
+/// faults that land at segment rotation boundaries.
 pub fn run_storage_drill(
-    scenario: ChaosScenario,
-    seed: u64,
-    plan: &StorageFaultPlan,
-) -> Result<StorageDrillReport> {
-    run_storage_drill_with(scenario, seed, plan, None)
-}
-
-/// [`run_storage_drill`] with an explicit WAL segment-size override
-/// (`None` = the service default), so corpus entries can pin faults
-/// that land at segment rotation boundaries.
-pub fn run_storage_drill_with(
     scenario: ChaosScenario,
     seed: u64,
     plan: &StorageFaultPlan,
@@ -219,7 +210,7 @@ mod tests {
     #[test]
     fn clean_plan_drills_to_parity() {
         let report =
-            run_storage_drill(ChaosScenario::Grouping, 1, &StorageFaultPlan::new()).unwrap();
+            run_storage_drill(ChaosScenario::Grouping, 1, &StorageFaultPlan::new(), None).unwrap();
         assert!(report.parity, "{report:?}");
         assert!(report.oracles.is_empty(), "{report:?}");
         assert!(!report.faulted_drained && report.drained.is_none());
@@ -229,7 +220,7 @@ mod tests {
     fn torn_tail_drains_then_recovers_byte_identically() {
         // The 2nd append is the completion record: tear it mid-write.
         let plan = StorageFaultPlan::new().with(2, StorageFaultAction::TornTail { keep: 6 });
-        let report = run_storage_drill(ChaosScenario::Grouping, 5, &plan).unwrap();
+        let report = run_storage_drill(ChaosScenario::Grouping, 5, &plan, None).unwrap();
         assert!(report.faulted_drained, "a torn tail kills the media");
         assert!(report.repaired_tail, "recovery must repair the tail");
         assert!(report.parity, "{report:?}");
@@ -239,7 +230,7 @@ mod tests {
     #[test]
     fn failed_syncs_are_ridden_out_by_retry() {
         let plan = StorageFaultPlan::new().with(1, StorageFaultAction::FailedSync { times: 2 });
-        let report = run_storage_drill(ChaosScenario::KMeans, 3, &plan).unwrap();
+        let report = run_storage_drill(ChaosScenario::KMeans, 3, &plan, None).unwrap();
         assert!(!report.faulted_drained, "retry must absorb transient syncs");
         assert!(report.parity, "{report:?}");
     }
@@ -250,7 +241,7 @@ mod tests {
         // the torn completion lands at a fresh segment's start and the
         // sealed segments must replay in order.
         let plan = StorageFaultPlan::new().with(2, StorageFaultAction::TornTail { keep: 6 });
-        let report = run_storage_drill_with(ChaosScenario::Grouping, 5, &plan, Some(256)).unwrap();
+        let report = run_storage_drill(ChaosScenario::Grouping, 5, &plan, Some(256)).unwrap();
         assert!(report.faulted_drained, "a torn tail kills the media");
         assert!(report.repaired_tail, "recovery must repair the tail");
         assert!(report.parity, "{report:?}");
@@ -261,7 +252,7 @@ mod tests {
         // The intent record (append 1) is silently cut short while the
         // completion lands intact: unrepairable mid-log damage.
         let plan = StorageFaultPlan::new().with(1, StorageFaultAction::TruncatedRecord { keep: 4 });
-        let report = run_storage_drill(ChaosScenario::Grouping, 2, &plan).unwrap();
+        let report = run_storage_drill(ChaosScenario::Grouping, 2, &plan, None).unwrap();
         assert_eq!(report.oracles, vec![STORAGE_DRAINED.to_string()]);
         assert!(report.drained.is_some() && !report.parity);
         assert!(report.acceptable());

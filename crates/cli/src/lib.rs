@@ -14,7 +14,7 @@
 //! tested here: each subcommand takes the flags it knows out of one
 //! consuming reader (`args::Flags`) and a flag nobody took is refused
 //! by name, on the command line and in a world spec off a socket alike.
-//! `main.rs` is a thin shell around [`run_cli`].
+//! `main.rs` is a thin shell around [`run_cli_with_status`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,17 +26,12 @@ pub(crate) mod net;
 use edgelet_util::Result;
 
 /// Entry point: parses `argv` (without the program name) and executes.
-/// Returns the text to print on success.
-pub fn run_cli(argv: &[String]) -> Result<String> {
-    run_cli_with_status(argv).map(|(text, _)| text)
-}
-
-/// Like [`run_cli`], but also returns the process exit status the tool
-/// should use: nonzero when `analyze` found `Error`-severity diagnostics.
+/// Returns the text to print on success and the process exit status the
+/// tool should use: nonzero when `analyze` found `Error`-severity
+/// diagnostics.
 pub fn run_cli_with_status(argv: &[String]) -> Result<(String, i32)> {
     let cmd = args::parse(argv)?;
     commands::execute_with_status(cmd)
 }
 
-pub use edgelet_core as core_api;
 use edgelet_core::util as edgelet_util;

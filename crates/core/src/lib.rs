@@ -51,7 +51,6 @@ pub use config::{DeviceMix, NetworkProfile, PlatformConfig};
 pub use platform::{Platform, RunResult};
 pub use scenario::Scenario;
 
-pub use edgelet_crypto as crypto;
 pub use edgelet_exec as exec;
 pub use edgelet_ml as ml;
 pub use edgelet_privacy as privacy;

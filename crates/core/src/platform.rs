@@ -131,11 +131,6 @@ impl Platform {
         self.querier
     }
 
-    /// Read access to a contributor's store.
-    pub fn store(&self, device: DeviceId) -> Option<&DataStore> {
-        self.crowd.stores.get(&device)
-    }
-
     /// All contributor data stores, keyed by device.
     pub fn stores(&self) -> &BTreeMap<DeviceId, DataStore> {
         &self.crowd.stores
@@ -413,8 +408,8 @@ mod tests {
         assert_eq!(p.directory().contributors().len(), 800);
         assert_eq!(p.directory().processors().len(), 60);
         assert_eq!(p.querier(), DeviceId::new(860));
-        assert!(p.store(DeviceId::new(0)).is_some());
-        assert!(p.store(DeviceId::new(800)).is_none());
+        assert!(p.stores().contains_key(&DeviceId::new(0)));
+        assert!(!p.stores().contains_key(&DeviceId::new(800)));
     }
 
     #[test]

@@ -84,15 +84,6 @@ pub enum WalRecord {
     },
 }
 
-impl WalRecord {
-    /// The epoch this record belongs to.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            WalRecord::Intent { epoch, .. } | WalRecord::Completion { epoch, .. } => *epoch,
-        }
-    }
-}
-
 impl Encode for WalRecord {
     fn encode(&self, w: &mut Writer) {
         match self {

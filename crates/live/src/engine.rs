@@ -239,11 +239,6 @@ impl LiveEngine {
         self.parts.world.state.now
     }
 
-    /// Number of registered devices.
-    pub fn device_count(&self) -> usize {
-        self.parts.world.device_count()
-    }
-
     /// Metric counters accumulated so far.
     pub fn metrics(&self) -> &SimMetrics {
         &self.parts.world.state.metrics
@@ -252,11 +247,6 @@ impl LiveEngine {
     /// The event trace (empty unless `trace_capacity > 0`).
     pub fn trace(&self) -> &Trace {
         &self.parts.world.state.trace
-    }
-
-    /// The epoch this engine stamps on every envelope.
-    pub fn epoch(&self) -> u64 {
-        self.parts.epoch
     }
 
     /// What [`crate::prepare_live_query`] built this world from; `None`
@@ -271,13 +261,6 @@ impl LiveEngine {
     pub fn into_parts(self) -> EngineParts {
         debug_assert_eq!(self.now(), SimTime::ZERO, "into_parts on a stepped engine");
         self.parts
-    }
-
-    /// Runs until quiescent or `max_events` is hit. Returns the final
-    /// virtual time.
-    pub fn run(&mut self) -> SimTime {
-        self.run_until(SimTime::MAX, None);
-        self.now()
     }
 
     /// Runs until the world drains, virtual time would pass `deadline`,

@@ -314,11 +314,6 @@ impl QueryService {
         &self.transport
     }
 
-    /// The platform this service executes against.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
     /// Queries currently executing.
     pub fn in_flight(&self) -> usize {
         *lock(&self.in_flight)

@@ -29,7 +29,4 @@ pub mod matrix;
 pub mod metrics;
 
 pub use aggregate::{AggKind, AggSpec, PartialAgg};
-pub use distributed::CentroidSet;
-pub use grouping::{GroupedPartial, GroupingQuery, ResultTable};
-pub use kmeans::{KMeans, KMeansConfig};
 pub use matrix::Matrix;

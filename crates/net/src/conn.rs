@@ -288,12 +288,6 @@ impl MsgStream {
     pub fn shutdown(&self) {
         self.stream.shutdown();
     }
-
-    /// Borrows the underlying stream (e.g. to `try_clone` for a
-    /// shutdown handle).
-    pub fn stream(&self) -> &Stream {
-        &self.stream
-    }
 }
 
 /// Truncated-exponential reconnect backoff.

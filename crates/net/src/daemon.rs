@@ -357,28 +357,25 @@ impl Daemon {
                 .collect()
         };
         let nonce = self.shared.registrations.load(Ordering::Relaxed) ^ 0x6e65_745f_7069_6e67;
-        let mut all_live = true;
-        for (_, stream) in taken.iter_mut() {
-            let live = stream.send(&NetMsg::Ping { nonce }).is_ok()
-                && matches!(
-                    stream.recv(Some(self.config.io_timeout)),
-                    Ok(NetMsg::Pong { nonce: n }) if n == nonce
-                );
-            if !live {
-                all_live = false;
-            }
-        }
-        if all_live {
+        let live: Vec<bool> = taken
+            .iter_mut()
+            .map(|(_, stream)| {
+                stream.send(&NetMsg::Ping { nonce }).is_ok()
+                    && matches!(
+                        stream.recv(Some(self.config.io_timeout)),
+                        Ok(NetMsg::Pong { nonce: n }) if n == nonce
+                    )
+            })
+            .collect();
+        if live.iter().all(|&l| l) {
             return Some(taken.into_iter().map(|(_, s)| s).collect());
         }
-        // Drop dead connections (slots stay free for reconnects); put
-        // live ones back.
+        // A stream that failed the probe is dropped here, so its slot
+        // stays free for a reconnecting or replacement worker; the live
+        // ones return to their slots.
         let mut reg = lock(&self.shared.registry);
-        for (i, stream) in taken {
-            // A stream that failed the probe is dropped here; the rest
-            // return to their slots. Re-probing on the next epoch is
-            // cheap and keeps this branch simple.
-            if reg[i].is_none() {
+        for ((i, stream), live) in taken.into_iter().zip(live) {
+            if live && reg[i].is_none() {
                 reg[i] = Some(stream);
             }
         }

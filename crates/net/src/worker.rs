@@ -224,7 +224,7 @@ pub fn run_worker(
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        match connect_session(cfg, builder.as_ref(), stop) {
+        match connect_session(cfg, builder.as_ref(), stop, &mut backoff) {
             Ok(()) => return Ok(()),
             Err(SessionEnd::Rejected(reason)) => return Err(SessionEnd::Rejected(reason)),
             Err(SessionEnd::Disconnected(_)) => {
@@ -251,11 +251,14 @@ pub fn run_worker(
     }
 }
 
-/// One connection session: handshake then serve until disconnect.
+/// One connection session: handshake then serve until disconnect. A
+/// session the daemon welcomed resets `backoff`, so the reconnect after
+/// it starts again from the first delay.
 fn connect_session(
     cfg: &WorkerConfig,
     builder: &dyn WorldBuilder,
     stop: &AtomicBool,
+    backoff: &mut Backoff,
 ) -> std::result::Result<(), SessionEnd> {
     let disc = |what: String| SessionEnd::Disconnected(what);
     let stream = Stream::connect(&cfg.connect).map_err(|e| disc(format!("connect: {e:?}")))?;
@@ -263,7 +266,7 @@ fn connect_session(
     ms.send(&NetMsg::hello(Role::Worker))
         .map_err(|e| disc(format!("hello: {e:?}")))?;
     match ms.recv(Some(cfg.handshake_timeout)) {
-        Ok(NetMsg::Welcome { .. }) => {}
+        Ok(NetMsg::Welcome { .. }) => backoff.reset(),
         Ok(NetMsg::Reject { reason }) => return Err(SessionEnd::Rejected(reason)),
         Ok(other) => return Err(disc(format!("expected Welcome, got {other:?}"))),
         Err(e) => return Err(disc(format!("handshake: {e:?}"))),
@@ -346,5 +349,46 @@ fn connect_session(
                 return Err(disc(format!("unexpected message {other:?}")));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conn::Listener;
+    use edgelet_live::PreparedQuery;
+
+    /// A builder no test session reaches: the daemon hangs up first.
+    struct NoWorld;
+
+    impl WorldBuilder for NoWorld {
+        fn build(&self, _: &[u8], _: u64, _: usize) -> Result<PreparedQuery> {
+            Err(Error::InvalidConfig("no world".into()))
+        }
+    }
+
+    #[test]
+    fn a_welcomed_session_resets_the_reconnect_backoff() {
+        let dir = std::env::temp_dir().join(format!("eln-worker-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let addr = Addr::Uds(dir.join("w.sock"));
+        let listener = Listener::bind(&addr).unwrap();
+        // The daemon side: welcome the worker, then hang up.
+        let daemon = std::thread::spawn(move || {
+            let mut s = MsgStream::new(listener.accept().unwrap());
+            let hello = s.recv(Some(Duration::from_secs(5))).unwrap();
+            assert!(matches!(hello, NetMsg::Hello { .. }), "{hello:?}");
+            s.send(&NetMsg::Welcome { worker_index: 0 }).unwrap();
+        });
+        let cfg = WorkerConfig::new(addr);
+        let mut backoff = Backoff::new(cfg.backoff_initial, cfg.backoff_max);
+        for _ in 0..8 {
+            backoff.delay();
+        }
+        let end = connect_session(&cfg, &NoWorld, &AtomicBool::new(false), &mut backoff);
+        daemon.join().unwrap();
+        assert!(matches!(end, Err(SessionEnd::Disconnected(_))), "{end:?}");
+        assert_eq!(backoff.delay(), cfg.backoff_initial);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

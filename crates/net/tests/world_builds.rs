@@ -697,3 +697,62 @@ fn an_epoch_aborted_mid_run_leaves_nothing_behind_on_the_kept_slice() {
         assert_eq!(d.builds(), (1, workers), "x{workers}");
     }
 }
+
+/// A worker that died between queries frees its slot at the next probe:
+/// the query that finds it dead declines, and a replacement worker then
+/// registers and serves the one after.
+#[test]
+fn a_worker_dead_between_queries_frees_its_slot_for_a_replacement() {
+    let path = std::path::PathBuf::from(format!(
+        "/tmp/edgelet-wb-{}-replace.sock",
+        std::process::id()
+    ));
+    let daemon = start_daemon(&path, SPEC_BYTES, 1, Arc::new(Counting::default()));
+    let worker = |stop: Arc<AtomicBool>| {
+        let addr = Addr::Uds(path.clone());
+        std::thread::spawn(move || {
+            run_worker(
+                &WorkerConfig::new(addr),
+                Arc::new(Counting::default()),
+                &stop,
+            )
+        })
+    };
+    let first_stop = Arc::new(AtomicBool::new(false));
+    let first = worker(first_stop.clone());
+    assert!(daemon.wait_workers(Duration::from_secs(30)));
+    first_stop.store(true, Ordering::Release);
+    assert_eq!(first.join().unwrap(), Ok(()));
+
+    let w = open(SPEC_BYTES);
+    let try_run = |epoch| {
+        let abort = AtomicBool::new(false);
+        daemon.try_run(epoch, &w.canonical, &w.privacy, &w.resilience, &abort)
+    };
+    assert!(try_run(1).is_none(), "the dead worker fails the probe");
+
+    let second_stop = Arc::new(AtomicBool::new(false));
+    let second = worker(second_stop.clone());
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while daemon.total_registrations() + daemon.total_rejections() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the replacement never handshook"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        (daemon.total_registrations(), daemon.total_rejections()),
+        (2, 0),
+        "the replacement takes the freed slot"
+    );
+    let run = try_run(2)
+        .expect("the fleet is complete again")
+        .expect("distributed epoch completes");
+    assert_eq!(verdict(&run), verdict(&in_process(&w.canonical, 2)));
+
+    second_stop.store(true, Ordering::Release);
+    daemon.shutdown();
+    assert_eq!(second.join().unwrap(), Ok(()));
+    let _ = std::fs::remove_file(&path);
+}

@@ -35,5 +35,4 @@ pub mod vertical;
 pub use config::{PrivacyConfig, ResilienceConfig, Strategy};
 pub use cost::{estimate, CostEstimate};
 pub use plan::{OperatorRole, PlannedOperator, QueryPlan};
-pub use resilience::{plan_backup_degree, plan_overcollection};
 pub use spec::{QueryKind, QuerySpec};

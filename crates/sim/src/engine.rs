@@ -139,16 +139,6 @@ impl Simulation {
         self.world.state.now
     }
 
-    /// Number of registered devices.
-    pub fn device_count(&self) -> usize {
-        self.world.device_count()
-    }
-
-    /// Number of shards the device population is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.world.slices.len()
-    }
-
     /// Whether a device is currently connected.
     pub fn is_up(&self, device: DeviceId) -> bool {
         self.world.device(device).is_up()

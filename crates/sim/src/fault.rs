@@ -79,18 +79,6 @@ impl FaultKind {
             FaultKind::CrashReceiver => 5,
         }
     }
-
-    /// Short lowercase name (used by the corpus serialisation).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Delay => "delay",
-            FaultKind::Duplicate => "duplicate",
-            FaultKind::Reorder => "reorder",
-            FaultKind::CrashSender => "crash-sender",
-            FaultKind::CrashReceiver => "crash-receiver",
-        }
-    }
 }
 
 /// Where in the message lifecycle a rule is evaluated.
@@ -329,11 +317,6 @@ impl FaultPlan {
         self.rules.push(cut(a, b));
         self.rules.push(cut(b, a));
         self
-    }
-
-    /// True when the plan has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 
     /// True when some rule matches on protocol kinds: the classifier must

@@ -418,11 +418,6 @@ impl FileBackend {
         })
     }
 
-    /// The directory this backend lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn checkpoint_path(&self) -> PathBuf {
         self.dir.join("checkpoint.bin")
     }

@@ -138,16 +138,6 @@ impl GroupCommitLog {
         }
     }
 
-    /// The wrapped backend.
-    pub fn backend(&self) -> &Arc<dyn DurableBackend> {
-        self.log.backend()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GroupCommitConfig {
-        &self.config
-    }
-
     /// Commits one record and returns once it is durable (its commit
     /// window's single sync has succeeded). Concurrent callers are
     /// coalesced into one batch + one sync.
@@ -300,12 +290,6 @@ impl GroupCommitLog {
             .unwrap_or_default();
         lock(&self.io).active_len = active_len;
         Ok(recovered)
-    }
-
-    /// Byte length of each live segment, oldest first (disk
-    /// accounting; the CI bounded-disk smoke sums this).
-    pub fn segment_sizes(&self) -> StorageResult<Vec<u64>> {
-        self.log.segment_sizes()
     }
 }
 

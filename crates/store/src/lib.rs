@@ -21,7 +21,6 @@
 //! * [`groupcommit`] — the [`GroupCommitLog`] fast path: leader/follower
 //!   sync coalescing, size-triggered segment rotation, and
 //!   checkpoint-aware compaction;
-//! * [`index`] — sorted secondary indexes for range lookups;
 //! * [`synth`] — the synthetic health-survey dataset generator standing in
 //!   for the private DomYcile data (see DESIGN.md §2);
 //! * [`csv`] — plain-text import/export used by the examples.
@@ -33,7 +32,6 @@ pub mod csv;
 pub mod durable;
 pub mod expr;
 pub mod groupcommit;
-pub mod index;
 pub mod row;
 pub mod schema;
 pub mod store;
@@ -47,7 +45,6 @@ pub use durable::{
 };
 pub use expr::{CmpOp, Predicate};
 pub use groupcommit::{GroupCommitConfig, GroupCommitLog};
-pub use index::SortedIndex;
 pub use row::Row;
 pub use schema::{Column, Schema};
 pub use store::DataStore;

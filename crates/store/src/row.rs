@@ -56,11 +56,6 @@ impl Row {
         }
         Ok(())
     }
-
-    /// Consumes into the value vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -111,10 +106,6 @@ mod tests {
             let projected = Row::new(columns.iter().map(|&i| r.values()[i].clone()).collect());
             assert_eq!(w.into_bytes(), to_bytes(&projected), "{columns:?}");
         }
-        assert_eq!(
-            Row::from(vec![Value::Int(1)]).into_values(),
-            vec![Value::Int(1)]
-        );
     }
 
     #[test]

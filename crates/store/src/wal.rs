@@ -313,11 +313,6 @@ impl DurableLog {
         DurableLog { backend, retry }
     }
 
-    /// The wrapped backend.
-    pub fn backend(&self) -> &Arc<dyn DurableBackend> {
-        &self.backend
-    }
-
     /// Appends one record and syncs it durable. Only after `Ok` may the
     /// caller treat the record as persisted.
     pub fn append(&self, payload: &[u8]) -> StorageResult<()> {

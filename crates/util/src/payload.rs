@@ -34,11 +34,6 @@ impl Payload {
         }
     }
 
-    /// An empty payload (no allocation besides the shared empty buffer).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
@@ -87,11 +82,6 @@ impl Payload {
             start: self.start + lo,
             end: self.start + hi,
         }
-    }
-
-    /// Copies the viewed bytes into a fresh vector.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
     }
 
     /// Recovers the underlying vector. Free when this is the only handle

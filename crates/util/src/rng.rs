@@ -45,11 +45,6 @@ impl DetRng {
         }
     }
 
-    /// The seed this generator was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent generator for the given label.
     ///
     /// Forking depends only on `(seed, label)` — not on how many values were
@@ -140,11 +135,6 @@ impl DetRng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick on empty slice");
         &items[self.range(0..items.len())]
-    }
-
-    /// Access to the underlying `rand` RNG for APIs that want `impl Rng`.
-    pub fn raw(&mut self) -> &mut StdRng {
-        &mut self.inner
     }
 }
 

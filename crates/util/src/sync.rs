@@ -38,11 +38,6 @@ pub struct EpochGate {
 }
 
 impl EpochGate {
-    /// A gate starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current counter value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Acquire)
@@ -90,7 +85,7 @@ mod tests {
 
     #[test]
     fn wait_returns_immediately_when_already_past() {
-        let g = EpochGate::new();
+        let g = EpochGate::default();
         assert_eq!(g.add(3), 3);
         assert_eq!(g.wait_min(2), 3);
         assert_eq!(g.wait_min(3), 3);
@@ -99,7 +94,7 @@ mod tests {
 
     #[test]
     fn parked_waiter_wakes_on_add() {
-        let g = Arc::new(EpochGate::new());
+        let g = Arc::new(EpochGate::default());
         let waiter = {
             let g = g.clone();
             std::thread::spawn(move || g.wait_min(1))
@@ -113,7 +108,7 @@ mod tests {
 
     #[test]
     fn many_waiters_one_release() {
-        let g = Arc::new(EpochGate::new());
+        let g = Arc::new(EpochGate::default());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let g = g.clone();
@@ -132,8 +127,8 @@ mod tests {
     fn generation_protocol_round_trips() {
         // Coordinator/worker handshake: open generations one at a time,
         // worker acknowledges through a second gate.
-        let open = Arc::new(EpochGate::new());
-        let done = Arc::new(EpochGate::new());
+        let open = Arc::new(EpochGate::default());
+        let done = Arc::new(EpochGate::default());
         let worker = {
             let (open, done) = (open.clone(), done.clone());
             std::thread::spawn(move || {

@@ -53,16 +53,6 @@ impl Writer {
         self.buf.put_slice(bytes);
     }
 
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Finishes and returns the encoded bytes, handing over the internal
     /// buffer (no copy).
     pub fn into_bytes(self) -> Vec<u8> {
