@@ -7,7 +7,7 @@
 
 use edgelet_util::ids::DeviceId;
 use edgelet_util::{Error, Result};
-use edgelet_wire::{Decode, Encode, Reader, Writer};
+use edgelet_wire::{varint, Decode, Encode, Reader, Writer};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -47,7 +47,7 @@ pub struct Ledger {
 /// [`FlatLedger::decode_from`] is the only decoder of the ledger wire
 /// form — [`Ledger::decode`] builds its map from one — and the buffer
 /// is reusable, so WAL replay decodes every completion record into the
-/// same allocation and folds it in with [`Ledger::merge_flat`].
+/// same allocation and folds it into a [`DenseLedger`].
 #[derive(Debug, Default)]
 pub struct FlatLedger {
     entries: Vec<(DeviceId, LiabilityEntry)>,
@@ -61,8 +61,8 @@ impl FlatLedger {
     /// Replaces the contents with the ledger encoded at `r`, keeping
     /// the buffer's capacity. The canonical encoder writes a
     /// `BTreeMap`, so keys arrive strictly ascending; anything else is
-    /// a decode error, which is what lets [`Ledger::merge_flat`] walk
-    /// both sides in lockstep. On error the buffer is left empty.
+    /// a decode error, which is what lets a merge walk both sides in
+    /// lockstep. On error the buffer is left empty.
     pub fn decode_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
         self.entries.clear();
         let filled = self.fill(r);
@@ -72,21 +72,110 @@ impl FlatLedger {
         filled
     }
 
+    /// One loop over the reader's unread bytes, consumed once at the
+    /// end. Accepts and refuses exactly what the generic `Decode` chain
+    /// (`DeviceId`, then `u32`, `u64`, `u64`) does, with its errors.
     fn fill(&mut self, r: &mut Reader<'_>) -> Result<()> {
         let len = r.seq_len_for(MIN_ENTRY_BYTES)?;
         self.entries.reserve(len);
+        let (bytes, mut at) = (r.unread(), 0);
+        let mut prev: Option<DeviceId> = None;
         for _ in 0..len {
-            let device = DeviceId::decode(r)?;
-            if let Some((prev, _)) = self.entries.last() {
-                if *prev >= device {
-                    return Err(Error::Decode(format!(
-                        "ledger keys not strictly ascending: {device} after {prev}"
-                    )));
-                }
+            let device = DeviceId::new(varint_at(bytes, &mut at)?);
+            if let Some(prev) = prev.filter(|prev| *prev >= device) {
+                return Err(Error::Decode(format!(
+                    "ledger keys not strictly ascending: {device} after {prev}"
+                )));
             }
-            self.entries.push((device, LiabilityEntry::decode(r)?));
+            let ops = varint_at(bytes, &mut at)?;
+            let operators_hosted = u32::try_from(ops)
+                .map_err(|_| Error::Decode(format!("{ops} out of range for u32")))?;
+            let raw_tuples_seen = varint_at(bytes, &mut at)?;
+            let aggregates_seen = varint_at(bytes, &mut at)?;
+            self.entries.push((
+                device,
+                LiabilityEntry {
+                    operators_hosted,
+                    raw_tuples_seen,
+                    aggregates_seen,
+                },
+            ));
+            prev = Some(device);
         }
+        r.raw(at)?;
         Ok(())
+    }
+}
+
+/// The varint at `bytes[*at..]`, advancing `at` past it. One- and
+/// two-byte values — every key and counter of a ledger over a crowd of
+/// fewer than 16 384 devices — decode inline; longer ones, and every
+/// error, go through [`varint::read_u64`].
+#[inline(always)]
+fn varint_at(bytes: &[u8], at: &mut usize) -> Result<u64> {
+    if let Some(&b0) = bytes.get(*at) {
+        if b0 < 0x80 {
+            *at += 1;
+            return Ok(u64::from(b0));
+        }
+        if let Some(&b1) = bytes.get(*at + 1) {
+            if b1 < 0x80 {
+                *at += 2;
+                return Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7);
+            }
+        }
+    }
+    let (value, used) = varint::read_u64(&bytes[*at..])?;
+    *at += used;
+    Ok(value)
+}
+
+/// Per-device sums in a vector indexed by [`DeviceId::index`]: what WAL
+/// replay folds thousands of ledgers over one crowd into, an indexed
+/// add per entry instead of a walk of the map. A slot is `None` until a
+/// folded ledger names its device; a device charged only zeros holds a
+/// zero entry, exactly as the map keeps it.
+#[derive(Debug, Default)]
+pub struct DenseLedger {
+    slots: Vec<Option<LiabilityEntry>>,
+}
+
+impl DenseLedger {
+    /// Adds `ledger`'s entries. A device below `bound` is summed in its
+    /// slot; one at or above it is charged to `spill` through
+    /// [`Ledger::merge`]'s path. The caller passes the input bytes read
+    /// so far — every entry costs at least four bytes — so the
+    /// slots stay within a constant factor of the input, whatever ids a
+    /// hostile record names. Saturating addition of unsigned counters is
+    /// associative and commutative, so where a device's sum is kept
+    /// changes no balance.
+    pub fn fold(&mut self, ledger: &FlatLedger, bound: usize, spill: &mut Ledger) {
+        let (dense, beyond) = ledger.entries.split_at(
+            ledger
+                .entries
+                .partition_point(|(d, _)| d.raw() < bound as u64),
+        );
+        // Keys ascend, so the last one is the largest.
+        if let Some((last, _)) = dense.last() {
+            if last.index() >= self.slots.len() {
+                self.slots.resize(last.index() + 1, None);
+            }
+        }
+        for (device, e) in dense {
+            match &mut self.slots[device.index()] {
+                Some(sum) => sum.accumulate(e),
+                empty => *empty = Some(e.clone()),
+            }
+        }
+        spill.merge_ascending(beyond.iter().map(|(d, e)| (*d, e)));
+    }
+
+    /// Adds every sum to `ledger`.
+    pub fn merge_into(self, ledger: &mut Ledger) {
+        let sums = self.slots.iter().enumerate();
+        ledger.merge_ascending(
+            sums.filter_map(|(i, sum)| Some((DeviceId::new(i as u64), sum.as_ref()?))),
+        );
     }
 }
 
@@ -147,11 +236,6 @@ impl Ledger {
     /// service accumulates per-query ledgers into a crowd-lifetime
     /// ledger this way; see `docs/STORAGE.md`).
     pub fn merge(&mut self, other: &Ledger) {
-        self.merge_ascending(other.entries.iter().map(|(d, e)| (*d, e)));
-    }
-
-    /// [`Ledger::merge`] for a ledger still in its decoded wire form.
-    pub fn merge_flat(&mut self, other: &FlatLedger) {
         self.merge_ascending(other.entries.iter().map(|(d, e)| (*d, e)));
     }
 
@@ -395,6 +479,14 @@ mod tests {
         flat
     }
 
+    /// `other` folded into `into` through a [`DenseLedger`] that keeps
+    /// ids below `bound` and spills the rest.
+    fn merge_dense(into: &mut Ledger, other: &Ledger, bound: usize) {
+        let mut sums = DenseLedger::default();
+        sums.fold(&flat_of(other), bound, into);
+        sums.merge_into(into);
+    }
+
     #[test]
     fn counters_saturate_instead_of_overflowing() {
         // A CRC-valid hostile record can carry any counter value; adding
@@ -409,12 +501,12 @@ mod tests {
 
         let hostile = ledger_of(&[(1, entry(7, u64::MAX, 3)), (2, entry(1, u64::MAX, 0))]);
         let mut via_map = ledger_of(&[(1, entry(u32::MAX - 2, 9, u64::MAX - 1))]);
-        let mut via_flat = via_map.clone();
+        let mut via_dense = via_map.clone();
         via_map.merge(&hostile);
-        via_flat.merge_flat(&flat_of(&hostile));
+        merge_dense(&mut via_dense, &hostile, 2);
         assert_eq!(via_map.entries()[&d], entry(u32::MAX, u64::MAX, u64::MAX));
         assert_eq!(via_map.entries()[&DeviceId::new(2)], entry(1, u64::MAX, 0));
-        assert_eq!(via_flat, via_map);
+        assert_eq!(via_dense, via_map);
     }
 
     #[test]
@@ -526,11 +618,41 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_dense_fold_keeps_zero_entries_and_spills_ids_at_the_bound() {
+        let mut sums = DenseLedger::default();
+        let mut spill = Ledger::default();
+        let first = ledger_of(&[
+            (0, entry(0, 0, 0)),
+            (3, entry(1, 2, 3)),
+            (4, entry(1, 0, 0)),
+            (u64::MAX, entry(0, 0, 0)),
+        ]);
+        sums.fold(&flat_of(&first), 4, &mut spill);
+        assert_eq!(sums.slots.len(), 4, "the slots end below the bound");
+        assert_eq!(
+            spill,
+            ledger_of(&[(4, entry(1, 0, 0)), (u64::MAX, entry(0, 0, 0))])
+        );
+        // The bound grew: device 4 now has a slot, and its two halves
+        // meet when the sums join the map.
+        sums.fold(&flat_of(&ledger_of(&[(4, entry(0, 7, 0))])), 5, &mut spill);
+        sums.merge_into(&mut spill);
+        let expected = ledger_of(&[
+            (0, entry(0, 0, 0)),
+            (3, entry(1, 2, 3)),
+            (4, entry(1, 7, 0)),
+            (u64::MAX, entry(0, 0, 0)),
+        ]);
+        assert_eq!(spill, expected);
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_merge_join_matches_per_entry_descent(
             resident in proptest::collection::vec((0u64..96, 0u32..5, 0u64..1000), 0..80),
-            incoming in proptest::collection::vec((0u64..96, 0u32..5, 0u64..1000), 0..80)
+            incoming in proptest::collection::vec((0u64..96, 0u32..5, 0u64..1000), 0..80),
+            bound in 0usize..120
         ) {
             let build = |rows: &[(u64, u32, u64)]| {
                 let mut l = Ledger::default();
@@ -544,10 +666,10 @@ mod tests {
             merge_by_descent(&mut expected, &delta);
             let mut via_map = base.clone();
             via_map.merge(&delta);
-            let mut via_flat = base;
-            via_flat.merge_flat(&flat_of(&delta));
+            let mut via_dense = base;
+            merge_dense(&mut via_dense, &delta, bound);
             proptest::prop_assert_eq!(&via_map, &expected);
-            proptest::prop_assert_eq!(&via_flat, &expected);
+            proptest::prop_assert_eq!(&via_dense, &expected);
         }
     }
 

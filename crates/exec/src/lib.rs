@@ -33,4 +33,4 @@ pub use driver::{
 /// The element type of [`PlanAssembly::sliced_queries`], for hosts that
 /// keep those past the assembly.
 pub use edgelet_ml::grouping::GroupingQuery;
-pub use ledger::{FlatLedger, Ledger};
+pub use ledger::{DenseLedger, FlatLedger, Ledger};

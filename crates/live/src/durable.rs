@@ -22,12 +22,14 @@
 //! record in place from the recovered segment bytes — the result
 //! payload is walked, never copied; the ledger lands in one reused
 //! [`FlatLedger`] — validates the whole record, and only then folds it
-//! in, so a record is applied entirely or not at all.
+//! into a [`DenseLedger`] of per-device sums, so a record is applied
+//! entirely or not at all. The sums join the cumulative ledger once,
+//! when replay returns.
 //!
 //! See `docs/STORAGE.md` for the full recovery model.
 
 use crate::harness::LiveRun;
-use edgelet_exec::{FlatLedger, Ledger};
+use edgelet_exec::{DenseLedger, FlatLedger, Ledger};
 use edgelet_query::QuerySpec;
 use edgelet_util::{Error, Result};
 use edgelet_wire::crc::crc32;
@@ -253,22 +255,40 @@ impl DurableState {
     /// then folded in, so a malformed record leaves the state exactly
     /// as its predecessor left it. Accepts anything byte-slice-like —
     /// recovery hands zero-copy [`edgelet_util::Payload`] slices over
-    /// the segment buffers straight in. One ledger buffer is reused for
-    /// every record; nothing else is allocated per record. Returns the
-    /// number of records applied.
+    /// the segment buffers straight in. One ledger buffer and one
+    /// [`DenseLedger`] are reused for every record; nothing else is
+    /// allocated per record. The dense sums, bounded by the bytes
+    /// replayed, join the cumulative ledger once, on success and on
+    /// error alike. Returns the number of records applied.
     pub fn replay<B: AsRef<[u8]>>(&mut self, payloads: &[B]) -> Result<usize> {
+        let mut sums = DenseLedger::default();
+        let replayed = self.fold_records(payloads, &mut sums);
+        sums.merge_into(&mut self.ledger);
+        replayed.map(|()| payloads.len())
+    }
+
+    /// [`DurableState::replay`] up to the first malformed record, with
+    /// completions' ledgers summed in `sums` instead of `self.ledger`.
+    fn fold_records<B: AsRef<[u8]>>(
+        &mut self,
+        payloads: &[B],
+        sums: &mut DenseLedger,
+    ) -> Result<()> {
         let mut ledger = FlatLedger::default();
+        let mut bytes_read = 0usize;
         for payload in payloads {
-            match RecordView::parse(payload.as_ref(), &mut ledger)? {
+            let payload = payload.as_ref();
+            bytes_read = bytes_read.saturating_add(payload.len());
+            match RecordView::parse(payload, &mut ledger)? {
                 RecordView::Intent { epoch, spec_digest } => self.apply_intent(epoch, spec_digest),
                 RecordView::Completion { epoch } => {
                     if self.begin_completion(epoch) {
-                        self.ledger.merge_flat(&ledger);
+                        sums.fold(&ledger, bytes_read, &mut self.ledger);
                     }
                 }
             }
         }
-        Ok(payloads.len())
+        Ok(())
     }
 
     /// The smallest pending epoch whose intent digest matches, if any.

@@ -38,7 +38,7 @@
 //! in CI exercises exactly this path.
 
 use crate::conn::{Addr, Listener, MsgStream, Stream, TimerHeap};
-use crate::proto::{NetMsg, Role, WireRecord, PROTO_VERSION};
+use crate::proto::{NetMsg, Role, WireRecord, PROTO_VERSION, SLOTS_TAKEN};
 use edgelet_exec::{roles::querier::QuerierRecord, GroupingQuery};
 use edgelet_live::{ExitReason, LiveRun, PreparedQuery, RemoteExecutor};
 use edgelet_query::{PrivacyConfig, QueryPlan, QuerySpec, ResilienceConfig};
@@ -767,7 +767,7 @@ fn handshake(stream: Stream, shared: &Arc<DaemonShared>, timeout: Duration) {
             let Some(slot) = slot else {
                 shared.rejections.fetch_add(1, Ordering::Relaxed);
                 ms.send(&NetMsg::Reject {
-                    reason: "all worker slots taken".into(),
+                    reason: SLOTS_TAKEN.into(),
                 })
                 .ok();
                 ms.shutdown();
@@ -793,7 +793,7 @@ fn handshake(stream: Stream, shared: &Arc<DaemonShared>, timeout: Duration) {
                     drop(reg);
                     shared.rejections.fetch_add(1, Ordering::Relaxed);
                     ms.send(&NetMsg::Reject {
-                        reason: "all worker slots taken".into(),
+                        reason: SLOTS_TAKEN.into(),
                     })
                     .ok();
                     ms.shutdown();

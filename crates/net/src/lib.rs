@@ -47,6 +47,6 @@ pub mod worker;
 pub use conn::{Addr, Backoff, Listener, MsgStream, Stream, TimerHeap};
 pub use daemon::{Daemon, NetConfig, Submission, WorldBuilder};
 pub use framing::{encode_frame, FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_LEN, NET_MAGIC};
-pub use proto::{NetMsg, Role, WireRecord, WireRound, PROTO_VERSION};
+pub use proto::{NetMsg, Role, WireRecord, WireRound, PROTO_VERSION, SLOTS_TAKEN};
 pub use transport::CollectorTransport;
 pub use worker::{run_worker, SessionEnd, WorkerConfig};

@@ -36,6 +36,11 @@ use std::sync::Mutex;
 /// byte: a fault plan is part of the world the spec bytes describe.
 pub const PROTO_VERSION: u16 = 2;
 
+/// The [`NetMsg::Reject`] reason of a worker handshake that found every
+/// slot held. A held slot frees when the daemon's next probe finds its
+/// worker dead, so the refused worker backs off and tries again.
+pub const SLOTS_TAKEN: &str = "all worker slots taken";
+
 /// The peer's role, declared in `Hello`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -132,6 +137,8 @@ pub enum NetMsg {
         worker_index: u32,
     },
     /// Refuses a session or a request; the connection closes after.
+    /// A worker refused with [`SLOTS_TAKEN`] retries; any other reason
+    /// ends it.
     Reject {
         /// Human-readable reason.
         reason: String,

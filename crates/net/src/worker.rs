@@ -36,7 +36,7 @@
 
 use crate::conn::{Addr, Backoff, MsgStream, Stream, TimerHeap};
 use crate::daemon::WorldBuilder;
-use crate::proto::{NetMsg, Role, WireRecord, WireRound};
+use crate::proto::{NetMsg, Role, WireRecord, WireRound, SLOTS_TAKEN};
 use edgelet_live::{EngineParts, PreparedQuery};
 use edgelet_sim::exec::{Event, Shard, Window, WindowReport};
 use edgelet_util::{Error, Result};
@@ -76,7 +76,8 @@ impl WorkerConfig {
 /// Why one connection session ended (observability / tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionEnd {
-    /// The daemon refused the handshake; reconnecting is pointless.
+    /// The daemon refused the handshake. [`run_worker`] reconnects
+    /// after [`SLOTS_TAKEN`] and gives up on any other reason.
     Rejected(String),
     /// The connection died (EOF, timeout, frame corruption); the loop
     /// backs off and reconnects.
@@ -210,9 +211,11 @@ impl Kept {
 /// Runs the worker process loop: connect (with backoff), handshake,
 /// serve epochs, reconnect on failure — until `stop` is raised.
 ///
-/// Returns the terminal session end when the daemon *rejected* the
-/// handshake (version mismatch — retrying cannot help) or `Ok(())`
-/// when stopped.
+/// A handshake refused with [`SLOTS_TAKEN`] is retried like a lost
+/// connection: the slot of a dead worker frees at the daemon's next
+/// probe. Returns the terminal session end when the daemon rejected
+/// the handshake for any other reason (a version mismatch, which
+/// retrying cannot mend) or `Ok(())` when stopped.
 pub fn run_worker(
     cfg: &WorkerConfig,
     builder: Arc<dyn WorldBuilder>,
@@ -226,8 +229,10 @@ pub fn run_worker(
         }
         match connect_session(cfg, builder.as_ref(), stop, &mut backoff) {
             Ok(()) => return Ok(()),
-            Err(SessionEnd::Rejected(reason)) => return Err(SessionEnd::Rejected(reason)),
-            Err(SessionEnd::Disconnected(_)) => {
+            Err(SessionEnd::Rejected(reason)) if reason != SLOTS_TAKEN => {
+                return Err(SessionEnd::Rejected(reason))
+            }
+            Err(SessionEnd::Rejected(_) | SessionEnd::Disconnected(_)) => {
                 // Reconnect after the backoff delay, paced through the
                 // timer heap so the wait is interruptible by `stop`.
                 let token = timers.push(Instant::now() + backoff.delay(), ());

@@ -18,7 +18,7 @@ use edgelet_live::{
     PreparedQuery, QueryService, RemoteExecutor, ServiceConfig, StripedTransport,
 };
 use edgelet_net::{
-    run_worker, Addr, CollectorTransport, Daemon, NetConfig, WorkerConfig, WorldBuilder,
+    run_worker, Addr, CollectorTransport, Daemon, NetConfig, SessionEnd, WorkerConfig, WorldBuilder,
 };
 use edgelet_query::Strategy;
 use edgelet_sim::{Duration as SimDuration, FaultAction, FaultPlan, FaultRule};
@@ -698,6 +698,36 @@ fn an_epoch_aborted_mid_run_leaves_nothing_behind_on_the_kept_slice() {
     }
 }
 
+/// A `run_worker` thread on the daemon at `path`, until `stop` is raised.
+fn spawn_worker(
+    path: &std::path::Path,
+    stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<std::result::Result<(), SessionEnd>> {
+    let addr = Addr::Uds(path.to_path_buf());
+    std::thread::spawn(move || {
+        run_worker(
+            &WorkerConfig::new(addr),
+            Arc::new(Counting::default()),
+            &stop,
+        )
+    })
+}
+
+/// Waits up to 30 s for `done`, failing with `what` past the deadline
+/// or as soon as `worker` has returned.
+fn await_daemon<T>(
+    what: &str,
+    worker: &std::thread::JoinHandle<T>,
+    mut done: impl FnMut() -> bool,
+) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(!worker.is_finished(), "{what}: the worker returned");
+        assert!(std::time::Instant::now() < deadline, "{what}: timed out");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// A worker that died between queries frees its slot at the next probe:
 /// the query that finds it dead declines, and a replacement worker then
 /// registers and serves the one after.
@@ -708,18 +738,8 @@ fn a_worker_dead_between_queries_frees_its_slot_for_a_replacement() {
         std::process::id()
     ));
     let daemon = start_daemon(&path, SPEC_BYTES, 1, Arc::new(Counting::default()));
-    let worker = |stop: Arc<AtomicBool>| {
-        let addr = Addr::Uds(path.clone());
-        std::thread::spawn(move || {
-            run_worker(
-                &WorkerConfig::new(addr),
-                Arc::new(Counting::default()),
-                &stop,
-            )
-        })
-    };
     let first_stop = Arc::new(AtomicBool::new(false));
-    let first = worker(first_stop.clone());
+    let first = spawn_worker(&path, first_stop.clone());
     assert!(daemon.wait_workers(Duration::from_secs(30)));
     first_stop.store(true, Ordering::Release);
     assert_eq!(first.join().unwrap(), Ok(()));
@@ -732,20 +752,57 @@ fn a_worker_dead_between_queries_frees_its_slot_for_a_replacement() {
     assert!(try_run(1).is_none(), "the dead worker fails the probe");
 
     let second_stop = Arc::new(AtomicBool::new(false));
-    let second = worker(second_stop.clone());
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while daemon.total_registrations() + daemon.total_rejections() < 2 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the replacement never handshook"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let second = spawn_worker(&path, second_stop.clone());
+    await_daemon("the replacement handshakes", &second, || {
+        daemon.total_registrations() + daemon.total_rejections() >= 2
+    });
     assert_eq!(
         (daemon.total_registrations(), daemon.total_rejections()),
         (2, 0),
         "the replacement takes the freed slot"
     );
+    let run = try_run(2)
+        .expect("the fleet is complete again")
+        .expect("distributed epoch completes");
+    assert_eq!(verdict(&run), verdict(&in_process(&w.canonical, 2)));
+
+    second_stop.store(true, Ordering::Release);
+    daemon.shutdown();
+    assert_eq!(second.join().unwrap(), Ok(()));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A replacement that handshakes before the probe, while the dead
+/// worker's stream still holds the only slot, is refused with
+/// `edgelet_net::SLOTS_TAKEN` — and keeps trying with its backoff, so it registers
+/// once the probe has freed the slot and serves the next query.
+#[test]
+fn a_replacement_refused_before_the_probe_registers_once_the_probe_frees_the_slot() {
+    let path =
+        std::path::PathBuf::from(format!("/tmp/edgelet-wb-{}-early.sock", std::process::id()));
+    let daemon = start_daemon(&path, SPEC_BYTES, 1, Arc::new(Counting::default()));
+    let first_stop = Arc::new(AtomicBool::new(false));
+    let first = spawn_worker(&path, first_stop.clone());
+    assert!(daemon.wait_workers(Duration::from_secs(30)));
+    first_stop.store(true, Ordering::Release);
+    assert_eq!(first.join().unwrap(), Ok(()));
+
+    let second_stop = Arc::new(AtomicBool::new(false));
+    let second = spawn_worker(&path, second_stop.clone());
+    await_daemon("the replacement is refused", &second, || {
+        daemon.total_rejections() >= 1
+    });
+    assert_eq!(daemon.total_registrations(), 1, "the slot is still held");
+
+    let w = open(SPEC_BYTES);
+    let try_run = |epoch| {
+        let abort = AtomicBool::new(false);
+        daemon.try_run(epoch, &w.canonical, &w.privacy, &w.resilience, &abort)
+    };
+    assert!(try_run(1).is_none(), "the dead worker fails the probe");
+    await_daemon("the refused replacement registers", &second, || {
+        daemon.total_registrations() == 2
+    });
     let run = try_run(2)
         .expect("the fleet is complete again")
         .expect("distributed epoch completes");

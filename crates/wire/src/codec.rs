@@ -84,6 +84,12 @@ impl<'a> Reader<'a> {
         self.input.len() - self.pos
     }
 
+    /// The bytes not yet consumed, for a decoder that walks them in a
+    /// loop of its own and then consumes what it read with [`Reader::raw`].
+    pub fn unread(&self) -> &'a [u8] {
+        &self.input[self.pos..]
+    }
+
     /// Reads a varint.
     #[inline]
     pub fn varint(&mut self) -> Result<u64> {

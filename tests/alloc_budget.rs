@@ -18,14 +18,17 @@
 //! slice for its next epoch allocates nothing, whatever the crowd's size.
 //! And the collection round's busiest callback: a contributor reads a
 //! request and writes its answer without building either as a `Msg`.
+//! And WAL replay: the ledgers of a restart fold into dense per-device
+//! sums that allocate once, however many records, and a record naming
+//! a far-off device costs what its bytes do.
 
 use edgelet_core::exec::assemble_plan;
-use edgelet_core::exec::ledger;
+use edgelet_core::exec::ledger::{self, Ledger};
 use edgelet_core::exec::messages::Msg;
 use edgelet_core::exec::roles::contributor::ContributorActor;
 use edgelet_core::exec::roles::Sealer;
 use edgelet_core::prelude::*;
-use edgelet_live::{prepare_live_query, LiveRunOptions, StripedTransport};
+use edgelet_live::{prepare_live_query, DurableState, LiveRunOptions, StripedTransport, WalRecord};
 use edgelet_sim::exec::{Shard, Window};
 use edgelet_sim::Command;
 use edgelet_sim::{
@@ -47,24 +50,27 @@ thread_local! {
     /// here runs on the calling thread. No destructor, so the allocator
     /// may touch it at any point of a thread's life.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for, on the same terms.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter is a plain thread-local cell.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -75,9 +81,15 @@ static GLOBAL: Counting = Counting;
 /// Allocations (and reallocations) `f` performs, its result's drop
 /// included.
 fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCATIONS.get();
+    allocated(f).0
+}
+
+/// Allocations `f` performs and the bytes they ask for, its result's
+/// drop included.
+fn allocated<T>(f: impl FnOnce() -> T) -> (u64, u64) {
+    let before = (ALLOCATIONS.get(), BYTES.get());
     drop(f());
-    ALLOCATIONS.get() - before
+    (ALLOCATIONS.get() - before.0, BYTES.get() - before.1)
 }
 
 const CONTRIBUTORS: usize = 1_000;
@@ -128,6 +140,24 @@ const KEPT_SLICE_RESET: u64 = 0;
 /// buffer and its `Arc`; 11 when the request was decoded into owned
 /// strings and the answer built as `Row`s before it was encoded).
 const CONTRIBUTOR_TURNAROUND: u64 = 4;
+
+/// Ceiling on what replaying a benchmark-shaped WAL allocates for its
+/// ledgers — the allocations of the replay less those of replaying the
+/// same records with empty ledgers (the epoch sets are the same in
+/// both) — whatever the number of records (measures 178 at 64 pairs and
+/// at 2 048: one scratch ledger, one vector of dense sums, and the
+/// cumulative ledger's 999 entries inserted once, when the sums join
+/// it; a fold that allocated per record would grow with the pairs).
+const REPLAY_LEDGERS: u64 = 220;
+/// Devices in the replayed ledgers, below the crowd's 1 084 ids like
+/// the benchmark's `durable_grouping` WAL.
+const REPLAY_DEVICES: u64 = 999;
+/// Ceiling on the bytes replaying one completion allocates, per byte of
+/// the record, whatever device it names (measures 88 for the 9-byte
+/// record naming device 1, 47 for the 14-byte one naming `1 << 40`:
+/// the scratch ledger, the map's node and, below the bound, one dense
+/// slot; a slot vector sized by the id would ask for terabytes).
+const FAR_RECORD_BYTES_PER_BYTE: u64 = 128;
 
 /// Keeps a churn-only world from being quiescent: one timer, armed past
 /// every deadline the test runs to.
@@ -455,4 +485,87 @@ fn a_kept_slice_resets_without_allocating() {
     );
     assert_eq!(small, KEPT_SLICE_RESET, "resetting a slice allocated");
     assert_eq!(small, large, "a reset allocates per device");
+}
+
+/// `pairs` intent + completion pairs, each completion carrying `ledger`
+/// and a result payload the size of the benchmark's.
+fn wal(pairs: u64, ledger: &Ledger) -> Vec<Vec<u8>> {
+    (1..=pairs)
+        .flat_map(|epoch| {
+            [
+                WalRecord::Intent {
+                    epoch,
+                    spec_digest: 0x5eed,
+                },
+                WalRecord::Completion {
+                    epoch,
+                    result_payload: Some(vec![7; 40]),
+                    ledger: ledger.clone(),
+                    trace_digest: None,
+                },
+            ]
+        })
+        .map(|record| edgelet_wire::to_bytes(&record))
+        .collect()
+}
+
+/// Allocations replaying `records` from an empty state, and its state.
+fn replay(records: &[Vec<u8>]) -> (u64, DurableState) {
+    let mut state = DurableState::default();
+    let count = allocations(|| state.replay(records).expect("the WAL decodes"));
+    (count, state)
+}
+
+#[test]
+fn replay_sums_ledgers_in_one_allocation_whatever_the_records() {
+    let mut ledger = Ledger::default();
+    for d in (0..1_084)
+        .filter(|d| d % 13 != 5)
+        .take(REPLAY_DEVICES as usize)
+    {
+        ledger.raw_tuples(DeviceId::new(d), 1 + d % 3);
+        ledger.aggregates(DeviceId::new(d), d % 2);
+    }
+    let ledgers = |pairs| {
+        let (with, state) = replay(&wal(pairs, &ledger));
+        let (without, _) = replay(&wal(pairs, &Ledger::default()));
+        assert_eq!(state.applied.len() as u64, pairs);
+        let raw = &state.ledger.entries()[&DeviceId::new(1_000)].raw_tuples_seen;
+        assert_eq!(*raw, 2 * pairs, "every ledger was charged");
+        with - without
+    };
+    let (few, many) = (ledgers(64), ledgers(2_048));
+    println!("allocations: replaying the ledgers of 64 pairs {few}, of 2048 pairs {many}");
+    assert_eq!(few, many, "replay allocates per record");
+    assert!(
+        many <= REPLAY_LEDGERS,
+        "replaying the ledgers allocated {many}, budget {REPLAY_LEDGERS}"
+    );
+}
+
+#[test]
+fn a_record_naming_a_far_off_device_allocates_what_its_bytes_do() {
+    for device in [1, 1 << 40, u64::MAX] {
+        let mut ledger = Ledger::default();
+        ledger.raw_tuples(DeviceId::new(device), 3);
+        let record = edgelet_wire::to_bytes(&WalRecord::Completion {
+            epoch: 1,
+            result_payload: None,
+            ledger,
+            trace_digest: None,
+        });
+        let mut state = DurableState::default();
+        let (count, bytes) = allocated(|| state.replay(&[&record]).expect("the record decodes"));
+        let per_byte = bytes / record.len() as u64;
+        println!(
+            "allocations: replaying one {}-byte record naming device {device}: {count} ({bytes} bytes)",
+            record.len()
+        );
+        assert_eq!(state.ledger.entries().len(), 1);
+        assert!(
+            per_byte <= FAR_RECORD_BYTES_PER_BYTE,
+            "a record naming device {device} allocated {bytes} bytes, \
+             budget {FAR_RECORD_BYTES_PER_BYTE} per record byte"
+        );
+    }
 }

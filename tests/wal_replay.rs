@@ -17,7 +17,7 @@ use edgelet_live::{
 use edgelet_query::{PrivacyConfig, ResilienceConfig};
 use edgelet_store::{DurableLog, MemBackend, RetryPolicy};
 use edgelet_util::ids::DeviceId;
-use edgelet_wire::{from_bytes, to_bytes};
+use edgelet_wire::{from_bytes, to_bytes, Writer};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -133,6 +133,107 @@ proptest! {
         let at = at.index(record.len());
         record[at] = value;
         assert_replays_agree(&DurableState::default(), &log);
+    }
+}
+
+/// Counter values at the edges the saturating sums guard.
+const COUNTERS: [u64; 7] = [
+    0,
+    1,
+    200,
+    u32::MAX as u64 - 1,
+    u32::MAX as u64,
+    u64::MAX - 1,
+    u64::MAX,
+];
+/// Ids past every bound a generated log's bytes could set for the
+/// dense sums.
+const FAR_IDS: [u64; 3] = [1 << 20, 1 << 40, u64::MAX];
+
+/// One generated ledger entry: an id, a pick among [`FAR_IDS`] instead
+/// (when below 24), and one pick of its three counters among
+/// [`COUNTERS`] (`0..5 * 7 * 7`).
+type EntryPick = (u64, u8, usize);
+
+/// A completion written byte by byte, so its ledger can hold what no
+/// run charges: zero entries, counters at their maxima, any id.
+/// `damage` 1 puts the keys in descending order, 2 sets an operator
+/// count beyond `u32`, 3 cuts the last byte; 0 leaves it well-formed.
+fn completion_bytes(epoch: u64, picks: &[EntryPick], damage: u8) -> Vec<u8> {
+    let mut entries: Vec<[u64; 4]> = picks
+        .iter()
+        .map(|&(id, far, counters)| {
+            let id = if far < 24 {
+                FAR_IDS[usize::from(far) % 3]
+            } else {
+                id
+            };
+            // The first five counters fit an operator count.
+            let (ops, raw, agg) = (counters % 5, counters / 5 % 7, counters / 35);
+            [id, COUNTERS[ops], COUNTERS[raw], COUNTERS[agg]]
+        })
+        .collect();
+    entries.sort_by_key(|e| e[0]);
+    entries.dedup_by_key(|e| e[0]);
+    match damage {
+        1 => entries.reverse(),
+        2 => entries.push([u64::MAX, u64::from(u32::MAX) + 1, 0, 0]),
+        _ => {}
+    }
+    if damage == 1 && entries.len() < 2 {
+        entries = vec![[9, 0, 0, 0], [3, 0, 0, 0]];
+    }
+    let mut w = Writer::new();
+    for v in [1, epoch, 0, entries.len() as u64] {
+        w.put_varint(v);
+    }
+    for v in entries.iter().flatten() {
+        w.put_varint(*v);
+    }
+    w.put_varint(0);
+    let mut bytes = w.into_bytes();
+    if damage == 3 {
+        bytes.pop();
+    }
+    bytes
+}
+
+proptest! {
+    /// Ledgers the dense sums must fold exactly as the map does: zero
+    /// entries, ids below and above the bound (the bytes replayed so
+    /// far) up to `u64::MAX`, counters that saturate — and at most one
+    /// malformed record, after which neither replay applies anything.
+    #[test]
+    fn prop_dense_sums_fold_edge_ledgers_as_the_map_does(
+        records in prop::collection::vec(
+            (any::<u8>(), 0u64..10, prop::collection::vec(
+                (0u64..3_000, any::<u8>(), 0usize..245),
+                0..16,
+            )),
+            1..24,
+        ),
+        bad_at in any::<prop::sample::Index>(),
+        damage in 0u8..4
+    ) {
+        let mut log: Vec<Vec<u8>> = records
+            .iter()
+            .map(|(shape, epoch, picks)| {
+                if *shape < 64 {
+                    to_bytes(&record(*shape, *epoch, &[]))
+                } else {
+                    completion_bytes(*epoch, picks, 0)
+                }
+            })
+            .collect();
+        if damage > 0 {
+            let (_, epoch, picks) = &records[bad_at.index(records.len())];
+            log.insert(bad_at.index(log.len() + 1), completion_bytes(*epoch, picks, damage));
+        }
+        assert_replays_agree(&DurableState::default(), &log);
+        // On top of a state that already holds ledger entries.
+        let mut warm = DurableState::default();
+        materialising_replay(&mut warm, &log[..1]).ok();
+        assert_replays_agree(&warm, &log[1..]);
     }
 }
 
